@@ -115,18 +115,16 @@ def coloring_from_json(doc: dict) -> Coloring:
 
 
 def family_to_json(f: FiniteFamily) -> dict:
-    return {
-        "type": "family",
-        "k": f.k,
-        "N": f.N,
-        "words": [format_word(w) for w in f.words()],
-    }
+    return {"type": "family", "k": f.k, "N": f.N, "words": f.texts()}
 
 
 def family_from_json(doc: dict) -> FiniteFamily:
     k = int(doc["k"])
     n = int(doc["N"])
-    return FiniteFamily.from_words(k, n, [parse_word(t, k) for t in doc["words"]])
+    texts = doc["words"]
+    if not isinstance(texts, list):
+        raise InvalidWord("family words are not a list")
+    return FiniteFamily.from_texts(k, n, texts)
 
 
 def decomposition_to_json(dec: PwSyndeticDecomposition) -> dict:
@@ -310,10 +308,11 @@ def _verify_builder(instance: dict, witness: dict) -> int:
                 count += 1
         s = tree.dimension
         insts = [substitute(block, (a,)) for a in range(block.k)]
+        sigmas = list(residue.words())
         for t in level(tree, s):
             for wa in insts:
                 head = t.concat(wa)
-                for sigma in residue.words():
+                for sigma in sigmas:
                     glued = head.concat(sigma)
                     if len(glued) <= p.N:
                         _need(glued in p, f"claim 2 fails at {format_word(glued)}")

@@ -62,7 +62,10 @@ def _family(path: str) -> FiniteFamily:
     head = lines[0].split()
     if len(head) != 2:
         raise InputError("expected header 'k N'", path, 1, 1)
-    k, n = int(head[0]), int(head[1])
+    try:
+        k, n = int(head[0]), int(head[1])
+    except ValueError:
+        raise InputError("header 'k N' must be two integers", path, 1, 1) from None
     words = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -644,6 +647,8 @@ def cmd_verify(args):
         doc = json.loads(_read(args.certificate))
     except ValueError as exc:
         raise InputError(f"bad JSON: {exc}", args.certificate, 1, 1) from None
+    if not isinstance(doc, dict):
+        raise InputError("certificate is not a JSON object", args.certificate, 1, 1)
     res = certs.verify_certificate(doc)
     _emit(
         {"kind": "verification", "certificate_kind": res.kind, "ok": res.ok, "detail": res.detail},

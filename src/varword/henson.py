@@ -323,9 +323,7 @@ def minimal_envelope(members: Iterable[Word]) -> Envelope:
     bound = 2 ** len(mem) + len(mem) - 1
     longest = max(len(s) for s in mem)
     for d in range(longest + 2):
-        for env in sorted(
-            var_words(1, longest + 1, dim=d), key=Word.key
-        ):
+        for env in var_words(1, longest + 1, dim=d):
             assign = []
             for s in mem:
                 t = _cover(env, s)

@@ -34,7 +34,7 @@ from .errors import (
     NoPartSelected,
     NotAPartition,
 )
-from .words import Word, format_word, letter_words
+from .words import Word, format_word, letter_words, parse_word
 
 __all__ = [
     "FiniteFamily",
@@ -120,13 +120,47 @@ class FiniteFamily:
         return self.mask.bit_count()
 
     def words(self) -> Iterator[Word]:
-        mask = self.mask
-        r = 0
-        while mask:
-            if mask & 1:
-                yield self.unrank(r)
-            mask >>= 1
-            r += 1
+        for length, v in _members(self.k, self.N, self.mask):
+            yield _word_of(self.k, length, v)
+
+    # -- text codec ----------------------------------------------------
+
+    def texts(self) -> list[str]:
+        """``format_word`` of each member in rank order.
+
+        For 2 <= k <= 10 a member's text is its rank's value written in
+        base k with one digit per letter, so no Word is built.
+        """
+        k = self.k
+        if not 2 <= k <= 10:
+            return [format_word(w) for w in self.words()]
+        return [
+            _digits(v, k, length) if length else "-"
+            for length, v in _members(k, self.N, self.mask)
+        ]
+
+    @classmethod
+    def from_texts(cls, k: int, n: int, texts: Sequence) -> "FiniteFamily":
+        """``from_words(k, n, [parse_word(t, k) for t in texts])``, errors included.
+
+        For 2 <= k <= 10, when every text is ``-`` or at most n digits
+        below k, each rank is ``offsets[len(t)] + int(t, k)``; any other
+        text sends the whole list through ``parse_word``.
+        """
+        if 2 <= k <= 10 and n >= 0:
+            offs = _offsets(k, n)
+            letters = _DIGITS[:k]
+            mask = 0
+            for t in texts:
+                if t == "-":
+                    mask |= 1
+                elif type(t) is str and 0 < len(t) <= n and not t.strip(letters):
+                    mask |= 1 << (offs[len(t)] + int(t, k))
+                else:
+                    break
+            else:
+                return cls(k, n, mask)
+        return cls.from_words(k, n, [parse_word(t, k) for t in texts])
 
     def _check(self, other: "FiniteFamily") -> None:
         if (self.k, self.N) != (other.k, other.N):
@@ -218,12 +252,43 @@ def _unrank(k: int, n: int, r: int) -> Word:
     length = 0
     while offs[length + 1] <= r:
         length += 1
-    v = r - offs[length]
+    return _word_of(k, length, r - offs[length])
+
+
+def _members(k: int, n: int, mask: int) -> Iterator[tuple[int, int]]:
+    """(length, lex value) of each set bit of mask, in rank order."""
+    offs = _offsets(k, n)
+    bits = bin(mask)[:1:-1]  # bits[r] is bit r
+    length = 0
+    r = bits.find("1")
+    while r >= 0:
+        while offs[length + 1] <= r:
+            length += 1
+        yield length, r - offs[length]
+        r = bits.find("1", r + 1)
+
+
+def _word_of(k: int, length: int, v: int) -> Word:
     syms = [0] * length
     for i in range(length - 1, -1, -1):
-        syms[i] = v % k
-        v //= k
+        v, syms[i] = divmod(v, k)
     return Word(k, tuple(syms))
+
+
+_DIGITS = "0123456789"
+_BASE_FORMAT = {2: "b", 10: "d"}
+
+
+def _digits(v: int, k: int, length: int) -> str:
+    """v in base k (2 <= k <= 10) as exactly `length` digits."""
+    fmt = _BASE_FORMAT.get(k)
+    if fmt:
+        return format(v, f"0{length}{fmt}")
+    out = ["0"] * length
+    for i in range(length - 1, -1, -1):
+        v, d = divmod(v, k)
+        out[i] = _DIGITS[d]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

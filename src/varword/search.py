@@ -329,8 +329,9 @@ def step_lemma_search(
         checked = 1
         if s0 not in p:
             raise AssertionError("root left the part after certification")
+        sigmas = list(cert.decomposition.part.words())
         for w in level(line, 1):
-            for sigma in cert.decomposition.part.words():
+            for sigma in sigmas:
                 glued = w.concat(sigma)
                 if len(glued) <= p.N:
                     if glued not in p:
@@ -462,10 +463,11 @@ def _claim2(
     ok, checked, skipped = True, 0, 0
     tops = level(tree, s)
     insts = [substitute(block, (a,)) for a in range(block.k)]
+    sigmas = list(residue.words())
     for t in tops:
         for wa in insts:
             head = t.concat(wa)
-            for sigma in residue.words():
+            for sigma in sigmas:
                 glued = head.concat(sigma)
                 if len(glued) > p.N:
                     skipped += 1

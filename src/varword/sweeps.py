@@ -4,7 +4,7 @@ These are the heavy, fully deterministic batteries: substitution
 associativity over all prefix pairs, generator/tree round trips,
 line-with-letter feasibility over every coloring of a small cube, and
 the coded-graph scans.  Worker sharding splits contiguous index ranges
-and merges order-independd aggregates, so results are byte-identical
+and merges order-independent aggregates, so results are byte-identical
 for any worker count.
 """
 

@@ -30,7 +30,9 @@ alphabets), ``x_j`` prints as ``x{j}`` and the empty word prints as
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from itertools import chain, islice, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -141,6 +143,8 @@ def format_word(w: Word) -> str:
 
 def parse_word(text: str, k: int) -> Word:
     """Parse the canonical text form; ``-`` or the empty string is the empty word."""
+    if not isinstance(text, str):
+        raise InvalidWord(f"word text must be a string, not {type(text).__name__}")
     text = text.strip()
     if text in ("", "-"):
         return Word(k, ())
@@ -482,45 +486,106 @@ def recompose(sigma: Word, blocks: Sequence[Word]) -> Word:
 
 # ---------------------------------------------------------------------------
 # deterministic enumerations (length ascending, then lex)
+#
+# Each length is one depth-first walk in symbol order, pruned by the
+# number of variables introduced so far: a branch that can no longer
+# end with between lo and hi variables is never entered.  A finished
+# length of at most _MEMO_LIST_MAX words is kept as a tuple of Word
+# objects and handed out again on the next request; longer lengths
+# stream and are never held.  The memo keeps at most _MEMO_TOTAL words,
+# dropping its oldest lists first.
+
+_MEMO_LIST_MAX = 4096
+_MEMO_TOTAL = 1 << 14
+_memo: dict[tuple, tuple[Word, ...]] = {}
+_memo_lock = threading.Lock()
+
+
+def _symbol_tuples(k, length, ordered, lo, hi):
+    """Symbol tuples of one length in lex order, introducing lo..hi variables."""
+    if lo > hi or hi < 0:
+        return
+    if hi == 0:
+        yield from product(range(k), repeat=length)
+        return
+    table = {}
+
+    def allowed(i, intro):
+        # symbols allowed at position i after intro variables were introduced
+        opts = table.get((i, intro))
+        if opts is None:
+            rest = length - 1 - i
+            opts = []
+            if intro + rest >= lo:  # a letter or a reused variable
+                opts.extend(range(k))
+                if not ordered:
+                    opts.extend(range(k, k + intro))
+                elif intro:
+                    opts.append(k + intro - 1)
+            if intro < hi and intro + 1 + rest >= lo:
+                opts.append(k + intro)
+            opts = table[(i, intro)] = tuple(opts)
+        return opts
+
+    last = length - 1
+    syms = [0] * length
+    intro = [0] * length  # variables introduced before position i
+    opts = [()] * length
+    nxt = [0] * length
+    opts[0] = allowed(0, 0)
+    i = 0
+    while i >= 0:
+        if i == last:
+            head = tuple(syms[:last])
+            for s in opts[last]:
+                yield head + (s,)
+            i -= 1
+            continue
+        j = nxt[i]
+        if j == len(opts[i]):
+            i -= 1
+            continue
+        s = syms[i] = opts[i][j]
+        nxt[i] = j + 1
+        new = intro[i] + (s == k + intro[i])
+        i += 1
+        intro[i] = new
+        opts[i] = allowed(i, new)
+        nxt[i] = 0
+
+
+def _length_words(k, length, ordered, lo, hi) -> Iterable[Word]:
+    """The words of one length: the kept tuple, or an iterator if too many to keep."""
+    hi = length if hi is None else min(hi, length)
+    key = (k, length, ordered, lo, hi)
+    kept = _memo.get(key)
+    if kept is not None:
+        return kept
+    tuples = _symbol_tuples(k, length, ordered, lo, hi)
+    head = [Word(k, syms) for syms in islice(tuples, _MEMO_LIST_MAX + 1)]
+    if len(head) > _MEMO_LIST_MAX:
+        return chain(head, (Word(k, syms) for syms in tuples))
+    kept = tuple(head)
+    with _memo_lock:
+        total = sum(map(len, _memo.values())) + len(kept)
+        while total > _MEMO_TOTAL:
+            total -= len(_memo.pop(next(iter(_memo))))
+        _memo[key] = kept
+    return kept
+
+
+def _enumerate(k, max_len, min_len, ordered, lo, hi) -> Iterator[Word]:
+    for length in range(max(min_len, 0), max_len + 1):
+        yield from _length_words(k, length, ordered, lo, hi)
 
 
 def letter_words(k: int, max_len: int, min_len: int = 0) -> Iterator[Word]:
-    if k == 0:
-        if min_len == 0 and max_len >= 0:
-            yield Word(0, ())
-        return
-    for length in range(min_len, max_len + 1):
-        syms = [0] * length
-        while True:
-            yield Word(k, tuple(syms))
-            i = length - 1
-            while i >= 0 and syms[i] == k - 1:
-                syms[i] = 0
-                i -= 1
-            if i < 0:
-                break
-            syms[i] += 1
+    """All letter words of length min_len..max_len by (length, lex).
 
-
-def _var_word_dfs(k, length, ordered, out, introduced):
-    if len(out) == length:
-        yield tuple(out)
-        return
-    for a in range(k):
-        out.append(a)
-        yield from _var_word_dfs(k, length, ordered, out, introduced)
-        out.pop()
-    if ordered:
-        allowed = [introduced - 1] if introduced > 0 else []
-        allowed.append(introduced)
-    else:
-        allowed = list(range(introduced + 1))
-    for j in allowed:
-        out.append(k + j)
-        yield from _var_word_dfs(
-            k, length, ordered, out, introduced + 1 if j == introduced else introduced
-        )
-        out.pop()
+    Small lengths are memoized (see ``var_words``): the yielded Words
+    are shared, immutable objects.
+    """
+    return _enumerate(k, max_len, min_len, False, 0, 0)
 
 
 def var_words(
@@ -534,25 +599,23 @@ def var_words(
 
     Variables are introduced in index order, so occurrence and
     first-order invariants hold by construction; the ordered variant
-    only ever reuses the most recently introduced variable.
+    only ever reuses the most recently introduced variable.  The walk
+    never enters a branch that cannot end with exactly ``dim``
+    variables.  A length with at most 4,096 words is built once per
+    process and kept (the memo holds at most 16,384 words in all), so
+    the yielded Words are shared, immutable objects; longer lengths
+    stream without being kept.
     """
-    for length in range(min_len, max_len + 1):
-        for syms in _var_word_dfs(k, length, ordered, [], 0):
-            if dim is not None:
-                introduced = max((s - k + 1 for s in syms if s >= k), default=0)
-                if introduced != dim:
-                    continue
-            yield Word(k, syms)
+    if dim is None:
+        return _enumerate(k, max_len, min_len, ordered, 0, None)
+    return _enumerate(k, max_len, min_len, ordered, dim, dim)
 
 
 def prefix_valid_words(
     k: int, max_len: int, min_vars: int = 0, min_len: int = 0
 ) -> Iterator[Word]:
-    """All prefix-valid words by (length, lex), optionally with >= min_vars variables."""
-    for length in range(min_len, max_len + 1):
-        for syms in _var_word_dfs(k, length, False, [], 0):
-            if min_vars:
-                introduced = max((s - k + 1 for s in syms if s >= k), default=0)
-                if introduced < min_vars:
-                    continue
-            yield Word(k, syms)
+    """All prefix-valid words by (length, lex), optionally with >= min_vars variables.
+
+    Pruned and memoized like ``var_words``.
+    """
+    return _enumerate(k, max_len, min_len, False, min_vars, None)

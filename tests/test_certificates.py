@@ -22,7 +22,7 @@ from varword.largeness import (
 )
 from varword.prehomog import csl_search, one_step_prehomog
 from varword.search import iterate_builder, search_line_with_letter
-from varword.words import Word, parse_word
+from varword.words import Word, format_word, parse_word
 
 K = 2
 
@@ -115,6 +115,37 @@ def test_family_serialization_roundtrip():
     fam = FiniteFamily.from_words(K, 4, [Word(K, ()), Word(K, (0, 1)), Word(K, (1,))])
     doc = certs.family_to_json(fam)
     assert certs.family_from_json(doc).mask == fam.mask
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 11])
+def test_family_codec_matches_word_route(k):
+    # texts written from ranks, and masks read back from digit strings,
+    # against format_word/parse_word; k = 11 takes the word route
+    rng = random.Random(k)
+    n = 3 if k >= 10 else 5
+    size = FiniteFamily.full(k, n).universe_size
+    for density in range(1, 5):
+        for _ in range(5):
+            mask = (1 << size) - 1
+            for _ in range(density):
+                mask &= rng.getrandbits(size)
+            fam = FiniteFamily(k, n, mask)
+            doc = certs.family_to_json(fam)
+            assert doc["words"] == [format_word(w) for w in fam.words()]
+            assert certs.family_from_json(doc).mask == mask
+
+    def outcome(read):
+        try:
+            return read().mask
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    good = doc["words"][:3]
+    for bad in ["12", " 01", "1_0", "+1", "\u00b2", "x0", "0" * (n + 1), "", "-", "[1]0", 7]:
+        texts = good + [bad] + good
+        want = outcome(lambda: FiniteFamily.from_words(k, n, [parse_word(t, k) for t in texts]))
+        got = outcome(lambda: certs.family_from_json({"k": k, "N": n, "words": texts}))
+        assert got == want, bad
 
 
 def test_coloring_serialization_roundtrip():

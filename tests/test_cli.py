@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from varword import certificates as certs
 from varword.cli import main
 from varword.colorings import Coloring
 from varword.largeness import FiniteFamily, random_piecewise_syndetic
@@ -113,6 +114,35 @@ class TestSearchAndVerify:
         cert.write_text(json.dumps(doc))
         code, out, _ = run("verify", str(cert))
         assert code == 1
+
+    def test_verify_non_object_is_input_error(self, run, tmp_path):
+        cert = tmp_path / "x.json"
+        for text in ("[1,2]", "3", '"x"'):
+            cert.write_text(text)
+            code, _, err = run("verify", str(cert))
+            assert code == 1 and err.startswith("input error:")
+
+    def test_family_header_is_input_error(self, run, tmp_path):
+        fam = tmp_path / "fam.txt"
+        fam.write_text("2 x\n01\n")
+        code, _, err = run("large", "density", "--family", str(fam), "--eps", "1/2")
+        assert code == 1 and err.startswith(f"input error: {fam}:1:")
+
+    def test_verify_malformed_family_words(self, run, instance_dir, tmp_path):
+        cert = tmp_path / "sp.json"
+        run("large", "split",
+            "--syndetic", str(instance_dir / "synd.txt"),
+            "--thick", str(instance_dir / "thick.txt"),
+            "--ell", "1", "--part", str(instance_dir / "part.txt"),
+            "--json-out", str(cert))
+        doc = json.loads(cert.read_text())
+        for words in (doc["instance"]["b"]["words"] + [7], "01"):
+            doc["instance"]["b"]["words"] = words
+            doc["digest"] = certs.digest(doc["instance"])
+            cert.write_text(json.dumps(doc))
+            code, out, _ = run("verify", str(cert))
+            assert code == 1
+            assert json.loads(out)["detail"].startswith("malformed certificate")
 
     def test_not_found_exit_code(self, run, tmp_path):
         c = Coloring.from_function(1, 3, 0, 2, lambda w: 0 if len(w) <= 1 else 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_letters, random_prefix_valid
+import varword.words as vw
 from varword.errors import CutPointMissing, IndexOutOfRange, NotOrdered
 from varword.words import (
     Word,
@@ -312,3 +313,50 @@ def test_enumeration_order_is_length_lex():
     keys = [w.key() for w in seen]
     assert keys == sorted(keys)
     assert [format_word(w) for w in seen[:3]] == ["x0", "0x0", "1x0"]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_enumerations_match_filtered_reference(k):
+    # every word of length <= 6 over the k letters and x0..x5, filtered
+    # by definition, against the pruned walks; each call runs twice so
+    # that the second one reads the memo
+    naive = {
+        length: [
+            (syms, dimension(Word(k, syms)), is_var_word(Word(k, syms), ordered=True))
+            for syms in product(range(k + length), repeat=length)
+            if is_prefix_valid(Word(k, syms))
+        ]
+        for length in range(7)
+    }
+    cache = {}
+
+    def check(call, name, keep, lengths):
+        want = []
+        for length in lengths:
+            if (length, name) not in cache:
+                cache[length, name] = [s for s, d, o in naive[length] if keep(d, o)]
+            want += cache[length, name]
+        for _ in range(2):
+            assert [w.symbols for w in call()] == want, (name, lengths)
+
+    for max_len in range(7):
+        for min_len in range(max_len + 2):
+            lengths = range(min_len, max_len + 1)
+            for ordered in (False, True):
+                # length 0 with dim >= 1 stays empty; dim = max_len + 1 is empty throughout
+                for dim in [None, *range(max_len + 2)]:
+                    check(
+                        lambda: var_words(k, max_len, dim=dim, ordered=ordered, min_len=min_len),
+                        ("var", dim, ordered),
+                        lambda d, o: (dim is None or d == dim) and (o or not ordered),
+                        lengths,
+                    )
+            for min_vars in range(max_len + 2):
+                check(
+                    lambda: prefix_valid_words(k, max_len, min_vars=min_vars, min_len=min_len),
+                    ("prefix", min_vars),
+                    lambda d, o: d >= min_vars,
+                    lengths,
+                )
+            check(lambda: letter_words(k, max_len, min_len=min_len), ("letters",), lambda d, o: d == 0, lengths)
+    assert sum(map(len, vw._memo.values())) <= vw._MEMO_TOTAL
