@@ -454,6 +454,8 @@ _VERIFIERS = {
 
 
 def verify_certificate(doc: dict) -> VerifyResult:
+    if not isinstance(doc, dict):
+        return VerifyResult(False, "?", "malformed certificate: not a JSON object")
     kind = doc.get("kind", "?")
     try:
         _need(doc.get("schema") == SCHEMA, f"unsupported schema {doc.get('schema')}")

@@ -128,15 +128,14 @@ class FiniteFamily:
     def texts(self) -> list[str]:
         """``format_word`` of each member in rank order.
 
-        For 2 <= k <= 10 a member's text is its rank's value written in
-        base k with one digit per letter, so no Word is built.
+        For k = 2 a member's text is its rank's value in binary, one
+        digit per letter, so no Word is built.
         """
-        k = self.k
-        if not 2 <= k <= 10:
+        if self.k != 2:
             return [format_word(w) for w in self.words()]
         return [
-            _digits(v, k, length) if length else "-"
-            for length, v in _members(k, self.N, self.mask)
+            format(v, f"0{length}b") if length else "-"
+            for length, v in _members(2, self.N, self.mask)
         ]
 
     @classmethod
@@ -276,19 +275,6 @@ def _word_of(k: int, length: int, v: int) -> Word:
 
 
 _DIGITS = "0123456789"
-_BASE_FORMAT = {2: "b", 10: "d"}
-
-
-def _digits(v: int, k: int, length: int) -> str:
-    """v in base k (2 <= k <= 10) as exactly `length` digits."""
-    fmt = _BASE_FORMAT.get(k)
-    if fmt:
-        return format(v, f"0{length}{fmt}")
-    out = ["0"] * length
-    for i in range(length - 1, -1, -1):
-        v, d = divmod(v, k)
-        out[i] = _DIGITS[d]
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +392,9 @@ def is_syndetic(
     witness = None
     if want_witness:
         translators = []
+        taus = list(letter_words(family.k, ell))
         for sigma in letter_words(family.k, family.N - ell):
-            for tau in letter_words(family.k, ell):
+            for tau in taus:
                 if tau.concat(sigma) in family:
                     translators.append((sigma, tau))
                     break
@@ -433,9 +420,10 @@ def is_thick(family: FiniteFamily, ell_max: int) -> ThickCheck:
     anchors = []
     for ell in range(ell_max + 1):
         found = None
+        taus = list(letter_words(family.k, ell))
         for sigma in letter_words(family.k, family.N - ell):
             ok = True
-            for tau in letter_words(family.k, ell):
+            for tau in taus:
                 if tau.concat(sigma) not in family:
                     ok = False
                     break
@@ -671,18 +659,18 @@ def random_piecewise_syndetic(
             s_mask |= 1 << r
     s_fam = FiniteFamily(k, n, s_mask)
     # repair failures until ell-syndetic
+    taus = list(letter_words(k, ell))
     while True:
         check = is_syndetic(s_fam, ell)
         if check.ok:
             break
         sigma = check.counterexample
-        taus = list(letter_words(k, ell))
         tau = taus[rng.randrange(len(taus))]
         s_fam = s_fam | FiniteFamily.from_words(k, n, [tau.concat(sigma)])
     t_fam = FiniteFamily.empty(k, n)
     for m in range(m_bound + 1):
-        anchors = list(letter_words(k, n - m))
-        sigma = anchors[rng.randrange(len(anchors))]
+        # the r-th letter word of length <= n - m is the one of rank r
+        sigma = _unrank(k, n - m, rng.randrange(_offsets(k, n - m)[n - m + 1]))
         block = [
             tau.concat(sigma)
             for tau in letter_words(k, m)

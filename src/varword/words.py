@@ -30,9 +30,8 @@ alphabets), ``x_j`` prints as ``x{j}`` and the empty word prints as
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -79,9 +78,9 @@ class Word:
     def __post_init__(self):
         if self.k < 0:
             raise IndexOutOfRange(f"alphabet size must be >= 0, got {self.k}")
-        for i, s in enumerate(self.symbols):
-            if s < 0:
-                raise IndexOutOfRange(f"negative symbol {s} at position {i}")
+        if self.symbols and min(self.symbols) < 0:
+            i, s = next((i, s) for i, s in enumerate(self.symbols) if s < 0)
+            raise IndexOutOfRange(f"negative symbol {s} at position {i}")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -489,16 +488,7 @@ def recompose(sigma: Word, blocks: Sequence[Word]) -> Word:
 #
 # Each length is one depth-first walk in symbol order, pruned by the
 # number of variables introduced so far: a branch that can no longer
-# end with between lo and hi variables is never entered.  A finished
-# length of at most _MEMO_LIST_MAX words is kept as a tuple of Word
-# objects and handed out again on the next request; longer lengths
-# stream and are never held.  The memo keeps at most _MEMO_TOTAL words,
-# dropping its oldest lists first.
-
-_MEMO_LIST_MAX = 4096
-_MEMO_TOTAL = 1 << 14
-_memo: dict[tuple, tuple[Word, ...]] = {}
-_memo_lock = threading.Lock()
+# end with between lo and hi variables is never entered.
 
 
 def _symbol_tuples(k, length, ordered, lo, hi):
@@ -554,37 +544,15 @@ def _symbol_tuples(k, length, ordered, lo, hi):
         nxt[i] = 0
 
 
-def _length_words(k, length, ordered, lo, hi) -> Iterable[Word]:
-    """The words of one length: the kept tuple, or an iterator if too many to keep."""
-    hi = length if hi is None else min(hi, length)
-    key = (k, length, ordered, lo, hi)
-    kept = _memo.get(key)
-    if kept is not None:
-        return kept
-    tuples = _symbol_tuples(k, length, ordered, lo, hi)
-    head = [Word(k, syms) for syms in islice(tuples, _MEMO_LIST_MAX + 1)]
-    if len(head) > _MEMO_LIST_MAX:
-        return chain(head, (Word(k, syms) for syms in tuples))
-    kept = tuple(head)
-    with _memo_lock:
-        total = sum(map(len, _memo.values())) + len(kept)
-        while total > _MEMO_TOTAL:
-            total -= len(_memo.pop(next(iter(_memo))))
-        _memo[key] = kept
-    return kept
-
-
 def _enumerate(k, max_len, min_len, ordered, lo, hi) -> Iterator[Word]:
     for length in range(max(min_len, 0), max_len + 1):
-        yield from _length_words(k, length, ordered, lo, hi)
+        top = length if hi is None else min(hi, length)
+        for syms in _symbol_tuples(k, length, ordered, lo, top):
+            yield Word(k, syms)
 
 
 def letter_words(k: int, max_len: int, min_len: int = 0) -> Iterator[Word]:
-    """All letter words of length min_len..max_len by (length, lex).
-
-    Small lengths are memoized (see ``var_words``): the yielded Words
-    are shared, immutable objects.
-    """
+    """All letter words of length min_len..max_len by (length, lex)."""
     return _enumerate(k, max_len, min_len, False, 0, 0)
 
 
@@ -601,10 +569,9 @@ def var_words(
     first-order invariants hold by construction; the ordered variant
     only ever reuses the most recently introduced variable.  The walk
     never enters a branch that cannot end with exactly ``dim``
-    variables.  A length with at most 4,096 words is built once per
-    process and kept (the memo holds at most 16,384 words in all), so
-    the yielded Words are shared, immutable objects; longer lengths
-    stream without being kept.
+    variables.  Words are built as they are yielded; nothing is kept
+    between calls, so a caller that reads a list more than once should
+    list it once.
     """
     if dim is None:
         return _enumerate(k, max_len, min_len, ordered, 0, None)
@@ -616,6 +583,6 @@ def prefix_valid_words(
 ) -> Iterator[Word]:
     """All prefix-valid words by (length, lex), optionally with >= min_vars variables.
 
-    Pruned and memoized like ``var_words``.
+    Pruned like ``var_words``: no branch with too few variables is entered.
     """
     return _enumerate(k, max_len, min_len, False, min_vars, None)

@@ -111,6 +111,12 @@ def test_unknown_kind_rejected(docs):
     assert not certs.verify_certificate(doc).ok
 
 
+@pytest.mark.parametrize("doc", [[1, 2], 3, "x", None])
+def test_non_object_is_malformed(doc):
+    res = certs.verify_certificate(doc)
+    assert not res.ok and res.detail.startswith("malformed certificate")
+
+
 def test_family_serialization_roundtrip():
     fam = FiniteFamily.from_words(K, 4, [Word(K, ()), Word(K, (0, 1)), Word(K, (1,))])
     doc = certs.family_to_json(fam)
