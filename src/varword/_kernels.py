@@ -1,15 +1,12 @@
 """Hot loops behind the exhaustive sweeps.
 
-The substitution-associativity sweep and the ordered-generator round
-trip run as chunked numpy (``assoc_sweep``, ``tree_roundtrip_sweep``)
-on every machine.  The other kernels (the coloring sweep and the
-coded-graph scans) exist twice: the same loop body compiled with numba
-(default) and interpreted as plain Python, or replaced by a vectorized
-numpy variant (fallback).  Setting ``VARWORD_NO_NUMBA=1`` in the
-environment, or running without numba installed, selects the fallback
-for those kernels only.  Every kernel keeps its plain loop as ``*_py``,
-the reference the faster path must match bit for bit (see
-``python -m varword.benchmark``).
+Each kernel runs as numpy on every machine: the substitution
+associativity sweep (``assoc_sweep``), the ordered-generator round trip
+(``tree_roundtrip_sweep``), the bit-sliced coloring sweep
+(``line_letter_coloring_sweep``) and the coded-graph scans
+(``henson_adjacency_numpy``, ``henson_triangle_numpy``).  Each keeps its
+plain loop as ``*_py``, the reference it must match bit for bit (see
+``tests/test_kernels.py`` and ``python -m varword.benchmark``).
 
 Word encoding in here is flat arrays: symbols as small ints with
 letters below k and x_j as k+j, one row per word, -1 padding, plus a
@@ -18,32 +15,7 @@ first-occurrence table per variable index.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-NO_NUMBA_ENV = os.environ.get("VARWORD_NO_NUMBA", "") not in ("", "0")
-
-try:
-    if NO_NUMBA_ENV:
-        raise ImportError("numba disabled by VARWORD_NO_NUMBA")
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-USE_NUMBA = HAVE_NUMBA and not NO_NUMBA_ENV
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +67,11 @@ def assoc_sweep_py(syms, lens, focc, k, lo, hi, max_u_len):
     only w[v[u]] has one.  A substitution that would read a variable
     outside the substituted word (only a corrupted table has one) makes
     every u of its (i, j, m) fail.  focc entries must lie in [-1, width).
+
+    Both sides read the same ``syms`` entries wherever their cut points
+    agree, so the sweep checks the table's cut points (``focc`` against
+    ``syms`` and ``lens``), not the values of ``substitute``/``compose``;
+    those rest on the object-level tests.
     """
     n_words = syms.shape[0]
     width = syms.shape[1]
@@ -560,7 +537,7 @@ def tree_roundtrip_sweep(k, max_len, lo_len, hi_len):
 # line-with-letter sweep over all 2-colorings (any k, horizon fixed by tables)
 
 
-def _line_letter_coloring_sweep(cert_words, n_bits, lo, hi, out_found):
+def line_letter_coloring_sweep_py(cert_words, n_bits, lo, hi, out_found):
     """For each coloring bitmask in [lo, hi), mark whether some certificate
     triple (rank indices into the coloring) is monochromatic."""
     n_certs = cert_words.shape[0]
@@ -581,11 +558,47 @@ def _line_letter_coloring_sweep(cert_words, n_bits, lo, hi, out_found):
     return 0
 
 
+# plane r of the colorings 0..63: bit i set where bit r of i is
+_LANE_PLANES = [sum(1 << i for i in range(64) if i >> r & 1) for r in range(6)]
+
+
+def line_letter_coloring_sweep(cert_words, n_bits, lo, hi, out_found):
+    """Bit-sliced form of ``line_letter_coloring_sweep_py``: same arguments, same output.
+
+    The colorings f are held as n_bits bit planes: plane r holds bit r
+    of every f, 64 colorings per uint64 lane, lanes starting at
+    multiples of 64 (Biham, FSE 1997).  Planes 0-5 repeat in every lane;
+    plane r >= 6 is all ones or all zeros per lane.  A triple is
+    monochromatic in the lanes where the XNOR of its first plane with
+    each other plane is set; any triple sets the hit lane.
+    """
+    for a in range(lo - lo % 64, hi, _CHUNK):  # _CHUNK is a multiple of 64
+        b = min(a + _CHUNK, hi)
+        lane = np.arange(a >> 6, (b + 63) >> 6, dtype=np.int64)
+        planes = np.empty((n_bits, len(lane)), np.uint64)
+        for r in range(n_bits):
+            if r < 6:
+                planes[r] = _LANE_PLANES[r]
+            else:
+                planes[r] = -((lane >> (r - 6)) & 1).astype(np.uint64)
+        hit = np.zeros(len(lane), np.uint64)
+        for t in cert_words:
+            first = planes[t[0]]
+            same = ~np.zeros_like(hit)
+            for q in t[1:]:
+                same &= ~(planes[q] ^ first)
+            hit |= same
+        found = np.unpackbits(hit.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+        s = max(a, lo)
+        out_found[s - lo : b - lo] = found[s - a : b - a]
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # coded-graph kernels
 
 
-def _henson_adjacency_loops(bits, lens, out):
+def henson_adjacency_loops_py(bits, lens, out):
     v = bits.shape[0]
     for i in range(v):
         for j in range(v):
@@ -596,7 +609,7 @@ def _henson_adjacency_loops(bits, lens, out):
     return 0
 
 
-def _henson_triangle_scan(packed, ei, ej):
+def henson_triangle_scan_py(packed, ei, ej):
     """AND the packed neighbour rows of every edge; first common bit wins."""
     words = packed.shape[1]
     for e in range(ei.shape[0]):
@@ -612,28 +625,8 @@ def _henson_triangle_scan(packed, ei, ej):
     return -1, -1, -1
 
 
-# ---------------------------------------------------------------------------
-# selection
-
-if USE_NUMBA:
-    line_letter_coloring_sweep = _njit(cache=True, nogil=True)(
-        _line_letter_coloring_sweep
-    )
-    henson_adjacency_loops = _njit(cache=True, nogil=True)(_henson_adjacency_loops)
-    henson_triangle_scan = _njit(cache=True, nogil=True)(_henson_triangle_scan)
-else:
-    line_letter_coloring_sweep = _line_letter_coloring_sweep
-    henson_adjacency_loops = _henson_adjacency_loops
-    henson_triangle_scan = _henson_triangle_scan
-
-# pure-python references for cross-checking regardless of selection
-line_letter_coloring_sweep_py = _line_letter_coloring_sweep
-henson_adjacency_loops_py = _henson_adjacency_loops
-henson_triangle_scan_py = _henson_triangle_scan
-
-
 def henson_adjacency_numpy(bits: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Vectorized fallback for the adjacency matrix (identical output)."""
+    """Adjacency matrix of the coded graph; ``henson_adjacency_loops_py`` is its reference."""
     lt = lens[:, None] < lens[None, :]
     passing = ((bits[None, :] >> lens[:, None]) & 1) == 1
     disjoint = (bits[:, None] & bits[None, :]) == 0
@@ -642,7 +635,11 @@ def henson_adjacency_numpy(bits: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def henson_triangle_numpy(adj: np.ndarray):
-    """Matmul fallback: count common neighbours along every edge at once."""
+    """Count common neighbours along every edge at once by a matmul.
+
+    Returns the first edge (i, j) in row order with a common neighbour u,
+    or -1s; ``henson_triangle_scan_py`` is its reference.
+    """
     f = adj.astype(np.float32)
     common = f @ f
     bad = (common * adj) > 0

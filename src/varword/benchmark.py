@@ -1,11 +1,9 @@
-"""Timing of the kernel paths in use against their references.
+"""Timing of each numpy kernel against its plain-loop reference.
 
-Run as ``python -m varword.benchmark``.  The associativity and
-round-trip sweeps run as numpy on every machine and are timed against
-their plain-Python loops.  The coloring sweep and the coded-graph scans
-run compiled with numba when it is available (timed against the loop,
-or against the vectorized numpy variant for the graph scans) and on
-their fallback otherwise.  Outputs are asserted equal while timing.
+Run as ``python -m varword.benchmark``.  Every kernel in
+``varword._kernels`` runs as numpy; each row times it against the loop
+it is tested against (``*_py``), and the two outputs are asserted equal
+while timing.
 """
 
 from __future__ import annotations
@@ -16,7 +14,8 @@ import time
 import numpy as np
 
 from . import _kernels
-from .sweeps import build_prefix_table, henson_adjacency, line_letter_certs
+from .largeness import FiniteFamily
+from .sweeps import _vertex_arrays, build_prefix_table, line_letter_certs
 
 
 def _time(fn, *args, repeat: int = 1):
@@ -36,86 +35,47 @@ def main(argv=None) -> int:
     ap.add_argument("--henson-horizon", type=int, default=9)
     ap.add_argument("--sweep-horizon", type=int, default=3)
     args = ap.parse_args(argv)
-
-    numba = _kernels.USE_NUMBA
-    print("associativity and round-trip sweeps: numpy on every machine")
-    if numba:
-        print("coloring and graph kernels: numba (set VARWORD_NO_NUMBA=1 for the fallback)")
-    else:
-        print("coloring and graph kernels: fallback (numba unavailable or disabled)")
-    rows = []  # (kernel, path, seconds, reference, seconds or None)
+    rows = []  # (kernel, numpy seconds, loop seconds)
 
     t = build_prefix_table(2, args.assoc_len)
     m = len(t)
     tn, rn = _time(_kernels.assoc_sweep, t.syms, t.lens, t.focc, 2, 0, m, args.assoc_len)
     tp, rp = _time(_kernels.assoc_sweep_py, t.syms, t.lens, t.focc, 2, 0, m, args.assoc_len)
     assert rn == rp
-    rows.append((f"associativity sweep (len<={args.assoc_len}, {m} words)", "numpy", tn, "loop", tp))
+    rows.append((f"associativity sweep (len<={args.assoc_len}, {m} words)", tn, tp))
 
     tn, rn = _time(_kernels.tree_roundtrip_sweep, 2, args.tree_len, 0, args.tree_len)
     tp, rp = _time(_kernels.tree_roundtrip_sweep_py, 2, args.tree_len, 0, args.tree_len)
     assert rn == rp
-    rows.append((f"tree roundtrip sweep (len<={args.tree_len})", "numpy", tn, "loop", tp))
+    rows.append((f"tree roundtrip sweep (len<={args.tree_len})", tn, tp))
 
     certs, _meta = line_letter_certs(2, args.sweep_horizon)
-    from .largeness import FiniteFamily
-
     n_bits = FiniteFamily.empty(2, args.sweep_horizon).universe_size
     total = 1 << n_bits
-    out_a = np.zeros(total, np.uint8)
-    out_b = np.zeros(total, np.uint8)
-    tp, _ = _time(_kernels.line_letter_coloring_sweep_py, certs, n_bits, 0, total, out_b)
-    name = f"coloring sweep (2^{n_bits} colorings)"
-    if numba:
-        _kernels.line_letter_coloring_sweep(certs, n_bits, 0, 1, out_a[:1])  # compile
-        tc, _ = _time(_kernels.line_letter_coloring_sweep, certs, n_bits, 0, total, out_a)
-        assert (out_a == out_b).all()
-        rows.append((name, "numba", tc, "loop", tp))
-    else:
-        rows.append((name, "loop", tp, "-", None))
+    out_n = np.zeros(total, np.uint8)
+    out_p = np.zeros(total, np.uint8)
+    tn, _ = _time(_kernels.line_letter_coloring_sweep, certs, n_bits, 0, total, out_n)
+    tp, _ = _time(_kernels.line_letter_coloring_sweep_py, certs, n_bits, 0, total, out_p)
+    assert (out_n == out_p).all()
+    rows.append((f"coloring sweep (2^{n_bits} colorings)", tn, tp))
 
-    verts, adj = henson_adjacency(args.henson_horizon)
-    bits = np.zeros(len(verts), np.int64)
-    lens = np.zeros(len(verts), np.int64)
-    for i, v in enumerate(verts):
-        lens[i] = len(v)
-        bits[i] = sum(1 << p for p, s in enumerate(v.symbols) if s == 1)
-    tv, _ = _time(_kernels.henson_adjacency_numpy, bits, lens)
-    name = f"graph adjacency ({len(verts)} vertices)"
-    if numba:
-        small = np.zeros((1, 1), np.uint8)
-        _kernels.henson_adjacency_loops(bits[:1], lens[:1], small)  # compile
-        out_l = np.zeros((len(verts), len(verts)), np.uint8)
-        tc, _ = _time(_kernels.henson_adjacency_loops, bits, lens, out_l)
-        assert (out_l == _kernels.henson_adjacency_numpy(bits, lens)).all()
-        rows.append((name, "numba", tc, "numpy", tv))
-    else:
-        rows.append((name, "numpy", tv, "-", None))
+    verts, bits, lens = _vertex_arrays(args.henson_horizon)
+    out_p = np.zeros((len(verts), len(verts)), np.uint8)
+    tn, adj = _time(_kernels.henson_adjacency_numpy, bits, lens)
+    tp, _ = _time(_kernels.henson_adjacency_loops_py, bits, lens, out_p)
+    assert (adj == out_p).all()
+    rows.append((f"graph adjacency ({len(verts)} vertices)", tn, tp))
 
     ei, ej = np.nonzero(np.triu(adj))
-    tv, rv = _time(_kernels.henson_triangle_numpy, adj)
-    name = f"triangle scan ({len(ei)} edges)"
-    if numba:
-        packed = _kernels.pack_rows(adj)
-        _kernels.henson_triangle_scan(packed, ei[:1].astype(np.int64), ej[:1].astype(np.int64))
-        tc, rc = _time(
-            _kernels.henson_triangle_scan, packed, ei.astype(np.int64), ej.astype(np.int64)
-        )
-        assert rc[0] == rv[0] == -1
-        rows.append((name, "numba", tc, "numpy", tv))
-    else:
-        rows.append((name, "numpy", tv, "-", None))
+    tn, rn = _time(_kernels.henson_triangle_numpy, adj)
+    tp, rp = _time(_kernels.henson_triangle_scan_py, _kernels.pack_rows(adj), ei, ej)
+    assert tuple(map(int, rn)) == tuple(map(int, rp))
+    rows.append((f"triangle scan ({len(ei)} edges)", tn, tp))
 
     name_w = max(len(r[0]) for r in rows)
-    print(f"{'kernel':<{name_w}}  {'path':>6}  {'time':>10}  {'against':>7}  {'time':>10}  {'speedup':>8}")
-    for name, path, t_path, ref, t_ref in rows:
-        if t_ref is None:
-            print(f"{name:<{name_w}}  {path:>6}  {t_path:>9.3f}s  {ref:>7}  {'-':>10}  {'-':>8}")
-        else:
-            print(
-                f"{name:<{name_w}}  {path:>6}  {t_path:>9.3f}s  {ref:>7}  {t_ref:>9.3f}s"
-                f"  {t_ref / t_path:>7.1f}x"
-            )
+    print(f"{'kernel':<{name_w}}  {'numpy':>10}  {'loop':>10}  {'speedup':>8}")
+    for name, t_numpy, t_loop in rows:
+        print(f"{name:<{name_w}}  {t_numpy:>9.3f}s  {t_loop:>9.3f}s  {t_loop / t_numpy:>7.1f}x")
     return 0
 
 

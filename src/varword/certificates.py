@@ -21,7 +21,7 @@ from . import __version__
 from .colorings import Coloring
 from .errors import InvalidWord, VarwordError
 from .henson import GraphSpec, edge
-from .largeness import FiniteFamily, PwSyndeticDecomposition
+from .largeness import FiniteFamily, PwSyndeticDecomposition, check_family_size
 from .trees import level, tree_from_generator
 from .words import (
     Word,
@@ -121,6 +121,7 @@ def family_to_json(f: FiniteFamily) -> dict:
 def family_from_json(doc: dict) -> FiniteFamily:
     k = int(doc["k"])
     n = int(doc["N"])
+    check_family_size(k, n)
     texts = doc["words"]
     if not isinstance(texts, list):
         raise InvalidWord("family words are not a list")

@@ -27,6 +27,7 @@ from .largeness import (
     FiniteFamily,
     PwSyndeticDecomposition,
     brown_select,
+    check_family_size,
     density_profile,
     is_syndetic,
     is_thick,
@@ -66,6 +67,10 @@ def _family(path: str) -> FiniteFamily:
         k, n = int(head[0]), int(head[1])
     except ValueError:
         raise InputError("header 'k N' must be two integers", path, 1, 1) from None
+    try:
+        check_family_size(k, n)
+    except VarwordError as exc:
+        raise InputError(str(exc), path, 1, 1) from None
     words = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -667,7 +672,6 @@ def _add_common(p):
     p.add_argument("--ell", type=int, default=2, help="color count / syndeticity bound")
     p.add_argument("--horizon", type=int, default=8, help="word length horizon")
     p.add_argument("--dim", type=int, default=0, help="variable-word dimension")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument(
         "--workers",
         type=int,

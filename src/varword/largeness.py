@@ -30,13 +30,17 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
+    DomainTooLarge,
     HorizonExceeded,
+    IndexOutOfRange,
     NoPartSelected,
     NotAPartition,
 )
 from .words import Word, format_word, letter_words, parse_word
 
 __all__ = [
+    "MAX_UNIVERSE",
+    "check_family_size",
     "FiniteFamily",
     "DensityProfile",
     "DensitySplitReport",
@@ -70,6 +74,26 @@ def _offsets(k: int, n: int) -> tuple[int, ...]:
     for length in range(n + 1):
         out.append(out[-1] + k**length)
     return tuple(out)
+
+
+MAX_UNIVERSE = 1 << 22  # words of A^{<=N} a family read from a file or a certificate may span
+
+
+def check_family_size(k: int, n: int) -> None:
+    """Reject a family header (k, N) read from outside before any mask is built.
+
+    A family's mask holds one bit per word of A^{<=N} and its offset
+    table one entry per length, so either past ``MAX_UNIVERSE`` raises
+    ``DomainTooLarge``; a negative k raises ``IndexOutOfRange``.
+    """
+    if k < 0:
+        raise IndexOutOfRange(f"alphabet size must be >= 0, got {k}")
+    size = n + 1
+    if k >= 2:
+        # at least 2**(n+1) - 1 words: lengths past the bound's bit length need no power
+        size = sum(k**length for length in range(min(n, MAX_UNIVERSE.bit_length()) + 1))
+    if size > MAX_UNIVERSE:
+        raise DomainTooLarge(f"family with k={k}, N={n} spans more than {MAX_UNIVERSE} words")
 
 
 @dataclass(frozen=True)

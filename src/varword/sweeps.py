@@ -81,7 +81,12 @@ class AssocSweepResult:
 def assoc_exhaustive(
     k: int, max_len: int, workers: int = 1, table: Optional[WordTable] = None
 ) -> AssocSweepResult:
-    """w[v[u]] == compose(w, v)[u] over every prefix pair up to max_len."""
+    """w[v[u]] == compose(w, v)[u] over every prefix pair up to max_len.
+
+    On the flat table both sides read the same symbols wherever their
+    cut points agree, so this checks the cut points; the values of
+    ``substitute``/``compose`` rest on the object-level tests.
+    """
     t = table or build_prefix_table(k, max_len)
     m = len(t)
 
@@ -206,12 +211,7 @@ def _vertex_arrays(n_horizon: int):
 
 def henson_adjacency(n_horizon: int) -> tuple[list, np.ndarray]:
     verts, bits, lens = _vertex_arrays(n_horizon)
-    if _kernels.USE_NUMBA:
-        out = np.zeros((len(verts), len(verts)), np.uint8)
-        _kernels.henson_adjacency_loops(bits, lens, out)
-    else:
-        out = _kernels.henson_adjacency_numpy(bits, lens)
-    return verts, out
+    return verts, _kernels.henson_adjacency_numpy(bits, lens)
 
 
 @dataclass(frozen=True)
@@ -222,19 +222,12 @@ class HensonScanReport:
 
 
 def henson_triangle_report(n_horizon: int) -> HensonScanReport:
-    """Edge-by-edge common-neighbour scan over the packed adjacency rows."""
+    """Common-neighbour scan along every edge of the coded graph."""
     verts, adj = henson_adjacency(n_horizon)
-    ei, ej = np.nonzero(np.triu(adj))
-    if _kernels.USE_NUMBA:
-        packed = _kernels.pack_rows(adj)
-        i, j, u = _kernels.henson_triangle_scan(
-            packed, ei.astype(np.int64), ej.astype(np.int64)
-        )
-    else:
-        i, j, u = _kernels.henson_triangle_numpy(adj)
+    i, j, u = _kernels.henson_triangle_numpy(adj)
     if i >= 0:
         raise TriangleFound(
             f"triangle {format_word(verts[i])}, {format_word(verts[j])}, {format_word(verts[u])}",
             triple=(verts[i], verts[j], verts[u]),
         )
-    return HensonScanReport(n_horizon, len(verts), int(len(ei)))
+    return HensonScanReport(n_horizon, len(verts), int(np.count_nonzero(np.triu(adj))))

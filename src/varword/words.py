@@ -140,8 +140,22 @@ def format_word(w: Word) -> str:
     return "".join(out)
 
 
+def _decimal(digits: str, i: int, text: str) -> int:
+    """The ASCII decimal number ``digits`` read at position i of text."""
+    if not digits or not digits.isascii() or not digits.isdigit():
+        raise InvalidWord(f"expected ASCII digits at position {i} in {text!r}")
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise IndexOutOfRange(f"index too long at position {i} in {text!r}") from None
+
+
 def parse_word(text: str, k: int) -> Word:
-    """Parse the canonical text form; ``-`` or the empty string is the empty word."""
+    """Parse the canonical text form; ``-`` or the empty string is the empty word.
+
+    Letters and variable indices are ASCII decimal digits only; any
+    other text raises ``InvalidWord`` or ``IndexOutOfRange``.
+    """
     if not isinstance(text, str):
         raise InvalidWord(f"word text must be a string, not {type(text).__name__}")
     text = text.strip()
@@ -156,22 +170,22 @@ def parse_word(text: str, k: int) -> Word:
             continue
         if c == "x":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             if j == i + 1:
                 raise IndexOutOfRange(f"bare 'x' at position {i} in {text!r}")
-            syms.append(k + int(text[i + 1 : j]))
+            syms.append(k + _decimal(text[i + 1 : j], i + 1, text))
             i = j
         elif c == "[":
             j = text.find("]", i)
             if j < 0:
                 raise IndexOutOfRange(f"unclosed '[' at position {i} in {text!r}")
-            v = int(text[i + 1 : j])
+            v = _decimal(text[i + 1 : j], i + 1, text)
             if v >= k:
                 raise IndexOutOfRange(f"letter {v} outside alphabet of size {k}")
             syms.append(v)
             i = j + 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":
             v = int(c)
             if v >= k:
                 raise IndexOutOfRange(f"letter {v} outside alphabet of size {k}")

@@ -16,8 +16,11 @@ from varword.cli import (
 from varword.cdrt import pullback_certificate, translate
 from varword.colorings import Coloring
 from varword.henson import GraphSpec, greedy_embed, minimal_envelope
+from varword.errors import DomainTooLarge, IndexOutOfRange
 from varword.largeness import (
+    MAX_UNIVERSE,
     FiniteFamily,
+    check_family_size,
     random_piecewise_syndetic,
 )
 from varword.prehomog import csl_search, one_step_prehomog
@@ -115,6 +118,28 @@ def test_unknown_kind_rejected(docs):
 def test_non_object_is_malformed(doc):
     res = certs.verify_certificate(doc)
     assert not res.ok and res.detail.startswith("malformed certificate")
+
+
+@pytest.mark.parametrize("k, n", [(2, 40), (1, 10**9)])
+def test_oversized_family_is_malformed(docs, k, n):
+    # refused from the header, before a mask or offset table of that
+    # size is built (N = 40 died of MemoryError in complement())
+    doc = json.loads(certs.canonical_json(docs["builder-trace"]))
+    for side in ("syndetic", "thick"):
+        doc["instance"]["decomposition"][side].update(k=k, N=n)
+    doc["digest"] = certs.digest(doc["instance"])
+    res = certs.verify_certificate(doc)
+    assert not res.ok and res.detail.startswith("malformed certificate")
+
+
+def test_family_size_limit():
+    check_family_size(2, 21)  # 2**22 - 1 words
+    check_family_size(1, MAX_UNIVERSE - 1)
+    for k, n in [(2, 22), (3, 14), (1, MAX_UNIVERSE), (0, MAX_UNIVERSE), (10**6, 2)]:
+        with pytest.raises(DomainTooLarge):
+            check_family_size(k, n)
+    with pytest.raises(IndexOutOfRange):
+        check_family_size(-1, 3)
 
 
 def test_family_serialization_roundtrip():

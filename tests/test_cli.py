@@ -128,6 +128,27 @@ class TestSearchAndVerify:
         code, _, err = run("large", "density", "--family", str(fam), "--eps", "1/2")
         assert code == 1 and err.startswith(f"input error: {fam}:1:")
 
+    def test_oversized_family_is_rejected(self, run, instance_dir, tmp_path):
+        fam = tmp_path / "fam.txt"
+        fam.write_text("2 40\n01\n")
+        code, _, err = run("large", "density", "--family", str(fam), "--eps", "1/2")
+        assert code == 1 and err.startswith(f"input error: {fam}:1:")
+        cert = tmp_path / "sp.json"
+        run("large", "split",
+            "--syndetic", str(instance_dir / "synd.txt"),
+            "--thick", str(instance_dir / "thick.txt"),
+            "--ell", "1", "--part", str(instance_dir / "part.txt"),
+            "--json-out", str(cert))
+        doc = json.loads(cert.read_text())
+        for part in doc["instance"].values():
+            if isinstance(part, dict) and part.get("type") == "family":
+                part["N"] = 40
+        doc["digest"] = certs.digest(doc["instance"])
+        cert.write_text(json.dumps(doc))
+        code, out, _ = run("verify", str(cert))
+        assert code == 1
+        assert json.loads(out)["detail"].startswith("malformed certificate")
+
     def test_verify_malformed_family_words(self, run, instance_dir, tmp_path):
         cert = tmp_path / "sp.json"
         run("large", "split",

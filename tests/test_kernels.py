@@ -2,16 +2,15 @@
 
 Every sweep has two independent routes: the flat-array kernel and the
 Word-object implementation built from the core operations.  Small
-instances are checked for exact agreement, and the plain-Python loop
-of each kernel (always available) is compared against the path in use:
-the numpy sweeps for associativity and round trips, numba or the loop
-itself for the others.
+instances are checked for exact agreement, and each numpy kernel is
+compared against its plain-Python loop (``*_py``), the reference it
+must match bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from varword import _kernels
+from varword import _kernels, benchmark
 from varword.colorings import Coloring
 from varword.errors import CutPointMissing, NotFoundWithinHorizon
 from varword.henson import edge, enum_vertices
@@ -170,14 +169,24 @@ class TestColoringSweep:
         b = coloring_sweep(K, 3, workers=8)
         assert (a == b).all()
 
-    def test_python_variant_agrees(self):
-        certs, _ = line_letter_certs(K, 2)
-        n_bits = FiniteFamily.empty(K, 2).universe_size
-        out_a = np.zeros(1 << n_bits, np.uint8)
-        out_b = np.zeros(1 << n_bits, np.uint8)
-        _kernels.line_letter_coloring_sweep(certs, n_bits, 0, 1 << n_bits, out_a)
-        _kernels.line_letter_coloring_sweep_py(certs, n_bits, 0, 1 << n_bits, out_b)
-        assert (out_a == out_b).all()
+    def test_python_variant_agrees(self, rng, monkeypatch):
+        # chunks of 3 lanes (192 colorings), so that the ranges, whose
+        # bounds are mostly not multiples of 64, cross chunk boundaries
+        monkeypatch.setattr(_kernels, "_CHUNK", 192)
+        for n_hor in (2, 3):
+            certs, _ = line_letter_certs(K, n_hor)
+            n_bits = FiniteFamily.empty(K, n_hor).universe_size
+            total = 1 << n_bits
+            ranges = [(0, total)] + [
+                (lo, rng.randrange(lo, min(lo + 1500, total) + 1))
+                for lo in (rng.randrange(total) for _ in range(30))
+            ]
+            for lo, hi in ranges:
+                out_a = np.full(hi - lo, 2, np.uint8)
+                out_b = np.full(hi - lo, 3, np.uint8)
+                _kernels.line_letter_coloring_sweep(certs, n_bits, lo, hi, out_a)
+                _kernels.line_letter_coloring_sweep_py(certs, n_bits, lo, hi, out_b)
+                assert (out_a == out_b).all(), (n_hor, lo, hi)
 
 
 class TestHensonKernels:
@@ -215,7 +224,7 @@ class TestHensonKernels:
             adj[i, j] = adj[j, i] = 1
         ei, ej = np.nonzero(np.triu(adj))
         packed = _kernels.pack_rows(adj)
-        i, j, u = _kernels.henson_triangle_scan(
+        i, j, u = _kernels.henson_triangle_scan_py(
             packed, ei.astype(np.int64), ej.astype(np.int64)
         )
         assert sorted((i, j, u)) == [0, 1, 2]
@@ -225,3 +234,10 @@ class TestHensonKernels:
     def test_report(self):
         rep = henson_triangle_report(7)
         assert rep.vertices == 2**8 - 7 - 2
+
+
+def test_benchmark_runs_at_tiny_sizes(capsys):
+    # each row asserts the numpy kernel's output equal to its loop's
+    argv = ["--assoc-len", "2", "--tree-len", "3", "--henson-horizon", "4", "--sweep-horizon", "2"]
+    assert benchmark.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6

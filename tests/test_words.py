@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_letters, random_prefix_valid
-from varword.errors import CutPointMissing, IndexOutOfRange, NotOrdered
+from varword.errors import CutPointMissing, IndexOutOfRange, NotOrdered, VarwordError
 from varword.words import (
     Word,
     compose,
@@ -230,6 +230,22 @@ class TestDimensionPreservation:
 @given(st.integers(1, 3), st.lists(st.integers(0, 6), max_size=12))
 def test_parse_format_roundtrip(k, raw):
     w = Word(k, tuple(s for s in raw))
+    assert parse_word(format_word(w), k) == w
+
+
+@pytest.mark.parametrize("text", ["[8_3]", "[1_0]", "[ 1]", "[\u0663]", "\u0663", "x\u0663", "\u00b2", "x\u00b2", "[]"])
+def test_parse_rejects_non_ascii_digits(text):
+    with pytest.raises(VarwordError):
+        parse_word(text, 100)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789x[]-_ +\u00b2\u0663"), st.integers(0, 11))
+def test_parse_raises_or_roundtrips(text, k):
+    try:
+        w = parse_word(text, k)
+    except VarwordError:
+        return
     assert parse_word(format_word(w), k) == w
 
 
