@@ -15,14 +15,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .colorings import Coloring
 from .errors import InvalidWord, VarwordError
-from .henson import GraphSpec, edge
-from .largeness import FiniteFamily, PwSyndeticDecomposition, check_family_size
-from .trees import level, tree_from_generator
 from .words import (
     Word,
     compose,
@@ -35,6 +31,15 @@ from .words import (
     substitute,
     var_words,
 )
+
+if TYPE_CHECKING:
+    from .colorings import Coloring
+    from .henson import GraphSpec
+    from .largeness import FiniteFamily, PwSyndeticDecomposition
+
+# Serializing a word, wrapping a document and writing canonical JSON need
+# only this module and ``words``; each reader and verifier below imports
+# the domain module of its kind, so a command loads what it runs.
 
 __all__ = [
     "SCHEMA",
@@ -109,9 +114,14 @@ def coloring_to_json(c: Coloring) -> dict:
 
 
 def coloring_from_json(doc: dict) -> Coloring:
-    k = int(doc["k"])
+    from .colorings import Coloring
+
+    k, n_horizon, dim = int(doc["k"]), int(doc["N"]), int(doc["n"])
+    Coloring.check_header(k, n_horizon, dim)
     table = {parse_word(t, k): int(c) for t, c in doc["table"]}
-    return Coloring(k, int(doc["N"]), int(doc["n"]), int(doc["ell"]), table)
+    coloring = Coloring(k, n_horizon, dim, int(doc["ell"]), table)
+    coloring.validate_total()
+    return coloring
 
 
 def family_to_json(f: FiniteFamily) -> dict:
@@ -119,6 +129,8 @@ def family_to_json(f: FiniteFamily) -> dict:
 
 
 def family_from_json(doc: dict) -> FiniteFamily:
+    from .largeness import FiniteFamily, check_family_size
+
     k = int(doc["k"])
     n = int(doc["N"])
     check_family_size(k, n)
@@ -138,6 +150,8 @@ def decomposition_to_json(dec: PwSyndeticDecomposition) -> dict:
 
 
 def decomposition_from_json(doc: dict) -> PwSyndeticDecomposition:
+    from .largeness import PwSyndeticDecomposition
+
     return PwSyndeticDecomposition(
         family_from_json(doc["syndetic"]),
         family_from_json(doc["thick"]),
@@ -157,6 +171,8 @@ def graph_to_json(g: GraphSpec) -> dict:
 
 
 def graph_from_json(doc: dict) -> GraphSpec:
+    from .henson import GraphSpec
+
     pairs = []
     for i, row in enumerate(doc["rows"]):
         for j, c in enumerate(row):
@@ -186,6 +202,8 @@ def _need(cond: bool, msg: str) -> None:
 
 
 def _verify_line_letter(instance: dict, witness: dict) -> int:
+    from .trees import level, tree_from_generator
+
     coloring = coloring_from_json(instance)
     g = word_from_json(witness["generator"])
     tree = tree_from_generator(g)
@@ -205,6 +223,8 @@ def _verify_line_letter(instance: dict, witness: dict) -> int:
 
 
 def _verify_tree(instance: dict, witness: dict) -> int:
+    from .trees import tree_from_generator
+
     elems = {word_from_json(d) for d in instance["elements"]}
     g = word_from_json(witness["generator"])
     tree = tree_from_generator(g)
@@ -260,6 +280,8 @@ def _verify_split(instance: dict, witness: dict) -> int:
 
 
 def _verify_brown(instance: dict, witness: dict) -> int:
+    from .largeness import FiniteFamily
+
     dec = decomposition_from_json(instance["decomposition"])
     parts = [family_from_json(d) for d in instance["parts"]]
     p = dec.part
@@ -294,6 +316,8 @@ def _verify_brown(instance: dict, witness: dict) -> int:
 
 
 def _verify_builder(instance: dict, witness: dict) -> int:
+    from .trees import level, tree_from_generator
+
     dec = decomposition_from_json(instance["decomposition"])
     p = dec.part
     count = 0
@@ -404,6 +428,8 @@ def _verify_cdrt(instance: dict, witness: dict) -> int:
 
 
 def _verify_embedding(instance: dict, witness: dict) -> int:
+    from .henson import edge
+
     g = graph_from_json(instance["graph"])
     mode = instance.get("mode", "greedy")
     images = [word_from_json(d) for d in witness["words"]]

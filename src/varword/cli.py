@@ -6,6 +6,10 @@ bounded search legitimately exhausts its horizon, 1 on input errors.
 ``--json-out FILE`` additionally writes the same bytes to a file.
 Identical arguments produce byte-identical output regardless of
 ``--workers``.
+
+Every process is a fresh interpreter, so each handler imports the
+modules it runs and a command loads only its own code; ``--version``
+loads no domain module at all.
 """
 
 from __future__ import annotations
@@ -13,38 +17,23 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import cdrt, certificates as certs, henson, prehomog, search
-from .colorings import Coloring
+from . import __version__
 from .errors import (
     InputError,
     NoPartSelected,
     NotFoundWithinHorizon,
     VarwordError,
 )
-from .largeness import (
-    FiniteFamily,
-    PwSyndeticDecomposition,
-    brown_select,
-    check_family_size,
-    density_profile,
-    is_syndetic,
-    is_thick,
-    pw_split,
-    thick_shrink,
-)
-from .trees import canonical_iso, generator_from_tree, levels, size, tree_from_generator
-from .words import (
-    Word,
-    decompose,
-    format_word,
-    parse_word,
-    substitute,
-    validate,
-)
 
-W2J = certs.word_to_json
+if TYPE_CHECKING:
+    from .colorings import Coloring
+    from .henson import GraphSpec
+    from .largeness import FiniteFamily, PwSyndeticDecomposition
+    from .words import Word
+
+TOOL_VERSION = f"varword {__version__}"
 
 
 def _read(path: str) -> str:
@@ -56,6 +45,9 @@ def _read(path: str) -> str:
 
 
 def _family(path: str) -> FiniteFamily:
+    from .largeness import FiniteFamily, check_family_size
+    from .words import parse_word
+
     text = _read(path)
     lines = text.splitlines()
     if not lines:
@@ -83,21 +75,29 @@ def _family(path: str) -> FiniteFamily:
 
 
 def _coloring(path: str) -> Coloring:
+    from .colorings import Coloring
+
     return Coloring.parse(_read(path), path)
 
 
-def _graph(path: str) -> henson.GraphSpec:
-    return henson.GraphSpec.parse(_read(path), path)
+def _graph(path: str) -> GraphSpec:
+    from .henson import GraphSpec
+
+    return GraphSpec.parse(_read(path), path)
 
 
 def _decomposition(args) -> PwSyndeticDecomposition:
+    from .largeness import PwSyndeticDecomposition
+
     return PwSyndeticDecomposition(
         _family(args.syndetic), _family(args.thick), args.ell
     )
 
 
 def _emit(doc: dict, args, summary: str) -> None:
-    payload = certs.canonical_json(doc)
+    from .certificates import canonical_json
+
+    payload = canonical_json(doc)
     sys.stdout.write(payload)
     if getattr(args, "json_out", None):
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -110,6 +110,9 @@ def _emit(doc: dict, args, summary: str) -> None:
 
 
 def cmd_word_validate(args):
+    from .certificates import word_to_json as W2J
+    from .words import format_word, parse_word, validate
+
     w = parse_word(args.w, args.k)
     rep = validate(w, args.dim, args.ordered)
     doc = {
@@ -128,6 +131,9 @@ def cmd_word_validate(args):
 
 
 def cmd_word_subst(args):
+    from .certificates import word_to_json as W2J
+    from .words import format_word, parse_word, substitute
+
     w = parse_word(args.w, args.k)
     u = parse_word(args.u, args.k)
     out = substitute(w, u, omega=args.omega)
@@ -140,6 +146,9 @@ def cmd_word_subst(args):
 
 
 def cmd_word_decompose(args):
+    from .certificates import word_to_json as W2J
+    from .words import decompose, format_word, parse_word
+
     w = parse_word(args.w, args.k)
     sigma, blocks = decompose(w)
     _emit(
@@ -160,6 +169,9 @@ def cmd_word_decompose(args):
 
 
 def _tree_doc(tree):
+    from .certificates import word_to_json as W2J
+    from .trees import levels, size
+
     return {
         "generator": W2J(tree.generator),
         "dimension": tree.dimension,
@@ -170,9 +182,13 @@ def _tree_doc(tree):
 
 
 def cmd_tree_build(args):
+    from .certificates import word_to_json as W2J, wrap
+    from .trees import tree_from_generator
+    from .words import parse_word
+
     tree = tree_from_generator(parse_word(args.gen, args.k))
     instance = {"type": "elements", "elements": [W2J(e) for e in tree.elements]}
-    doc = certs.wrap(
+    doc = wrap(
         "tree",
         instance,
         {"generator": W2J(tree.generator), "dimension": tree.dimension,
@@ -185,12 +201,16 @@ def cmd_tree_build(args):
 
 
 def cmd_tree_invert(args):
+    from .certificates import word_to_json as W2J, wrap
+    from .trees import generator_from_tree, tree_from_generator
+    from .words import format_word, parse_word
+
     k = args.k
     words = [parse_word(t.strip(), k) for t in args.elements.split(",")]
     gen = generator_from_tree(words)
     tree = tree_from_generator(gen)
     instance = {"type": "elements", "elements": [W2J(e) for e in tree.elements]}
-    doc = certs.wrap(
+    doc = wrap(
         "tree",
         instance,
         {"generator": W2J(gen), "dimension": tree.dimension,
@@ -202,6 +222,10 @@ def cmd_tree_invert(args):
 
 
 def cmd_tree_iso(args):
+    from .certificates import word_to_json as W2J
+    from .trees import canonical_iso, tree_from_generator
+    from .words import parse_word
+
     tree = tree_from_generator(parse_word(args.gen, args.k))
     iso = canonical_iso(tree)
     doc = {
@@ -222,12 +246,20 @@ def cmd_tree_iso(args):
 
 
 def cmd_large_density(args):
+    from fractions import Fraction
+
+    from .certificates import family_to_json
+    from .largeness import density_profile
+
     fam = _family(args.family)
-    eps = Fraction(args.eps)
+    try:
+        eps = Fraction(args.eps)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--eps {args.eps!r} is not a fraction", "<command line>") from None
     prof = density_profile(fam, eps)
     doc = {
         "kind": "density-profile",
-        "family": certs.family_to_json(fam),
+        "family": family_to_json(fam),
         "epsilon": str(eps),
         "densities": [str(d) for d in prof.densities],
         "witness_lengths": list(prof.witness_lengths),
@@ -237,11 +269,15 @@ def cmd_large_density(args):
 
 
 def cmd_large_syndetic(args):
+    from .certificates import family_to_json, word_to_json as W2J
+    from .largeness import is_syndetic
+    from .words import format_word
+
     fam = _family(args.family)
     chk = is_syndetic(fam, args.ell, want_witness=True)
     doc = {
         "kind": "syndetic-check",
-        "family": certs.family_to_json(fam),
+        "family": family_to_json(fam),
         "ell": args.ell,
         "ok": chk.ok,
     }
@@ -256,11 +292,14 @@ def cmd_large_syndetic(args):
 
 
 def cmd_large_thick(args):
+    from .certificates import family_to_json, word_to_json as W2J
+    from .largeness import is_thick
+
     fam = _family(args.family)
     chk = is_thick(fam, args.ell_max)
     doc = {
         "kind": "thick-check",
-        "family": certs.family_to_json(fam),
+        "family": family_to_json(fam),
         "ell_max": args.ell_max,
         "ok": chk.ok,
     }
@@ -273,15 +312,18 @@ def cmd_large_thick(args):
 
 
 def cmd_large_split(args):
+    from .certificates import decomposition_to_json, family_to_json, word_to_json as W2J, wrap
+    from .largeness import is_syndetic, pw_split
+
     dec = _decomposition(args)
     b = _family(args.part)
     c = dec.part - b
     res = pw_split(dec, b, c)
     instance = {
         "type": "split-instance",
-        "decomposition": certs.decomposition_to_json(dec),
-        "b": certs.family_to_json(b),
-        "c": certs.family_to_json(c),
+        "decomposition": decomposition_to_json(dec),
+        "b": family_to_json(b),
+        "c": family_to_json(c),
     }
     witness = {"side": res.side}
     checked = 2
@@ -295,20 +337,23 @@ def cmd_large_split(args):
             [l, W2J(s)] for l, s in res.thick_evidence.witness.anchors
         ]
         checked += len(res.thick_evidence.witness.anchors)
-    doc = certs.wrap("split", instance, witness, checked)
+    doc = wrap("split", instance, witness, checked)
     _emit(doc, args, f"side {res.side}, part of {len(res.chosen)} words")
     return 0
 
 
 def cmd_large_brown(args):
+    from .certificates import decomposition_to_json, family_to_json, word_to_json as W2J, wrap
+    from .largeness import brown_select, is_syndetic
+
     dec = _decomposition(args)
     parts = [_family(p) for p in args.parts]
     sel = brown_select(dec, parts)
     wit_syn = is_syndetic(sel.decomposition.syndetic, dec.ell, want_witness=True)
     instance = {
         "type": "brown-instance",
-        "decomposition": certs.decomposition_to_json(dec),
-        "parts": [certs.family_to_json(p) for p in parts],
+        "decomposition": decomposition_to_json(dec),
+        "parts": [family_to_json(p) for p in parts],
     }
     witness = {
         "index": sel.index,
@@ -317,7 +362,7 @@ def cmd_large_brown(args):
         "removal_counterexample": W2J(sel.removal_check.counterexample),
         "thick_anchors": [[l, W2J(s)] for l, s in sel.thick_evidence.witness.anchors],
     }
-    doc = certs.wrap(
+    doc = wrap(
         "brown", instance, witness, len(witness["translators"]) + 1
     )
     _emit(doc, args, f"part {sel.index} selected")
@@ -325,13 +370,16 @@ def cmd_large_brown(args):
 
 
 def cmd_large_shrink(args):
+    from .certificates import family_to_json
+    from .largeness import thick_shrink
+
     fam = _family(args.family)
     out = thick_shrink(fam, args.ell)
     doc = {
         "kind": "thick-shrink",
-        "family": certs.family_to_json(fam),
+        "family": family_to_json(fam),
         "ell": args.ell,
-        "result": certs.family_to_json(out),
+        "result": family_to_json(out),
     }
     _emit(doc, args, f"{len(out)} words at horizon {out.N}")
     return 0
@@ -342,39 +390,49 @@ def cmd_large_shrink(args):
 
 
 def line_letter_certificate_doc(coloring: Coloring, cert) -> dict:
-    instance = certs.coloring_to_json(coloring)
+    from .certificates import coloring_to_json, word_to_json as W2J, wrap
+
+    instance = coloring_to_json(coloring)
     witness = {
         "generator": W2J(cert.line.generator),
         "letter": cert.letter,
         "color": cert.color,
         "checked": [W2J(w) for w in cert.checked],
     }
-    return certs.wrap("line-letter", instance, witness, len(cert.checked))
+    return wrap("line-letter", instance, witness, len(cert.checked))
 
 
 def cmd_search_line(args):
+    from .search import search_line_with_letter
+    from .words import format_word
+
     coloring = _coloring(args.coloring)
-    cert = search.search_line_with_letter(coloring, workers=args.workers)
+    cert = search_line_with_letter(coloring, workers=args.workers)
     doc = line_letter_certificate_doc(coloring, cert)
     _emit(doc, args, f"line {format_word(cert.line.generator)}, letter {cert.letter}, color {cert.color}")
     return 0
 
 
 def csl_certificate_doc(coloring: Coloring, cert) -> dict:
-    instance = certs.coloring_to_json(coloring)
+    from .certificates import coloring_to_json, word_to_json as W2J, wrap
+
+    instance = coloring_to_json(coloring)
     witness = {
         "word": W2J(cert.word),
         "color": cert.color,
         "depth": cert.depth,
         "checked": [[W2J(u), W2J(img)] for u, img in cert.checked],
     }
-    doc = certs.wrap("csl", instance, witness, len(cert.checked))
+    doc = wrap("csl", instance, witness, len(cert.checked))
     return doc
 
 
 def cmd_search_csl(args):
+    from .prehomog import csl_search
+    from .words import format_word
+
     coloring = _coloring(args.coloring)
-    cert = prehomog.csl_search(
+    cert = csl_search(
         coloring, args.depth, max_len=args.max_len, workers=args.workers
     )
     doc = csl_certificate_doc(coloring, cert)
@@ -383,9 +441,11 @@ def cmd_search_csl(args):
 
 
 def builder_certificate_doc(dec, trace) -> dict:
+    from .certificates import decomposition_to_json, word_to_json as W2J, wrap
+
     instance = {
         "type": "builder-instance",
-        "decomposition": certs.decomposition_to_json(dec),
+        "decomposition": decomposition_to_json(dec),
     }
     stages = []
     for st in trace.stages:
@@ -393,18 +453,21 @@ def builder_certificate_doc(dec, trace) -> dict:
             {
                 "generator": W2J(st.tree.generator),
                 "block": W2J(st.block),
-                "residue": certs.decomposition_to_json(st.residue.decomposition),
+                "residue": decomposition_to_json(st.residue.decomposition),
                 "claim1": {"ok": st.claim1_ok, "checked": st.claim1_checked, "skipped": st.claim1_skipped},
                 "claim2": {"ok": st.claim2_ok, "checked": st.claim2_checked, "skipped": st.claim2_skipped},
             }
         )
     checked = sum(s.claim1_checked + s.claim2_checked for s in trace.stages)
-    return certs.wrap("builder-trace", instance, {"stages": stages}, checked)
+    return wrap("builder-trace", instance, {"stages": stages}, checked)
 
 
 def cmd_search_builder(args):
+    from .search import iterate_builder
+    from .words import format_word
+
     dec = _decomposition(args)
-    trace = search.iterate_builder(
+    trace = iterate_builder(
         dec, args.steps, m_bound=args.m_bound, workers=args.workers
     )
     doc = builder_certificate_doc(dec, trace)
@@ -417,9 +480,11 @@ def cmd_search_builder(args):
 
 
 def prehomog_certificate_doc(coloring, w, out, verify_tail: int) -> dict:
+    from .certificates import coloring_to_json, word_to_json as W2J, wrap
+
     instance = {
         "type": "prehomog-instance",
-        "coloring": certs.coloring_to_json(coloring),
+        "coloring": coloring_to_json(coloring),
         "w": W2J(w),
         "stem": W2J(out.stem),
         "verify_tail": verify_tail,
@@ -429,17 +494,21 @@ def prehomog_certificate_doc(coloring, w, out, verify_tail: int) -> dict:
         "color": out.color,
         "z_word": W2J(out.z_word),
     }
-    return certs.wrap("prehomog", instance, witness, len(out.checked))
+    return wrap("prehomog", instance, witness, len(out.checked))
 
 
 def cmd_search_prehomog(args):
+    from .certificates import coloring_to_json, word_to_json as W2J
+    from .prehomog import one_step_prehomog, prehomog_check
+    from .words import format_word, parse_word
+
     coloring = _coloring(args.coloring)
     w = parse_word(args.w, coloring.k)
     if args.check:
-        rep = prehomog.prehomog_check(w, coloring, args.stem_max, args.tail_max)
+        rep = prehomog_check(w, coloring, args.stem_max, args.tail_max)
         doc = {
             "kind": "prehomog-check",
-            "coloring": certs.coloring_to_json(coloring),
+            "coloring": coloring_to_json(coloring),
             "w": W2J(w),
             "ok": rep.ok,
             "checked": rep.checked,
@@ -450,7 +519,7 @@ def cmd_search_prehomog(args):
         _emit(doc, args, "prehomogeneous" if rep.ok else "counterexample found")
         return 0
     stem = parse_word(args.s, coloring.k)
-    out = prehomog.one_step_prehomog(
+    out = one_step_prehomog(
         w, stem, coloring, depth=args.depth, verify_tail=args.tail_max,
         workers=args.workers,
     )
@@ -464,21 +533,26 @@ def cmd_search_prehomog(args):
 
 
 def cmd_cdrt_translate(args):
+    from .cdrt import translate
+    from .certificates import coloring_to_json
+
     coloring = _coloring(args.coloring)
-    out = cdrt.translate(coloring)
+    out = translate(coloring)
     doc = {
         "kind": "cdrt-translation",
-        "coloring": certs.coloring_to_json(coloring),
-        "translated": certs.coloring_to_json(out),
+        "coloring": coloring_to_json(coloring),
+        "translated": coloring_to_json(out),
     }
     _emit(doc, args, f"dimension {out.n} over the empty alphabet")
     return 0
 
 
 def cdrt_certificate_doc(coloring, pb, depth: int, w_hat: Word) -> dict:
+    from .certificates import coloring_to_json, word_to_json as W2J, wrap
+
     instance = {
         "type": "cdrt-instance",
-        "coloring": certs.coloring_to_json(coloring),
+        "coloring": coloring_to_json(coloring),
         "depth": depth,
     }
     witness = {
@@ -486,27 +560,31 @@ def cdrt_certificate_doc(coloring, pb, depth: int, w_hat: Word) -> dict:
         "word": W2J(pb.word),
         "color": pb.color,
     }
-    return certs.wrap("cdrt", instance, witness, len(pb.checked))
+    return wrap("cdrt", instance, witness, len(pb.checked))
 
 
 def cmd_cdrt_pullback(args):
+    from .cdrt import pullback_certificate, translate
+    from .prehomog import CslCertificate, csl_search
+    from .words import format_word, parse_word
+
     coloring = _coloring(args.coloring)
-    translated = cdrt.translate(coloring)
+    translated = translate(coloring)
     if args.what:
         w_hat = parse_word(args.what, 0)
-        cert = prehomog.CslCertificate(w_hat, args.color, args.depth, ())
+        cert = CslCertificate(w_hat, args.color, args.depth, ())
         # re-derive the checked pairs instead of trusting the caller
-        pb = cdrt.pullback_certificate(cert, coloring, depth=args.depth)
+        pb = pullback_certificate(cert, coloring, depth=args.depth)
     else:
         # the pulled-back prefix needs k extra variables for the letter slots
-        inner = prehomog.csl_search(
+        inner = csl_search(
             translated,
             coloring.k + args.depth,
             max_len=args.max_len,
             workers=args.workers,
         )
         w_hat = inner.word
-        pb = cdrt.pullback_certificate(inner, coloring, depth=args.depth)
+        pb = pullback_certificate(inner, coloring, depth=args.depth)
     doc = cdrt_certificate_doc(coloring, pb, args.depth, w_hat)
     _emit(doc, args, f"pullback {format_word(pb.word)}, color {pb.color}")
     return 0
@@ -517,7 +595,10 @@ def cmd_cdrt_pullback(args):
 
 
 def cmd_henson_enum(args):
-    verts = henson.enum_vertices(args.horizon)
+    from .certificates import word_to_json as W2J
+    from .henson import enum_vertices
+
+    verts = enum_vertices(args.horizon)
     doc = {
         "kind": "henson-vertices",
         "horizon": args.horizon,
@@ -529,9 +610,13 @@ def cmd_henson_enum(args):
 
 
 def cmd_henson_edge(args):
+    from .certificates import word_to_json as W2J
+    from .henson import edge
+    from .words import parse_word
+
     v = parse_word(args.v, 1)
     w = parse_word(args.w, 1)
-    res = henson.edge(v, w)
+    res = edge(v, w)
     _emit(
         {"kind": "henson-edge", "v": W2J(v), "w": W2J(w), "edge": res},
         args,
@@ -556,31 +641,38 @@ def cmd_henson_triangles(args):
 
 
 def embedding_certificate_doc(g, images, mode: str, horizon) -> dict:
+    from .certificates import graph_to_json, word_to_json as W2J, wrap
+
     instance = {
         "type": "embedding-instance",
-        "graph": certs.graph_to_json(g),
+        "graph": graph_to_json(g),
         "mode": mode,
         "horizon": horizon,
     }
     witness = {"words": [W2J(w) for w in images]}
-    return certs.wrap("embedding", instance, witness, g.n * (g.n - 1) // 2 or 1)
+    return wrap("embedding", instance, witness, g.n * (g.n - 1) // 2 or 1)
 
 
 def cmd_henson_embed(args):
+    from .henson import greedy_embed, phi_embed
+    from .words import format_word
+
     g = _graph(args.graph)
     if args.phi:
-        pe = henson.phi_embed(g)
+        pe = phi_embed(g)
         doc = embedding_certificate_doc(g, pe.words, "phi", args.horizon)
         doc["in_vertex_set"] = list(pe.in_vertex_set)
         _emit(doc, args, f"phi image {[format_word(w) for w in pe.words]}")
     else:
-        images = henson.greedy_embed(g, args.horizon)
+        images = greedy_embed(g, args.horizon)
         doc = embedding_certificate_doc(g, images, "greedy", args.horizon)
         _emit(doc, args, f"greedy image {[format_word(w) for w in images]}")
     return 0
 
 
 def envelope_certificate_doc(members, env) -> dict:
+    from .certificates import word_to_json as W2J, wrap
+
     instance = {"type": "envelope-instance", "members": [W2J(s) for s in members]}
     witness = {
         "word": W2J(env.word),
@@ -589,12 +681,15 @@ def envelope_certificate_doc(members, env) -> dict:
         "minimal_by_search_order": True,
         "assignments": [[W2J(s), W2J(t)] for s, t in env.assignments],
     }
-    return certs.wrap("envelope", instance, witness, len(env.assignments))
+    return wrap("envelope", instance, witness, len(env.assignments))
 
 
 def cmd_henson_envelope(args):
+    from .henson import minimal_envelope
+    from .words import format_word, parse_word
+
     members = [parse_word(t.strip(), 1) for t in args.members.split(",")]
-    env = henson.minimal_envelope(members)
+    env = minimal_envelope(members)
     doc = envelope_certificate_doc(members, env)
     _emit(
         doc,
@@ -605,6 +700,9 @@ def cmd_henson_envelope(args):
 
 
 def _chi_from_file(path: str, n: int):
+    """The --chi table, read as a function that names the file when an embedding has no line."""
+    from .words import format_word, parse_word
+
     table = {}
     for i, line in enumerate(_read(path).splitlines(), start=1):
         if not line.strip():
@@ -612,21 +710,38 @@ def _chi_from_file(path: str, n: int):
         parts = line.split()
         if len(parts) != n + 1:
             raise InputError(f"expected {n} words and a color", path, i, 1)
-        words = tuple(parse_word(t, 1) for t in parts[:n])
-        table[words] = int(parts[n])
-    return table
+        try:
+            words = tuple(parse_word(t, 1) for t in parts[:n])
+        except VarwordError as exc:
+            raise InputError(str(exc), path, i, 1) from None
+        try:
+            table[words] = int(parts[n])
+        except ValueError:
+            raise InputError(f"bad color {parts[n]!r}", path, i, line.rindex(parts[n]) + 1) from None
+
+    def chi(emb):
+        try:
+            return table[emb]
+        except KeyError:
+            missing = " ".join(format_word(w) for w in emb)
+            raise InputError(f"no color for the embedding {missing}", path) from None
+
+    return chi
 
 
 def cmd_henson_profile(args):
+    from .certificates import graph_to_json
+    from .henson import profile_coloring
+
     g = _graph(args.graph)
     if args.chi:
         chi = _chi_from_file(args.chi, g.n)
     else:
         chi = lambda emb: 0
-    prof = henson.profile_coloring(chi, g, args.horizon)
+    prof = profile_coloring(chi, g, args.horizon)
     doc = {
         "kind": "henson-profile",
-        "graph": certs.graph_to_json(g),
+        "graph": graph_to_json(g),
         "horizon": args.horizon,
         "dimension": prof.dimension,
         "slot_count": prof.slot_count,
@@ -648,13 +763,15 @@ def cmd_henson_profile(args):
 def cmd_verify(args):
     import json
 
+    from .certificates import verify_certificate
+
     try:
         doc = json.loads(_read(args.certificate))
     except ValueError as exc:
         raise InputError(f"bad JSON: {exc}", args.certificate, 1, 1) from None
     if not isinstance(doc, dict):
         raise InputError("certificate is not a JSON object", args.certificate, 1, 1)
-    res = certs.verify_certificate(doc)
+    res = verify_certificate(doc)
     _emit(
         {"kind": "verification", "certificate_kind": res.kind, "ok": res.ok, "detail": res.detail},
         args,
@@ -667,21 +784,32 @@ def cmd_verify(args):
 # parser
 
 
-def _add_common(p):
-    p.add_argument("--k", type=int, default=2, help="alphabet size")
-    p.add_argument("--ell", type=int, default=2, help="color count / syndeticity bound")
-    p.add_argument("--horizon", type=int, default=8, help="word length horizon")
-    p.add_argument("--dim", type=int, default=0, help="variable-word dimension")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("VARWORD_WORKERS", "1")),
-        help="worker count (output is identical for any value)",
-    )
-    p.add_argument("--json-out", help="also write the JSON result to this file")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Flags several commands share; each command gets only those its
+    # handler reads.  argparse runs a string default through ``type``, so a
+    # malformed VARWORD_WORKERS is a usage error, not a traceback.
+    shared = {
+        "k": {"type": int, "default": 2, "help": "alphabet size"},
+        "ell": {"type": int, "default": 2, "help": "color count / syndeticity bound"},
+        "horizon": {"type": int, "default": 8, "help": "word length horizon"},
+        "dim": {"type": int, "default": 0, "help": "variable-word dimension"},
+        "workers": {
+            "type": int,
+            "default": os.environ.get("VARWORD_WORKERS", "1"),
+            "help": "worker count (output is identical for any value)",
+        },
+    }
+
+    def command(group, name: str, fn, *flags: str):
+        # no abbreviations: a flag the command does not read (--ell on
+        # `large thick`) must fail rather than match a longer one (--ell-max)
+        p = group.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
+        p.add_argument("--json-out", help="also write the JSON result to this file")
+        p.set_defaults(fn=fn)
+        return p
+
     ap = argparse.ArgumentParser(
         prog="varword",
         description="variable words, instantiation trees, largeness and coded-graph searches",
@@ -690,87 +818,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="group", required=True)
 
     word = sub.add_parser("word").add_subparsers(dest="cmd", required=True)
-    p = word.add_parser("validate")
+    p = command(word, "validate", cmd_word_validate, "k", "dim")
     p.add_argument("--w", required=True)
     p.add_argument("--ordered", action="store_true")
-    _add_common(p)
-    p.set_defaults(fn=cmd_word_validate)
-    p = word.add_parser("subst")
+    p = command(word, "subst", cmd_word_subst, "k")
     p.add_argument("--w", required=True)
     p.add_argument("--u", required=True)
     p.add_argument("--omega", action="store_true", help="strict prefix semantics")
-    _add_common(p)
-    p.set_defaults(fn=cmd_word_subst)
-    p = word.add_parser("decompose")
+    p = command(word, "decompose", cmd_word_decompose, "k")
     p.add_argument("--w", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_word_decompose)
 
     tree = sub.add_parser("tree").add_subparsers(dest="cmd", required=True)
-    p = tree.add_parser("build")
+    p = command(tree, "build", cmd_tree_build, "k")
     p.add_argument("--gen", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_tree_build)
-    p = tree.add_parser("invert")
+    p = command(tree, "invert", cmd_tree_invert, "k")
     p.add_argument("--elements", required=True, help="comma-separated word list")
-    _add_common(p)
-    p.set_defaults(fn=cmd_tree_invert)
-    p = tree.add_parser("iso")
+    p = command(tree, "iso", cmd_tree_iso, "k")
     p.add_argument("--gen", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_tree_iso)
 
     large = sub.add_parser("large").add_subparsers(dest="cmd", required=True)
-    p = large.add_parser("density")
+    p = command(large, "density", cmd_large_density)
     p.add_argument("--family", required=True)
     p.add_argument("--eps", default="1/2")
-    _add_common(p)
-    p.set_defaults(fn=cmd_large_density)
-    p = large.add_parser("syndetic")
+    p = command(large, "syndetic", cmd_large_syndetic, "ell")
     p.add_argument("--family", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_large_syndetic)
-    p = large.add_parser("thick")
+    p = command(large, "thick", cmd_large_thick)
     p.add_argument("--family", required=True)
     p.add_argument("--ell-max", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(fn=cmd_large_thick)
-    p = large.add_parser("split")
+    p = command(large, "split", cmd_large_split, "ell")
     p.add_argument("--syndetic", required=True)
     p.add_argument("--thick", required=True)
     p.add_argument("--part", required=True, help="the B side of the partition")
-    _add_common(p)
-    p.set_defaults(fn=cmd_large_split)
-    p = large.add_parser("brown")
+    p = command(large, "brown", cmd_large_brown, "ell")
     p.add_argument("--syndetic", required=True)
     p.add_argument("--thick", required=True)
     p.add_argument("--parts", nargs="+", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_large_brown)
-    p = large.add_parser("shrink")
+    p = command(large, "shrink", cmd_large_shrink, "ell")
     p.add_argument("--family", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_large_shrink)
 
     srch = sub.add_parser("search").add_subparsers(dest="cmd", required=True)
-    p = srch.add_parser("line")
+    p = command(srch, "line", cmd_search_line, "workers")
     p.add_argument("--coloring", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_search_line)
-    p = srch.add_parser("csl")
+    p = command(srch, "csl", cmd_search_csl, "workers")
     p.add_argument("--coloring", required=True)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--max-len", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_search_csl)
-    p = srch.add_parser("builder")
+    p = command(srch, "builder", cmd_search_builder, "ell", "workers")
     p.add_argument("--syndetic", required=True)
     p.add_argument("--thick", required=True)
     p.add_argument("--steps", type=int, default=2)
     p.add_argument("--m-bound", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(fn=cmd_search_builder)
-    p = srch.add_parser("prehomog")
+    p = command(srch, "prehomog", cmd_search_prehomog, "workers")
     p.add_argument("--coloring", required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--s", default="-", help="stem for the one-step certificate")
@@ -778,59 +876,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--stem-max", type=int, default=1)
     p.add_argument("--tail-max", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(fn=cmd_search_prehomog)
 
     cd = sub.add_parser("cdrt").add_subparsers(dest="cmd", required=True)
-    p = cd.add_parser("translate")
+    p = command(cd, "translate", cmd_cdrt_translate)
     p.add_argument("--coloring", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_cdrt_translate)
-    p = cd.add_parser("pullback")
+    p = command(cd, "pullback", cmd_cdrt_pullback, "workers")
     p.add_argument("--coloring", required=True)
     p.add_argument("--what", help="prefix over the empty alphabet; searched when omitted")
     p.add_argument("--color", type=int, default=0)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--max-len", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_cdrt_pullback)
 
     hs = sub.add_parser("henson").add_subparsers(dest="cmd", required=True)
-    p = hs.add_parser("enum")
-    _add_common(p)
-    p.set_defaults(fn=cmd_henson_enum)
-    p = hs.add_parser("edge")
+    command(hs, "enum", cmd_henson_enum, "horizon")
+    p = command(hs, "edge", cmd_henson_edge)
     p.add_argument("--v", required=True)
     p.add_argument("--w", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_henson_edge)
-    p = hs.add_parser("triangles")
-    _add_common(p)
-    p.set_defaults(fn=cmd_henson_triangles)
-    p = hs.add_parser("embed")
+    command(hs, "triangles", cmd_henson_triangles, "horizon")
+    p = command(hs, "embed", cmd_henson_embed, "horizon")
     p.add_argument("--graph", required=True)
     p.add_argument("--phi", action="store_true", help="direct formula instead of greedy")
-    _add_common(p)
-    p.set_defaults(fn=cmd_henson_embed)
-    p = hs.add_parser("envelope")
+    p = command(hs, "envelope", cmd_henson_envelope)
     p.add_argument("--members", required=True, help="comma-separated words over {0,x0}")
-    _add_common(p)
-    p.set_defaults(fn=cmd_henson_envelope)
-    p = hs.add_parser("profile")
+    p = command(hs, "profile", cmd_henson_profile, "horizon")
     p.add_argument("--graph", required=True)
     p.add_argument("--chi", help="file of 'w1 .. wn color' lines; constant 0 otherwise")
-    _add_common(p)
-    p.set_defaults(fn=cmd_henson_profile)
 
-    p = sub.add_parser("verify")
+    p = command(sub, "verify", cmd_verify)
     p.add_argument("certificate")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
 
     return ap
-
-
-TOOL_VERSION = certs.TOOL
 
 
 def main(argv=None) -> int:
@@ -844,8 +919,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (NotFoundWithinHorizon, NoPartSelected) as exc:
+        from .certificates import canonical_json
+
         sys.stdout.write(
-            certs.canonical_json(
+            canonical_json(
                 {"kind": "not-found", "error": type(exc).__name__, "message": str(exc)}
             )
         )

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
-from .errors import InputError, InvalidWord
-from .words import Word, format_word, letter_words, parse_word, var_words
+from .errors import InputError, InvalidWord, VarwordError
+from .words import Word, check_universe, format_word, letter_words, parse_word, var_words
 
 __all__ = ["Coloring", "domain_words"]
 
@@ -58,10 +58,36 @@ class Coloring:
     def domain(self) -> Iterator[Word]:
         yield from domain_words(self.k, self.N, self.n)
 
+    @staticmethod
+    def check_header(k: int, n_horizon: int, dim: int) -> None:
+        """Reject a header read from outside whose domain spans more than
+        ``MAX_UNIVERSE`` words, before the domain is walked.
+
+        The domain holds u x0 x1 ... x_{n-1} for every letter word u of
+        length at most N - n, so it is at least as large as A^{<=N-n}.
+        """
+        check_universe(
+            k, n_horizon - max(dim, 0), f"coloring with k={k}, N={n_horizon}, n={dim}"
+        )
+
     def validate_total(self) -> None:
+        """Every word of the domain has a color in [0, ell), and the table holds no other word.
+
+        The walk stops at the first word missing from the table, so it
+        takes at most len(table) + 1 steps whatever the header says.
+        """
+        seen = 0
         for w in self.domain():
-            if w not in self.table:
+            c = self.table.get(w)
+            if c is None:
                 raise InvalidWord(f"coloring not total: missing {format_word(w)}")
+            if not 0 <= c < self.ell:
+                raise InvalidWord(f"color {c} out of range for {format_word(w)}")
+            seen += 1
+        if seen != len(self.table):
+            domain = set(self.domain())
+            extra = min((w for w in self.table if w not in domain), key=Word.key)
+            raise InvalidWord(f"{format_word(extra)} is outside the coloring's domain")
 
     # -- file form: header "k N n ell", then one "word color" per line ----
 
@@ -83,6 +109,10 @@ class Coloring:
             k, n_horizon, dim, ell = (int(x) for x in head)
         except ValueError:
             raise InputError("non-integer header field", filename, 1, 1) from None
+        try:
+            cls.check_header(k, n_horizon, dim)
+        except VarwordError as exc:
+            raise InputError(str(exc), filename, 1, 1) from None
         table = {}
         for i, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -102,4 +132,8 @@ class Coloring:
                 raise InputError(f"color {c} out of range", filename, i, len(parts[0]) + 2)
             table[w] = c
         col = cls(k, n_horizon, dim, ell, table)
+        try:
+            col.validate_total()
+        except VarwordError as exc:
+            raise InputError(str(exc), filename, 1, 1) from None
         return col

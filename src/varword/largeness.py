@@ -30,13 +30,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
-    DomainTooLarge,
     HorizonExceeded,
-    IndexOutOfRange,
     NoPartSelected,
     NotAPartition,
 )
-from .words import Word, format_word, letter_words, parse_word
+from .words import MAX_UNIVERSE, Word, check_universe, format_word, letter_words, parse_word
 
 __all__ = [
     "MAX_UNIVERSE",
@@ -76,9 +74,6 @@ def _offsets(k: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-MAX_UNIVERSE = 1 << 22  # words of A^{<=N} a family read from a file or a certificate may span
-
-
 def check_family_size(k: int, n: int) -> None:
     """Reject a family header (k, N) read from outside before any mask is built.
 
@@ -86,14 +81,7 @@ def check_family_size(k: int, n: int) -> None:
     table one entry per length, so either past ``MAX_UNIVERSE`` raises
     ``DomainTooLarge``; a negative k raises ``IndexOutOfRange``.
     """
-    if k < 0:
-        raise IndexOutOfRange(f"alphabet size must be >= 0, got {k}")
-    size = n + 1
-    if k >= 2:
-        # at least 2**(n+1) - 1 words: lengths past the bound's bit length need no power
-        size = sum(k**length for length in range(min(n, MAX_UNIVERSE.bit_length()) + 1))
-    if size > MAX_UNIVERSE:
-        raise DomainTooLarge(f"family with k={k}, N={n} spans more than {MAX_UNIVERSE} words")
+    check_universe(k, n, f"family with k={k}, N={n}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ Provided here:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -83,6 +82,8 @@ def sharded_first(candidates: Sequence, evaluate: Callable, workers: int = 1):
             if res is not None:
                 return i, res
         return None
+
+    from concurrent.futures import ThreadPoolExecutor
 
     bounds = [len(candidates) * w // workers for w in range(workers + 1)]
 

@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CutPointMissing,
+    DomainTooLarge,
     IndexOutOfRange,
     InvalidWord,
     NotOrdered,
@@ -63,6 +64,8 @@ __all__ = [
     "recompose",
     "rename_variable",
     "letter_words",
+    "MAX_UNIVERSE",
+    "check_universe",
     "var_words",
     "prefix_valid_words",
 ]
@@ -568,6 +571,27 @@ def _enumerate(k, max_len, min_len, ordered, lo, hi) -> Iterator[Word]:
 def letter_words(k: int, max_len: int, min_len: int = 0) -> Iterator[Word]:
     """All letter words of length min_len..max_len by (length, lex)."""
     return _enumerate(k, max_len, min_len, False, 0, 0)
+
+
+MAX_UNIVERSE = 1 << 22  # words a family or coloring read from a file or a certificate may span
+
+
+def check_universe(k: int, n: int, what: str) -> None:
+    """Reject a header read from outside whose A^{<=n} over k letters spans
+    more than ``MAX_UNIVERSE`` words, before anything of that size is built.
+
+    ``what`` names the object in the ``DomainTooLarge`` message.  One
+    entry per length is counted even for k < 2, since offset tables and
+    walks have one; a negative k raises ``IndexOutOfRange``.
+    """
+    if k < 0:
+        raise IndexOutOfRange(f"alphabet size must be >= 0, got {k}")
+    size = n + 1
+    if k >= 2:
+        # at least 2**(n+1) - 1 words: lengths past the bound's bit length need no power
+        size = sum(k**length for length in range(min(n, MAX_UNIVERSE.bit_length()) + 1))
+    if size > MAX_UNIVERSE:
+        raise DomainTooLarge(f"{what} spans more than {MAX_UNIVERSE} words")
 
 
 def var_words(

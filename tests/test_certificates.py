@@ -132,6 +132,26 @@ def test_oversized_family_is_malformed(docs, k, n):
     assert not res.ok and res.detail.startswith("malformed certificate")
 
 
+@pytest.mark.parametrize("defect", ["missing", "outside", "color", "header"])
+def test_non_total_coloring_is_malformed(docs, defect):
+    # the line-letter verifier reads only the colors its witness names, so
+    # a table cut to 40 of the 63 words of A^{<=5} used to verify
+    doc = json.loads(certs.canonical_json(docs["line-letter"]))
+    inst = doc["instance"]
+    assert len(inst["table"]) == 63
+    if defect == "missing":
+        inst["table"] = inst["table"][:40]
+    elif defect == "outside":
+        inst["table"].append(["000000", 0])
+    elif defect == "color":
+        inst["table"][-1][1] = inst["ell"]
+    else:
+        inst["N"] = 40
+    doc["digest"] = certs.digest(inst)
+    res = certs.verify_certificate(doc)
+    assert not res.ok and res.detail.startswith("malformed certificate")
+
+
 def test_family_size_limit():
     check_family_size(2, 21)  # 2**22 - 1 words
     check_family_size(1, MAX_UNIVERSE - 1)

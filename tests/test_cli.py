@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import varword
 from varword import certificates as certs
 from varword.cli import main
 from varword.colorings import Coloring
@@ -267,3 +272,112 @@ class TestDeterminism:
         a = run("search", "line", "--coloring", str(instance_dir / "col.txt"))[1]
         b = run("search", "line", "--coloring", str(instance_dir / "col.txt"))[1]
         assert a == b
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["henson", "edge", "--v", "x0", "--w", "0x0", "--workers", "2"],
+            ["word", "subst", "--w", "01x0", "--u", "1", "--horizon", "3"],
+            ["search", "line", "--coloring", "c.txt", "--k", "3"],
+            # no abbreviation: --ell must not stand for --ell-max
+            ["large", "thick", "--family", "f.txt", "--ell", "2"],
+            ["verify", "cert.json", "--dim", "1"],
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, run, argv):
+        code, out, err = run(*argv)
+        assert code == 1 and out == "" and "unrecognized arguments" in err
+
+    def test_malformed_workers_default_is_usage_error(self, run, instance_dir, monkeypatch):
+        monkeypatch.setenv("VARWORD_WORKERS", "many")
+        code, out, err = run("search", "line", "--coloring", str(instance_dir / "col.txt"))
+        assert code == 1 and out == "" and "--workers" in err
+        # commands without --workers never read it
+        assert run("henson", "edge", "--v", "x0", "--w", "0x0")[0] == 0
+
+
+class TestMalformedInput:
+    def test_coloring_missing_a_word(self, run, tmp_path):
+        col = tmp_path / "c.txt"
+        col.write_text("2 3 0 2\n- 0\n0 1\n")
+        code, _, err = run("search", "line", "--coloring", str(col))
+        assert code == 1 and err.startswith(f"input error: {col}:1:")
+        assert "missing 1" in err
+
+    def test_coloring_word_outside_domain(self, run, tmp_path):
+        c = Coloring.constant(2, 2, 0, 2)
+        col = tmp_path / "c.txt"
+        col.write_text(c.dump() + "010 1\n")
+        code, _, err = run("search", "line", "--coloring", str(col))
+        assert code == 1 and "010 is outside" in err
+
+    @pytest.mark.parametrize("header", ["2 40 0 2", "2 21 0 2", "1 100000000 0 2", "2 60 3 2"])
+    def test_coloring_header_beyond_its_table(self, run, tmp_path, header):
+        # refused from the header, or at the first word the table lacks;
+        # 2 40 0 2 used to search without bound
+        col = tmp_path / "c.txt"
+        col.write_text(header + "\n" + Coloring.constant(2, 2, 0, 2).dump().split("\n", 1)[1])
+        code, _, err = run("search", "line", "--coloring", str(col))
+        assert code == 1 and err.startswith(f"input error: {col}:1:")
+
+    @pytest.mark.parametrize("eps", ["abc", "1/0"])
+    def test_malformed_eps(self, run, instance_dir, eps):
+        code, out, err = run("large", "density", "--family", str(instance_dir / "synd.txt"), "--eps", eps)
+        assert code == 1 and out == "" and err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "chi, where",
+        [("x0 0x0 one\n", ":1:"), ("x0 0x0 1\nx0 0y 1\n", ":2:"), ("x0 0x0 1\n", "no color")],
+        ids=["color", "word", "uncovered"],
+    )
+    def test_malformed_chi(self, run, tmp_path, chi, where):
+        graph = tmp_path / "k2.txt"
+        graph.write_text("2\n01\n10\n")
+        chi_file = tmp_path / "chi.txt"
+        chi_file.write_text(chi)
+        code, out, err = run(
+            "henson", "profile", "--graph", str(graph), "--horizon", "6", "--chi", str(chi_file)
+        )
+        assert code == 1 and out == "" and err.startswith("input error:") and where in err
+
+
+def _fresh_modules(argv, cwd):
+    """Exit code, and the varword modules and numpy that a fresh `varword argv` process loaded."""
+    src = str(Path(varword.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import json, sys\nfrom varword.cli import main\ncode = main(sys.argv[1:])\n"
+        "print(json.dumps([m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'varword']))\n"
+        "sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, cwd=cwd, env=env, timeout=60
+    )
+    return proc.returncode, set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestImportSets:
+    """Each command's process loads only the modules the command runs."""
+
+    def test_version_loads_no_domain_module(self, tmp_path):
+        code, mods = _fresh_modules(["--version"], tmp_path)
+        assert code == 0 and mods == {"varword", "varword.cli", "varword.errors"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["word", "subst", "--w", "01x0 10x1", "--u", "01"], ["henson", "edge", "--v", "x0", "--w", "0x0"]],
+        ids=["word-subst", "henson-edge"],
+    )
+    def test_word_level_commands(self, tmp_path, argv):
+        code, mods = _fresh_modules(argv, tmp_path)
+        assert code == 0
+        assert not mods & {"numpy", "varword.largeness", "varword.search", "varword.prehomog", "varword.cdrt"}
+
+    def test_verify_envelope(self, run, tmp_path):
+        cert = tmp_path / "env.json"
+        assert run("henson", "envelope", "--members", "0x0,x0[0]", "--json-out", str(cert))[0] == 0
+        code, mods = _fresh_modules(["verify", str(cert)], tmp_path)
+        assert code == 0
+        assert not mods & {"numpy", "varword.search", "varword.prehomog", "varword.cdrt"}
