@@ -23,6 +23,7 @@ from .words import (
     Word,
     compose,
     dimension,
+    first_occurrence,
     format_word,
     is_prefix_valid,
     is_var_word,
@@ -227,6 +228,14 @@ def _verify_tree(instance: dict, witness: dict) -> int:
 
     elems = {word_from_json(d) for d in instance["elements"]}
     g = word_from_json(witness["generator"])
+    # the tree has k^0 + ... + k^dim elements: compare before building it
+    size, width = 0, 1
+    for _ in range(dimension(g) + 1):
+        size += width
+        if size > len(elems):
+            break
+        width *= g.k
+    _need(size == len(elems), "element set mismatch")
     tree = tree_from_generator(g)
     _need(tree.element_set() == frozenset(elems), "element set mismatch")
     _need(int(witness["dimension"]) == tree.dimension, "dimension mismatch")
@@ -316,39 +325,55 @@ def _verify_brown(instance: dict, witness: dict) -> int:
 
 
 def _verify_builder(instance: dict, witness: dict) -> int:
-    from .trees import level, tree_from_generator
+    """Claims 1 and 2 of every stage, checked against the instance's P.
+
+    Only the levels of a stage's tree within P's horizon are built, one
+    at a time: claim 1 needs all of a level's words in P, so the work up
+    to a failure is bounded by |P|, and a top level past the horizon
+    gives claim 2 only glued words past it.
+    """
+    from .largeness import FiniteFamily, glued_inclusion
+    from .trees import tree_levels
 
     dec = decomposition_from_json(instance["decomposition"])
     p = dec.part
+    just_empty = FiniteFamily(p.k, 0, 1)
     count = 0
     for stage in witness["stages"]:
         g = word_from_json(stage["generator"])
-        tree = tree_from_generator(g)
+        _need(g.k == p.k, "generator alphabet differs from the instance's")
         block = word_from_json(stage["block"])
-        res = decomposition_from_json(stage["residue"])
-        residue = res.part
-        for e in tree.elements:
-            if len(e) <= p.N:
-                _need(e in p, f"claim 1 fails at {format_word(e)}")
-                count += 1
-        s = tree.dimension
-        insts = [substitute(block, (a,)) for a in range(block.k)]
-        sigmas = list(residue.words())
-        for t in level(tree, s):
-            for wa in insts:
-                head = t.concat(wa)
-                for sigma in sigmas:
-                    glued = head.concat(sigma)
-                    if len(glued) <= p.N:
-                        _need(glued in p, f"claim 2 fails at {format_word(glued)}")
-                        count += 1
+        residue = decomposition_from_json(stage["residue"]).part
+        top = ()
+        for top in tree_levels(g, p.N):
+            ok, checked, _, bad = glued_inclusion(top, just_empty, p)
+            if not ok:
+                raise _Fail(f"claim 1 fails at {format_word(bad)}")
+            count += checked
+        if len(g) <= p.N:  # the top level is within the horizon
+            insts = [substitute(block, (a,)) for a in range(p.k)]
+            heads = [t.concat(wa) for t in top for wa in insts]
+            ok, checked, _, bad = glued_inclusion(heads, residue, p)
+            if not ok:
+                raise _Fail(f"claim 2 fails at {format_word(bad)}")
+            count += checked
     return count
 
 
-def _stem_extension_words(stem: Word, k: int, n: int, tail_max: int):
+def _stem_extension_words(stem: Word, k: int, n: int, tail_max: int, w_hat: Word, horizon: int):
+    """Each t = stem . x_n . tail, |tail| <= tail_max, whose image w_hat[t] can be colored.
+
+    w_hat[t] is cut at the first x_{|t|} in w_hat, so a length |t| whose
+    cut is missing (the image raises) or past the horizon (the image is
+    uncolored) is passed over whole; no such cut exists past w_hat's
+    dimension.
+    """
     base = stem.symbols + (k + n,)
     symbols = list(range(k)) + [k + j for j in range(n + 1)]
-    for tail_len in range(tail_max + 1):
+    for tail_len in range(min(tail_max, dimension(w_hat) - 1 - len(base)) + 1):
+        cut = first_occurrence(w_hat, len(base) + tail_len)
+        if cut is None or cut > horizon:
+            continue
         for tail in product(symbols, repeat=tail_len):
             yield Word(k, base + tail)
 
@@ -363,6 +388,9 @@ def _verify_prehomog(instance: dict, witness: dict) -> int:
     color = int(witness["color"])
     n = coloring.n - 1
     m = len(stem) + 1
+    # with w and z prefix-valid so is w_hat, and a colorable image
+    # w_hat[t] then has |t| <= N: the walk is bounded by the coloring
+    _need(is_prefix_valid(w), "w is not prefix-valid")
     _need(is_prefix_valid(z), "z is not prefix-valid")
     _need(
         z.symbols[:m] == tuple(z.k + j for j in range(m)),
@@ -370,7 +398,7 @@ def _verify_prehomog(instance: dict, witness: dict) -> int:
     )
     _need(compose(w, z) == w_hat, "w_hat is not compose(w, z)")
     count = 0
-    for t in _stem_extension_words(stem, coloring.k, n, tail_max):
+    for t in _stem_extension_words(stem, coloring.k, n, tail_max, w_hat, coloring.N):
         try:
             img = substitute(w_hat, t, omega=True)
         except VarwordError:

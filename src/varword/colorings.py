@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 from .errors import InputError, InvalidWord, VarwordError
-from .words import Word, check_universe, format_word, letter_words, parse_word, var_words
+from .words import (
+    Word,
+    check_universe,
+    format_word,
+    is_var_word,
+    letter_words,
+    parse_word,
+    var_words,
+)
 
 __all__ = ["Coloring", "domain_words"]
 
@@ -23,6 +31,35 @@ def domain_words(k: int, n_horizon: int, dim: int) -> Iterator[Word]:
         yield from letter_words(k, n_horizon)
     else:
         yield from var_words(k, n_horizon, dim=dim)
+
+
+def _domain_size(k: int, n_horizon: int, dim: int, cap: int) -> int:
+    """Number of words ``domain_words`` yields, or cap + 1 if that is more.
+
+    counts[i] is the number of words of the current length that have
+    introduced i variables; a word grows by a letter or an introduced
+    variable (k + i ways) or by the next variable.  Counts saturate at
+    cap + 1, and a count that can no longer reach dim variables by
+    length N is dropped, so each length costs at most min(dim, N - dim) + 1
+    updates, and the walk ends once the total passes cap.
+    """
+    top = cap + 1
+    counts = {0: 1}
+    total = 0
+    for length in range(n_horizon + 1):
+        total = min(top, total + counts.get(dim, 0))
+        if total == top:
+            break
+        lowest = dim - (n_horizon - length - 1)  # fewest variables a longer word can have
+        grown: dict[int, int] = {}
+        for i, c in counts.items():
+            for j, ways in ((i, k + i), (i + 1, 1)):
+                if ways and lowest <= j <= dim:
+                    grown[j] = min(top, grown.get(j, 0) + c * ways)
+        if not grown:
+            break
+        counts = grown
+    return total
 
 
 @dataclass(frozen=True)
@@ -73,9 +110,22 @@ class Coloring:
     def validate_total(self) -> None:
         """Every word of the domain has a color in [0, ell), and the table holds no other word.
 
-        The walk stops at the first word missing from the table, so it
-        takes at most len(table) + 1 steps whatever the header says.
+        When every table word lies in the domain and every color is in
+        range, the table is total exactly when it is as large as the
+        domain, which is counted without building its words.  Otherwise
+        the domain is walked to name the first defect; the walk stops at
+        the first word missing from the table, so it takes at most
+        len(table) + 1 steps whatever the header says.
         """
+        if (
+            all(0 <= c < self.ell for c in self.table.values())
+            and all(
+                w.k == self.k and len(w) <= self.N and is_var_word(w, self.n)
+                for w in self.table
+            )
+            and _domain_size(self.k, self.N, self.n, len(self.table)) == len(self.table)
+        ):
+            return
         seen = 0
         for w in self.domain():
             c = self.table.get(w)

@@ -11,6 +11,10 @@ Horizon semantics:
   (every in-horizon word reaches S by prepending at most ell symbols).
 * ``is_thick(T, m)`` demands an anchor block ``A^{<=l} . sigma`` inside
   T for every l <= m, with ``|sigma| + l <= N``.
+* ``glued_inclusion(heads, R, P)`` checks ``head . sigma`` in P for
+  every head and every sigma in R, counting the glued words longer than
+  P's horizon as skipped; the staged builder and its certificate
+  verifier both check their claims with it.
 * a piecewise syndetic set is carried together with its decomposition
   ``P = S & T`` and the syndeticity bound ell; ``pws_certify`` rebuilds
   such a decomposition for a raw family from the thickness of its
@@ -19,6 +23,12 @@ Horizon semantics:
 Both notions are monotone in the horizon and literally true there, so
 every lemma check in this module is an exact statement about finite
 sets, not an approximation that may drift.
+
+Within one length, the words that start with a fixed prefix form one
+contiguous run of ranks, so "every prefix . sigma with |sigma| = m lies
+in F" is one AND of a k^m-bit block of F's mask.  Thickness and glued
+inclusion are checked that way, one length at a time, without building
+a ``Word`` per member.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ __all__ = [
     "concat_family",
     "is_syndetic",
     "is_thick",
+    "glued_inclusion",
     "pw_split",
     "brown_select",
     "thick_shrink",
@@ -428,24 +439,67 @@ class ThickCheck:
 
 
 def is_thick(family: FiniteFamily, ell_max: int) -> ThickCheck:
-    """Find, for each ell <= ell_max, the lex-least anchor sigma with A^{<=ell}.sigma inside."""
+    """Find, for each ell <= ell_max, the lex-least anchor sigma with A^{<=ell}.sigma inside.
+
+    For each length m the candidate anchors of length m are the bits of
+    the AND, over every tau in A^{<=ell}, of tau's block of length-m
+    extensions; the lowest bit at the smallest m is the lex-least anchor.
+    """
+    k = family.k
     anchors = []
     for ell in range(ell_max + 1):
         found = None
-        taus = list(letter_words(family.k, ell))
-        for sigma in letter_words(family.k, family.N - ell):
-            ok = True
-            for tau in taus:
-                if tau.concat(sigma) not in family:
-                    ok = False
-                    break
-            if ok:
-                found = sigma
+        for m in range(family.N - ell + 1):
+            width = k**m
+            acc = (1 << width) - 1
+            for j in range(ell + 1):
+                # the k^j blocks of width k^m in band j + m are tau's blocks, |tau| = j
+                band = family.band(j + m)
+                for i in range(k**j):
+                    acc &= band >> (i * width)
+                    if not acc:
+                        break
+            if acc:
+                found = _word_of(k, m, (acc & -acc).bit_length() - 1)
                 break
         if found is None:
             return ThickCheck(False, ell_max, failing_ell=ell)
         anchors.append((ell, found))
     return ThickCheck(True, ell_max, witness=ThickWitness(tuple(anchors)))
+
+
+def glued_inclusion(
+    heads: Iterable[Word], residue: FiniteFamily, p: FiniteFamily
+) -> tuple[bool, int, int, Optional[Word]]:
+    """Check that head.sigma lies in p for every head and every sigma in residue.
+
+    Returns ``(ok, checked, skipped, first failure)``.  A glued word
+    longer than p.N is skipped rather than checked; each count is a
+    popcount of the residue's band of one length.  The first failure is
+    the failing glued word met first when heads are taken in order and
+    sigmas in rank order, that is, the lex-least failing word under the
+    first failing head, rebuilt from the lowest missing bit.
+    """
+    if residue.k != p.k:
+        raise HorizonExceeded("residue and part have different alphabets")
+    bands = [(m, b, b.bit_count()) for m in range(residue.N + 1) if (b := residue.band(m))]
+    checked = skipped = 0
+    first = None
+    for head in heads:
+        if head.k != p.k:
+            raise HorizonExceeded("head and part have different alphabets")
+        room = p.N - len(head)
+        for m, band, count in bands:
+            if m > room:
+                skipped += count
+                continue
+            checked += count
+            if first is None:
+                missing = band & ~p.extract_after_prefix(head, m)
+                if missing:
+                    low = (missing & -missing).bit_length() - 1
+                    first = head.concat(_word_of(p.k, m, low))
+    return first is None, checked, skipped, first
 
 
 def thick_shrink(family: FiniteFamily, ell: int) -> FiniteFamily:

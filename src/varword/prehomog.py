@@ -82,12 +82,12 @@ def csl_search(
     patterns = _domain_patterns(k, coloring.n, depth)
     if not patterns:
         raise InvalidWord(f"no dimension-{coloring.n} patterns up to depth {depth}")
-    cands = [
+    cands = (
         w
         for w in prefix_valid_words(k, cap, min_vars=depth + 1)
         if first_occurrence(w, depth) is not None
         and first_occurrence(w, depth) <= coloring.N
-    ]
+    )
 
     def attempt(w):
         color = None

@@ -2,9 +2,10 @@
 
 Every search enumerates candidates in length-then-lex order and
 returns the first witness, fully re-verified, so output is
-deterministic and worker sharding cannot change it: shards cover
-contiguous candidate ranges and the global answer is the minimum
-candidate index over per-shard hits.
+deterministic and worker sharding cannot change it.  With one worker
+the candidates are walked lazily and the walk stops at the first hit;
+with several they are listed, cut into contiguous shards, and the
+global answer is the minimum candidate index over per-shard hits.
 
 Provided here:
 
@@ -17,14 +18,14 @@ Provided here:
 * ``step_lemma_search`` / ``iterate_builder``: the one-step lemma for
   piecewise syndetic families and the staged tree construction whose
   invariants (claims 1 and 2) are re-checked exactly at the horizon
-  after every stage.
+  after every stage, in rank space by ``largeness.glued_inclusion``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .colorings import Coloring
 from .errors import (
@@ -36,6 +37,7 @@ from .largeness import (
     FiniteFamily,
     PwCertification,
     PwSyndeticDecomposition,
+    glued_inclusion,
     pws_certify,
 )
 from .trees import OVWTree, level, tree_from_generator
@@ -68,14 +70,17 @@ __all__ = [
 ]
 
 
-def sharded_first(candidates: Sequence, evaluate: Callable, workers: int = 1):
-    """First candidate (by list order) whose evaluation is not None.
+def sharded_first(candidates: Iterable, evaluate: Callable, workers: int = 1):
+    """First candidate (by iteration order) whose evaluation is not None.
 
-    With several workers the candidate list is cut into contiguous
-    shards scanned in parallel; each shard stops at its own first hit
-    and the earliest hit overall wins, so the result never depends on
-    the worker count.
+    With one worker the candidates are iterated, so a generator is
+    consumed only up to the first hit.  With several the candidates are
+    listed and cut into contiguous shards scanned in parallel; each
+    shard stops at its own first hit and the earliest hit overall wins,
+    so the result never depends on the worker count.
     """
+    if workers > 1:
+        candidates = list(candidates)
     if workers <= 1 or len(candidates) < 2:
         for i, cand in enumerate(candidates):
             res = evaluate(cand)
@@ -116,14 +121,6 @@ class LineLetterCertificate:
     checked: tuple[Word, ...]  # S(0) together with S(1).a
 
 
-def _line_candidates(k: int, max_gen_len: int) -> list[tuple[Word, int]]:
-    cands = []
-    for g in var_words(k, max_gen_len, dim=1, ordered=True, min_len=1):
-        for a in range(k):
-            cands.append((g, a))
-    return cands
-
-
 def search_line_with_letter(
     coloring: Coloring, workers: int = 1, max_gen_len: Optional[int] = None
 ) -> LineLetterCertificate:
@@ -137,7 +134,11 @@ def search_line_with_letter(
         raise InvalidWord("line search expects a coloring of plain words")
     k, n_hor = coloring.k, coloring.N
     cap = n_hor - 1 if max_gen_len is None else min(max_gen_len, n_hor - 1)
-    cands = _line_candidates(k, cap)
+    cands = (
+        (g, a)
+        for g in var_words(k, cap, dim=1, ordered=True, min_len=1)
+        for a in range(k)
+    )
 
     def attempt(cand):
         g, a = cand
@@ -274,15 +275,18 @@ def d_super_s(family: FiniteFamily, line: OVWTree) -> FiniteFamily:
     """{sigma : S(1).sigma inside family}, at horizon N - |S|."""
     if line.dimension != 1:
         raise InvalidWord("residue needs a line")
-    s1 = level(line, 1)
-    n2 = family.N - len(line.generator)
+    return _residue(family, level(line, 1), family.N - len(line.generator))
+
+
+def _residue(family: FiniteFamily, heads: Sequence[Word], n2: int) -> FiniteFamily:
+    """{sigma in A^{<=n2} : head.sigma in family for every head}."""
     if n2 < 0:
         return FiniteFamily.empty(family.k, 0)
     from .largeness import _offsets  # internal rank layout
 
     offs = _offsets(family.k, n2)
     mask = (1 << offs[n2 + 1]) - 1
-    for w in s1:
+    for w in heads:
         acc = 0
         for m in range(n2 + 1):
             acc |= family.extract_after_prefix(w, m) << offs[m]
@@ -309,39 +313,32 @@ def step_lemma_search(
 
     Q is the full residue of P past S, re-certified as piecewise
     syndetic at the reduced horizon; both inclusions are re-verified
-    element by element before the result is returned.
+    (S(1).Q in rank space) before the result is returned.  Candidate
+    lines are enumerated only up to the first hit.
     """
     p = dec.part
     cap = min(max_gen_len, dec.N - 1)
-    cands = [g for g in var_words(dec.k, cap, dim=1, ordered=True, min_len=1)]
+    cands = var_words(dec.k, cap, dim=1, ordered=True, min_len=1)
 
     def attempt(g):
         s0 = substitute(g, ())
         if s0 not in p:
             return None
-        line = tree_from_generator(g)
-        q_raw = d_super_s(p, line)
+        s1 = [substitute(g, (a,)) for a in range(dec.k)]  # level 1, in lex order
+        q_raw = _residue(p, s1, p.N - len(g))  # d_super_s(p, line)
         if not q_raw.mask:
             return None
         cert = pws_certify(q_raw, dec.ell, m_bound)
         if cert is None:
             return None
-        # element-wise re-verification of both inclusions
-        checked = 1
+        # re-verification of both inclusions
         if s0 not in p:
             raise AssertionError("root left the part after certification")
-        sigmas = list(cert.decomposition.part.words())
-        for w in level(line, 1):
-            for sigma in sigmas:
-                glued = w.concat(sigma)
-                if len(glued) <= p.N:
-                    if glued not in p:
-                        raise AssertionError(
-                            f"residue inclusion fails at {format_word(glued)}"
-                        )
-                    checked += 1
+        ok, checked, _, bad = glued_inclusion(s1, cert.decomposition.part, p)
+        if not ok:
+            raise AssertionError(f"residue inclusion fails at {format_word(bad)}")
         sigma_head, blocks = decompose(g)
-        return StepResult(line, blocks[0], cert, True, checked)
+        return StepResult(tree_from_generator(g), blocks[0], cert, True, checked + 1)
 
     hit = sharded_first(cands, attempt, workers)
     if hit is None:
@@ -445,38 +442,18 @@ class BuilderTrace:
         return self.stages[-1].tree
 
 
-def _claim1(tree: OVWTree, p: FiniteFamily) -> tuple[bool, int, int]:
-    ok, checked, skipped = True, 0, 0
-    for e in tree.elements:
-        if len(e) > p.N:
-            skipped += 1
-            continue
-        checked += 1
-        if e not in p:
-            ok = False
-    return ok, checked, skipped
+def _stage(tree: OVWTree, step: StepResult, p: FiniteFamily) -> BuilderStage:
+    """Stage record with both claims checked against p.
 
-
-def _claim2(
-    tree: OVWTree, block: Word, residue: FiniteFamily, p: FiniteFamily
-) -> tuple[bool, int, int]:
-    s = tree.dimension
-    ok, checked, skipped = True, 0, 0
-    tops = level(tree, s)
-    insts = [substitute(block, (a,)) for a in range(block.k)]
-    sigmas = list(residue.words())
-    for t in tops:
-        for wa in insts:
-            head = t.concat(wa)
-            for sigma in sigmas:
-                glued = head.concat(sigma)
-                if len(glued) > p.N:
-                    skipped += 1
-                    continue
-                checked += 1
-                if glued not in p:
-                    ok = False
-    return ok, checked, skipped
+    Claim 1: every element of the tree within the horizon lies in p (the
+    residue {empty word} glues nothing on).  Claim 2: every top-level
+    word extended by an instance of the block and a residue word does.
+    """
+    c1 = glued_inclusion(tree.elements, FiniteFamily(p.k, 0, 1), p)
+    insts = [substitute(step.block, (a,)) for a in range(step.block.k)]
+    heads = [t.concat(wa) for t in level(tree, tree.dimension) for wa in insts]
+    c2 = glued_inclusion(heads, step.residue.decomposition.part, p)
+    return BuilderStage(tree, step.block, step.residue, *c1[:3], *c2[:3])
 
 
 def iterate_builder(
@@ -501,12 +478,8 @@ def iterate_builder(
     except NotFoundWithinHorizon as exc:
         raise NotFoundWithinHorizon(f"stage 0: {exc}") from exc
     sigma0 = substitute(step.line.generator, ())
-    tree = tree_from_generator(sigma0)  # dimension 0
-    stages = []
-    c1 = _claim1(tree, p)
-    c2 = _claim2(tree, step.block, step.residue.decomposition.part, p)
-    stages.append(BuilderStage(tree, step.block, step.residue, c1[0], c1[1], c1[2], c2[0], c2[1], c2[2]))
-    if not (c1[0] and c2[0]):
+    stages = [_stage(tree_from_generator(sigma0), step, p)]  # dimension 0
+    if not (stages[0].claim1_ok and stages[0].claim2_ok):
         raise AssertionError("stage 0 claims failed")
 
     for s in range(s_max):
@@ -524,12 +497,7 @@ def iterate_builder(
             k + s if sym == k else sym for sym in prev.block.symbols
         )
         gen = Word(k, old.symbols + renamed + sigma0.symbols)
-        tree = tree_from_generator(gen)
-        c1 = _claim1(tree, p)
-        c2 = _claim2(tree, step.block, step.residue.decomposition.part, p)
-        stages.append(
-            BuilderStage(tree, step.block, step.residue, c1[0], c1[1], c1[2], c2[0], c2[1], c2[2])
-        )
-        if not (c1[0] and c2[0]):
+        stages.append(_stage(tree_from_generator(gen), step, p))
+        if not (stages[-1].claim1_ok and stages[-1].claim2_ok):
             raise AssertionError(f"stage {s + 1} claims failed")
     return BuilderTrace(p, tuple(stages))

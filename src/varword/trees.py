@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     ElementNotInTree,
@@ -39,6 +39,7 @@ from .words import (
 __all__ = [
     "OVWTree",
     "tree_from_generator",
+    "tree_levels",
     "generator_from_tree",
     "level",
     "levels",
@@ -74,15 +75,30 @@ class OVWTree:
 
 def tree_from_generator(w: Word) -> OVWTree:
     """Enumerate {w[u] : |u| <= dim(w)} for an ordered variable word."""
+    return OVWTree(w, tuple(e for lvl in tree_levels(w, len(w)) for e in lvl))
+
+
+def tree_levels(w: Word, max_len: int) -> Iterator[tuple[Word, ...]]:
+    """Levels 0, 1, ... of w's tree whose words have length <= max_len.
+
+    w must be an ordered variable word (``NotOrdered`` otherwise), and
+    that is checked before any level is built.  Level lengths increase
+    strictly, and w[u] < w[u'] lexicographically whenever u < u' (they
+    first differ at the first occurrence of the first differing
+    variable), so the levels come in length-then-lex order.  No level
+    longer than max_len is instantiated.
+    """
     n = dimension(w)
     if not is_var_word(w, n, ordered=True):
         raise NotOrdered(f"{format_word(w)} is not an ordered variable word")
-    elems = []
+    return _levels(w, n, max_len)
+
+
+def _levels(w: Word, n: int, max_len: int) -> Iterator[tuple[Word, ...]]:
     for j in range(n + 1):
-        for u in letter_words(w.k, j, min_len=j):
-            elems.append(substitute(w, u))
-    elems.sort(key=Word.key)
-    return OVWTree(w, tuple(elems))
+        if (first_occurrence(w, j) if j < n else len(w)) > max_len:
+            return
+        yield tuple(substitute(w, u) for u in letter_words(w.k, j, min_len=j))
 
 
 def level(tree: OVWTree, j: int) -> tuple[Word, ...]:

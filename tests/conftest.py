@@ -29,3 +29,48 @@ def random_letters(rng: random.Random, k: int, length: int) -> Word:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+# ---------------------------------------------------------------------------
+# object-level references for the rank-space checks in ``largeness``
+
+
+def glued_inclusion_ref(heads, residue, p):
+    """``largeness.glued_inclusion`` by gluing each head to each residue
+    word as a new Word and testing membership word by word."""
+    ok, checked, skipped, first = True, 0, 0, None
+    sigmas = list(residue.words())
+    for head in heads:
+        for sigma in sigmas:
+            glued = head.concat(sigma)
+            if len(glued) > p.N:
+                skipped += 1
+                continue
+            checked += 1
+            if glued not in p:
+                ok = False
+                if first is None:
+                    first = glued
+    return ok, checked, skipped, first
+
+
+def is_thick_ref(family, ell_max):
+    """``largeness.is_thick`` by walking anchors in length-then-lex order."""
+    from varword.largeness import ThickCheck, ThickWitness
+    from varword.words import letter_words
+
+    anchors = []
+    for ell in range(ell_max + 1):
+        taus = list(letter_words(family.k, ell))
+        found = next(
+            (
+                sigma
+                for sigma in letter_words(family.k, family.N - ell)
+                if all(tau.concat(sigma) in family for tau in taus)
+            ),
+            None,
+        )
+        if found is None:
+            return ThickCheck(False, ell_max, failing_ell=ell)
+        anchors.append((ell, found))
+    return ThickCheck(True, ell_max, witness=ThickWitness(tuple(anchors)))

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,7 @@ from varword.cli import (
 from varword.cdrt import pullback_certificate, translate
 from varword.colorings import Coloring
 from varword.henson import GraphSpec, greedy_embed, minimal_envelope
-from varword.errors import DomainTooLarge, IndexOutOfRange
+from varword.errors import DomainTooLarge, IndexOutOfRange, InvalidWord
 from varword.largeness import (
     MAX_UNIVERSE,
     FiniteFamily,
@@ -25,7 +26,8 @@ from varword.largeness import (
 )
 from varword.prehomog import csl_search, one_step_prehomog
 from varword.search import iterate_builder, search_line_with_letter
-from varword.words import Word, format_word, parse_word
+from varword.trees import level, tree_from_generator
+from varword.words import Word, format_word, parse_word, substitute
 
 K = 2
 
@@ -152,6 +154,103 @@ def test_non_total_coloring_is_malformed(docs, defect):
     assert not res.ok and res.detail.startswith("malformed certificate")
 
 
+def _builder_doc(docs):
+    doc = json.loads(certs.canonical_json(docs["builder-trace"]))
+    part = certs.decomposition_from_json(doc["instance"]["decomposition"]).part
+    return doc, part
+
+
+def _flip(fam_doc, r):
+    fam = certs.family_from_json(fam_doc)
+    return certs.family_to_json(FiniteFamily(fam.k, fam.N, fam.mask ^ (1 << r)))
+
+
+def test_claim1_tamper_names_least_failing_word(docs):
+    # clear the stage-0 root from P's syndetic side: P loses one word
+    doc, part = _builder_doc(docs)
+    g0 = certs.word_from_json(doc["witness"]["stages"][0]["generator"])
+    elems = [e for e in tree_from_generator(g0).elements if len(e) <= part.N]
+    dec = doc["instance"]["decomposition"]
+    dec["syndetic"] = _flip(dec["syndetic"], part.rank(elems[0]))
+    doc["digest"] = certs.digest(doc["instance"])
+    tampered = certs.decomposition_from_json(dec).part
+    least = min((e for e in elems if e not in tampered), key=Word.key)
+    res = certs.verify_certificate(doc)
+    assert not res.ok and res.detail == f"claim 1 fails at {format_word(least)}"
+
+
+def test_claim2_tamper_names_least_failing_word(docs):
+    # add one word to the last stage's residue part, by flipping the
+    # single side that lacks it, so that some glued word leaves P
+    doc, part = _builder_doc(docs)
+    stage = doc["witness"]["stages"][-1]
+    tree = tree_from_generator(certs.word_from_json(stage["generator"]))
+    block = certs.word_from_json(stage["block"])
+    heads = [
+        t.concat(substitute(block, (a,)))
+        for t in level(tree, tree.dimension)
+        for a in range(K)
+    ]
+    res_dec = certs.decomposition_from_json(stage["residue"])
+    for r in range(res_dec.syndetic.universe_size):
+        sides = [side for side in ("syndetic", "thick") if not getattr(res_dec, side).mask >> r & 1]
+        sigma = res_dec.syndetic.unrank(r)
+        glued = [h.concat(sigma) for h in heads]
+        failing = [w for w in glued if len(w) <= part.N and w not in part]
+        if len(sides) == 1 and failing:
+            break
+    else:
+        pytest.fail("no single residue bit breaks claim 2")
+    stage["residue"][sides[0]] = _flip(stage["residue"][sides[0]], r)
+    res = certs.verify_certificate(doc)
+    least = min(failing, key=Word.key)
+    assert not res.ok and res.detail == f"claim 2 fails at {format_word(least)}"
+
+
+def test_builder_verifier_bounded_by_instance(docs):
+    # x0...x19 has 2^21 - 1 tree elements; only those of length <= N are built
+    doc, _ = _builder_doc(docs)
+    doc["witness"]["stages"][0]["generator"] = certs.word_to_json(
+        Word(K, tuple(range(K, K + 20)))
+    )
+    t0 = time.perf_counter()
+    res = certs.verify_certificate(doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert not res.ok and res.detail.startswith("claim 1 fails at")
+
+
+def test_tree_verifier_bounded_by_instance():
+    # a dimension-30 witness for a 3-element instance is refused by count
+    small = tree_from_generator(parse_word("0x0", K))
+    instance = {"type": "elements", "elements": [certs.word_to_json(e) for e in small.elements]}
+    witness = {"generator": certs.word_to_json(Word(K, tuple(range(K, K + 30)))), "dimension": 30}
+    doc = certs.wrap("tree", instance, witness, 3)
+    t0 = time.perf_counter()
+    res = certs.verify_certificate(doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert not res.ok and res.detail == "element set mismatch"
+    witness["generator"] = certs.word_to_json(small.generator)
+    witness["dimension"] = 1
+    assert certs.verify_certificate(certs.wrap("tree", instance, witness, 3)).ok
+
+
+def test_prehomog_verifier_bounded_by_instance(docs):
+    # tail lengths whose images cannot be colored are passed over whole;
+    # walking every extension to verify_tail 13 took about 10 s for the same checks
+    doc = json.loads(certs.canonical_json(docs["prehomog"]))
+    want = certs.verify_certificate(doc)
+    assert want.ok
+    for tail in (13, 10**9):
+        doc["instance"]["verify_tail"] = tail
+        doc["digest"] = certs.digest(doc["instance"])
+        t0 = time.perf_counter()
+        assert certs.verify_certificate(doc) == want
+        assert time.perf_counter() - t0 < 1.0
+    doc["instance"]["w"] = certs.word_to_json(parse_word("x1x0", K))
+    doc["digest"] = certs.digest(doc["instance"])
+    assert certs.verify_certificate(doc).detail == "w is not prefix-valid"
+
+
 def test_family_size_limit():
     check_family_size(2, 21)  # 2**22 - 1 words
     check_family_size(1, MAX_UNIVERSE - 1)
@@ -204,6 +303,42 @@ def test_coloring_serialization_roundtrip():
     doc = certs.coloring_to_json(c)
     back = certs.coloring_from_json(doc)
     assert back.table == c.table and back.n == 1
+
+
+def _walk_total(c):
+    """Coloring.validate_total by walking the whole domain word by word."""
+    for w in c.domain():
+        if w not in c.table:
+            return f"coloring not total: missing {format_word(w)}"
+        if not 0 <= c.table[w] < c.ell:
+            return f"color {c.table[w]} out of range for {format_word(w)}"
+    extra = sorted(set(c.table) - set(c.domain()), key=Word.key)
+    return f"{format_word(extra[0])} is outside the coloring's domain" if extra else None
+
+
+@pytest.mark.parametrize("k, n_horizon, dim", [(2, 4, 0), (2, 4, 1), (3, 3, 2), (1, 5, 1)])
+def test_validate_total_matches_domain_walk(k, n_horizon, dim):
+    rng = random.Random(k * 100 + n_horizon * 10 + dim)
+    full = Coloring.constant(k, n_horizon, dim, 2)
+    words = sorted(full.table, key=Word.key)
+    outside = [parse_word(t, k) for t in ("0" * (n_horizon + 1), "x0" * (dim + 1) + "x" + str(dim + 1))]
+    for trial in range(40):
+        table = {w: rng.randrange(2) for w in words}
+        defect = trial % 4
+        if defect == 1:
+            del table[rng.choice(words)]
+        elif defect == 2:
+            table[rng.choice(outside)] = 0
+        elif defect == 3:
+            table[rng.choice(words)] = rng.choice([-1, 2])
+        c = Coloring(k, n_horizon, dim, 2, table)
+        try:
+            c.validate_total()
+            got = None
+        except InvalidWord as exc:
+            got = str(exc)
+        assert got == _walk_total(c)
+        assert (got is None) == (defect == 0)
 
 
 def test_graph_serialization_roundtrip():

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 
+from conftest import glued_inclusion_ref, is_thick_ref, random_letters
 from varword.errors import HorizonExceeded, NoPartSelected, NotAPartition
 from varword.largeness import (
     FiniteFamily,
@@ -11,6 +14,7 @@ from varword.largeness import (
     density,
     density_profile,
     density_split,
+    glued_inclusion,
     is_syndetic,
     is_thick,
     prepend_reach,
@@ -310,3 +314,60 @@ class TestCertify:
             dec = cert.decomposition
             assert dec.part.mask == fam.restrict(dec.N).mask
             assert cert.syndetic_check.ok and cert.thick_check.ok
+
+
+def random_family(rng, k, n, dense):
+    """Family whose members are kept with probability about 1 - 2^-dense
+    (dense > 0) or 2^dense (dense <= 0)."""
+    size = FiniteFamily.full(k, n).universe_size
+    mask = rng.getrandbits(size) if size else 0
+    for _ in range(abs(dense)):
+        mask = mask | rng.getrandbits(size) if dense > 0 else mask & rng.getrandbits(size)
+    return FiniteFamily(k, n, mask)
+
+
+class TestRankSpaceChecks:
+    """The bitset checks against their object-level references in conftest."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_glued_inclusion_matches_word_route(self, k):
+        rng = random.Random(600 + k)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.randrange(0, 9 if k < 3 else 6)
+            p = random_family(rng, k, n, rng.choice([4, 3, 2, 0]))
+            heads = [random_letters(rng, k, rng.randrange(n + 3)) for _ in range(rng.randrange(6))]
+            residue = random_family(rng, k, rng.randrange(n + 3), rng.choice([0, -1, -3]))
+            if rng.random() < 0.4:
+                # the largest residue that holds: claim 2 passes, with heads past N
+                keep = 0
+                for r in range(residue.universe_size):
+                    sigma = residue.unrank(r)
+                    if all(len(h) + len(sigma) > n or h.concat(sigma) in p for h in heads):
+                        keep |= 1 << r
+                residue = FiniteFamily(k, residue.N, keep)
+            got = glued_inclusion(heads, residue, p)
+            assert got == glued_inclusion_ref(heads, residue, p)
+            outcomes.add((got[0], got[2] > 0))
+        # passes with and without glued words past N, failures with them
+        assert outcomes >= {(True, True), (True, False), (False, True)}
+
+    def test_glued_inclusion_rejects_other_alphabets(self):
+        p = FiniteFamily.full(2, 3)
+        with pytest.raises(HorizonExceeded):
+            glued_inclusion([Word(2, (0,))], FiniteFamily.full(3, 1), p)
+        with pytest.raises(HorizonExceeded):
+            glued_inclusion([Word(3, (0,))], FiniteFamily.full(2, 1), p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_is_thick_matches_word_route(self, k):
+        rng = random.Random(700 + k)
+        seen = set()
+        for _ in range(120):
+            n = rng.randrange(0, 9 if k < 3 else 6)
+            fam = random_family(rng, k, n, rng.choice([5, 4, 3, 2, 0]))
+            ell_max = rng.randrange(n + 2)
+            got = is_thick(fam, ell_max)
+            assert got == is_thick_ref(fam, ell_max)
+            seen.add(got.ok)
+        assert seen == {True, False}

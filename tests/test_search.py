@@ -21,6 +21,7 @@ from varword.search import (
     iterate_builder,
     line_letter_from_dim2,
     search_line_with_letter,
+    sharded_first,
     step_lemma_search,
     verify_line_letter,
 )
@@ -32,6 +33,28 @@ K = 2
 
 def full_dec(k, n, ell=1):
     return PwSyndeticDecomposition(FiniteFamily.full(k, n), FiniteFamily.full(k, n), ell)
+
+
+class TestShardedFirst:
+    def test_one_worker_stops_at_first_hit(self):
+        drawn = []
+
+        def cands():
+            for i in range(100):
+                drawn.append(i)
+                yield i
+
+        assert sharded_first(cands(), lambda i: i * i if i % 7 == 3 else None) == (3, 9)
+        assert drawn == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_sharded_generator_matches_one_worker(self, workers):
+        def evaluate(i):
+            return -i if i % 11 in (5, 9) else None
+
+        want = sharded_first(iter(range(60)), evaluate)
+        assert sharded_first(iter(range(60)), evaluate, workers) == want == (5, -5)
+        assert sharded_first(iter(()), evaluate, workers) is None
 
 
 class TestLineSearch:
