@@ -17,8 +17,7 @@ in-horizon domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .colorings import Coloring
 from .errors import CutPointMissing, InvalidWord
@@ -83,8 +82,7 @@ def pullback_word(w_hat: Word, k: int) -> Word:
     return w
 
 
-@dataclass(frozen=True)
-class CdrtPullback:
+class CdrtPullback(NamedTuple):
     word: Word
     color: int
     checked: tuple[tuple[Word, Word], ...]  # (u, W[u]) over the original domain

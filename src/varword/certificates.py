@@ -11,11 +11,9 @@ contract.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from . import __version__
 from .errors import InvalidWord, VarwordError
@@ -71,6 +69,8 @@ def canonical_json(obj: Any) -> str:
 
 
 def digest(obj: Any) -> str:
+    import hashlib  # only here: a command that takes no digest never loads it
+
     return "sha256:" + hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
@@ -172,22 +172,20 @@ def graph_to_json(g: GraphSpec) -> dict:
 
 
 def graph_from_json(doc: dict) -> GraphSpec:
+    """The graph under the rules of the file form (``GraphSpec.from_rows``)."""
     from .henson import GraphSpec
 
-    pairs = []
-    for i, row in enumerate(doc["rows"]):
-        for j, c in enumerate(row):
-            if c == "1":
-                pairs.append((i, j))
-    return GraphSpec.from_pairs(int(doc["n"]), pairs)
+    rows = doc["rows"]
+    if not isinstance(rows, list):
+        raise InvalidWord("graph rows are not a list")
+    return GraphSpec.from_rows(int(doc["n"]), rows, "<certificate graph>")
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     kind: str
     detail: str = ""
@@ -417,16 +415,20 @@ def _verify_csl(instance: dict, witness: dict) -> int:
     color = int(witness["color"])
     depth = int(witness["depth"])
     _need(is_prefix_valid(w), "word is not prefix-valid")
+    # patterns are walked lazily: distinct patterns have distinct images,
+    # so one leaves the domain within len(coloring.table) + 1 steps
     if coloring.n == 0:
-        patterns = list(letter_words(coloring.k, depth))
+        patterns = letter_words(coloring.k, depth)
     else:
-        patterns = list(var_words(coloring.k, depth, dim=coloring.n))
-    _need(bool(patterns), "empty pattern range")
+        patterns = var_words(coloring.k, depth, dim=coloring.n)
+    count = 0
     for u in patterns:
         img = substitute(w, u, omega=True)  # must be defined for every pattern
         _need(img in coloring, f"image of {format_word(u)} leaves the domain")
         _need(coloring(img) == color, f"color breaks at {format_word(u)}")
-    return len(patterns)
+        count += 1
+    _need(count > 0, "empty pattern range")
+    return count
 
 
 def _verify_cdrt(instance: dict, witness: dict) -> int:
@@ -437,20 +439,27 @@ def _verify_cdrt(instance: dict, witness: dict) -> int:
     color = int(witness["color"])
     _need(w.symbols == w_hat.symbols and w.k == coloring.k, "pullback mismatch")
     _need(is_prefix_valid(w), "pullback is not prefix-valid")
+    # w[u] is cut at the first x_{|u|} in w: a pattern length whose cut is
+    # missing (the image raises) or past N (the image is uncolored) is
+    # passed over whole, and no cut exists past w's dimension
     count = 0
-    if coloring.n == 0:
-        patterns = letter_words(coloring.k, depth)
-    else:
-        patterns = var_words(coloring.k, depth, dim=coloring.n)
-    for u in patterns:
-        try:
-            img = substitute(w, u, omega=True)
-        except VarwordError:
+    for length in range(min(depth, dimension(w) - 1) + 1):
+        cut = first_occurrence(w, length)
+        if cut is None or cut > coloring.N:
             continue
-        if img not in coloring:
-            continue
-        _need(coloring(img) == color, f"pullback color breaks at {format_word(u)}")
-        count += 1
+        if coloring.n == 0:
+            patterns = letter_words(coloring.k, length, min_len=length)
+        else:
+            patterns = var_words(coloring.k, length, dim=coloring.n, min_len=length)
+        for u in patterns:
+            try:
+                img = substitute(w, u, omega=True)
+            except VarwordError:
+                continue
+            if img not in coloring:
+                continue
+            _need(coloring(img) == color, f"pullback color breaks at {format_word(u)}")
+            count += 1
     _need(count > 0, "nothing verifiable within the horizon")
     return count
 
@@ -462,6 +471,8 @@ def _verify_embedding(instance: dict, witness: dict) -> int:
     mode = instance.get("mode", "greedy")
     images = [word_from_json(d) for d in witness["words"]]
     _need(len(images) == g.n, "image count mismatch")
+    _need(all(w.k == 1 for w in images), "image not over the alphabet {0}")
+    _need(len(set(images)) == g.n, "images are not distinct")
     _need(g.is_triangle_free(), "instance graph has a triangle")
     count = 0
     for i, j in combinations(range(g.n), 2):

@@ -9,9 +9,9 @@ and re-read by the verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
+from ._frozen import Frozen
 from .errors import InputError, InvalidWord, VarwordError
 from .words import (
     Word,
@@ -62,13 +62,39 @@ def _domain_size(k: int, n_horizon: int, dim: int, cap: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Coloring:
-    k: int
-    N: int
-    n: int
-    ell: int
-    table: Mapping[Word, int] = field(default_factory=dict)
+class Coloring(Frozen):
+    """A color in ``[0, ell)`` for each n-variable word of length at most N over k letters."""
+
+    __slots__ = ("k", "N", "n", "ell", "table")
+
+    def __init__(
+        self, k: int, N: int, n: int, ell: int, table: Mapping[Word, int] | None = None
+    ):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "table", {} if table is None else table)
+
+    def _astuple(self) -> tuple:
+        return (self.k, self.N, self.n, self.ell, self.table)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())  # a dict table is unhashable, as before
+
+    def __repr__(self) -> str:
+        return (
+            f"Coloring(k={self.k!r}, N={self.N!r}, n={self.n!r}, "
+            f"ell={self.ell!r}, table={self.table!r})"
+        )
+
+    def __reduce__(self):
+        return Coloring, self._astuple()
 
     @classmethod
     def from_function(

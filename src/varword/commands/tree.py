@@ -1,0 +1,76 @@
+"""``varword tree``: build, invert and pattern-map instantiation trees."""
+
+from __future__ import annotations
+
+from ..certificates import word_to_json as W2J, wrap
+from ..cli import _command, _emit
+from ..trees import canonical_iso, generator_from_tree, levels, size, tree_from_generator
+from ..words import format_word, parse_word
+
+
+def _tree_doc(tree):
+    return {
+        "generator": W2J(tree.generator),
+        "dimension": tree.dimension,
+        "elements": [W2J(e) for e in tree.elements],
+        "levels": list(levels(tree)),
+        "size": size(tree),
+    }
+
+
+def cmd_tree_build(args):
+    tree = tree_from_generator(parse_word(args.gen, args.k))
+    instance = {"type": "elements", "elements": [W2J(e) for e in tree.elements]}
+    doc = wrap(
+        "tree",
+        instance,
+        {"generator": W2J(tree.generator), "dimension": tree.dimension,
+         "elements": [W2J(e) for e in tree.elements]},
+        len(tree.elements),
+    )
+    doc["tree"] = _tree_doc(tree)
+    _emit(doc, args, f"{len(tree.elements)} elements, dimension {tree.dimension}")
+    return 0
+
+
+def cmd_tree_invert(args):
+    k = args.k
+    words = [parse_word(t.strip(), k) for t in args.elements.split(",")]
+    gen = generator_from_tree(words)
+    tree = tree_from_generator(gen)
+    instance = {"type": "elements", "elements": [W2J(e) for e in tree.elements]}
+    doc = wrap(
+        "tree",
+        instance,
+        {"generator": W2J(gen), "dimension": tree.dimension,
+         "elements": [W2J(e) for e in tree.elements]},
+        len(tree.elements),
+    )
+    _emit(doc, args, f"generator {format_word(gen)}")
+    return 0
+
+
+def cmd_tree_iso(args):
+    tree = tree_from_generator(parse_word(args.gen, args.k))
+    iso = canonical_iso(tree)
+    doc = {
+        "kind": "canonical-iso",
+        "tree": _tree_doc(tree),
+        "map": [
+            {"element": W2J(e), "pattern": W2J(u)} for e, u in sorted(
+                iso.to_pattern.items(), key=lambda kv: kv[0].key()
+            )
+        ],
+    }
+    _emit(doc, args, f"{len(iso.to_pattern)} pairs")
+    return 0
+
+
+def register(sub) -> None:
+    tree = sub.add_parser("tree").add_subparsers(dest="cmd", required=True)
+    p = _command(tree, "build", cmd_tree_build, "k")
+    p.add_argument("--gen", required=True)
+    p = _command(tree, "invert", cmd_tree_invert, "k")
+    p.add_argument("--elements", required=True, help="comma-separated word list")
+    p = _command(tree, "iso", cmd_tree_iso, "k")
+    p.add_argument("--gen", required=True)

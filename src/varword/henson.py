@@ -14,9 +14,8 @@ and the strict greedy embedding is the companion that stays inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
     DomainTooLarge,
@@ -81,8 +80,7 @@ def edge(v: Word, w: Word) -> bool:
     return not any(a == VAR and b == VAR for a, b in zip(v.symbols, w.symbols))
 
 
-@dataclass(frozen=True)
-class TriangleFreeReport:
+class TriangleFreeReport(NamedTuple):
     horizon: int
     vertices: int
     edges: int
@@ -125,8 +123,7 @@ def assert_triangle_free(
 # finite graphs
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]  # normalized i < j
 
@@ -143,10 +140,12 @@ class GraphSpec:
         return (min(i, j), max(i, j)) in self.edges
 
     def is_triangle_free(self) -> bool:
-        return not any(
-            self.adj(a, b) and self.adj(b, c) and self.adj(a, c)
-            for a, b, c in combinations(range(self.n), 3)
-        )
+        """No edge whose two ends share a neighbour."""
+        nbrs: dict[int, set[int]] = {}
+        for a, b in self.edges:
+            nbrs.setdefault(a, set()).add(b)
+            nbrs.setdefault(b, set()).add(a)
+        return not any(nbrs[a] & nbrs[b] for a, b in self.edges)
 
     def dump(self) -> str:
         rows = [str(self.n)]
@@ -165,23 +164,30 @@ class GraphSpec:
             raise InputError("first line must be the vertex count", filename, 1, 1) from None
         if len(lines) < n + 1:
             raise InputError(f"expected {n} adjacency rows", filename, len(lines), 1)
+        return cls.from_rows(n, [line.strip() for line in lines[1 : n + 1]], filename)
+
+    @classmethod
+    def from_rows(cls, n: int, rows, filename: str = "<graph>") -> "GraphSpec":
+        """The graph of n adjacency rows of n ``0``/``1`` characters each,
+        with no self-loop and symmetric; row i is cited as line i + 2, as
+        in the file form."""
+        if len(rows) != n:
+            raise InputError(f"expected {n} adjacency rows", filename, len(rows) + 1, 1)
         pairs = []
-        for i in range(n):
-            row = lines[i + 1].strip()
-            if len(row) != n or any(c not in "01" for c in row):
+        for i, row in enumerate(rows):
+            if type(row) is not str or len(row) != n or row.strip("01"):
                 raise InputError(f"bad adjacency row for vertex {i}", filename, i + 2, 1)
             for j, c in enumerate(row):
                 if c == "1":
                     if j == i:
                         raise InputError("self-loop", filename, i + 2, j + 1)
-                    pairs.append((i, j))
-        g = cls.from_pairs(n, pairs)
-        for i in range(n):
-            row = lines[i + 1].strip()
+                    if j > i:
+                        pairs.append((i, j))
+        for i, row in enumerate(rows):
             for j, c in enumerate(row):
-                if (c == "1") != g.adj(i, j):
+                if c == "0" and rows[j][i] == "1":
                     raise InputError("asymmetric adjacency matrix", filename, i + 2, j + 1)
-        return g
+        return cls(n, frozenset(pairs))
 
     @classmethod
     def all_graphs(cls, n: int):
@@ -192,8 +198,7 @@ class GraphSpec:
             )
 
 
-@dataclass(frozen=True)
-class PhiEmbedding:
+class PhiEmbedding(NamedTuple):
     words: tuple[Word, ...]
     in_vertex_set: tuple[bool, ...]  # contains the variable, so officially a vertex
 
@@ -264,8 +269,7 @@ def edge_invariance(w: Word, u: Word, v: Word) -> bool:
 # envelopes
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     word: Word
     assignments: tuple[tuple[Word, Word], ...]  # (member, t) with word[t] == member
     variable_count: int
@@ -343,8 +347,7 @@ def minimal_envelope(members: Iterable[Word]) -> Envelope:
 # profile colorings
 
 
-@dataclass(frozen=True)
-class ProfileColoring:
+class ProfileColoring(NamedTuple):
     dimension: int
     slots: tuple[tuple[tuple[Word, ...], tuple[int, ...]], ...]  # (T, permutation)
     table: Mapping[Word, tuple]

@@ -34,11 +34,11 @@ a ``Word`` per member.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from ._frozen import Frozen
 from .errors import (
     HorizonExceeded,
     NoPartSelected,
@@ -95,13 +95,29 @@ def check_family_size(k: int, n: int) -> None:
     check_universe(k, n, f"family with k={k}, N={n}")
 
 
-@dataclass(frozen=True)
-class FiniteFamily:
+class FiniteFamily(Frozen):
     """Subset of A^{<=N} as a bitset keyed by length-then-lex rank."""
 
-    k: int
-    N: int
-    mask: int = 0
+    __slots__ = ("k", "N", "mask")
+
+    def __init__(self, k: int, N: int, mask: int = 0):
+        _set_k(self, k)
+        _set_n(self, N)
+        _set_mask(self, mask)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.mask == other.mask and self.k == other.k and self.N == other.N
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.N, self.mask))
+
+    def __repr__(self) -> str:
+        return f"FiniteFamily(k={self.k!r}, N={self.N!r}, mask={self.mask!r})"
+
+    def __reduce__(self):
+        return FiniteFamily, (self.k, self.N, self.mask)
 
     # -- construction ------------------------------------------------
 
@@ -254,6 +270,12 @@ class FiniteFamily:
         return FiniteFamily(self.k, self.N, mask), dropped
 
 
+# the slots' own setters: ``FiniteFamily`` refuses ``setattr`` once built
+_set_k = FiniteFamily.k.__set__
+_set_n = FiniteFamily.N.__set__
+_set_mask = FiniteFamily.mask.__set__
+
+
 def _value(k: int, w: Word) -> int:
     v = 0
     for s in w.symbols:
@@ -311,8 +333,7 @@ def density(family: FiniteFamily, r: int) -> Fraction:
     return Fraction(family.band(r).bit_count(), family.k**r)
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(NamedTuple):
     densities: tuple[Fraction, ...]
     epsilon: Fraction
     witness_lengths: tuple[int, ...]
@@ -324,8 +345,7 @@ def density_profile(family: FiniteFamily, epsilon: Fraction) -> DensityProfile:
     return DensityProfile(dens, Fraction(epsilon), wits)
 
 
-@dataclass(frozen=True)
-class DensitySplitReport:
+class DensitySplitReport(NamedTuple):
     epsilon: Fraction
     b_lengths: tuple[int, ...]  # lengths where D exceeds epsilon
     c_lengths: tuple[int, ...]  # lengths where E exceeds epsilon/2
@@ -373,14 +393,12 @@ def concat_family(family: FiniteFamily, sigma: Word) -> tuple[FiniteFamily, int]
 # syndeticity / thickness
 
 
-@dataclass(frozen=True)
-class SyndeticityWitness:
+class SyndeticityWitness(NamedTuple):
     ell: int
     translators: tuple[tuple[Word, Word], ...]  # (sigma, tau) with tau.sigma in S
 
 
-@dataclass(frozen=True)
-class SyndeticCheck:
+class SyndeticCheck(NamedTuple):
     ok: bool
     ell: int
     witness: Optional[SyndeticityWitness] = None
@@ -425,13 +443,11 @@ def is_syndetic(
     return SyndeticCheck(True, ell, witness=witness)
 
 
-@dataclass(frozen=True)
-class ThickWitness:
+class ThickWitness(NamedTuple):
     anchors: tuple[tuple[int, Word], ...]  # (ell, sigma) with A^{<=ell}.sigma inside
 
 
-@dataclass(frozen=True)
-class ThickCheck:
+class ThickCheck(NamedTuple):
     ok: bool
     ell_max: int
     witness: Optional[ThickWitness] = None
@@ -521,17 +537,34 @@ def thick_shrink(family: FiniteFamily, ell: int) -> FiniteFamily:
 # piecewise syndeticity
 
 
-@dataclass(frozen=True)
-class PwSyndeticDecomposition:
+class PwSyndeticDecomposition(Frozen):
     """P = syndetic & thick, carried with its syndeticity bound ell."""
 
-    syndetic: FiniteFamily
-    thick: FiniteFamily
-    ell: int
+    __slots__ = ("syndetic", "thick", "ell")
 
-    def __post_init__(self):
-        if (self.syndetic.k, self.syndetic.N) != (self.thick.k, self.thick.N):
+    def __init__(self, syndetic: FiniteFamily, thick: FiniteFamily, ell: int):
+        if (syndetic.k, syndetic.N) != (thick.k, thick.N):
             raise HorizonExceeded("decomposition parts on different horizons")
+        object.__setattr__(self, "syndetic", syndetic)
+        object.__setattr__(self, "thick", thick)
+        object.__setattr__(self, "ell", ell)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.syndetic, self.thick, self.ell) == (other.syndetic, other.thick, other.ell)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.syndetic, self.thick, self.ell))
+
+    def __repr__(self) -> str:
+        return (
+            f"PwSyndeticDecomposition(syndetic={self.syndetic!r}, "
+            f"thick={self.thick!r}, ell={self.ell!r})"
+        )
+
+    def __reduce__(self):
+        return PwSyndeticDecomposition, (self.syndetic, self.thick, self.ell)
 
     @property
     def part(self) -> FiniteFamily:
@@ -546,8 +579,7 @@ class PwSyndeticDecomposition:
         return self.syndetic.N
 
 
-@dataclass(frozen=True)
-class PwSplitResult:
+class PwSplitResult(NamedTuple):
     side: str  # 'B' or 'C'
     chosen: FiniteFamily
     decomposition: PwSyndeticDecomposition
@@ -594,8 +626,7 @@ def pw_split(
     )
 
 
-@dataclass(frozen=True)
-class BrownSelection:
+class BrownSelection(NamedTuple):
     index: int
     subset: tuple[int, ...]
     decomposition: PwSyndeticDecomposition
@@ -676,8 +707,7 @@ def brown_select(
 # horizon-level piecewise syndeticity certification
 
 
-@dataclass(frozen=True)
-class PwCertification:
+class PwCertification(NamedTuple):
     decomposition: PwSyndeticDecomposition
     syndetic_check: SyndeticCheck
     thick_check: ThickCheck

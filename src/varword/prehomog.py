@@ -17,9 +17,8 @@ horizons; exhaustion raises NotFoundWithinHorizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .colorings import Coloring
 from .errors import CutPointMissing, InvalidWord, NotFoundWithinHorizon
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CslCertificate:
+class CslCertificate(NamedTuple):
     word: Word  # prefix-valid W
     color: int
     depth: int
@@ -146,8 +144,7 @@ def _stem_extensions(
             yield Word(k, base + tail)
 
 
-@dataclass(frozen=True)
-class PrehomogReport:
+class PrehomogReport(NamedTuple):
     ok: bool
     checked: int
     counterexample: Optional[tuple[Word, Word, Word]] = None  # (s, t0, t1)
@@ -190,8 +187,7 @@ def prehomog_check(
     return PrehomogReport(True, checked)
 
 
-@dataclass(frozen=True)
-class OneStepCertificate:
+class OneStepCertificate(NamedTuple):
     w_hat: Word
     color: int
     stem: Word
@@ -306,8 +302,7 @@ def one_step_prehomog(
 # the pure-prefix order
 
 
-@dataclass(frozen=True)
-class LeqResult:
+class LeqResult(NamedTuple):
     ok: bool
     witness: Optional[Word] = None
 

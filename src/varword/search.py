@@ -23,10 +23,10 @@ Provided here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+from ._frozen import Frozen
 from .colorings import Coloring
 from .errors import (
     NoConnector,
@@ -113,8 +113,7 @@ def sharded_first(candidates: Iterable, evaluate: Callable, workers: int = 1):
 # line with letter
 
 
-@dataclass(frozen=True)
-class LineLetterCertificate:
+class LineLetterCertificate(NamedTuple):
     line: OVWTree
     letter: int
     color: int
@@ -230,16 +229,30 @@ def line_letter_from_dim2(
 # block embedding
 
 
-@dataclass(frozen=True)
-class HEmbedding:
+class HEmbedding(Frozen):
     """h(a_0 ... a_j) = w_0[a_0] ... w_{j-1}[a_{j-1}] for left 1-variable blocks."""
 
-    blocks: tuple[Word, ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        for b in self.blocks:
+    def __init__(self, blocks: tuple[Word, ...]):
+        for b in blocks:
             if not is_left_var_word(b):
                 raise InvalidWord(f"{format_word(b)} is not a left 1-variable word")
+        object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
+
+    def __repr__(self) -> str:
+        return f"HEmbedding(blocks={self.blocks!r})"
+
+    def __reduce__(self):
+        return HEmbedding, (self.blocks,)
 
     @property
     def k(self) -> int:
@@ -294,8 +307,7 @@ def _residue(family: FiniteFamily, heads: Sequence[Word], n2: int) -> FiniteFami
     return FiniteFamily(family.k, n2, mask)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     line: OVWTree
     block: Word  # left 1-variable word w with S(1) = S(0).w[A]
     residue: PwCertification  # certified piecewise syndetic Q
@@ -352,8 +364,7 @@ def step_lemma_search(
 # density-route plumbing
 
 
-@dataclass(frozen=True)
-class DensityStepResult:
+class DensityStepResult(NamedTuple):
     line: OVWTree
     lengths: tuple[int, ...]  # L': densities of the residue exceed the threshold
     threshold: Fraction
@@ -419,8 +430,7 @@ def density_step_search(family: FiniteFamily, delta, level_cap: int) -> DensityS
 # staged builder
 
 
-@dataclass(frozen=True)
-class BuilderStage:
+class BuilderStage(NamedTuple):
     tree: OVWTree
     block: Word  # w_s
     residue: PwCertification  # P_s
@@ -432,8 +442,7 @@ class BuilderStage:
     claim2_skipped: int
 
 
-@dataclass(frozen=True)
-class BuilderTrace:
+class BuilderTrace(NamedTuple):
     part: FiniteFamily  # the ambient P all claims refer to
     stages: tuple[BuilderStage, ...]
 

@@ -11,12 +11,12 @@ for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import _kernels
+from ._frozen import Frozen
 from .words import Word, prefix_valid_words, var_words
 from .henson import enum_vertices
 from .errors import TriangleFound
@@ -36,12 +36,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WordTable:
-    k: int
-    syms: np.ndarray  # (M, width) int64, -1 padded
-    lens: np.ndarray  # (M,)
-    focc: np.ndarray  # (M, width + 2) first occurrence of x_j, -1 if absent
+class WordTable(Frozen):
+    """Prefix-valid words as padded arrays: symbols (M, width) int64 padded
+    with -1, lengths (M,), and first occurrences (M, width + 2) of each
+    x_j, -1 if absent."""
+
+    __slots__ = ("k", "syms", "lens", "focc")
+
+    def __init__(self, k: int, syms: np.ndarray, lens: np.ndarray, focc: np.ndarray):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "syms", syms)
+        object.__setattr__(self, "lens", lens)
+        object.__setattr__(self, "focc", focc)
+
+    def _astuple(self) -> tuple:
+        return (self.k, self.syms, self.lens, self.focc)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())  # arrays are unhashable, as before
+
+    def __repr__(self) -> str:
+        return (
+            f"WordTable(k={self.k!r}, syms={self.syms!r}, "
+            f"lens={self.lens!r}, focc={self.focc!r})"
+        )
+
+    def __reduce__(self):
+        return WordTable, self._astuple()
 
     def __len__(self):
         return len(self.lens)
@@ -69,8 +95,7 @@ def _shard_bounds(total: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-@dataclass(frozen=True)
-class AssocSweepResult:
+class AssocSweepResult(NamedTuple):
     words: int
     pairs: int
     checked: int
@@ -109,8 +134,7 @@ def assoc_exhaustive(
     return AssocSweepResult(m, m * m, checked, failures, first_bad)
 
 
-@dataclass(frozen=True)
-class RoundTripResult:
+class RoundTripResult(NamedTuple):
     generators: int
     elements: int
     mismatches: int
@@ -214,8 +238,7 @@ def henson_adjacency(n_horizon: int) -> tuple[list, np.ndarray]:
     return verts, _kernels.henson_adjacency_numpy(bits, lens)
 
 
-@dataclass(frozen=True)
-class HensonScanReport:
+class HensonScanReport(NamedTuple):
     horizon: int
     vertices: int
     edges: int

@@ -16,10 +16,10 @@ lex-least generator is returned (variables only at the cut columns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
+from ._frozen import Frozen
 from .errors import (
     ElementNotInTree,
     LevelOutOfRange,
@@ -50,10 +50,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OVWTree:
-    generator: Word
-    elements: tuple[Word, ...]  # sorted by (length, lex)
+class OVWTree(Frozen):
+    """The instantiation tree of ``generator``; no slots, so that
+    ``level_lengths`` can cache itself in the instance dict."""
+
+    def __init__(self, generator: Word, elements: tuple[Word, ...]):
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "elements", elements)  # sorted by (length, lex)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.generator, self.elements) == (other.generator, other.elements)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.generator, self.elements))
+
+    def __repr__(self) -> str:
+        return f"OVWTree(generator={self.generator!r}, elements={self.elements!r})"
+
+    def __reduce__(self):
+        return OVWTree, (self.generator, self.elements)
 
     @property
     def k(self) -> int:
@@ -207,8 +224,7 @@ def generator_from_tree(elements: Iterable[Word]) -> Word:
     return g
 
 
-@dataclass(frozen=True)
-class CanonicalIso:
+class CanonicalIso(NamedTuple):
     """Bijection between tree elements and their instantiation patterns."""
 
     tree: OVWTree

@@ -30,10 +30,10 @@ alphabets), ``x_j`` prints as ``x{j}`` and the empty word prints as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from ._frozen import Frozen
 from .errors import (
     CutPointMissing,
     DomainTooLarge,
@@ -71,19 +71,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """Immutable word over an alphabet of size ``k`` plus variables."""
 
-    k: int
-    symbols: tuple[int, ...] = ()
+    __slots__ = ("k", "symbols")
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise IndexOutOfRange(f"alphabet size must be >= 0, got {self.k}")
-        if self.symbols and min(self.symbols) < 0:
-            i, s = next((i, s) for i, s in enumerate(self.symbols) if s < 0)
+    def __init__(self, k: int, symbols: tuple[int, ...] = ()):
+        if k < 0:
+            raise IndexOutOfRange(f"alphabet size must be >= 0, got {k}")
+        if symbols and min(symbols) < 0:
+            i, s = next((i, s) for i, s in enumerate(symbols) if s < 0)
             raise IndexOutOfRange(f"negative symbol {s} at position {i}")
+        _set_k(self, k)
+        _set_symbols(self, symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.k == other.k and self.symbols == other.symbols
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.symbols))
+
+    def __repr__(self) -> str:
+        return f"Word(k={self.k!r}, symbols={self.symbols!r})"
+
+    def __reduce__(self):
+        return Word, (self.k, self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -116,6 +130,11 @@ class Word:
 
     def __str__(self) -> str:
         return format_word(self)
+
+
+# the slots' own setters: ``Word`` refuses ``setattr`` once built
+_set_k = Word.k.__set__
+_set_symbols = Word.symbols.__set__
 
 
 def word(k: int, symbols: Iterable[int]) -> Word:
@@ -217,16 +236,14 @@ def first_occurrence(w: Word, j: int) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     name: str
     ok: bool
     position: Optional[int] = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     word: Word
     n: int
     ordered: bool

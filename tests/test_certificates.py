@@ -344,3 +344,73 @@ def test_validate_total_matches_domain_walk(k, n_horizon, dim):
 def test_graph_serialization_roundtrip():
     g = GraphSpec.from_pairs(4, [(0, 1), (2, 3)])
     assert certs.graph_from_json(certs.graph_to_json(g)) == g
+
+
+def test_csl_verifier_bounded_by_coloring(docs):
+    # the witness depth is not digested; patterns are walked lazily and the
+    # first image outside the domain ends the walk (listing every pattern
+    # to depth 18 took about 1.7 s, doubling per step)
+    doc = json.loads(certs.canonical_json(docs["csl"]))
+    assert certs.verify_certificate(doc).ok
+    doc["witness"]["depth"] = 18
+    t0 = time.perf_counter()
+    res = certs.verify_certificate(doc)
+    assert time.perf_counter() - t0 < 0.5
+    assert not res.ok
+
+
+def test_cdrt_verifier_bounded_by_coloring(docs):
+    # pattern lengths whose cut in the word is missing or past N are passed
+    # over whole; walking every pattern to depth 16 took about 0.9 s
+    doc = json.loads(certs.canonical_json(docs["cdrt"]))
+    want = certs.verify_certificate(doc)
+    assert want.ok
+    doc["instance"]["depth"] = 16
+    doc["digest"] = certs.digest(doc["instance"])
+    t0 = time.perf_counter()
+    assert certs.verify_certificate(doc) == want
+    assert time.perf_counter() - t0 < 0.5
+
+
+def _phi_doc(n, images):
+    g = GraphSpec.from_pairs(n, [])
+    return embedding_certificate_doc(g, images, "phi", n)
+
+
+def test_embedding_images_must_be_distinct():
+    # 400 identical empty images of an edgeless graph used to verify OK
+    res = certs.verify_certificate(_phi_doc(400, [Word(1, ())] * 400))
+    assert not res.ok and res.detail == "images are not distinct"
+    res = certs.verify_certificate(_phi_doc(2, [Word(2, (0,)), Word(2, (0, 0))]))
+    assert not res.ok and res.detail == "image not over the alphabet {0}"
+
+
+def test_large_edgeless_embedding_verifies_quickly():
+    doc = _phi_doc(400, [Word(1, (0,) * i) for i in range(400)])
+    t0 = time.perf_counter()
+    res = certs.verify_certificate(doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.ok and res.detail == f"{400 * 399 // 2} checks"
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [(3, ["010", "000", "000"]), (2, ["01"]), (2, ["11", "10"]), (2, ["01", "1x"]), (2, "0110")],
+    ids=["asymmetric", "row-count", "self-loop", "character", "not-a-list"],
+)
+def test_embedding_graph_is_malformed(docs, n, rows):
+    doc = json.loads(certs.canonical_json(docs["embedding"]))
+    doc["instance"]["graph"] = {"type": "graph", "n": n, "rows": rows}
+    doc["digest"] = certs.digest(doc["instance"])
+    res = certs.verify_certificate(doc)
+    assert not res.ok and res.detail.startswith("malformed certificate")
+
+
+def test_triangle_free_matches_triple_walk():
+    from itertools import combinations
+
+    for g in GraphSpec.all_graphs(5):
+        walk = not any(
+            g.adj(a, b) and g.adj(b, c) and g.adj(a, c) for a, b, c in combinations(range(5), 3)
+        )
+        assert g.is_triangle_free() == walk

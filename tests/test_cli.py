@@ -343,13 +343,27 @@ class TestMalformedInput:
         assert code == 1 and out == "" and err.startswith("input error:") and where in err
 
 
-def _fresh_modules(argv, cwd):
-    """Exit code, and the varword modules and numpy that a fresh `varword argv` process loaded."""
+# one command per group, on the instance_dir files; verify reads a line-letter certificate
+ONE_PER_GROUP = {
+    "word": ["word", "subst", "--w", "01x0 10x1", "--u", "01"],
+    "tree": ["tree", "build", "--gen", "10x0 01x0 10"],
+    "large": ["large", "syndetic", "--family", "synd.txt", "--ell", "1"],
+    "search": ["search", "line", "--coloring", "col.txt"],
+    "cdrt": ["cdrt", "translate", "--coloring", "col.txt"],
+    "henson": ["henson", "edge", "--v", "x0", "--w", "0x0"],
+    "verify": ["verify", "line.json"],
+}
+
+
+def _fresh_modules(argv, cwd, also=()):
+    """Exit code, and the varword modules and numpy (and any module named in
+    ``also``) that a fresh `varword argv` process loaded."""
     src = str(Path(varword.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "import json, sys\nfrom varword.cli import main\ncode = main(sys.argv[1:])\n"
-        "print(json.dumps([m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'varword']))\n"
+        f"also = {sorted(also)!r}\n"
+        "print(json.dumps([m for m in sys.modules if m == 'numpy' or m in also or m.split('.')[0] == 'varword']))\n"
         "sys.exit(code)"
     )
     proc = subprocess.run(
@@ -381,3 +395,171 @@ class TestImportSets:
         code, mods = _fresh_modules(["verify", str(cert)], tmp_path)
         assert code == 0
         assert not mods & {"numpy", "varword.search", "varword.prehomog", "varword.cdrt"}
+
+    @pytest.mark.parametrize("group", list(ONE_PER_GROUP))
+    def test_one_command_per_group(self, run, instance_dir, group):
+        # no dataclass machinery, and no other group's command module
+        if group == "verify":
+            run("search", "line", "--coloring", str(instance_dir / "col.txt"),
+                "--json-out", str(instance_dir / "line.json"))
+        code, mods = _fresh_modules(ONE_PER_GROUP[group], instance_dir, also=("dataclasses", "inspect"))
+        assert code == 0
+        assert not mods & {"dataclasses", "inspect"}
+        assert {m for m in mods if m.startswith("varword.commands")} == {
+            "varword.commands", f"varword.commands.{group}"
+        }
+
+    @pytest.mark.parametrize("group", ["word", "henson"])
+    def test_no_digest_no_hashlib(self, tmp_path, group):
+        code, mods = _fresh_modules(ONE_PER_GROUP[group], tmp_path, also=("hashlib",))
+        assert code == 0 and "hashlib" not in mods
+
+
+# Recorded from the parser that built every group on every request; the
+# split must keep them byte for byte.
+ROOT_USAGE = """\
+usage: varword [-h] [--version]
+               {word,tree,large,search,cdrt,henson,verify} ...
+"""
+HELP = {
+    (): ROOT_USAGE + """\
+
+variable words, instantiation trees, largeness and coded-graph searches
+
+positional arguments:
+  {word,tree,large,search,cdrt,henson,verify}
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    ("word",): """\
+usage: varword word [-h] {validate,subst,decompose} ...
+
+positional arguments:
+  {validate,subst,decompose}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("tree",): """\
+usage: varword tree [-h] {build,invert,iso} ...
+
+positional arguments:
+  {build,invert,iso}
+
+options:
+  -h, --help          show this help message and exit
+""",
+    ("large",): """\
+usage: varword large [-h] {density,syndetic,thick,split,brown,shrink} ...
+
+positional arguments:
+  {density,syndetic,thick,split,brown,shrink}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("search",): """\
+usage: varword search [-h] {line,csl,builder,prehomog} ...
+
+positional arguments:
+  {line,csl,builder,prehomog}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("cdrt",): """\
+usage: varword cdrt [-h] {translate,pullback} ...
+
+positional arguments:
+  {translate,pullback}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("henson",): """\
+usage: varword henson [-h] {enum,edge,triangles,embed,envelope,profile} ...
+
+positional arguments:
+  {enum,edge,triangles,embed,envelope,profile}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("verify",): """\
+usage: varword verify [-h] [--json-out JSON_OUT] certificate
+
+positional arguments:
+  certificate
+
+options:
+  -h, --help           show this help message and exit
+  --json-out JSON_OUT  also write the JSON result to this file
+""",
+}
+# sha256 (first 16 hex digits) of each command's --help text, recorded likewise
+COMMAND_HELP_SHA256 = {
+    "word validate": "15c7242c91103384",
+    "word subst": "e67762895d46d550",
+    "word decompose": "61b1a3aa653a6c9c",
+    "tree build": "8ca16db3b63fc74b",
+    "tree invert": "cddd04c2afb92e7c",
+    "tree iso": "46417334778167aa",
+    "large density": "f82e10978b153ed2",
+    "large syndetic": "61547bc2f220507d",
+    "large thick": "f13ec240f882b9aa",
+    "large split": "7e99264a625a1e84",
+    "large brown": "2e9ccd14a1aafc5c",
+    "large shrink": "a16a0f6c8ec607c8",
+    "search line": "2605fe66909bfcea",
+    "search csl": "3e6ddaf4d2bcd6b3",
+    "search builder": "37d30faae3375b99",
+    "search prehomog": "715f6541ee330334",
+    "cdrt translate": "8f77749d9e19506d",
+    "cdrt pullback": "bc1ae57ee8904dfd",
+    "henson enum": "0c0490833802758e",
+    "henson edge": "b2cf465de878ccf6",
+    "henson triangles": "08d7bc18ba60a6e2",
+    "henson embed": "65ecec8f2a42bb59",
+    "henson envelope": "5c5a399193758301",
+    "henson profile": "a5134626cd71af28",
+}
+
+
+class TestHelpText:
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("group", list(HELP), ids=lambda g: " ".join(g) or "root")
+    def test_help(self, run, group):
+        assert run(*group, "--help") == (0, HELP[group], "")
+
+    @pytest.mark.parametrize("command", list(COMMAND_HELP_SHA256))
+    def test_command_help(self, run, command):
+        import hashlib
+
+        code, out, err = run(*command.split(), "--help")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == COMMAND_HELP_SHA256[command]
+
+    def test_usage_errors(self, run):
+        assert run("word") == (1, "", """\
+usage: varword word [-h] {validate,subst,decompose} ...
+varword word: error: the following arguments are required: cmd
+""")
+        assert run("nope") == (1, "", ROOT_USAGE + (
+            "varword: error: argument group: invalid choice: 'nope' (choose from "
+            "'word', 'tree', 'large', 'search', 'cdrt', 'henson', 'verify')\n"
+        ))
+        assert run() == (1, "", ROOT_USAGE + "varword: error: the following arguments are required: group\n")
+
+    def test_full_parser_lists_every_command(self):
+        from varword.cli import build_parser
+
+        sub = build_parser()._subparsers._group_actions[0].choices
+        assert list(sub) == ["word", "tree", "large", "search", "cdrt", "henson", "verify"]
+        for command in COMMAND_HELP_SHA256:
+            group, name = command.split()
+            assert name in sub[group]._subparsers._group_actions[0].choices
