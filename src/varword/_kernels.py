@@ -3,10 +3,12 @@
 Each kernel runs as numpy on every machine: the substitution
 associativity sweep (``assoc_sweep``), the ordered-generator round trip
 (``tree_roundtrip_sweep``), the bit-sliced coloring sweep
-(``line_letter_coloring_sweep``) and the coded-graph scans
-(``henson_adjacency_numpy``, ``henson_triangle_numpy``).  Each keeps its
-plain loop as ``*_py``, the reference it must match bit for bit (see
-``tests/test_kernels.py`` and ``python -m varword.benchmark``).
+(``line_letter_coloring_sweep``) and the coded-graph scans on packed
+neighbour rows (``henson_adjacency_packed`` builds the rows in bounded
+row blocks, ``henson_triangle_packed`` ANDs the two rows of each edge
+in bounded edge chunks).  Each keeps its plain loop as ``*_py``, the
+reference it must match bit for bit (see ``tests/test_kernels.py`` and
+``python -m varword.benchmark``).
 
 Word encoding in here is flat arrays: symbols as small ints with
 letters below k and x_j as k+j, one row per word, -1 padding, plus a
@@ -22,6 +24,8 @@ import numpy as np
 # helpers of the numpy sweeps
 
 _CHUNK = 1 << 20  # elements per temporary array in the numpy sweeps
+_ROW_BLOCK = 1 << 18  # adjacency cells (rows x vertices) per row block
+_EDGE_CHUNK = 1 << 16  # packed words (edges x row words) per edge chunk
 
 
 def _int_dtype(lo: int, hi: int):
@@ -625,38 +629,78 @@ def henson_triangle_scan_py(packed, ei, ej):
     return -1, -1, -1
 
 
-def henson_adjacency_numpy(bits: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Adjacency matrix of the coded graph; ``henson_adjacency_loops_py`` is its reference."""
-    lt = lens[:, None] < lens[None, :]
-    passing = ((bits[None, :] >> lens[:, None]) & 1) == 1
-    disjoint = (bits[:, None] & bits[None, :]) == 0
-    m = lt & passing & disjoint
-    return (m | m.T).astype(np.uint8)
-
-
-def henson_triangle_numpy(adj: np.ndarray):
-    """Count common neighbours along every edge at once by a matmul.
-
-    Returns the first edge (i, j) in row order with a common neighbour u,
-    or -1s; ``henson_triangle_scan_py`` is its reference.
-    """
-    f = adj.astype(np.float32)
-    common = f @ f
-    bad = (common * adj) > 0
-    if not bad.any():
-        return -1, -1, -1
-    i, j = np.argwhere(bad)[0]
-    u = int(np.nonzero(adj[i] & adj[j])[0][0])
-    return int(i), int(j), u
+def _pack_into(out: np.ndarray, a: int, rows: np.ndarray) -> None:
+    """Pack 0/1 rows into out[a : a + len(rows)], one bit per column."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    out.view(np.uint8)[a : a + len(rows), : packed.shape[1]] = packed
 
 
 def pack_rows(adj: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 adjacency matrix into per-row uint64 bitsets."""
-    v = adj.shape[0]
-    words = (v + 63) // 64
-    out = np.zeros((v, words), np.uint64)
-    rows, cols = np.nonzero(adj)
-    np.bitwise_or.at(
-        out, (rows, cols // 64), np.uint64(1) << (cols % 64).astype(np.uint64)
-    )
+    """Pack a 0/1 adjacency matrix into per-row uint64 bitsets.
+
+    Bit c % 64 of word c // 64 of row i is adj[i, c].
+    """
+    v, cols = adj.shape
+    out = np.zeros((v, (cols + 63) // 64), "<u8")
+    _pack_into(out, 0, adj)
     return out
+
+
+def henson_adjacency_packed(bits: np.ndarray, lens: np.ndarray):
+    """Packed adjacency rows and upper-triangle edge list of the coded graph.
+
+    The rule is ``henson_adjacency_loops_py``'s, for vertices with
+    bits[i] < 2**lens[i]: then bit lens[i] of bits[j] can be set only
+    when lens[i] < lens[j], so the length test is implied.  Rows are
+    computed ``_ROW_BLOCK`` cells at a time and packed as ``pack_rows``
+    packs them.  Returns (packed, ei, ej), the edges (ei < ej) in
+    row-major order.
+    """
+    v = len(bits)
+    dt = _int_dtype(0, int(bits.max(initial=1)))
+    b = bits.astype(dt)
+    ln = lens.astype(dt)
+    packed = np.zeros((v, (v + 63) // 64), "<u8")
+    ei, ej = [], []
+    step = max(1, min(v, _ROW_BLOCK // max(v, 1)))
+    above = np.triu(np.ones((step, step), bool), 1)
+    for a in range(0, v, step):
+        r = slice(a, min(a + step, v))
+        passing = ((b[None, :] >> ln[r, None]) | (b[r, None] >> ln[None, :])) & 1
+        adj = (passing != 0) & ((b[r, None] & b[None, :]) == 0)
+        _pack_into(packed, a, adj)
+        # the block's edges to columns j > i, row by row
+        upper = adj[:, a:]
+        nb = upper.shape[0]
+        upper[:, :nb] &= above[:nb, :nb]
+        flat = np.flatnonzero(upper)
+        ei.append((flat // upper.shape[1] + a).astype(np.int32))
+        ej.append((flat % upper.shape[1] + a).astype(np.int32))
+    ei = np.concatenate(ei) if ei else np.zeros(0, np.int32)
+    ej = np.concatenate(ej) if ej else np.zeros(0, np.int32)
+    return packed, ei, ej
+
+
+def henson_triangle_packed(packed, ei, ej):
+    """Chunked form of ``henson_triangle_scan_py``: same arguments, same return value.
+
+    ANDs the packed rows of ``_EDGE_CHUNK`` // words edges at a time.
+    The first edge in list order whose rows share a bit wins, with its
+    lowest common neighbour u; -1s when no edge has one.
+    """
+    words = packed.shape[1]
+    step = max(1, _EDGE_CHUNK // max(words, 1))
+    lhs = np.empty((min(step, len(ei)), words), packed.dtype)
+    rhs = np.empty_like(lhs)
+    for a in range(0, len(ei), step):
+        n = min(step, len(ei) - a)
+        both, other = lhs[:n], rhs[:n]
+        np.take(packed, ei[a : a + n], axis=0, out=both)
+        np.take(packed, ej[a : a + n], axis=0, out=other)
+        np.bitwise_and(both, other, out=both)
+        if both.any():
+            e = int(both.any(axis=1).argmax())
+            w = int(np.flatnonzero(both[e])[0])
+            x = int(both[e, w])
+            return int(ei[a + e]), int(ej[a + e]), w * 64 + (x & -x).bit_length() - 1
+    return -1, -1, -1

@@ -59,16 +59,17 @@ def main(argv=None) -> int:
     assert (out_n == out_p).all()
     rows.append((f"coloring sweep (2^{n_bits} colorings)", tn, tp))
 
-    verts, bits, lens = _vertex_arrays(args.henson_horizon)
-    out_p = np.zeros((len(verts), len(verts)), np.uint8)
-    tn, adj = _time(_kernels.henson_adjacency_numpy, bits, lens)
+    bits, lens = _vertex_arrays(args.henson_horizon)
+    v = len(bits)
+    out_p = np.zeros((v, v), np.uint8)
+    tn, (packed, ei, ej) = _time(_kernels.henson_adjacency_packed, bits, lens)
     tp, _ = _time(_kernels.henson_adjacency_loops_py, bits, lens, out_p)
-    assert (adj == out_p).all()
-    rows.append((f"graph adjacency ({len(verts)} vertices)", tn, tp))
+    assert (_kernels.pack_rows(out_p) == packed).all()
+    assert all((a == b).all() for a, b in zip(np.nonzero(np.triu(out_p)), (ei, ej)))
+    rows.append((f"graph adjacency ({v} vertices)", tn, tp))
 
-    ei, ej = np.nonzero(np.triu(adj))
-    tn, rn = _time(_kernels.henson_triangle_numpy, adj)
-    tp, rp = _time(_kernels.henson_triangle_scan_py, _kernels.pack_rows(adj), ei, ej)
+    tn, rn = _time(_kernels.henson_triangle_packed, packed, ei, ej)
+    tp, rp = _time(_kernels.henson_triangle_scan_py, packed, ei, ej)
     assert tuple(map(int, rn)) == tuple(map(int, rp))
     rows.append((f"triangle scan ({len(ei)} edges)", tn, tp))
 

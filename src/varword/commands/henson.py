@@ -6,12 +6,28 @@ from __future__ import annotations
 from ..certificates import graph_to_json, word_to_json as W2J
 from ..cli import _command, _emit, _graph, _read, embedding_certificate_doc, envelope_certificate_doc
 from ..errors import InputError, VarwordError
-from ..henson import edge, enum_vertices, greedy_embed, minimal_envelope, phi_embed, profile_coloring
+from ..henson import (
+    MAX_VERTEX_HORIZON,
+    edge,
+    enum_vertices,
+    greedy_embed,
+    minimal_envelope,
+    phi_embed,
+    profile_coloring,
+)
 from ..words import format_word, parse_word
 
 
+def _vertex_horizon(args) -> int:
+    """--horizon of a command that builds the whole vertex set, refused above the cap."""
+    if args.horizon > MAX_VERTEX_HORIZON:
+        cap = MAX_VERTEX_HORIZON
+        raise InputError(f"--horizon {args.horizon} is above the vertex-set cap {cap}", "<command line>")
+    return args.horizon
+
+
 def cmd_henson_enum(args):
-    verts = enum_vertices(args.horizon)
+    verts = enum_vertices(_vertex_horizon(args))
     doc = {
         "kind": "henson-vertices",
         "horizon": args.horizon,
@@ -35,9 +51,10 @@ def cmd_henson_edge(args):
 
 
 def cmd_henson_triangles(args):
+    horizon = _vertex_horizon(args)
     from ..sweeps import henson_triangle_report  # the only henson command on numpy
 
-    rep = henson_triangle_report(args.horizon)
+    rep = henson_triangle_report(horizon)
     doc = {
         "kind": "henson-triangle-scan",
         "horizon": rep.horizon,

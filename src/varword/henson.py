@@ -35,6 +35,7 @@ from .words import (
 
 __all__ = [
     "VAR",
+    "MAX_VERTEX_HORIZON",
     "hvertex",
     "enum_vertices",
     "edge",
@@ -52,6 +53,12 @@ __all__ = [
 ]
 
 VAR = 1  # symbol code of x0 over the unary alphabet
+
+# Largest --horizon whose whole vertex set `henson enum` and `henson
+# triangles` build: 2**14 - 15 = 16,369 vertices.  The vertex count
+# doubles and the edge count triples per step; the triangle scan at 13
+# takes about 3.6 s and 100 MB, at 14 it would take four times that.
+MAX_VERTEX_HORIZON = 13
 
 
 def hvertex(bits: str) -> Word:

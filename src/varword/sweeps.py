@@ -219,23 +219,28 @@ def coloring_sweep(
 # coded-graph scans
 
 
-def _vertex_arrays(n_horizon: int):
-    verts = enum_vertices(n_horizon)
-    bits = np.zeros(len(verts), np.int64)
-    lens = np.zeros(len(verts), np.int64)
-    for i, v in enumerate(verts):
-        lens[i] = len(v)
-        acc = 0
-        for p, s in enumerate(v.symbols):
-            if s == 1:
-                acc |= 1 << p
-        bits[i] = acc
-    return verts, bits, lens
+def _vertex_arrays(n_horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bits, lens) of ``enum_vertices(n_horizon)``, computed without Words.
+
+    The vertex of rank r within length L spells r + 1 in binary, most
+    significant digit first, and bit p of ``bits`` is position p; so
+    bits is r + 1 with its L digits reversed.
+    """
+    sizes = [(1 << length) - 1 for length in range(1, n_horizon + 1)]
+    lens = np.repeat(np.arange(1, n_horizon + 1, dtype=np.int64), sizes)
+    value = np.concatenate([np.arange(1, size + 1) for size in sizes]) if sizes else np.zeros(0, np.int64)
+    bits = np.zeros(len(lens), np.int64)
+    for p in range(n_horizon):
+        bits |= ((value >> np.maximum(lens - 1 - p, 0)) & (lens > p)) << p
+    return bits, lens
 
 
 def henson_adjacency(n_horizon: int) -> tuple[list, np.ndarray]:
-    verts, bits, lens = _vertex_arrays(n_horizon)
-    return verts, _kernels.henson_adjacency_numpy(bits, lens)
+    """The vertices and the dense 0/1 adjacency matrix of the coded graph."""
+    bits, lens = _vertex_arrays(n_horizon)
+    packed, _, _ = _kernels.henson_adjacency_packed(bits, lens)
+    adj = np.unpackbits(packed.view(np.uint8), axis=1, count=len(bits), bitorder="little")
+    return enum_vertices(n_horizon), adj
 
 
 class HensonScanReport(NamedTuple):
@@ -246,11 +251,11 @@ class HensonScanReport(NamedTuple):
 
 def henson_triangle_report(n_horizon: int) -> HensonScanReport:
     """Common-neighbour scan along every edge of the coded graph."""
-    verts, adj = henson_adjacency(n_horizon)
-    i, j, u = _kernels.henson_triangle_numpy(adj)
+    bits, lens = _vertex_arrays(n_horizon)
+    packed, ei, ej = _kernels.henson_adjacency_packed(bits, lens)
+    i, j, u = _kernels.henson_triangle_packed(packed, ei, ej)
     if i >= 0:
-        raise TriangleFound(
-            f"triangle {format_word(verts[i])}, {format_word(verts[j])}, {format_word(verts[u])}",
-            triple=(verts[i], verts[j], verts[u]),
-        )
-    return HensonScanReport(n_horizon, len(verts), int(np.count_nonzero(np.triu(adj))))
+        verts = enum_vertices(n_horizon)
+        triple = (verts[i], verts[j], verts[u])
+        raise TriangleFound("triangle " + ", ".join(map(format_word, triple)), triple=triple)
+    return HensonScanReport(n_horizon, len(bits), len(ei))

@@ -511,6 +511,8 @@ def recompose(sigma: Word, blocks: Sequence[Word]) -> Word:
     """Inverse of decompose: renumber block i's variable to x_i and glue."""
     syms = list(sigma.symbols)
     for i, b in enumerate(blocks):
+        if b.k != sigma.k:
+            raise IndexOutOfRange(f"alphabet mismatch in recomposition: block {i} is over k={b.k}")
         if not is_left_var_word(b):
             raise InvalidWord(f"block {i} ({format_word(b)}) is not a left 1-variable word")
         syms.extend(b.k + i if s == b.k else s for s in b.symbols)

@@ -11,6 +11,7 @@ import varword
 from varword import certificates as certs
 from varword.cli import main
 from varword.colorings import Coloring
+from varword.henson import MAX_VERTEX_HORIZON
 from varword.largeness import FiniteFamily, random_piecewise_syndetic
 from varword.words import format_word
 
@@ -341,6 +342,17 @@ class TestMalformedInput:
             "henson", "profile", "--graph", str(graph), "--horizon", "6", "--chi", str(chi_file)
         )
         assert code == 1 and out == "" and err.startswith("input error:") and where in err
+
+    @pytest.mark.parametrize("cmd, horizon", [("triangles", "14"), ("triangles", "63"), ("enum", "40")])
+    def test_vertex_horizon_above_cap(self, run, cmd, horizon):
+        # triangles at 14 used to die allocating 7.99 GiB; 63 and enum at 40 ran until killed
+        code, out, err = run("henson", cmd, "--horizon", horizon)
+        assert code == 1 and out == "" and err.startswith("input error:")
+        assert f"--horizon {horizon} is above the vertex-set cap {MAX_VERTEX_HORIZON}" in err
+
+    def test_vertex_horizon_at_cap(self, run):
+        code, out, err = run("henson", "enum", "--horizon", str(MAX_VERTEX_HORIZON))
+        assert code == 0 and json.loads(out)["count"] == 2 ** (MAX_VERTEX_HORIZON + 1) - MAX_VERTEX_HORIZON - 2
 
 
 # one command per group, on the instance_dir files; verify reads a line-letter certificate

@@ -7,17 +7,21 @@ compared against its plain-Python loop (``*_py``), the reference it
 must match bit for bit.
 """
 
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from varword import _kernels, benchmark
 from varword.colorings import Coloring
-from varword.errors import CutPointMissing, NotFoundWithinHorizon
-from varword.henson import edge, enum_vertices
+from varword.errors import CutPointMissing, NotFoundWithinHorizon, TriangleFound
+from varword.henson import assert_triangle_free, edge, enum_vertices
 from varword.largeness import FiniteFamily
 from varword.search import search_line_with_letter
 from varword.sweeps import (
     WordTable,
+    _vertex_arrays,
     assoc_exhaustive,
     build_prefix_table,
     coloring_sweep,
@@ -189,6 +193,17 @@ class TestColoringSweep:
                 assert (out_a == out_b).all(), (n_hor, lo, hi)
 
 
+def _vertex_arrays_from_words(verts):
+    bits = np.array([sum(1 << p for p, s in enumerate(v.symbols) if s == 1) for v in verts], np.int64)
+    lens = np.array([len(v) for v in verts], np.int64)
+    return bits, lens
+
+
+def _packed_with_edges(adj):
+    ei, ej = np.nonzero(np.triu(adj))
+    return _kernels.pack_rows(adj), ei.astype(np.int32), ej.astype(np.int32)
+
+
 class TestHensonKernels:
     def test_adjacency_matches_edge_function(self):
         verts, adj = henson_adjacency(6)
@@ -197,43 +212,105 @@ class TestHensonKernels:
             for j in range(0, len(verts), 5):
                 assert bool(adj[i, j]) == edge(verts[i], verts[j])
 
-    def test_adjacency_numpy_vs_loops(self):
-        verts = enum_vertices(6)
-        bits = np.array(
-            [sum(1 << p for p, s in enumerate(v.symbols) if s == 1) for v in verts],
-            np.int64,
-        )
-        lens = np.array([len(v) for v in verts], np.int64)
-        out = np.zeros((len(verts), len(verts)), np.uint8)
-        _kernels.henson_adjacency_loops_py(bits, lens, out)
-        assert (out == _kernels.henson_adjacency_numpy(bits, lens)).all()
+    def test_vertex_arrays_match_enum(self):
+        for n in range(9):
+            verts = enum_vertices(n)
+            bits, lens = _vertex_arrays(n)
+            want_bits, want_lens = _vertex_arrays_from_words(verts)
+            assert (bits == want_bits).all() and (lens == want_lens).all(), n
+
+    def test_adjacency_numpy_vs_loops(self, monkeypatch):
+        for n in range(1, 9):
+            bits, lens = _vertex_arrays_from_words(enum_vertices(n))
+            out = np.zeros((len(bits), len(bits)), np.uint8)
+            _kernels.henson_adjacency_loops_py(bits, lens, out)
+            want_i, want_j = np.nonzero(np.triu(out))
+            # small row blocks: one row per block, or blocks that end mid-length
+            for row_block in (1, 700, 1 << 18):
+                monkeypatch.setattr(_kernels, "_ROW_BLOCK", row_block)
+                packed, ei, ej = _kernels.henson_adjacency_packed(bits, lens)
+                unpacked = np.unpackbits(packed.view(np.uint8), axis=1, count=len(bits), bitorder="little")
+                assert (unpacked == out).all(), (n, row_block)
+                assert (packed == _kernels.pack_rows(out)).all(), (n, row_block)
+                assert (ei == want_i).all() and (ej == want_j).all(), (n, row_block)
 
     def test_triangle_scan_both_paths_clean(self):
         verts, adj = henson_adjacency(7)
-        ei, ej = np.nonzero(np.triu(adj))
-        packed = _kernels.pack_rows(adj)
-        a = _kernels.henson_triangle_scan_py(
-            packed, ei.astype(np.int64), ej.astype(np.int64)
-        )
-        b = _kernels.henson_triangle_numpy(adj)
+        packed, ei, ej = _packed_with_edges(adj)
+        a = _kernels.henson_triangle_scan_py(packed, ei, ej)
+        b = _kernels.henson_triangle_packed(packed, ei, ej)
         assert a[0] == b[0] == -1
 
     def test_triangle_scan_catches_planted_triangle(self):
         adj = np.zeros((4, 4), np.uint8)
         for i, j in [(0, 1), (1, 2), (0, 2), (2, 3)]:
             adj[i, j] = adj[j, i] = 1
-        ei, ej = np.nonzero(np.triu(adj))
-        packed = _kernels.pack_rows(adj)
-        i, j, u = _kernels.henson_triangle_scan_py(
-            packed, ei.astype(np.int64), ej.astype(np.int64)
-        )
+        packed, ei, ej = _packed_with_edges(adj)
+        i, j, u = _kernels.henson_triangle_scan_py(packed, ei, ej)
         assert sorted((i, j, u)) == [0, 1, 2]
-        i2, j2, u2 = _kernels.henson_triangle_numpy(adj)
-        assert sorted((i2, j2, u2)) == [0, 1, 2]
+        assert _kernels.henson_triangle_packed(packed, ei, ej) == (i, j, u)
+
+    def test_triangle_scan_random_graphs(self, rng, monkeypatch):
+        # chunks of 21 to 64 edges, so that the first hit is often past the first chunk
+        monkeypatch.setattr(_kernels, "_EDGE_CHUNK", 64)
+        outcomes = set()
+        for t in range(240):
+            n = rng.randrange(1, 140)
+            adj = np.zeros((n, n), np.uint8)
+            side = [rng.randrange(2) for _ in range(n)]
+            p = rng.choice([0.02, 0.1, 0.3])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    # kinds 0 and 1 are bipartite, so triangle-free until one is planted
+                    if (t % 3 == 2 or side[i] != side[j]) and rng.random() < p:
+                        adj[i, j] = adj[j, i] = 1
+            if t % 3 == 1 and n >= 3:
+                for i, j in combinations(rng.sample(range(n), 3), 2):
+                    adj[i, j] = adj[j, i] = 1
+            packed, ei, ej = _packed_with_edges(adj)
+            want = tuple(map(int, _kernels.henson_triangle_scan_py(packed, ei, ej)))
+            assert _kernels.henson_triangle_packed(packed, ei, ej) == want, t
+            outcomes.add(want[0] >= 0)
+        assert outcomes == {True, False}
 
     def test_report(self):
         rep = henson_triangle_report(7)
         assert rep.vertices == 2**8 - 7 - 2
+
+    def test_report_witness_matches_object_scan(self, monkeypatch):
+        # without the disjointness condition the relation has triangles;
+        # the report must name the one assert_triangle_free names
+        def passing_only(v, w):
+            if len(v) == len(w):
+                return False
+            v, w = sorted((v, w), key=len)
+            return w.symbols[len(v)] == 1
+
+        def mutant_adjacency(bits, lens):
+            verts = enum_vertices(int(lens.max()))
+            adj = np.array([[passing_only(v, w) for w in verts] for v in verts], np.uint8)
+            return _packed_with_edges(adj)
+
+        with pytest.raises(TriangleFound) as want:
+            assert_triangle_free(5, passing_only)
+        monkeypatch.setattr(_kernels, "henson_adjacency_packed", mutant_adjacency)
+        with pytest.raises(TriangleFound) as got:
+            henson_triangle_report(5)
+        assert str(got.value) == str(want.value)
+        assert got.value.triple == want.value.triple
+
+    def test_report_memory_bounded(self):
+        # a dense int64 adjacency of these 2,036 vertices alone is 33 MB;
+        # the packed rows are 0.5 MB and every temporary is bounded
+        henson_triangle_report(3)  # warm any lazy numpy state first
+        tracemalloc.start()
+        try:
+            rep = henson_triangle_report(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.edges == 77_309
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_benchmark_runs_at_tiny_sizes(capsys):

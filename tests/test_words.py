@@ -140,6 +140,13 @@ class TestDecompose:
             sigma, blocks = decompose(w)
             assert recompose(sigma, blocks) == w
 
+    def test_recompose_alphabet_mismatch(self):
+        # a block over k=3 used to be read as x1[0] over k=2
+        with pytest.raises(IndexOutOfRange, match="alphabet mismatch"):
+            recompose(Word(2, ()), [Word(3, (3, 0))])
+        with pytest.raises(IndexOutOfRange, match="alphabet mismatch"):
+            recompose(Word(2, (1,)), [Word(2, (2,)), Word(1, (1,))])
+
 
 class TestCompose:
     def test_identity_prefix_extends(self):
