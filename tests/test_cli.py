@@ -46,6 +46,8 @@ def instance_dir(tmp_path):
     (tmp_path / "p0.txt").write_text(fam_dump(p0))
     (tmp_path / "p1.txt").write_text(fam_dump(p - p0))
     (tmp_path / "c5.txt").write_text("5\n01001\n10100\n01010\n00101\n10010\n")
+    c1 = Coloring.from_function(2, 5, 1, 2, lambda w: len(w) % 2)
+    (tmp_path / "col1.txt").write_text(c1.dump())
     return tmp_path
 
 
@@ -255,6 +257,37 @@ class TestSearchAndVerify:
         )
         assert code == 0
         assert json.loads(out)["slot_count"] == 63 * 62
+
+
+# sha256 (first 16 hex digits) of the stdout of each certificate-emitting
+# command on the instance_dir files, recorded before the certificate
+# builders moved into ``varword.certificates``
+CERTIFICATE_STDOUT_SHA256 = {
+    "tree build --gen 10x0_01x0_10": "8d45a77afa942734",
+    "tree invert --elements 10,10001010,10101110": "ee248ffd61f4fea5",
+    "large split --syndetic synd.txt --thick thick.txt --ell 1 --part part.txt": "11a397df28de8b50",
+    "large split --syndetic synd.txt --thick thick.txt --ell 1 --part pfull.txt": "a6ba86dbf30b9814",
+    "large brown --syndetic synd.txt --thick thick.txt --ell 1 --parts p0.txt p1.txt": "caf74d147a818e73",
+    "search line --coloring col.txt": "89413acc9b974295",
+    "search csl --coloring col.txt": "2d2d0a0760027709",
+    "search builder --syndetic synd.txt --thick thick.txt --ell 1 --steps 1": "4ca17dc545cdb332",
+    "search prehomog --coloring col1.txt --w x0x1x2x3x4x5": "9f674e1434517d23",
+    "cdrt pullback --coloring col.txt": "2f71f98726f0cdba",
+    "henson embed --graph c5.txt --horizon 16": "6e3cd3fac7ee1e7b",
+    "henson embed --graph c5.txt --horizon 16 --phi": "b891160b3199e3a3",
+    "henson envelope --members 0x0,x0[0]": "5d9b2dc86740a79d",
+}
+
+
+class TestCertificateBytes:
+    @pytest.mark.parametrize("command", list(CERTIFICATE_STDOUT_SHA256))
+    def test_certificate_stdout(self, run, instance_dir, monkeypatch, command):
+        import hashlib
+
+        monkeypatch.chdir(instance_dir)
+        code, out, _ = run(*(a.replace("_", " ") for a in command.split()))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == CERTIFICATE_STDOUT_SHA256[command]
 
 
 class TestDeterminism:
