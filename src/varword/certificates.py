@@ -1,4 +1,4 @@
-"""Certificate JSON schema (version 1) and the search-free verifier.
+"""Certificate JSON schema (version 1): the builders and the search-free verifier.
 
 A certificate embeds its instance, a sha256 digest of the instance's
 canonical JSON, and a kind-specific witness.  ``verify_certificate``
@@ -7,6 +7,10 @@ only; it never calls any search routine, so a certificate accepted
 here stands on its own.  Serialization is canonical (sorted keys, no
 whitespace), which is what makes byte-identical reruns a meaningful
 contract.
+
+This is the only module that knows the format: each kind's builder,
+``<kind>_certificate_doc``, sits beside its ``_verify_<kind>`` and only
+serializes the objects its search already computed.
 """
 
 from __future__ import annotations
@@ -56,6 +60,16 @@ __all__ = [
     "decomposition_from_json",
     "graph_to_json",
     "graph_from_json",
+    "line_letter_certificate_doc",
+    "tree_certificate_doc",
+    "split_certificate_doc",
+    "brown_certificate_doc",
+    "builder_certificate_doc",
+    "prehomog_certificate_doc",
+    "csl_certificate_doc",
+    "cdrt_certificate_doc",
+    "embedding_certificate_doc",
+    "envelope_certificate_doc",
     "VerifyResult",
     "verify_certificate",
 ]
@@ -200,6 +214,20 @@ def _need(cond: bool, msg: str) -> None:
         raise _Fail(msg)
 
 
+# ---------------------------------------------------------------------------
+# the ten kinds, each builder beside its verifier
+
+
+def line_letter_certificate_doc(coloring: Coloring, cert) -> dict:
+    witness = {
+        "generator": word_to_json(cert.line.generator),
+        "letter": cert.letter,
+        "color": cert.color,
+        "checked": [word_to_json(w) for w in cert.checked],
+    }
+    return wrap("line-letter", coloring_to_json(coloring), witness, len(cert.checked))
+
+
 def _verify_line_letter(instance: dict, witness: dict) -> int:
     from .trees import level, tree_from_generator
 
@@ -219,6 +247,17 @@ def _verify_line_letter(instance: dict, witness: dict) -> int:
     for w in expected:
         _need(coloring(w) == color, f"{format_word(w)} has the wrong color")
     return len(expected)
+
+
+def tree_certificate_doc(tree) -> dict:
+    """The tree's element set, with its generator as the witness."""
+    instance = {"type": "elements", "elements": [word_to_json(e) for e in tree.elements]}
+    witness = {
+        "generator": word_to_json(tree.generator),
+        "dimension": tree.dimension,
+        "elements": [word_to_json(e) for e in tree.elements],
+    }
+    return wrap("tree", instance, witness, len(tree.elements))
 
 
 def _verify_tree(instance: dict, witness: dict) -> int:
@@ -263,8 +302,30 @@ def _check_thick_witness(fam: FiniteFamily, anchors) -> int:
     return count
 
 
+def split_certificate_doc(dec: PwSyndeticDecomposition, b, c, res, translators=()) -> dict:
+    """The split ``res = pw_split(dec, b, c)``; on side B, ``translators``
+    are the syndeticity translators of the new syndetic side."""
+    instance = {
+        "type": "split-instance",
+        "decomposition": decomposition_to_json(dec),
+        "b": family_to_json(b),
+        "c": family_to_json(c),
+    }
+    if res.side == "B":
+        pairs = [[word_to_json(s), word_to_json(t)] for s, t in translators]
+        return wrap("split", instance, {"side": "B", "translators": pairs}, 2 + len(pairs))
+    anchors = res.thick_evidence.witness.anchors
+    witness = {
+        "side": "C",
+        "counterexample": word_to_json(res.syndetic_check.counterexample),
+        "thick_anchors": [[ell, word_to_json(s)] for ell, s in anchors],
+    }
+    return wrap("split", instance, witness, 2 + len(anchors))
+
+
 def _verify_split(instance: dict, witness: dict) -> int:
     dec = decomposition_from_json(instance["decomposition"])
+    _need(0 <= dec.ell <= dec.N, "ell outside the horizon")  # it bounds the tau walks
     b = family_from_json(instance["b"])
     c = family_from_json(instance["c"])
     p = dec.part
@@ -286,10 +347,29 @@ def _verify_split(instance: dict, witness: dict) -> int:
     return count
 
 
+def brown_certificate_doc(dec: PwSyndeticDecomposition, parts, sel, translators) -> dict:
+    """The selection ``sel = brown_select(dec, parts)``, with the syndeticity
+    translators of its new syndetic side."""
+    instance = {
+        "type": "brown-instance",
+        "decomposition": decomposition_to_json(dec),
+        "parts": [family_to_json(p) for p in parts],
+    }
+    witness = {
+        "index": sel.index,
+        "subset": list(sel.subset),
+        "translators": [[word_to_json(s), word_to_json(t)] for s, t in translators],
+        "removal_counterexample": word_to_json(sel.removal_check.counterexample),
+        "thick_anchors": [[ell, word_to_json(s)] for ell, s in sel.thick_evidence.witness.anchors],
+    }
+    return wrap("brown", instance, witness, len(translators) + 1)
+
+
 def _verify_brown(instance: dict, witness: dict) -> int:
     from .largeness import FiniteFamily
 
     dec = decomposition_from_json(instance["decomposition"])
+    _need(0 <= dec.ell <= dec.N, "ell outside the horizon")  # it bounds the tau walks
     parts = [family_from_json(d) for d in instance["parts"]]
     p = dec.part
     union = FiniteFamily.empty(dec.k, dec.N)
@@ -299,6 +379,8 @@ def _verify_brown(instance: dict, witness: dict) -> int:
     _need(union.mask == p.mask, "parts do not cover P")
     idx = int(witness["index"])
     subset = [int(i) for i in witness["subset"]]
+    _need(all(0 <= j < len(parts) for j in subset), "subset index outside the parts")
+    _need(len(set(subset)) == len(subset), "subset repeats a part")
     _need(idx in subset, "selected index outside subset")
     base = dec.thick.complement()
     s_prime = base
@@ -320,6 +402,22 @@ def _verify_brown(instance: dict, witness: dict) -> int:
     _need((s_prime & t_prime).mask == parts[idx].mask, "part identity fails")
     count += _check_thick_witness(t_prime, witness["thick_anchors"])
     return count
+
+
+def builder_certificate_doc(dec: PwSyndeticDecomposition, trace) -> dict:
+    instance = {"type": "builder-instance", "decomposition": decomposition_to_json(dec)}
+    stages = [
+        {
+            "generator": word_to_json(st.tree.generator),
+            "block": word_to_json(st.block),
+            "residue": decomposition_to_json(st.residue.decomposition),
+            "claim1": {"ok": st.claim1_ok, "checked": st.claim1_checked, "skipped": st.claim1_skipped},
+            "claim2": {"ok": st.claim2_ok, "checked": st.claim2_checked, "skipped": st.claim2_skipped},
+        }
+        for st in trace.stages
+    ]
+    checked = sum(s.claim1_checked + s.claim2_checked for s in trace.stages)
+    return wrap("builder-trace", instance, {"stages": stages}, checked)
 
 
 def _verify_builder(instance: dict, witness: dict) -> int:
@@ -376,6 +474,18 @@ def _stem_extension_words(stem: Word, k: int, n: int, tail_max: int, w_hat: Word
             yield Word(k, base + tail)
 
 
+def prehomog_certificate_doc(coloring: Coloring, w: Word, out, verify_tail: int) -> dict:
+    instance = {
+        "type": "prehomog-instance",
+        "coloring": coloring_to_json(coloring),
+        "w": word_to_json(w),
+        "stem": word_to_json(out.stem),
+        "verify_tail": verify_tail,
+    }
+    witness = {"w_hat": word_to_json(out.w_hat), "color": out.color, "z_word": word_to_json(out.z_word)}
+    return wrap("prehomog", instance, witness, len(out.checked))
+
+
 def _verify_prehomog(instance: dict, witness: dict) -> int:
     coloring = coloring_from_json(instance["coloring"])
     w = word_from_json(instance["w"])
@@ -409,6 +519,16 @@ def _verify_prehomog(instance: dict, witness: dict) -> int:
     return count
 
 
+def csl_certificate_doc(coloring: Coloring, cert) -> dict:
+    witness = {
+        "word": word_to_json(cert.word),
+        "color": cert.color,
+        "depth": cert.depth,
+        "checked": [[word_to_json(u), word_to_json(img)] for u, img in cert.checked],
+    }
+    return wrap("csl", coloring_to_json(coloring), witness, len(cert.checked))
+
+
 def _verify_csl(instance: dict, witness: dict) -> int:
     coloring = coloring_from_json(instance)
     w = word_from_json(witness["word"])
@@ -429,6 +549,12 @@ def _verify_csl(instance: dict, witness: dict) -> int:
         count += 1
     _need(count > 0, "empty pattern range")
     return count
+
+
+def cdrt_certificate_doc(coloring: Coloring, pb, depth: int, w_hat: Word) -> dict:
+    instance = {"type": "cdrt-instance", "coloring": coloring_to_json(coloring), "depth": depth}
+    witness = {"w_hat": word_to_json(w_hat), "word": word_to_json(pb.word), "color": pb.color}
+    return wrap("cdrt", instance, witness, len(pb.checked))
 
 
 def _verify_cdrt(instance: dict, witness: dict) -> int:
@@ -464,6 +590,12 @@ def _verify_cdrt(instance: dict, witness: dict) -> int:
     return count
 
 
+def embedding_certificate_doc(g: GraphSpec, images, mode: str, horizon) -> dict:
+    instance = {"type": "embedding-instance", "graph": graph_to_json(g), "mode": mode, "horizon": horizon}
+    witness = {"words": [word_to_json(w) for w in images]}
+    return wrap("embedding", instance, witness, g.n * (g.n - 1) // 2 or 1)
+
+
 def _verify_embedding(instance: dict, witness: dict) -> int:
     from .henson import edge
 
@@ -484,6 +616,18 @@ def _verify_embedding(instance: dict, witness: dict) -> int:
             if i:
                 _need(len(w) > len(images[i - 1]), "image lengths not increasing")
     return count
+
+
+def envelope_certificate_doc(members, env) -> dict:
+    instance = {"type": "envelope-instance", "members": [word_to_json(s) for s in members]}
+    witness = {
+        "word": word_to_json(env.word),
+        "variable_count": env.variable_count,
+        "bound": env.bound,
+        "minimal_by_search_order": True,
+        "assignments": [[word_to_json(s), word_to_json(t)] for s, t in env.assignments],
+    }
+    return wrap("envelope", instance, witness, len(env.assignments))
 
 
 def _verify_envelope(instance: dict, witness: dict) -> int:
@@ -536,5 +680,7 @@ def verify_certificate(doc: dict) -> VerifyResult:
         return VerifyResult(True, kind, f"{count} checks")
     except _Fail as exc:
         return VerifyResult(False, kind, str(exc))
-    except (KeyError, ValueError, TypeError, VarwordError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, VarwordError) as exc:
         return VerifyResult(False, kind, f"malformed certificate: {exc}")
+    except RecursionError:
+        return VerifyResult(False, kind, "malformed certificate: nested too deeply")

@@ -1,4 +1,4 @@
-"""Command-line surface.
+"""Command-line surface: the parser, the shared file readers and ``_emit``.
 
 Structured canonical JSON goes to stdout, a one-line human summary to
 stderr.  Exit codes: 0 on success or certificate found, 2 when a
@@ -12,9 +12,9 @@ code: the handlers live in ``varword.commands``, one module per group,
 and ``build_parser`` imports and fills in only the group that argv
 names.  A group module imports the domain modules its commands run
 (a handler that alone needs one imports it itself); ``--version``
-loads no domain module at all.  This module keeps the shared file
-readers, ``_emit`` and the certificate builders of every emitting
-command.
+loads no domain module at all.  Input files are parsed by their types'
+``parse`` methods, and certificates are built by ``varword.certificates``;
+its ``*_certificate_doc`` builders resolve here too, on first access.
 """
 
 from __future__ import annotations
@@ -37,9 +37,17 @@ if TYPE_CHECKING:
     from .colorings import Coloring
     from .henson import GraphSpec
     from .largeness import FiniteFamily, PwSyndeticDecomposition
-    from .words import Word
 
 TOOL_VERSION = f"varword {__version__}"
+
+
+def __getattr__(name: str):
+    # the certificate builders load with ``certificates`` only when one is asked for
+    if name.endswith("_certificate_doc"):
+        from . import certificates
+
+        return getattr(certificates, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -50,38 +58,14 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc), path, 0, 0) from None
 
 
 def _family(path: str) -> FiniteFamily:
-    from .largeness import FiniteFamily, check_family_size
-    from .words import parse_word
+    from .largeness import FiniteFamily
 
-    text = _read(path)
-    lines = text.splitlines()
-    if not lines:
-        raise InputError("empty family file", path, 1, 1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InputError("expected header 'k N'", path, 1, 1)
-    try:
-        k, n = int(head[0]), int(head[1])
-    except ValueError:
-        raise InputError("header 'k N' must be two integers", path, 1, 1) from None
-    try:
-        check_family_size(k, n)
-    except VarwordError as exc:
-        raise InputError(str(exc), path, 1, 1) from None
-    words = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            words.append(parse_word(line.strip(), k))
-        except VarwordError as exc:
-            raise InputError(str(exc), path, i, 1) from None
-    return FiniteFamily.from_words(k, n, words)
+    return FiniteFamily.parse(_read(path), path)
 
 
 def _coloring(path: str) -> Coloring:
@@ -108,125 +92,14 @@ def _emit(doc: dict, args, summary: str) -> None:
     from .certificates import canonical_json
 
     payload = canonical_json(doc)
-    sys.stdout.write(payload)
     if getattr(args, "json_out", None):
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:  # before stdout, so an unwritable path leaves stdout empty
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InputError(str(exc), args.json_out, 0, 0) from None
+    sys.stdout.write(payload)
     print(summary, file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
-# certificate builders of the emitting commands
-
-
-def line_letter_certificate_doc(coloring: Coloring, cert) -> dict:
-    from .certificates import coloring_to_json, word_to_json as W2J, wrap
-
-    instance = coloring_to_json(coloring)
-    witness = {
-        "generator": W2J(cert.line.generator),
-        "letter": cert.letter,
-        "color": cert.color,
-        "checked": [W2J(w) for w in cert.checked],
-    }
-    return wrap("line-letter", instance, witness, len(cert.checked))
-
-
-def csl_certificate_doc(coloring: Coloring, cert) -> dict:
-    from .certificates import coloring_to_json, word_to_json as W2J, wrap
-
-    instance = coloring_to_json(coloring)
-    witness = {
-        "word": W2J(cert.word),
-        "color": cert.color,
-        "depth": cert.depth,
-        "checked": [[W2J(u), W2J(img)] for u, img in cert.checked],
-    }
-    doc = wrap("csl", instance, witness, len(cert.checked))
-    return doc
-
-
-def builder_certificate_doc(dec, trace) -> dict:
-    from .certificates import decomposition_to_json, word_to_json as W2J, wrap
-
-    instance = {
-        "type": "builder-instance",
-        "decomposition": decomposition_to_json(dec),
-    }
-    stages = []
-    for st in trace.stages:
-        stages.append(
-            {
-                "generator": W2J(st.tree.generator),
-                "block": W2J(st.block),
-                "residue": decomposition_to_json(st.residue.decomposition),
-                "claim1": {"ok": st.claim1_ok, "checked": st.claim1_checked, "skipped": st.claim1_skipped},
-                "claim2": {"ok": st.claim2_ok, "checked": st.claim2_checked, "skipped": st.claim2_skipped},
-            }
-        )
-    checked = sum(s.claim1_checked + s.claim2_checked for s in trace.stages)
-    return wrap("builder-trace", instance, {"stages": stages}, checked)
-
-
-def prehomog_certificate_doc(coloring, w, out, verify_tail: int) -> dict:
-    from .certificates import coloring_to_json, word_to_json as W2J, wrap
-
-    instance = {
-        "type": "prehomog-instance",
-        "coloring": coloring_to_json(coloring),
-        "w": W2J(w),
-        "stem": W2J(out.stem),
-        "verify_tail": verify_tail,
-    }
-    witness = {
-        "w_hat": W2J(out.w_hat),
-        "color": out.color,
-        "z_word": W2J(out.z_word),
-    }
-    return wrap("prehomog", instance, witness, len(out.checked))
-
-
-def cdrt_certificate_doc(coloring, pb, depth: int, w_hat: Word) -> dict:
-    from .certificates import coloring_to_json, word_to_json as W2J, wrap
-
-    instance = {
-        "type": "cdrt-instance",
-        "coloring": coloring_to_json(coloring),
-        "depth": depth,
-    }
-    witness = {
-        "w_hat": W2J(w_hat),
-        "word": W2J(pb.word),
-        "color": pb.color,
-    }
-    return wrap("cdrt", instance, witness, len(pb.checked))
-
-
-def embedding_certificate_doc(g, images, mode: str, horizon) -> dict:
-    from .certificates import graph_to_json, word_to_json as W2J, wrap
-
-    instance = {
-        "type": "embedding-instance",
-        "graph": graph_to_json(g),
-        "mode": mode,
-        "horizon": horizon,
-    }
-    witness = {"words": [W2J(w) for w in images]}
-    return wrap("embedding", instance, witness, g.n * (g.n - 1) // 2 or 1)
-
-
-def envelope_certificate_doc(members, env) -> dict:
-    from .certificates import word_to_json as W2J, wrap
-
-    instance = {"type": "envelope-instance", "members": [W2J(s) for s in members]}
-    witness = {
-        "word": W2J(env.word),
-        "variable_count": env.variable_count,
-        "bound": env.bound,
-        "minimal_by_search_order": True,
-        "assignments": [[W2J(s), W2J(t)] for s, t in env.assignments],
-    }
-    return wrap("envelope", instance, witness, len(env.assignments))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from ..cdrt import pullback_certificate, translate
-from ..certificates import coloring_to_json
-from ..cli import _coloring, _command, _emit, cdrt_certificate_doc
+from ..certificates import cdrt_certificate_doc, coloring_to_json
+from ..cli import _coloring, _command, _emit
 from ..prehomog import CslCertificate, csl_search
 from ..words import format_word, parse_word
 

@@ -3,8 +3,9 @@ envelopes and profile colorings."""
 
 from __future__ import annotations
 
-from ..certificates import graph_to_json, word_to_json as W2J
-from ..cli import _command, _emit, _graph, _read, embedding_certificate_doc, envelope_certificate_doc
+from ..certificates import embedding_certificate_doc, envelope_certificate_doc, graph_to_json
+from ..certificates import word_to_json as W2J
+from ..cli import _command, _emit, _graph, _read
 from ..errors import InputError, VarwordError
 from ..henson import (
     MAX_VERTEX_HORIZON,

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..certificates import decomposition_to_json, family_to_json, word_to_json as W2J, wrap
+from ..certificates import brown_certificate_doc, family_to_json, split_certificate_doc
+from ..certificates import word_to_json as W2J
 from ..cli import _command, _decomposition, _emit, _family
 from ..errors import InputError
 from ..largeness import brown_select, density_profile, is_syndetic, is_thick, pw_split, thick_shrink
@@ -66,30 +67,18 @@ def cmd_large_thick(args):
     return 0
 
 
+def _translators(dec):
+    """The syndeticity translators of a decomposition's syndetic side, at its ell."""
+    return is_syndetic(dec.syndetic, dec.ell, want_witness=True).witness.translators
+
+
 def cmd_large_split(args):
     dec = _decomposition(args)
     b = _family(args.part)
     c = dec.part - b
     res = pw_split(dec, b, c)
-    instance = {
-        "type": "split-instance",
-        "decomposition": decomposition_to_json(dec),
-        "b": family_to_json(b),
-        "c": family_to_json(c),
-    }
-    witness = {"side": res.side}
-    checked = 2
-    if res.side == "B":
-        wit = is_syndetic(res.decomposition.syndetic, dec.ell, want_witness=True)
-        witness["translators"] = [[W2J(s), W2J(t)] for s, t in wit.witness.translators]
-        checked += len(wit.witness.translators)
-    else:
-        witness["counterexample"] = W2J(res.syndetic_check.counterexample)
-        witness["thick_anchors"] = [
-            [l, W2J(s)] for l, s in res.thick_evidence.witness.anchors
-        ]
-        checked += len(res.thick_evidence.witness.anchors)
-    doc = wrap("split", instance, witness, checked)
+    translators = _translators(res.decomposition) if res.side == "B" else ()
+    doc = split_certificate_doc(dec, b, c, res, translators)
     _emit(doc, args, f"side {res.side}, part of {len(res.chosen)} words")
     return 0
 
@@ -98,22 +87,7 @@ def cmd_large_brown(args):
     dec = _decomposition(args)
     parts = [_family(p) for p in args.parts]
     sel = brown_select(dec, parts)
-    wit_syn = is_syndetic(sel.decomposition.syndetic, dec.ell, want_witness=True)
-    instance = {
-        "type": "brown-instance",
-        "decomposition": decomposition_to_json(dec),
-        "parts": [family_to_json(p) for p in parts],
-    }
-    witness = {
-        "index": sel.index,
-        "subset": list(sel.subset),
-        "translators": [[W2J(s), W2J(t)] for s, t in wit_syn.witness.translators],
-        "removal_counterexample": W2J(sel.removal_check.counterexample),
-        "thick_anchors": [[l, W2J(s)] for l, s in sel.thick_evidence.witness.anchors],
-    }
-    doc = wrap(
-        "brown", instance, witness, len(witness["translators"]) + 1
-    )
+    doc = brown_certificate_doc(dec, parts, sel, _translators(sel.decomposition))
     _emit(doc, args, f"part {sel.index} selected")
     return 0
 

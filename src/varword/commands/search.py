@@ -3,17 +3,15 @@ searches, each emitting a certificate."""
 
 from __future__ import annotations
 
-from ..certificates import coloring_to_json, word_to_json as W2J
-from ..cli import (
-    _coloring,
-    _command,
-    _decomposition,
-    _emit,
+from ..certificates import (
     builder_certificate_doc,
+    coloring_to_json,
     csl_certificate_doc,
     line_letter_certificate_doc,
     prehomog_certificate_doc,
+    word_to_json as W2J,
 )
+from ..cli import _coloring, _command, _decomposition, _emit
 from ..search import iterate_builder, search_line_with_letter
 from ..words import format_word, parse_word
 

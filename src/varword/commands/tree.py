@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..certificates import word_to_json as W2J, wrap
+from ..certificates import tree_certificate_doc, word_to_json as W2J
 from ..cli import _command, _emit
 from ..trees import canonical_iso, generator_from_tree, levels, size, tree_from_generator
 from ..words import format_word, parse_word
@@ -20,14 +20,7 @@ def _tree_doc(tree):
 
 def cmd_tree_build(args):
     tree = tree_from_generator(parse_word(args.gen, args.k))
-    instance = {"type": "elements", "elements": [W2J(e) for e in tree.elements]}
-    doc = wrap(
-        "tree",
-        instance,
-        {"generator": W2J(tree.generator), "dimension": tree.dimension,
-         "elements": [W2J(e) for e in tree.elements]},
-        len(tree.elements),
-    )
+    doc = tree_certificate_doc(tree)
     doc["tree"] = _tree_doc(tree)
     _emit(doc, args, f"{len(tree.elements)} elements, dimension {tree.dimension}")
     return 0
@@ -37,16 +30,7 @@ def cmd_tree_invert(args):
     k = args.k
     words = [parse_word(t.strip(), k) for t in args.elements.split(",")]
     gen = generator_from_tree(words)
-    tree = tree_from_generator(gen)
-    instance = {"type": "elements", "elements": [W2J(e) for e in tree.elements]}
-    doc = wrap(
-        "tree",
-        instance,
-        {"generator": W2J(gen), "dimension": tree.dimension,
-         "elements": [W2J(e) for e in tree.elements]},
-        len(tree.elements),
-    )
-    _emit(doc, args, f"generator {format_word(gen)}")
+    _emit(tree_certificate_doc(tree_from_generator(gen)), args, f"generator {format_word(gen)}")
     return 0
 
 

@@ -12,7 +12,7 @@ from ..errors import InputError
 def cmd_verify(args):
     try:
         doc = json.loads(_read(args.certificate))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}", args.certificate, 1, 1) from None
     if not isinstance(doc, dict):
         raise InputError("certificate is not a JSON object", args.certificate, 1, 1)

@@ -41,8 +41,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from ._frozen import Frozen
 from .errors import (
     HorizonExceeded,
+    InputError,
     NoPartSelected,
     NotAPartition,
+    VarwordError,
 )
 from .words import MAX_UNIVERSE, Word, check_universe, format_word, letter_words, parse_word
 
@@ -199,6 +201,33 @@ class FiniteFamily(Frozen):
             else:
                 return cls(k, n, mask)
         return cls.from_words(k, n, [parse_word(t, k) for t in texts])
+
+    @classmethod
+    def parse(cls, text: str, filename: str = "<family>") -> "FiniteFamily":
+        """The family file form: a header ``k N``, then one word per line."""
+        lines = text.splitlines()
+        if not lines:
+            raise InputError("empty family file", filename, 1, 1)
+        head = lines[0].split()
+        if len(head) != 2:
+            raise InputError("expected header 'k N'", filename, 1, 1)
+        try:
+            k, n = int(head[0]), int(head[1])
+        except ValueError:
+            raise InputError("header 'k N' must be two integers", filename, 1, 1) from None
+        try:
+            check_family_size(k, n)
+        except VarwordError as exc:
+            raise InputError(str(exc), filename, 1, 1) from None
+        words = []
+        for i, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            try:
+                words.append(parse_word(line.strip(), k))
+            except VarwordError as exc:
+                raise InputError(str(exc), filename, i, 1) from None
+        return cls.from_words(k, n, words)
 
     def _check(self, other: "FiniteFamily") -> None:
         if (self.k, self.N) != (other.k, other.N):

@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from varword import certificates as certs
 from varword.cli import (
@@ -21,7 +22,10 @@ from varword.errors import DomainTooLarge, IndexOutOfRange, InvalidWord
 from varword.largeness import (
     MAX_UNIVERSE,
     FiniteFamily,
+    brown_select,
     check_family_size,
+    is_syndetic,
+    pw_split,
     random_piecewise_syndetic,
 )
 from varword.prehomog import csl_search, one_step_prehomog
@@ -61,6 +65,18 @@ def docs():
 
     members = [Word(1, (0, 0)), Word(1, (1,))]
     out["envelope"] = envelope_certificate_doc(members, minimal_envelope(members))
+
+    out["tree"] = certs.tree_certificate_doc(tree_from_generator(parse_word("10x0 01x0 10", K)))
+
+    dec8 = random_piecewise_syndetic(random.Random(7), K, 8, 1, 2, 0.9, 0.9)
+    p = dec8.part
+    b = FiniteFamily.from_words(K, 8, [w for w in p.words() if len(w) % 2 == 0])
+    out["split"] = certs.split_certificate_doc(dec8, b, p - b, pw_split(dec8, b, p - b))
+    p0 = FiniteFamily.from_words(K, 8, [w for w in p.words() if len(w) == 0 or w[0] == 0])
+    parts = [p0, p - p0]
+    sel = brown_select(dec8, parts)
+    wit = is_syndetic(sel.decomposition.syndetic, dec8.ell, want_witness=True).witness
+    out["brown"] = certs.brown_certificate_doc(dec8, parts, sel, wit.translators)
     return out
 
 
@@ -72,6 +88,9 @@ ALL_KINDS = [
     "cdrt",
     "embedding",
     "envelope",
+    "tree",
+    "split",
+    "brown",
 ]
 
 
@@ -414,3 +433,113 @@ def test_triangle_free_matches_triple_walk():
             g.adj(a, b) and g.adj(b, c) and g.adj(a, c) for a, b, c in combinations(range(5), 3)
         )
         assert g.is_triangle_free() == walk
+
+
+def test_brown_subset_must_name_distinct_parts(docs):
+    # a subset entry of 99 died with IndexError, and -1 aliased the last part
+    doc = json.loads(certs.canonical_json(docs["brown"]))
+    subset = doc["witness"]["subset"]
+    for bad, detail in [
+        (subset + [99], "subset index outside the parts"),
+        (subset + [-1], "subset index outside the parts"),
+        (subset + subset[:1], "subset repeats a part"),
+    ]:
+        doc["witness"]["subset"] = bad
+        assert certs.verify_certificate(doc) == (False, "brown", detail)
+    doc["witness"]["subset"] = subset
+    doc["witness"]["index"] = 99
+    assert certs.verify_certificate(doc) == (False, "brown", "selected index outside subset")
+
+
+def test_split_tau_walk_bounded_by_horizon(docs):
+    # with ell past the horizon, a length-N counterexample sends the walk
+    # over every tau with |tau| <= ell: 2^41 words for ell = 40
+    doc = json.loads(certs.canonical_json(docs["split"]))
+    inst = doc["instance"]
+    dec = certs.decomposition_from_json(inst["decomposition"])
+    s_tilde = certs.family_from_json(inst["b"]) | (dec.syndetic - dec.part)
+    sigma = next(w for w in s_tilde.complement().words() if len(w) == dec.N)
+    doc["witness"]["counterexample"] = certs.word_to_json(sigma)
+    inst["decomposition"]["ell"] = 40
+    doc["digest"] = certs.digest(inst)
+    t0 = time.perf_counter()
+    assert certs.verify_certificate(doc) == (False, "split", "ell outside the horizon")
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_number_is_malformed(docs, value):
+    # JSON's Infinity died in int() with an OverflowError traceback
+    doc = json.loads(certs.canonical_json(docs["line-letter"]))
+    doc["witness"]["letter"] = value
+    res = certs.verify_certificate(json.loads(certs.canonical_json(doc)))
+    assert not res.ok and res.detail.startswith("malformed certificate")
+
+
+def test_deeply_nested_instance_is_malformed(docs):
+    doc = json.loads(certs.canonical_json(docs["line-letter"]))
+    nested = []
+    for _ in range(100_000):
+        nested = [nested]
+    doc["instance"]["table"] = nested
+    res = certs.verify_certificate(doc)
+    assert not res.ok and res.detail.startswith("malformed certificate")
+
+
+# ---------------------------------------------------------------------------
+# one-node mutations of every kind
+
+
+def _sites(node, path):
+    """(path, options) of every node under ``path`` that can be mutated:
+    a scalar is set to 0, -1, 10**9 or a string, a list becomes a dict,
+    and a dict loses one key."""
+    if isinstance(node, dict):
+        yield path, [("drop", key) for key in node]
+        for key, child in node.items():
+            yield from _sites(child, path + (key,))
+    elif isinstance(node, list):
+        yield path, [("dict", None)]
+        for i, child in enumerate(node):
+            yield from _sites(child, path + (i,))
+    elif isinstance(node, (int, str)):
+        yield path, [("set", v) for v in (0, -1, 10**9, "x") if v != node]
+
+
+@pytest.fixture(scope="module")
+def mutation_sites(docs):
+    """Per kind, the canonical JSON and its mutable nodes, grouped by field:
+    paths that differ only in list indices share a group, so that a family's
+    thousands of words weigh as much as one witness field."""
+    out = {}
+    for kind, doc in docs.items():
+        blob = certs.canonical_json(doc)
+        tree = json.loads(blob)
+        groups = {}
+        for path, options in (site for part in ("instance", "witness") for site in _sites(tree[part], (part,))):
+            if options:
+                field = tuple("*" if type(key) is int else key for key in path)
+                groups.setdefault(field, []).append((path, options))
+        out[kind] = blob, list(groups.values())
+    return out
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=30, deadline=1000, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_certificate_never_raises(mutation_sites, kind, data):
+    blob, groups = mutation_sites[kind]
+    path, options = data.draw(st.sampled_from(data.draw(st.sampled_from(groups))))
+    op, arg = data.draw(st.sampled_from(options))
+    doc = json.loads(blob)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if op == "drop":
+        del node[path[-1]][arg]
+    elif op == "dict":
+        node[path[-1]] = {str(i): v for i, v in enumerate(node[path[-1]])}
+    else:
+        node[path[-1]] = arg
+    doc["digest"] = certs.digest(doc["instance"])
+    assert isinstance(certs.verify_certificate(doc), certs.VerifyResult)

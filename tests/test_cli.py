@@ -383,6 +383,37 @@ class TestMalformedInput:
         assert code == 1 and out == "" and err.startswith("input error:")
         assert f"--horizon {horizon} is above the vertex-set cap {MAX_VERTEX_HORIZON}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["large", "density", "--family", "bad.txt"],
+            ["search", "line", "--coloring", "bad.txt"],
+            ["henson", "embed", "--graph", "bad.txt"],
+            ["henson", "profile", "--graph", "k2.txt", "--chi", "bad.txt"],
+        ],
+        ids=["family", "coloring", "graph", "chi"],
+    )
+    def test_file_not_utf8(self, run, tmp_path, monkeypatch, argv):
+        # died with a UnicodeDecodeError traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.txt").write_bytes(b"\xff\xfe2 3\n")
+        (tmp_path / "k2.txt").write_text("2\n01\n10\n")
+        code, out, err = run(*argv)
+        assert code == 1 and out == "" and err.startswith("input error: bad.txt:")
+
+    def test_json_out_into_missing_directory(self, run, tmp_path):
+        # died with a FileNotFoundError traceback after writing stdout
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run("word", "subst", "--w", "01x0", "--u", "1", "--json-out", str(target))
+        assert code == 1 and out == "" and err.startswith(f"input error: {target}:")
+
+    def test_deeply_nested_json(self, run, tmp_path):
+        # died with a RecursionError traceback
+        cert = tmp_path / "deep.json"
+        cert.write_text("[" * 100_000)
+        code, out, err = run("verify", str(cert))
+        assert code == 1 and out == "" and err.startswith(f"input error: {cert}:1:1: bad JSON")
+
     def test_vertex_horizon_at_cap(self, run):
         code, out, err = run("henson", "enum", "--horizon", str(MAX_VERTEX_HORIZON))
         assert code == 0 and json.loads(out)["count"] == 2 ** (MAX_VERTEX_HORIZON + 1) - MAX_VERTEX_HORIZON - 2
