@@ -6,13 +6,14 @@ from __future__ import annotations
 from ..certificates import embedding_certificate_doc, envelope_certificate_doc, graph_to_json
 from ..certificates import word_to_json as W2J
 from ..cli import _command, _emit, _graph, _read
-from ..errors import InputError, VarwordError
+from ..errors import InputError
 from ..henson import (
     MAX_VERTEX_HORIZON,
     edge,
     enum_vertices,
     greedy_embed,
     minimal_envelope,
+    parse_chi,
     phi_embed,
     profile_coloring,
 )
@@ -93,38 +94,10 @@ def cmd_henson_envelope(args):
     return 0
 
 
-def _chi_from_file(path: str, n: int):
-    """The --chi table, read as a function that names the file when an embedding has no line."""
-    table = {}
-    for i, line in enumerate(_read(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != n + 1:
-            raise InputError(f"expected {n} words and a color", path, i, 1)
-        try:
-            words = tuple(parse_word(t, 1) for t in parts[:n])
-        except VarwordError as exc:
-            raise InputError(str(exc), path, i, 1) from None
-        try:
-            table[words] = int(parts[n])
-        except ValueError:
-            raise InputError(f"bad color {parts[n]!r}", path, i, line.rindex(parts[n]) + 1) from None
-
-    def chi(emb):
-        try:
-            return table[emb]
-        except KeyError:
-            missing = " ".join(format_word(w) for w in emb)
-            raise InputError(f"no color for the embedding {missing}", path) from None
-
-    return chi
-
-
 def cmd_henson_profile(args):
     g = _graph(args.graph)
     if args.chi:
-        chi = _chi_from_file(args.chi, g.n)
+        chi = parse_chi(_read(args.chi), g.n, args.chi)
     else:
         chi = lambda emb: 0
     prof = profile_coloring(chi, g, args.horizon)

@@ -23,12 +23,14 @@ from .errors import (
     NotFoundWithinHorizon,
     NotTriangleFree,
     TriangleFound,
+    VarwordError,
 )
 from .words import (
     Word,
     dimension,
     first_occurrence,
     format_word,
+    parse_word,
     substitute,
     var_words,
 )
@@ -42,6 +44,7 @@ __all__ = [
     "TriangleFreeReport",
     "assert_triangle_free",
     "GraphSpec",
+    "parse_chi",
     "PhiEmbedding",
     "phi_embed",
     "greedy_embed",
@@ -203,6 +206,38 @@ class GraphSpec(NamedTuple):
             yield cls.from_pairs(
                 n, [p for i, p in enumerate(pairs) if bits >> i & 1]
             )
+
+
+def parse_chi(text: str, n: int, filename: str = "<chi>") -> Callable[[tuple[Word, ...]], int]:
+    """A coloring of n-vertex embeddings read from ``w1 .. wn color`` lines.
+
+    The words are over {0, x0}; blank lines are skipped.  The result
+    raises ``InputError`` naming the file for an embedding with no line.
+    """
+    table = {}
+    for i, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != n + 1:
+            raise InputError(f"expected {n} words and a color", filename, i, 1)
+        try:
+            words = tuple(parse_word(t, 1) for t in parts[:n])
+        except VarwordError as exc:
+            raise InputError(str(exc), filename, i, 1) from None
+        try:
+            table[words] = int(parts[n])
+        except ValueError:
+            raise InputError(f"bad color {parts[n]!r}", filename, i, line.rindex(parts[n]) + 1) from None
+
+    def chi(emb):
+        try:
+            return table[emb]
+        except KeyError:
+            missing = " ".join(format_word(w) for w in emb)
+            raise InputError(f"no color for the embedding {missing}", filename) from None
+
+    return chi
 
 
 class PhiEmbedding(NamedTuple):

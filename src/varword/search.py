@@ -23,8 +23,7 @@ Provided here:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ._frozen import Frozen
 from .colorings import Coloring
@@ -32,13 +31,6 @@ from .errors import (
     NoConnector,
     NotFoundWithinHorizon,
     InvalidWord,
-)
-from .largeness import (
-    FiniteFamily,
-    PwCertification,
-    PwSyndeticDecomposition,
-    glued_inclusion,
-    pws_certify,
 )
 from .trees import OVWTree, level, tree_from_generator
 from .words import (
@@ -50,6 +42,13 @@ from .words import (
     substitute,
     var_words,
 )
+
+# ``largeness`` and ``fractions`` are imported by the functions that use
+# them, so a line search does not compile them
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .largeness import FiniteFamily, PwCertification, PwSyndeticDecomposition
 
 __all__ = [
     "LineLetterCertificate",
@@ -293,9 +292,10 @@ def d_super_s(family: FiniteFamily, line: OVWTree) -> FiniteFamily:
 
 def _residue(family: FiniteFamily, heads: Sequence[Word], n2: int) -> FiniteFamily:
     """{sigma in A^{<=n2} : head.sigma in family for every head}."""
+    from .largeness import FiniteFamily, _offsets  # internal rank layout
+
     if n2 < 0:
         return FiniteFamily.empty(family.k, 0)
-    from .largeness import _offsets  # internal rank layout
 
     offs = _offsets(family.k, n2)
     mask = (1 << offs[n2 + 1]) - 1
@@ -328,6 +328,8 @@ def step_lemma_search(
     (S(1).Q in rank space) before the result is returned.  Candidate
     lines are enumerated only up to the first hit.
     """
+    from .largeness import glued_inclusion, pws_certify
+
     p = dec.part
     cap = min(max_gen_len, dec.N - 1)
     cands = var_words(dec.k, cap, dim=1, ordered=True, min_len=1)
@@ -382,6 +384,8 @@ def density_step_search(family: FiniteFamily, delta, level_cap: int) -> DensityS
     its length set.  Purely bookkeeping around d_super_s; the uniform
     bounds behind the infinite statement are not computed.
     """
+    from fractions import Fraction
+
     delta = Fraction(delta)
     pool = [
         g
@@ -458,6 +462,8 @@ def _stage(tree: OVWTree, step: StepResult, p: FiniteFamily) -> BuilderStage:
     residue {empty word} glues nothing on).  Claim 2: every top-level
     word extended by an instance of the block and a residue word does.
     """
+    from .largeness import FiniteFamily, glued_inclusion
+
     c1 = glued_inclusion(tree.elements, FiniteFamily(p.k, 0, 1), p)
     insts = [substitute(step.block, (a,)) for a in range(step.block.k)]
     heads = [t.concat(wa) for t in level(tree, tree.dimension) for wa in insts]

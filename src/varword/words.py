@@ -126,7 +126,7 @@ class Word(Frozen):
     def concat(self, other: "Word") -> "Word":
         if other.k != self.k:
             raise IndexOutOfRange("alphabet mismatch in concatenation")
-        return Word(self.k, self.symbols + other.symbols)
+        return _trusted(self.k, self.symbols + other.symbols)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -135,6 +135,19 @@ class Word(Frozen):
 # the slots' own setters: ``Word`` refuses ``setattr`` once built
 _set_k = Word.k.__set__
 _set_symbols = Word.symbols.__set__
+_new = object.__new__
+
+
+def _trusted(k: int, symbols: tuple[int, ...]) -> Word:
+    """``Word(k, symbols)`` without its checks.
+
+    Only for symbols copied or renamed from ``Word``s over the same k,
+    which passed those checks when they were built.
+    """
+    w = _new(Word)
+    _set_k(w, k)
+    _set_symbols(w, symbols)
+    return w
 
 
 def word(k: int, symbols: Iterable[int]) -> Word:
@@ -472,7 +485,7 @@ def compose(w: Word, v: Word) -> Word:
             if j >= len(v.symbols):
                 break
             out.append(v.symbols[j])
-    return Word(w.k, tuple(out))
+    return _trusted(w.k, tuple(out))
 
 
 def rename_variable(w: Word, old: int, new: int) -> Word:
@@ -491,32 +504,42 @@ def decompose(w: Word) -> tuple[Word, tuple[Word, ...]]:
     x_i renumbered to x_0.  Raises NotOrdered otherwise.
     """
     k = w.k
-    # one pass: each variable is either the latest one or the next one,
-    # and the next one's first occurrence is a cut
-    cuts = []
-    for i, s in enumerate(w.symbols):
-        if s >= k:
-            if s - k == len(cuts):
-                cuts.append(i)
-            elif s - k != len(cuts) - 1:
-                raise NotOrdered(f"{format_word(w)} is not an ordered variable word")
-    cuts.append(len(w.symbols))
-    # block i holds no variable but x_i, which becomes x_0
-    renamed = tuple(k if s > k else s for s in w.symbols)
-    sigma = Word(k, w.symbols[: cuts[0]])
-    return sigma, tuple(Word(k, renamed[a:b]) for a, b in zip(cuts, cuts[1:]))
+    # one pass: each variable is either the latest one, renamed to x_0
+    # in its block, or the next one, which opens a new block
+    head = block = []
+    blocks = [head]
+    latest = k - 1  # symbol of the latest variable, none yet
+    for s in w.symbols:
+        if s < k:
+            block.append(s)
+        elif s == latest:
+            block.append(k)
+        elif s == latest + 1:
+            latest = s
+            block = [k]
+            blocks.append(block)
+        else:
+            raise NotOrdered(f"{format_word(w)} is not an ordered variable word")
+    return _trusted(k, tuple(head)), tuple([_trusted(k, tuple(b)) for b in blocks[1:]])
 
 
 def recompose(sigma: Word, blocks: Sequence[Word]) -> Word:
     """Inverse of decompose: renumber block i's variable to x_i and glue."""
+    k = sigma.k
     syms = list(sigma.symbols)
     for i, b in enumerate(blocks):
-        if b.k != sigma.k:
+        if b.k != k:
             raise IndexOutOfRange(f"alphabet mismatch in recomposition: block {i} is over k={b.k}")
-        if not is_left_var_word(b):
+        bs = b.symbols
+        # symbols are never negative, so this is is_left_var_word(b)
+        if not (bs and bs[0] == k and max(bs) == k):
             raise InvalidWord(f"block {i} ({format_word(b)}) is not a left 1-variable word")
-        syms.extend(b.k + i if s == b.k else s for s in b.symbols)
-    return Word(sigma.k, tuple(syms))
+        if i:
+            x = k + i
+            syms.extend([x if s == k else s for s in bs])
+        else:
+            syms.extend(bs)
+    return _trusted(k, tuple(syms))
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +604,12 @@ def _symbol_tuples(k, length, ordered, lo, hi):
 
 
 def _enumerate(k, max_len, min_len, ordered, lo, hi) -> Iterator[Word]:
+    if k < 0:
+        raise IndexOutOfRange(f"alphabet size must be >= 0, got {k}")
     for length in range(max(min_len, 0), max_len + 1):
         top = length if hi is None else min(hi, length)
         for syms in _symbol_tuples(k, length, ordered, lo, top):
-            yield Word(k, syms)
+            yield _trusted(k, syms)
 
 
 def letter_words(k: int, max_len: int, min_len: int = 0) -> Iterator[Word]:

@@ -506,8 +506,11 @@ def _sites(node, path):
         yield path, [("set", v) for v in (0, -1, 10**9, "x") if v != node]
 
 
-@pytest.fixture(scope="module")
-def mutation_sites(docs):
+def _field(path):
+    return tuple("*" if type(key) is int else key for key in path)
+
+
+def _grouped_sites(docs):
     """Per kind, the canonical JSON and its mutable nodes, grouped by field:
     paths that differ only in list indices share a group, so that a family's
     thousands of words weigh as much as one witness field."""
@@ -518,19 +521,33 @@ def mutation_sites(docs):
         groups = {}
         for path, options in (site for part in ("instance", "witness") for site in _sites(tree[part], (part,))):
             if options:
-                field = tuple("*" if type(key) is int else key for key in path)
-                groups.setdefault(field, []).append((path, options))
+                groups.setdefault(_field(path), []).append((path, options))
         out[kind] = blob, list(groups.values())
     return out
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-@settings(max_examples=30, deadline=1000, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_mutated_certificate_never_raises(mutation_sites, kind, data):
-    blob, groups = mutation_sites[kind]
-    path, options = data.draw(st.sampled_from(data.draw(st.sampled_from(groups))))
-    op, arg = data.draw(st.sampled_from(options))
+@pytest.fixture(scope="module")
+def mutation_sites(docs):
+    return _grouped_sites(docs)
+
+
+@pytest.fixture(scope="module")
+def small_mutation_sites(docs):
+    """As ``mutation_sites``, with the two kinds whose verifiers re-read a
+    large instance rebuilt over smaller ones (a 2-stage builder at N = 9,
+    prehomog over a coloring of A^{<=5})."""
+    small = dict(docs)
+    dec = random_piecewise_syndetic(random.Random(21), K, 9, 1, 2, 0.95, 0.95)
+    small["builder-trace"] = builder_certificate_doc(dec, iterate_builder(dec, 2))
+    f1 = Coloring.constant(K, 5, 1, 2)
+    w = parse_word("x0x1x2x3x4", K)
+    one = one_step_prehomog(w, Word(K, ()), f1, depth=1, verify_tail=1)
+    small["prehomog"] = prehomog_certificate_doc(f1, w, one, 1)
+    return _grouped_sites(small)
+
+
+def _mutated(blob, path, op, arg):
+    """The certificate ``blob`` with one mutation applied at ``path``, re-digested."""
     doc = json.loads(blob)
     node = doc
     for key in path[:-1]:
@@ -542,4 +559,33 @@ def test_mutated_certificate_never_raises(mutation_sites, kind, data):
     else:
         node[path[-1]] = arg
     doc["digest"] = certs.digest(doc["instance"])
-    assert isinstance(certs.verify_certificate(doc), certs.VerifyResult)
+    return doc
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=30, deadline=1000, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_certificate_never_raises(mutation_sites, kind, data):
+    blob, groups = mutation_sites[kind]
+    path, options = data.draw(st.sampled_from(data.draw(st.sampled_from(groups))))
+    op, arg = data.draw(st.sampled_from(options))
+    assert isinstance(certs.verify_certificate(_mutated(blob, path, op, arg)), certs.VerifyResult)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_field_mutation_never_raises(small_mutation_sites, kind):
+    # each (field, mutation) pair the property above can draw, applied at
+    # the first and the last path of its field that offer it: a brown
+    # subset [0, 1] with index 0 raised IndexError only when its last
+    # entry was pushed outside the parts
+    blob, groups = small_mutation_sites[kind]
+    ends = {}  # (field, option) -> (first path, last path) offering it
+    for group in groups:
+        for path, options in group:
+            for option in options:
+                first = ends.get((_field(path), option), (path,))[0]
+                ends[_field(path), option] = first, path
+    for (_, (op, arg)), paths in ends.items():
+        for path in dict.fromkeys(paths):
+            res = certs.verify_certificate(_mutated(blob, path, op, arg))
+            assert isinstance(res, certs.VerifyResult), (path, op, arg)

@@ -472,6 +472,15 @@ class TestImportSets:
         assert code == 0
         assert not mods & {"numpy", "varword.search", "varword.prehomog", "varword.cdrt"}
 
+    def test_search_line_skips_largeness(self, instance_dir):
+        # importing varword.commands.search and running a line search loads
+        # neither; the builder, the step lemma and the density search do
+        code, mods = _fresh_modules(["--version"], instance_dir, also=("fractions",))
+        assert code == 0 and "fractions" not in mods
+        code, mods = _fresh_modules(ONE_PER_GROUP["search"], instance_dir, also=("fractions",))
+        assert code == 0 and "varword.commands.search" in mods
+        assert not mods & {"varword.largeness", "fractions"}
+
     @pytest.mark.parametrize("group", list(ONE_PER_GROUP))
     def test_one_command_per_group(self, run, instance_dir, group):
         # no dataclass machinery, and no other group's command module

@@ -6,6 +6,7 @@ from conftest import random_prefix_valid
 from varword.errors import (
     CutPointMissing,
     DomainTooLarge,
+    InputError,
     NotFoundWithinHorizon,
     NotTriangleFree,
     TriangleFound,
@@ -19,10 +20,11 @@ from varword.henson import (
     greedy_embed,
     hvertex,
     minimal_envelope,
+    parse_chi,
     phi_embed,
     profile_coloring,
 )
-from varword.words import Word, format_word, substitute
+from varword.words import Word, format_word, parse_word, substitute
 
 
 class TestVertices:
@@ -262,6 +264,31 @@ class TestProfile:
         g = GraphSpec.from_pairs(4, [])
         with pytest.raises(DomainTooLarge):
             profile_coloring(lambda emb: 0, g, 4)
+
+
+class TestParseChi:
+    def test_reads_table(self):
+        chi = parse_chi("x0 0x0 1\n\n0 x0  0\n", 2, "chi.txt")
+        assert chi((parse_word("x0", 1), parse_word("0x0", 1))) == 1
+        assert chi((parse_word("0", 1), parse_word("x0", 1))) == 0
+        with pytest.raises(InputError) as info:
+            chi((parse_word("x0", 1), parse_word("x0", 1)))
+        assert str(info.value) == "chi.txt:0:0: no color for the embedding x0 x0"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x0 1\n", "chi.txt:1:1: expected 2 words and a color"),
+            ("x0 0x0 1\nx0 0y 1\n", "chi.txt:2:1: unexpected character 'y' at position 1"),
+            ("x0 1x0 1\n", "chi.txt:1:1: letter 1 outside alphabet of size 1"),
+            ("x0  0x0 one\n", "chi.txt:1:9: bad color 'one'"),
+        ],
+        ids=["arity", "word", "letter", "color"],
+    )
+    def test_malformed(self, text, message):
+        with pytest.raises(InputError) as info:
+            parse_chi(text, 2, "chi.txt")
+        assert str(info.value) == message
 
 
 def _all_unary_words(max_len):

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_letters, random_prefix_valid
-from varword.errors import CutPointMissing, IndexOutOfRange, NotOrdered, VarwordError
+from varword.errors import CutPointMissing, IndexOutOfRange, InvalidWord, NotOrdered, VarwordError
 from varword.words import (
     Word,
     compose,
     decompose,
     dimension,
+    first_occurrence,
     format_word,
     is_prefix_valid,
     is_var_word,
@@ -17,6 +18,7 @@ from varword.words import (
     parse_word,
     prefix_valid_words,
     recompose,
+    rename_variable,
     substitute,
     validate,
     var_words,
@@ -140,9 +142,51 @@ class TestDecompose:
             sigma, blocks = decompose(w)
             assert recompose(sigma, blocks) == w
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_definition(self, k):
+        # block i is the slice from the first x_i to the first x_{i+1},
+        # x_i renamed to x_0; a block holding any other variable means
+        # the word is not ordered.  Prefix-valid words include unordered ones.
+        def by_definition(w):
+            n = dimension(w)
+            cuts = [first_occurrence(w, i) for i in range(n)] + [len(w)]
+            blocks = []
+            for i in range(n):
+                piece = w.symbols[cuts[i] : cuts[i + 1]]
+                if {s for s in piece if s >= k} != {k + i}:
+                    return "not ordered"
+                blocks.append(rename_variable(Word(k, piece), i, 0))
+            return Word(k, w.symbols[: cuts[0]]), tuple(blocks)
+
+        unordered = 0
+        for w in prefix_valid_words(k, 6):
+            want = by_definition(w)
+            try:
+                got = decompose(w)
+            except NotOrdered as exc:
+                assert str(exc) == f"{format_word(w)} is not an ordered variable word"
+                got = "not ordered"
+                unordered += 1
+            assert got == want, format_word(w)
+        assert unordered > 100
+
+    @pytest.mark.parametrize(
+        "sigma, blocks, message",
+        [
+            ("0", ["-"], "block 0 (-) is not a left 1-variable word"),
+            ("0", ["x0", "0x0"], "block 1 (0x0) is not a left 1-variable word"),
+            ("-", ["x0x1"], "block 0 (x0x1) is not a left 1-variable word"),
+        ],
+        ids=["empty-block", "no-leading-x0", "holds-x1"],
+    )
+    def test_recompose_refusals(self, sigma, blocks, message):
+        with pytest.raises(InvalidWord) as info:
+            recompose(parse_word(sigma, K), [parse_word(b, K) for b in blocks])
+        assert str(info.value) == message
+
     def test_recompose_alphabet_mismatch(self):
         # a block over k=3 used to be read as x1[0] over k=2
-        with pytest.raises(IndexOutOfRange, match="alphabet mismatch"):
+        with pytest.raises(IndexOutOfRange, match="^alphabet mismatch in recomposition: block 0 is over k=3$"):
             recompose(Word(2, ()), [Word(3, (3, 0))])
         with pytest.raises(IndexOutOfRange, match="alphabet mismatch"):
             recompose(Word(2, (1,)), [Word(2, (2,)), Word(1, (1,))])
@@ -328,6 +372,18 @@ def test_enumeration_counts():
         want = 2**L + (2 ** (L - 1)) * (2**L - 1) if L else 1
         assert got == want
     assert sum(1 for _ in prefix_valid_words(2, 6)) == 4139
+
+
+@pytest.mark.parametrize("enumerate_words", [letter_words, var_words, prefix_valid_words])
+def test_enumerations_refuse_negative_alphabet(enumerate_words):
+    with pytest.raises(IndexOutOfRange, match="alphabet size must be >= 0, got -1"):
+        list(enumerate_words(-1, 2))
+
+
+@pytest.mark.parametrize("k, symbols", [(-1, ()), (2, (0, -1))])
+def test_word_refuses_negative_codes(k, symbols):
+    with pytest.raises(IndexOutOfRange):
+        Word(k, symbols)
 
 
 def test_enumeration_order_is_length_lex():
