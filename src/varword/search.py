@@ -285,26 +285,37 @@ def h_embed(blocks: Sequence[Word]) -> HEmbedding:
 
 def d_super_s(family: FiniteFamily, line: OVWTree) -> FiniteFamily:
     """{sigma : S(1).sigma inside family}, at horizon N - |S|."""
+    from .largeness import _value
+
     if line.dimension != 1:
         raise InvalidWord("residue needs a line")
-    return _residue(family, level(line, 1), family.N - len(line.generator))
+    bands = [family.band(length) for length in range(family.N + 1)]
+    values = [_value(family.k, w) for w in level(line, 1)]
+    return _residue(family.k, bands, values, len(line.generator))
 
 
-def _residue(family: FiniteFamily, heads: Sequence[Word], n2: int) -> FiniteFamily:
-    """{sigma in A^{<=n2} : head.sigma in family for every head}."""
+def _residue(k: int, bands: Sequence[int], values: Sequence[int], length: int) -> FiniteFamily:
+    """{sigma in A^{<=n2} : head.sigma in F for every head}, n2 = N - length.
+
+    ``bands[r]`` is F's band of length r and ``values`` the lex values of
+    the heads, all of the given length: every head's block of
+    extensions of length m is a k^m-bit run of band length + m.
+    """
     from .largeness import FiniteFamily, _offsets  # internal rank layout
 
+    n2 = len(bands) - 1 - length
     if n2 < 0:
-        return FiniteFamily.empty(family.k, 0)
-
-    offs = _offsets(family.k, n2)
-    mask = (1 << offs[n2 + 1]) - 1
-    for w in heads:
-        acc = 0
-        for m in range(n2 + 1):
-            acc |= family.extract_after_prefix(w, m) << offs[m]
-        mask &= acc
-    return FiniteFamily(family.k, n2, mask)
+        return FiniteFamily.empty(k, 0)
+    offs = _offsets(k, n2)
+    mask = 0
+    for m in range(n2 + 1):
+        width = k**m
+        band = bands[length + m]
+        acc = (1 << width) - 1
+        for v in values:
+            acc &= band >> (v * width)
+        mask |= acc << offs[m]
+    return FiniteFamily(k, n2, mask)
 
 
 class StepResult(NamedTuple):
@@ -325,29 +336,51 @@ def step_lemma_search(
 
     Q is the full residue of P past S, re-certified as piecewise
     syndetic at the reduced horizon; both inclusions are re-verified
-    (S(1).Q in rank space) before the result is returned.  Candidate
-    lines are enumerated only up to the first hit.
+    on the hit's own words (S(1).Q in rank space) before the result is
+    returned.  Candidate lines are enumerated only up to the first hit.
+    Within one search, S(0) in P is decided once per distinct S(0), by
+    its rank, and ``pws_certify`` runs once per distinct raw residue;
+    both memos die with the search.
     """
     from .largeness import glued_inclusion, pws_certify
 
     p = dec.part
+    k = dec.k
     cap = min(max_gen_len, dec.N - 1)
-    cands = var_words(dec.k, cap, dim=1, ordered=True, min_len=1)
+    cands = var_words(k, cap, dim=1, ordered=True, min_len=1)
+    bands = [p.band(length) for length in range(p.N + 1)]
+    roots: dict[tuple[int, ...], bool] = {}  # S(0) in P, by the symbols of S(0)
+    certs: dict[tuple[int, int], Optional[PwCertification]] = {}  # by the residue's (N, mask)
 
     def attempt(g):
-        s0 = substitute(g, ())
-        if s0 not in p:
+        syms = g.symbols
+        root = syms[: syms.index(k)]  # S(0) = g[()]: g up to its only variable
+        inside = roots.get(root)
+        if inside is None:
+            inside = roots[root] = Word(k, root) in p
+        if not inside:
             return None
-        s1 = [substitute(g, (a,)) for a in range(dec.k)]  # level 1, in lex order
-        q_raw = _residue(p, s1, p.N - len(g))  # d_super_s(p, line)
+        # S(1) = g[a] for each letter a: lex value base + a * ones
+        base = ones = 0
+        for s in syms:
+            base, ones = base * k, ones * k
+            if s == k:
+                ones += 1
+            else:
+                base += s
+        q_raw = _residue(k, bands, [base + a * ones for a in range(k)], len(syms))
         if not q_raw.mask:
             return None
-        cert = pws_certify(q_raw, dec.ell, m_bound)
+        key = (q_raw.N, q_raw.mask)
+        if key not in certs:
+            certs[key] = pws_certify(q_raw, dec.ell, m_bound)
+        cert = certs[key]
         if cert is None:
             return None
         # re-verification of both inclusions
-        if s0 not in p:
+        if substitute(g, ()) not in p:
             raise AssertionError("root left the part after certification")
+        s1 = [substitute(g, (a,)) for a in range(k)]  # level 1, in lex order
         ok, checked, _, bad = glued_inclusion(s1, cert.decomposition.part, p)
         if not ok:
             raise AssertionError(f"residue inclusion fails at {format_word(bad)}")

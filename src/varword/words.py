@@ -464,6 +464,8 @@ def substitute(w: Word, u, omega: bool = False) -> Word:
                     f"x{j} occurs before the first x{m} in {format_word(w)}"
                 )
             out.append(us[j])
+    if isinstance(u, Word):  # its symbols, like w's, were checked when it was built
+        return _trusted(w.k, tuple(out))
     return Word(w.k, tuple(out))
 
 

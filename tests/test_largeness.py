@@ -1,6 +1,7 @@
-from fractions import Fraction
-
+import gc
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,7 @@ from varword.largeness import (
     random_piecewise_syndetic,
     thick_shrink,
 )
-from varword.words import Word, format_word, letter_words, parse_word
+from varword.words import MAX_UNIVERSE, Word, format_word, letter_words, parse_word
 
 K, N = 2, 8
 
@@ -371,3 +372,98 @@ class TestRankSpaceChecks:
             assert got == is_thick_ref(fam, ell_max)
             seen.add(got.ok)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_prepend_reach_matches_word_route(self, k):
+        rng = random.Random(800 + k)
+        for _ in range(60):
+            n = rng.randrange(0, 8 if k < 3 else 5)
+            fam = random_family(rng, k, n, rng.choice([2, 0, -1, -3]))
+            ell = rng.randrange(n + 1)
+            taus = list(letter_words(k, ell))
+            want = FiniteFamily.from_words(
+                k,
+                n - ell,
+                [s for s in letter_words(k, n - ell) if any(t.concat(s) in fam for t in taus)],
+            )
+            assert prepend_reach(fam, ell) == want
+
+
+def outcome(fn):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def parsed(k, n, texts):
+    """``FiniteFamily.from_texts`` by the word route, errors included."""
+    return FiniteFamily.from_words(k, n, [parse_word(t, k) for t in texts])
+
+
+class TestTextCodec:
+    """``texts``/``from_texts`` against ``format_word``/``parse_word``."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_texts_match_format_word(self, k):
+        rng = random.Random(900 + k)
+        for n in range(13):
+            size = FiniteFamily.full(k, n).universe_size
+            # a sparse mask leaves some runs of a length without a member
+            masks = [0, rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)]
+            if size <= 1 << 13:  # the word-route reference costs microseconds a member
+                masks += [(1 << size) - 1, rng.getrandbits(size)]
+            for mask in masks:
+                fam = FiniteFamily(k, n, mask)
+                assert fam.texts() == [format_word(w) for w in fam.words()]
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_from_texts_matches_parse_word(self, k):
+        rng = random.Random(1000 + k)
+        for n in range(1, 13):
+            if FiniteFamily.full(k, n).universe_size > 1 << 13:
+                break
+            for dense in (3, 0, -2):
+                texts = random_family(rng, k, n, dense).texts()
+                shuffled = rng.sample(texts, len(texts))
+                duplicated = texts + rng.choices(texts, k=len(texts) // 2 + 1) if texts else []
+                for case in (texts, shuffled, duplicated):
+                    assert FiniteFamily.from_texts(k, n, case) == parsed(k, n, case)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["0-1", "", "--", "+1", "1_0", " 01", "0123", "2", "x0", "\u0661\u0660", "0" * 13,
+         1, None, ["0"]],
+    )
+    def test_malformed_texts_take_the_parse_word_route(self, bad):
+        for k in (2, 3):
+            for texts in ([bad], ["-", "01", bad, "1"], ["1", "0" * 12, bad]):
+                want = outcome(lambda: parsed(k, 12, texts))
+                assert outcome(lambda: FiniteFamily.from_texts(k, 12, texts)) == want
+
+    def test_size_bound_at_universe_cap(self):
+        n = 21
+        assert FiniteFamily.full(2, n).universe_size <= MAX_UNIVERSE
+        one = FiniteFamily(2, n, 1 << (FiniteFamily.full(2, n).universe_size - 1))
+        texts = ["-", "0" * n, "1" * n]
+        # tables that do not depend on the horizon fill at a small one
+        FiniteFamily(2, 12, one.mask >> (one.universe_size - 4096)).texts()
+        FiniteFamily.from_texts(2, 12, ["-", "0" * 12])
+        for run, want in (
+            (lambda: FiniteFamily.from_texts(2, n, texts), parsed(2, n, texts)),
+            (one.texts, ["1" * n]),
+        ):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                got = run()
+                assert got == want
+                del got
+                gc.collect()
+                after, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - before < 32 << 20
+            assert after - before < 64 << 10

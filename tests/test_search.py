@@ -10,8 +10,10 @@ from varword.errors import (
 from varword.largeness import (
     FiniteFamily,
     PwSyndeticDecomposition,
+    glued_inclusion,
     is_syndetic,
     is_thick,
+    pws_certify,
     random_piecewise_syndetic,
 )
 from varword.search import (
@@ -26,7 +28,15 @@ from varword.search import (
     verify_line_letter,
 )
 from varword.trees import generator_from_tree, level, tree_from_generator
-from varword.words import Word, format_word, letter_words, parse_word, substitute
+from varword.words import (
+    Word,
+    decompose,
+    format_word,
+    letter_words,
+    parse_word,
+    substitute,
+    var_words,
+)
 
 K = 2
 
@@ -340,3 +350,94 @@ class TestBuilder:
             rdec = st.residue.decomposition
             assert is_syndetic(rdec.syndetic, rdec.ell).ok
             assert is_thick(rdec.thick, rdec.ell).ok
+
+
+def step_ref(dec, m_bound=2, max_gen_len=6):
+    """``step_lemma_search`` by walking every candidate line with ``substitute``.
+
+    Each residue is rebuilt from the level-1 words' own blocks of
+    extensions and certified afresh, with nothing kept between
+    candidates.  Returns (generator, block, certificate, checked) or the
+    not-found message.
+    """
+    p = dec.part
+    cap = min(max_gen_len, dec.N - 1)
+    for g in var_words(dec.k, cap, dim=1, ordered=True, min_len=1):
+        if substitute(g, ()) not in p:
+            continue
+        s1 = [substitute(g, (a,)) for a in range(dec.k)]
+        n2 = p.N - len(g)
+        full = FiniteFamily.full(dec.k, n2)
+        firsts = [full.rank(Word(dec.k, (0,) * m)) for m in range(n2 + 1)]
+        mask = full.mask
+        for w in s1:
+            mask &= sum(p.extract_after_prefix(w, m) << firsts[m] for m in range(n2 + 1))
+        if not mask:
+            continue
+        cert = pws_certify(FiniteFamily(dec.k, n2, mask), dec.ell, m_bound)
+        if cert is None:
+            continue
+        checked = glued_inclusion(s1, cert.decomposition.part, p)[1]
+        return g, decompose(g)[1][0], cert, checked + 1
+    return f"no one-step line with generator length <= {cap}"
+
+
+def builder_ref(dec, s_max, m_bound=2, max_gen_len=6):
+    """``iterate_builder``'s generators, blocks and residues from ``step_ref``."""
+    k = dec.k
+    gen, stages = None, []
+    for s in range(s_max + 1):
+        hit = step_ref(dec, m_bound, max_gen_len)
+        if isinstance(hit, str):
+            return f"stage {s}: {hit}"
+        g, block, cert, _ = hit
+        root = substitute(g, ()).symbols
+        if gen is None:
+            gen = root
+        else:
+            renamed = tuple(k + s - 1 if sym == k else sym for sym in stages[-1][1].symbols)
+            gen = gen + renamed + root
+        stages.append((gen, block, cert))
+        dec = cert.decomposition
+    return stages
+
+
+class TestStepSearchReference:
+    """The memoized, rank-space step search against a plain walk."""
+
+    def test_matches_reference_and_workers(self):
+        rng = random.Random(1201)
+        outcomes = set()
+        for i in range(12):
+            n = 8 + i % 5
+            lo, hi = (0.2, 0.6) if i % 4 == 0 else (0.9, 0.99)  # sparse parts have no step
+            dec = random_piecewise_syndetic(rng, K, n, 1, 2, rng.uniform(lo, hi), rng.uniform(lo, hi))
+            want = step_ref(dec)
+            try:
+                res = step_lemma_search(dec)
+            except NotFoundWithinHorizon as exc:
+                assert str(exc) == want
+                outcomes.add("step not found")
+            else:
+                g, block, cert, checked = want
+                assert res.line.generator == g and res.block == block
+                assert res.residue == cert
+                assert res.residue.decomposition.part.mask == cert.decomposition.part.mask
+                assert res.inclusion_checked == checked
+                assert step_lemma_search(dec, workers=2) == res
+                outcomes.add("step found")
+
+            want = builder_ref(dec, 2)
+            try:
+                trace = iterate_builder(dec, 2)
+            except NotFoundWithinHorizon as exc:
+                assert str(exc) == want
+                with pytest.raises(NotFoundWithinHorizon, match=str(exc)):
+                    iterate_builder(dec, 2, workers=2)
+                outcomes.add("builder not found")
+            else:
+                got = [(st.tree.generator.symbols, st.block, st.residue) for st in trace.stages]
+                assert got == want
+                assert iterate_builder(dec, 2, workers=2) == trace
+                outcomes.add("builder found")
+        assert outcomes == {"step found", "step not found", "builder found", "builder not found"}

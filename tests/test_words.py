@@ -64,6 +64,27 @@ class TestSubstitutionExamples:
         with pytest.raises(IndexOutOfRange):
             substitute(W_EXAMPLE, Word(3, (2,)))
 
+    def test_negative_tuple_entry_is_refused(self):
+        # a tuple's symbols were never checked, so the result is
+        with pytest.raises(IndexOutOfRange, match="negative symbol -1 at position 1"):
+            substitute(parse_word("0x0", K), (-1,))
+
+    def test_word_and_tuple_routes_agree(self):
+        def outcome(w, u, omega):
+            try:
+                out = substitute(w, u, omega=omega)
+            except VarwordError as exc:
+                return type(exc), str(exc)
+            return type(out), out.k, out.symbols
+
+        checked = 0
+        for w in prefix_valid_words(K, 4):
+            for u in letter_words(K, 3):
+                for omega in (False, True):
+                    assert outcome(w, u, omega) == outcome(w, u.symbols, omega)
+                    checked += 1
+        assert checked > 5000
+
     def test_letter_word_result_has_no_variables(self, rng):
         for _ in range(200):
             w = random_prefix_valid(rng, K, rng.randrange(1, 10))
