@@ -350,7 +350,7 @@ def _word_of(k: int, length: int, v: int) -> Word:
 # per (k, length), whatever the horizon.
 
 _DIGITS = "0123456789"
-_LOW_WIDTH = 1024
+_LOW_WIDTH = 256
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
