@@ -269,6 +269,27 @@ class FiniteFamily(Frozen):
         base = offs[lp + m] + _value(self.k, prefix) * width
         return (self.mask >> base) & ((1 << width) - 1)
 
+    def line_residue(self, generator: Word) -> "FiniteFamily":
+        """{sigma : g[a].sigma in family for every letter a}, at horizon N - |g|.
+
+        g is a 1-variable word; g[a] has lex value ``base + a * ones``,
+        where base is g's with the variable read as 0 and ones has a 1
+        at each place of the variable.
+        """
+        k = self.k
+        n2 = self.N - len(generator)
+        if n2 < 0:
+            return FiniteFamily.empty(k, 0)
+        base = ones = 0
+        for s in generator.symbols:
+            base, ones = base * k, ones * k
+            if s == k:
+                ones += 1
+            else:
+                base += s
+        heads = [base + a * ones for a in range(k)]
+        return FiniteFamily(k, n2, _extensions(self, len(generator), heads, n2, every=True))
+
     def append(self, sigma: Word) -> tuple["FiniteFamily", int]:
         """Family . sigma = {tau sigma}; members pushed past N are dropped."""
         ks = self.k ** len(sigma)
@@ -537,18 +558,40 @@ def prepend_reach(family: FiniteFamily, ell: int) -> FiniteFamily:
         raise HorizonExceeded(f"ell {ell} beyond horizon {family.N}")
     k = family.k
     n2 = family.N - ell
+    mask = 0
+    for j in range(ell + 1):
+        mask |= _extensions(family, j, range(k**j), n2, every=False)
+    return FiniteFamily(k, n2, mask)
+
+
+def _extensions(family: FiniteFamily, length: int, heads: Iterable[int], n2: int, every: bool) -> int:
+    """The mask over A^{<=n2} of {sigma : h.sigma in family} for every (or some) head h.
+
+    ``heads`` are lex values of words of the given length, and
+    length + n2 <= N.  A head's length-m extensions are the run of
+    k^m bits at its value's place in the band of length + m, so each
+    length-m band of the result is one AND (or OR) of runs.
+    """
+    k = family.k
+    big = _offsets(k, family.N)
     offs = _offsets(k, n2)
-    bands = [family.band(length) for length in range(family.N + 1)]
+    heads = list(heads)
     mask = 0
     for m in range(n2 + 1):
         width = k**m
-        acc = 0
-        for j in range(ell + 1):
-            band = bands[j + m]
-            for i in range(k**j):
-                acc |= band >> (i * width)
-        mask |= (acc & ((1 << width) - 1)) << offs[m]
-    return FiniteFamily(k, n2, mask)
+        full = (1 << width) - 1
+        band = (family.mask >> big[length + m]) & ((1 << (width * k**length)) - 1)
+        if every:
+            acc = full
+            for v in heads:
+                acc &= band >> (v * width)
+        else:
+            acc = 0
+            for v in heads:
+                acc |= band >> (v * width)
+            acc &= full
+        mask |= acc << offs[m]
+    return mask
 
 
 def is_syndetic(

@@ -285,37 +285,9 @@ def h_embed(blocks: Sequence[Word]) -> HEmbedding:
 
 def d_super_s(family: FiniteFamily, line: OVWTree) -> FiniteFamily:
     """{sigma : S(1).sigma inside family}, at horizon N - |S|."""
-    from .largeness import _value
-
     if line.dimension != 1:
         raise InvalidWord("residue needs a line")
-    bands = [family.band(length) for length in range(family.N + 1)]
-    values = [_value(family.k, w) for w in level(line, 1)]
-    return _residue(family.k, bands, values, len(line.generator))
-
-
-def _residue(k: int, bands: Sequence[int], values: Sequence[int], length: int) -> FiniteFamily:
-    """{sigma in A^{<=n2} : head.sigma in F for every head}, n2 = N - length.
-
-    ``bands[r]`` is F's band of length r and ``values`` the lex values of
-    the heads, all of the given length: every head's block of
-    extensions of length m is a k^m-bit run of band length + m.
-    """
-    from .largeness import FiniteFamily, _offsets  # internal rank layout
-
-    n2 = len(bands) - 1 - length
-    if n2 < 0:
-        return FiniteFamily.empty(k, 0)
-    offs = _offsets(k, n2)
-    mask = 0
-    for m in range(n2 + 1):
-        width = k**m
-        band = bands[length + m]
-        acc = (1 << width) - 1
-        for v in values:
-            acc &= band >> (v * width)
-        mask |= acc << offs[m]
-    return FiniteFamily(k, n2, mask)
+    return family.line_residue(line.generator)
 
 
 class StepResult(NamedTuple):
@@ -338,8 +310,8 @@ def step_lemma_search(
     syndetic at the reduced horizon; both inclusions are re-verified
     on the hit's own words (S(1).Q in rank space) before the result is
     returned.  Candidate lines are enumerated only up to the first hit.
-    Within one search, S(0) in P is decided once per distinct S(0), by
-    its rank, and ``pws_certify`` runs once per distinct raw residue;
+    Within one search, S(0) in P is decided once per distinct S(0), and
+    a raw residue that ``pws_certify`` refused is not certified again;
     both memos die with the search.
     """
     from .largeness import glued_inclusion, pws_certify
@@ -348,9 +320,8 @@ def step_lemma_search(
     k = dec.k
     cap = min(max_gen_len, dec.N - 1)
     cands = var_words(k, cap, dim=1, ordered=True, min_len=1)
-    bands = [p.band(length) for length in range(p.N + 1)]
     roots: dict[tuple[int, ...], bool] = {}  # S(0) in P, by the symbols of S(0)
-    certs: dict[tuple[int, int], Optional[PwCertification]] = {}  # by the residue's (N, mask)
+    refused: set[tuple[int, int]] = set()  # (N, mask) of the residues pws_certify refused
 
     def attempt(g):
         syms = g.symbols
@@ -360,22 +331,13 @@ def step_lemma_search(
             inside = roots[root] = Word(k, root) in p
         if not inside:
             return None
-        # S(1) = g[a] for each letter a: lex value base + a * ones
-        base = ones = 0
-        for s in syms:
-            base, ones = base * k, ones * k
-            if s == k:
-                ones += 1
-            else:
-                base += s
-        q_raw = _residue(k, bands, [base + a * ones for a in range(k)], len(syms))
-        if not q_raw.mask:
-            return None
+        q_raw = p.line_residue(g)  # d_super_s(p, line)
         key = (q_raw.N, q_raw.mask)
-        if key not in certs:
-            certs[key] = pws_certify(q_raw, dec.ell, m_bound)
-        cert = certs[key]
+        if not q_raw.mask or key in refused:
+            return None
+        cert = pws_certify(q_raw, dec.ell, m_bound)
         if cert is None:
+            refused.add(key)
             return None
         # re-verification of both inclusions
         if substitute(g, ()) not in p:

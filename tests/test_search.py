@@ -221,6 +221,16 @@ class TestResidue:
                 want = all(w.concat(sigma) in fam for w in s1)
                 assert (sigma in out) == want
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_short_line_matches_per_sigma_check(self, k, rng):
+        n = 5
+        for g in var_words(k, n + 1, dim=1, ordered=True, min_len=1):
+            fam = FiniteFamily(k, n, rng.getrandbits(FiniteFamily.full(k, n).universe_size))
+            out = d_super_s(fam, tree_from_generator(g))
+            s1 = [substitute(g, (a,)) for a in range(k)]
+            want = [s for s in letter_words(k, n - len(g)) if all(w.concat(s) in fam for w in s1)]
+            assert out == FiniteFamily.from_words(k, max(n - len(g), 0), want)
+
 
 class TestDensityStep:
     def test_full_family(self):

@@ -65,7 +65,7 @@ class TestSubstitutionExamples:
             substitute(W_EXAMPLE, Word(3, (2,)))
 
     def test_negative_tuple_entry_is_refused(self):
-        # a tuple's symbols were never checked, so the result is
+        # a tuple's symbols were never checked, so the result is built by the checked Word(...)
         with pytest.raises(IndexOutOfRange, match="negative symbol -1 at position 1"):
             substitute(parse_word("0x0", K), (-1,))
 
