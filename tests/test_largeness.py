@@ -464,9 +464,9 @@ class TestTextCodec:
             (lambda: FiniteFamily.from_texts(2, n, texts), parsed(2, n, texts)),
             (one.texts, ["1" * n]),
         ):
-            # the first call may fill the low-digit tables, at most 256
-            # texts per length whatever the horizon; a later call leaves at
-            # most a few small blocks on the interpreter's free lists
+            # the first call may load the codec and fill the low-digit
+            # tables, at most 256 texts per length whatever the horizon; a
+            # later call leaves at most a few small blocks on free lists
             for left in (48 << 10, 1 << 10):
                 gc.collect()
                 tracemalloc.start()
