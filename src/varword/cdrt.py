@@ -11,26 +11,20 @@ bijective on tables and ``decode . encode`` is the identity.
 A monochromatic substitution prefix for the induced coloring pulls
 back by substituting (a_0, ..., a_{k-1}, x_0, x_1, ...) for its
 variables, which again is a reinterpretation of the same codes; the
-pullback is re-verified against the original coloring on the full
-in-horizon domain.
+pullback is re-checked against the original coloring on the full
+in-horizon domain with ``certificates.check_cdrt``, the check
+``varword verify`` runs on a cdrt certificate.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
+from .certificates import check_cdrt
 from .colorings import Coloring
-from .errors import CutPointMissing, InvalidWord
+from .errors import InvalidWord
 from .prehomog import CslCertificate
-from .words import (
-    Word,
-    dimension,
-    format_word,
-    is_prefix_valid,
-    is_var_word,
-    substitute,
-    var_words,
-)
+from .words import Word, dimension, format_word, is_prefix_valid, is_var_word
 
 __all__ = [
     "encode_word",
@@ -88,37 +82,15 @@ class CdrtPullback(NamedTuple):
     checked: tuple[tuple[Word, Word], ...]  # (u, W[u]) over the original domain
 
 
-def pullback_certificate(
-    cert: CslCertificate, coloring: Coloring, depth: Optional[int] = None
-) -> CdrtPullback:
-    """Pull a certificate for the induced coloring back and re-verify it.
+def pullback_certificate(cert: CslCertificate, coloring: Coloring, depth: int) -> CdrtPullback:
+    """Pull a certificate for the induced coloring back and re-check it.
 
-    Every in-horizon pattern u of the original coloring must satisfy
-    C(W[u]) == color, where W is the pulled-back prefix.
+    Every in-horizon pattern u of the original coloring up to ``depth``
+    must satisfy C(W[u]) == color, where W is the pulled-back prefix
+    (``certificates.check_cdrt``; a failure raises ``CheckFailed``).
     """
     w = pullback_word(cert.word, coloring.k)
-    if depth is None:
-        depth = max((len(u) for u, _ in cert.checked), default=0) - coloring.k
-        depth = max(depth, coloring.n)
-    checked = []
-    if coloring.n == 0:
-        from .words import letter_words
-
-        patterns = letter_words(coloring.k, depth)
-    else:
-        patterns = var_words(coloring.k, depth, dim=coloring.n)
-    for u in patterns:
-        try:
-            img = substitute(w, u, omega=True)
-        except CutPointMissing:
-            continue
-        if img not in coloring:
-            continue
-        if coloring(img) != cert.color:
-            raise InvalidWord(
-                f"pullback re-verification failed at {format_word(u)}"
-            )
-        checked.append((u, img))
+    checked = check_cdrt(coloring, w, cert.color, depth)
     if not checked:
         raise InvalidWord("pullback verified nothing within the horizon")
     return CdrtPullback(w, cert.color, tuple(checked))

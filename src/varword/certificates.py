@@ -1,4 +1,4 @@
-"""Certificate JSON schema (version 1): the builders and the search-free verifier.
+"""Certificate JSON schema (version 1): the builders, the checkers and the search-free verifier.
 
 A certificate embeds its instance, a sha256 digest of the instance's
 canonical JSON, and a kind-specific witness.  ``verify_certificate``
@@ -8,9 +8,13 @@ here stands on its own.  Serialization is canonical (sorted keys, no
 whitespace), which is what makes byte-identical reruns a meaningful
 contract.
 
-This is the only module that knows the format: each kind's builder,
-``<kind>_certificate_doc``, sits beside its ``_verify_<kind>`` and only
-serializes the objects its search already computed.
+This is the only module that knows the format.  Each kind has one
+builder, ``<kind>_certificate_doc``, which only serializes the objects
+its search already computed, and one check.  For the kinds a search
+re-checks before returning (line-letter, csl, prehomog, cdrt) the check
+is ``check_<kind>``, which takes objects: the search calls it on its
+hit, and ``_verify_<kind>`` parses the document and calls the same
+function.  A failed check raises ``CheckFailed``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from itertools import combinations, product
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from . import __version__
-from .errors import InvalidWord, VarwordError
+from .errors import CheckFailed, InvalidWord, VarwordError
 from .words import (
     Word,
     compose,
@@ -70,6 +74,11 @@ __all__ = [
     "cdrt_certificate_doc",
     "embedding_certificate_doc",
     "envelope_certificate_doc",
+    "check_line_letter",
+    "check_csl",
+    "check_prehomog",
+    "check_cdrt",
+    "stem_extension_words",
     "VerifyResult",
     "verify_certificate",
 ]
@@ -205,13 +214,9 @@ class VerifyResult(NamedTuple):
     detail: str = ""
 
 
-class _Fail(VarwordError):
-    pass
-
-
 def _need(cond: bool, msg: str) -> None:
     if not cond:
-        raise _Fail(msg)
+        raise CheckFailed(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +233,30 @@ def line_letter_certificate_doc(coloring: Coloring, cert) -> dict:
     return wrap("line-letter", coloring_to_json(coloring), witness, len(cert.checked))
 
 
-def _verify_line_letter(instance: dict, witness: dict) -> int:
+def check_line_letter(coloring: Coloring, g: Word, letter: int, color: int, checked) -> set[Word]:
+    """The words S(0) and S(1).letter of the line S generated by ``g`` all
+    have ``color``, and ``checked`` holds exactly these words; returns them."""
     from .trees import level, tree_from_generator
 
-    coloring = coloring_from_json(instance)
-    g = word_from_json(witness["generator"])
     tree = tree_from_generator(g)
     _need(tree.dimension == 1, "generator is not one-dimensional")
     _need(len(g) + 1 <= coloring.N, "line does not fit the horizon")
-    a = int(witness["letter"])
-    _need(0 <= a < coloring.k, "letter outside alphabet")
-    color = int(witness["color"])
+    _need(0 <= letter < coloring.k, "letter outside alphabet")
     expected = {level(tree, 0)[0]}
     for w in level(tree, 1):
-        expected.add(Word(w.k, w.symbols + (a,)))
-    checked = {word_from_json(d) for d in witness["checked"]}
-    _need(checked == expected, "checked set mismatch")
+        expected.add(Word(w.k, w.symbols + (letter,)))
+    _need(set(checked) == expected, "checked set mismatch")
     for w in expected:
         _need(coloring(w) == color, f"{format_word(w)} has the wrong color")
-    return len(expected)
+    return expected
+
+
+def _verify_line_letter(instance: dict, witness: dict) -> int:
+    coloring = coloring_from_json(instance)
+    g = word_from_json(witness["generator"])
+    letter, color = int(witness["letter"]), int(witness["color"])
+    checked = [word_from_json(d) for d in witness["checked"]]
+    return len(check_line_letter(coloring, g, letter, color, checked))
 
 
 def tree_certificate_doc(tree) -> dict:
@@ -444,20 +454,21 @@ def _verify_builder(instance: dict, witness: dict) -> int:
         for top in tree_levels(g, p.N):
             ok, checked, _, bad = glued_inclusion(top, just_empty, p)
             if not ok:
-                raise _Fail(f"claim 1 fails at {format_word(bad)}")
+                raise CheckFailed(f"claim 1 fails at {format_word(bad)}")
             count += checked
         if len(g) <= p.N:  # the top level is within the horizon
             insts = [substitute(block, (a,)) for a in range(p.k)]
             heads = [t.concat(wa) for t in top for wa in insts]
             ok, checked, _, bad = glued_inclusion(heads, residue, p)
             if not ok:
-                raise _Fail(f"claim 2 fails at {format_word(bad)}")
+                raise CheckFailed(f"claim 2 fails at {format_word(bad)}")
             count += checked
     return count
 
 
-def _stem_extension_words(stem: Word, k: int, n: int, tail_max: int, w_hat: Word, horizon: int):
-    """Each t = stem . x_n . tail, |tail| <= tail_max, whose image w_hat[t] can be colored.
+def stem_extension_words(stem: Word, k: int, n: int, tail_max: int, w_hat: Word, horizon: int):
+    """Each t = stem . x_n . tail, |tail| <= tail_max, whose image w_hat[t] can be colored,
+    by (length, lex); tails run over A | {x_0..x_n}.
 
     w_hat[t] is cut at the first x_{|t|} in w_hat, so a length |t| whose
     cut is missing (the image raises) or past the horizon (the image is
@@ -486,14 +497,16 @@ def prehomog_certificate_doc(coloring: Coloring, w: Word, out, verify_tail: int)
     return wrap("prehomog", instance, witness, len(out.checked))
 
 
-def _verify_prehomog(instance: dict, witness: dict) -> int:
-    coloring = coloring_from_json(instance["coloring"])
-    w = word_from_json(instance["w"])
-    stem = word_from_json(instance["stem"])
-    tail_max = int(instance["verify_tail"])
-    w_hat = word_from_json(witness["w_hat"])
-    z = word_from_json(witness["z_word"])
-    color = int(witness["color"])
+def check_prehomog(
+    coloring: Coloring, w: Word, stem: Word, tail_max: int, w_hat: Word, z: Word, color: int
+) -> list[tuple[Word, Word]]:
+    """w_hat = compose(w, z) for a z that keeps z_0..z_{|stem|} pure, and
+    w_hat[t] has ``color`` for every colorable extension t of stem . x_n
+    with a tail of length at most ``tail_max``.
+
+    Returns the (t, w_hat[t]) pairs checked, which may be none: an empty
+    walk is for the caller to judge.
+    """
     n = coloring.n - 1
     m = len(stem) + 1
     # with w and z prefix-valid so is w_hat, and a colorable image
@@ -505,8 +518,8 @@ def _verify_prehomog(instance: dict, witness: dict) -> int:
         "z does not start with a pure variable prefix",
     )
     _need(compose(w, z) == w_hat, "w_hat is not compose(w, z)")
-    count = 0
-    for t in _stem_extension_words(stem, coloring.k, n, tail_max, w_hat, coloring.N):
+    pairs = []
+    for t in stem_extension_words(stem, coloring.k, n, tail_max, w_hat, coloring.N):
         try:
             img = substitute(w_hat, t, omega=True)
         except VarwordError:
@@ -514,9 +527,22 @@ def _verify_prehomog(instance: dict, witness: dict) -> int:
         if img not in coloring:
             continue
         _need(coloring(img) == color, f"color breaks at t={format_word(t)}")
-        count += 1
-    _need(count > 0, "nothing verifiable within the horizon")
-    return count
+        pairs.append((t, img))
+    return pairs
+
+
+def _verify_prehomog(instance: dict, witness: dict) -> int:
+    pairs = check_prehomog(
+        coloring_from_json(instance["coloring"]),
+        word_from_json(instance["w"]),
+        word_from_json(instance["stem"]),
+        int(instance["verify_tail"]),
+        word_from_json(witness["w_hat"]),
+        word_from_json(witness["z_word"]),
+        int(witness["color"]),
+    )
+    _need(pairs, "nothing verifiable within the horizon")
+    return len(pairs)
 
 
 def csl_certificate_doc(coloring: Coloring, cert) -> dict:
@@ -529,32 +555,64 @@ def csl_certificate_doc(coloring: Coloring, cert) -> dict:
     return wrap("csl", coloring_to_json(coloring), witness, len(cert.checked))
 
 
-def _verify_csl(instance: dict, witness: dict) -> int:
-    coloring = coloring_from_json(instance)
-    w = word_from_json(witness["word"])
-    color = int(witness["color"])
-    depth = int(witness["depth"])
+def check_csl(coloring: Coloring, w: Word, color: int, depth: int, checked) -> list[tuple[Word, Word]]:
+    """W[u] lies in the domain and has ``color`` for every pattern u of the
+    coloring's dimension up to ``depth``, and ``checked`` lists exactly the
+    pairs (u, W[u]) in pattern order; returns these pairs."""
     _need(is_prefix_valid(w), "word is not prefix-valid")
     # patterns are walked lazily: distinct patterns have distinct images,
     # so one leaves the domain within len(coloring.table) + 1 steps
-    if coloring.n == 0:
-        patterns = letter_words(coloring.k, depth)
-    else:
-        patterns = var_words(coloring.k, depth, dim=coloring.n)
-    count = 0
-    for u in patterns:
+    pairs = []
+    for u in var_words(coloring.k, depth, dim=coloring.n):
         img = substitute(w, u, omega=True)  # must be defined for every pattern
         _need(img in coloring, f"image of {format_word(u)} leaves the domain")
         _need(coloring(img) == color, f"color breaks at {format_word(u)}")
-        count += 1
-    _need(count > 0, "empty pattern range")
-    return count
+        pairs.append((u, img))
+    _need(pairs, "empty pattern range")
+    _need(list(checked) == pairs, "checked pairs are not the pattern walk")
+    return pairs
+
+
+def _verify_csl(instance: dict, witness: dict) -> int:
+    coloring = coloring_from_json(instance)
+    w = word_from_json(witness["word"])
+    color, depth = int(witness["color"]), int(witness["depth"])
+    checked = [(word_from_json(u), word_from_json(img)) for u, img in witness["checked"]]
+    return len(check_csl(coloring, w, color, depth, checked))
 
 
 def cdrt_certificate_doc(coloring: Coloring, pb, depth: int, w_hat: Word) -> dict:
     instance = {"type": "cdrt-instance", "coloring": coloring_to_json(coloring), "depth": depth}
     witness = {"w_hat": word_to_json(w_hat), "word": word_to_json(pb.word), "color": pb.color}
     return wrap("cdrt", instance, witness, len(pb.checked))
+
+
+def check_cdrt(coloring: Coloring, w: Word, color: int, depth: int) -> list[tuple[Word, Word]]:
+    """W[u] has ``color`` for every pattern u of the coloring's dimension up
+    to ``depth`` whose image is defined and colored.
+
+    Returns the (u, W[u]) pairs checked, which may be none: an empty walk
+    is for the caller to judge.
+    """
+    _need(is_prefix_valid(w), "pullback is not prefix-valid")
+    # w[u] is cut at the first x_{|u|} in w: a pattern length whose cut is
+    # missing (the image raises) or past N (the image is uncolored) is
+    # passed over whole, and no cut exists past w's dimension
+    pairs = []
+    for length in range(min(depth, dimension(w) - 1) + 1):
+        cut = first_occurrence(w, length)
+        if cut is None or cut > coloring.N:
+            continue
+        for u in var_words(coloring.k, length, dim=coloring.n, min_len=length):
+            try:
+                img = substitute(w, u, omega=True)
+            except VarwordError:
+                continue
+            if img not in coloring:
+                continue
+            _need(coloring(img) == color, f"pullback color breaks at {format_word(u)}")
+            pairs.append((u, img))
+    return pairs
 
 
 def _verify_cdrt(instance: dict, witness: dict) -> int:
@@ -564,30 +622,9 @@ def _verify_cdrt(instance: dict, witness: dict) -> int:
     w = word_from_json(witness["word"])
     color = int(witness["color"])
     _need(w.symbols == w_hat.symbols and w.k == coloring.k, "pullback mismatch")
-    _need(is_prefix_valid(w), "pullback is not prefix-valid")
-    # w[u] is cut at the first x_{|u|} in w: a pattern length whose cut is
-    # missing (the image raises) or past N (the image is uncolored) is
-    # passed over whole, and no cut exists past w's dimension
-    count = 0
-    for length in range(min(depth, dimension(w) - 1) + 1):
-        cut = first_occurrence(w, length)
-        if cut is None or cut > coloring.N:
-            continue
-        if coloring.n == 0:
-            patterns = letter_words(coloring.k, length, min_len=length)
-        else:
-            patterns = var_words(coloring.k, length, dim=coloring.n, min_len=length)
-        for u in patterns:
-            try:
-                img = substitute(w, u, omega=True)
-            except VarwordError:
-                continue
-            if img not in coloring:
-                continue
-            _need(coloring(img) == color, f"pullback color breaks at {format_word(u)}")
-            count += 1
-    _need(count > 0, "nothing verifiable within the horizon")
-    return count
+    pairs = check_cdrt(coloring, w, color, depth)
+    _need(pairs, "nothing verifiable within the horizon")
+    return len(pairs)
 
 
 def embedding_certificate_doc(g: GraphSpec, images, mode: str, horizon) -> dict:
@@ -678,7 +715,7 @@ def verify_certificate(doc: dict) -> VerifyResult:
         declared = int(doc.get("checked_count", count))
         _need(count >= 1 and declared >= 1, "empty verification")
         return VerifyResult(True, kind, f"{count} checks")
-    except _Fail as exc:
+    except CheckFailed as exc:
         return VerifyResult(False, kind, str(exc))
     except (KeyError, ValueError, TypeError, OverflowError, VarwordError) as exc:
         return VerifyResult(False, kind, f"malformed certificate: {exc}")

@@ -18,23 +18,15 @@ from .words import (
     check_universe,
     format_word,
     is_var_word,
-    letter_words,
     parse_word,
     var_words,
 )
 
-__all__ = ["Coloring", "domain_words"]
-
-
-def domain_words(k: int, n_horizon: int, dim: int) -> Iterator[Word]:
-    if dim == 0:
-        yield from letter_words(k, n_horizon)
-    else:
-        yield from var_words(k, n_horizon, dim=dim)
+__all__ = ["Coloring"]
 
 
 def _domain_size(k: int, n_horizon: int, dim: int, cap: int) -> int:
-    """Number of words ``domain_words`` yields, or cap + 1 if that is more.
+    """Number of words ``var_words(k, n_horizon, dim=dim)`` yields, or cap + 1 if that is more.
 
     counts[i] is the number of words of the current length that have
     introduced i variables; a word grows by a letter or an introduced
@@ -101,7 +93,7 @@ class Coloring(Frozen):
         cls, k: int, n_horizon: int, dim: int, ell: int, fn: Callable[[Word], int]
     ) -> "Coloring":
         table = {}
-        for w in domain_words(k, n_horizon, dim):
+        for w in var_words(k, n_horizon, dim=dim):
             c = fn(w)
             if not 0 <= c < ell:
                 raise InvalidWord(f"color {c} out of range for {format_word(w)}")
@@ -119,7 +111,7 @@ class Coloring(Frozen):
         return w in self.table
 
     def domain(self) -> Iterator[Word]:
-        yield from domain_words(self.k, self.N, self.n)
+        return var_words(self.k, self.N, dim=self.n)
 
     @staticmethod
     def check_header(k: int, n_horizon: int, dim: int) -> None:

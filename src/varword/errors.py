@@ -27,6 +27,10 @@ class NotOrdered(InvalidWord):
     """An operation requiring an ordered variable word got an unordered one."""
 
 
+class CheckFailed(InvalidWord):
+    """A certificate's claim does not hold for its instance."""
+
+
 class NotATree(VarwordError):
     """A word set is not an instantiation tree; carries a diagnostic pair."""
 

@@ -7,9 +7,11 @@ words, ``one_step_prehomog`` freezes the color of all extensions of a
 given stem s: it colors the extension tails over the alphabet enlarged
 by the stem's variables, runs the prefix search there, renames the
 letter-variables back into variable slots and composes the result onto
-W.  The output is below W in the pure-prefix order ``leq_m`` and is
-re-verified against the original coloring on every in-horizon
-extension before being returned.
+W.  The output is below W in the pure-prefix order ``leq_m``.
+
+Each search re-checks its hit against the original coloring with the
+check ``varword verify`` runs on the kind's certificate:
+``certificates.check_csl`` and ``certificates.check_prehomog``.
 
 All infinitary statements here are bounded searches with explicit
 horizons; exhaustion raises NotFoundWithinHorizon.
@@ -17,9 +19,9 @@ horizons; exhaustion raises NotFoundWithinHorizon.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
+from .certificates import check_csl, check_prehomog, stem_extension_words
 from .colorings import Coloring
 from .errors import CutPointMissing, InvalidWord, NotFoundWithinHorizon
 from .search import sharded_first
@@ -57,12 +59,6 @@ class CslCertificate(NamedTuple):
     checked: tuple[tuple[Word, Word], ...]  # (u, W[u]) pairs
 
 
-def _domain_patterns(k: int, dim: int, depth: int) -> list[Word]:
-    if dim == 0:
-        return list(letter_words(k, depth))
-    return list(var_words(k, depth, dim=dim))
-
-
 def csl_search(
     coloring: Coloring,
     depth: int,
@@ -77,7 +73,7 @@ def csl_search(
     """
     k = coloring.k
     cap = coloring.N + 1 if max_len is None else max_len
-    patterns = _domain_patterns(k, coloring.n, depth)
+    patterns = list(var_words(k, depth, dim=coloring.n))
     if not patterns:
         raise InvalidWord(f"no dimension-{coloring.n} patterns up to depth {depth}")
     cands = (
@@ -116,32 +112,13 @@ def csl_search(
 
 
 def verify_csl(cert: CslCertificate, coloring: Coloring) -> None:
-    if not is_prefix_valid(cert.word):
-        raise InvalidWord("certificate word is not prefix-valid")
-    want = {u.symbols for u in _domain_patterns(coloring.k, coloring.n, cert.depth)}
-    got = {u.symbols for u, _ in cert.checked}
-    if want != got:
-        raise InvalidWord("checked patterns do not cover the declared depth")
-    for u, img in cert.checked:
-        if substitute(cert.word, u, omega=True) != img:
-            raise InvalidWord(f"stale pair at {format_word(u)}")
-        if coloring(img) != cert.color:
-            raise InvalidWord(f"{format_word(img)} not in color {cert.color}")
+    """Re-check a certificate with ``certificates.check_csl``; raises
+    ``CheckFailed``, an ``InvalidWord``, when it does not hold."""
+    check_csl(coloring, cert.word, cert.color, cert.depth, cert.checked)
 
 
 # ---------------------------------------------------------------------------
 # prehomogeneity
-
-
-def _stem_extensions(
-    stem: Word, k: int, n: int, tail_max: int
-) -> Iterator[Word]:
-    """All t = stem . x_n . tail with tail over A | {x_0..x_n}, by (length, lex)."""
-    base = stem.symbols + (k + n,)
-    symbols = list(range(k)) + [k + j for j in range(n + 1)]
-    for tail_len in range(tail_max + 1):
-        for tail in product(symbols, repeat=tail_len):
-            yield Word(k, base + tail)
 
 
 class PrehomogReport(NamedTuple):
@@ -167,15 +144,11 @@ def prehomog_check(
     n = coloring.n - 1
     k = coloring.k
     checked = 0
-    stems = _domain_patterns(k, n, stem_max)
-    for s in stems:
+    for s in var_words(k, stem_max, dim=n):
         first_t = None
         first_color = None
-        for t in _stem_extensions(s, k, n, tail_max):
-            try:
-                img = substitute(w, t, omega=True)
-            except CutPointMissing:
-                continue
+        for t in stem_extension_words(s, k, n, tail_max, w, coloring.N):
+            img = substitute(w, t, omega=True)  # the walk passes over missing cuts
             if img not in coloring:
                 continue
             c = coloring(img)
@@ -215,8 +188,10 @@ def one_step_prehomog(
     there, renames the letter-variables x_m to the variable slots of
     their first occurrence in stem.x_n and the search variables to
     fresh slots, and composes the renamed prefix onto W after the pure
-    prefix z_0..z_{|stem|}.  The conclusion is re-verified on every
-    in-horizon extension before returning.
+    prefix z_0..z_{|stem|}.  The conclusion is re-checked on every
+    in-horizon extension with ``certificates.check_prehomog`` before
+    returning; a failed check raises ``CheckFailed``, and an extension
+    range with nothing in the horizon raises NotFoundWithinHorizon.
     """
     if coloring.n < 1:
         raise InvalidWord("need a coloring of dimension >= 1")
@@ -274,23 +249,8 @@ def one_step_prehomog(
         else:
             mapped.append(k + len(stem) + 1 + (sym - ke))
     z_word = Word(k, tuple(k + j for j in range(len(stem) + 1)) + tuple(mapped))
-    if not is_prefix_valid(z_word):
-        raise InvalidWord("renamed substitution word is not prefix-valid")
     w_hat = compose(w, z_word)
-
-    checked = []
-    for t in _stem_extensions(stem, k, n, verify_tail):
-        try:
-            img = substitute(w_hat, t, omega=True)
-        except CutPointMissing:
-            continue
-        if img not in coloring:
-            continue
-        if coloring(img) != inner.color:
-            raise AssertionError(
-                f"re-verification failed at t={format_word(t)}"
-            )
-        checked.append((t, img))
+    checked = check_prehomog(coloring, w, stem, verify_tail, w_hat, z_word, inner.color)
     if not checked:
         raise NotFoundWithinHorizon("no in-horizon extension could be re-verified")
     return OneStepCertificate(

@@ -1,11 +1,13 @@
 """Bounded searches around the finitary line-with-letter theorem.
 
 Every search enumerates candidates in length-then-lex order and
-returns the first witness, fully re-verified, so output is
-deterministic and worker sharding cannot change it.  With one worker
-the candidates are walked lazily and the walk stops at the first hit;
-with several they are listed, cut into contiguous shards, and the
-global answer is the minimum candidate index over per-shard hits.
+returns the first witness, so output is deterministic and worker
+sharding cannot change it.  With one worker the candidates are walked
+lazily and the walk stops at the first hit; with several they are
+listed, cut into contiguous shards, and the global answer is the
+minimum candidate index over per-shard hits.  A line-with-letter hit
+is re-checked before it is returned with ``certificates.check_line_letter``,
+the check ``varword verify`` runs on its certificate.
 
 Provided here:
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ._frozen import Frozen
+from .certificates import check_line_letter
 from .colorings import Coloring
 from .errors import (
     NoConnector,
@@ -164,23 +167,9 @@ def search_line_with_letter(
 
 
 def verify_line_letter(cert: LineLetterCertificate, coloring: Coloring) -> None:
-    """Re-check a certificate against the instance from its postconditions only."""
-    g = cert.line.generator
-    tree = tree_from_generator(g)  # re-derives and re-validates orderedness
-    if tree.dimension != 1:
-        raise InvalidWord("certificate line is not one-dimensional")
-    if len(g) + 1 > coloring.N:
-        raise InvalidWord("certificate line does not fit within the horizon")
-    if not 0 <= cert.letter < coloring.k:
-        raise InvalidWord("certificate letter outside the alphabet")
-    expected = set(level(tree, 0))
-    for w in level(tree, 1):
-        expected.add(Word(w.k, w.symbols + (cert.letter,)))
-    if expected != set(cert.checked):
-        raise InvalidWord("checked set does not match S(0) | S(1).a")
-    for w in cert.checked:
-        if coloring(w) != cert.color:
-            raise InvalidWord(f"{format_word(w)} not in color {cert.color}")
+    """Re-check a certificate with ``certificates.check_line_letter``;
+    raises ``CheckFailed``, an ``InvalidWord``, when it does not hold."""
+    check_line_letter(coloring, cert.line.generator, cert.letter, cert.color, cert.checked)
 
 
 def line_letter_from_dim2(

@@ -378,6 +378,23 @@ def test_csl_verifier_bounded_by_coloring(docs):
     assert not res.ok
 
 
+@pytest.mark.parametrize("tamper", ["drop", "reorder", "stale", "garbage"])
+def test_csl_checked_pairs_must_be_the_pattern_walk(docs, tamper):
+    # the listed (u, W[u]) pairs used to be ignored: each of these verified OK
+    doc = json.loads(certs.canonical_json(docs["csl"]))
+    assert certs.verify_certificate(doc) == (True, "csl", "3 checks")
+    checked = doc["witness"]["checked"]
+    if tamper == "drop":
+        del doc["witness"]["checked"]
+    elif tamper == "reorder":
+        checked.reverse()
+    elif tamper == "stale":
+        checked[1][1] = checked[0][1]
+    else:
+        doc["witness"]["checked"] = [["garbage"]]
+    assert not certs.verify_certificate(doc).ok
+
+
 def test_cdrt_verifier_bounded_by_coloring(docs):
     # pattern lengths whose cut in the word is missing or past N are passed
     # over whole; walking every pattern to depth 16 took about 0.9 s

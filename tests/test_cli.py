@@ -465,10 +465,23 @@ class TestImportSets:
         assert code == 0
         assert not mods & {"numpy", "varword.largeness", "varword.search", "varword.prehomog", "varword.cdrt"}
 
-    def test_verify_envelope(self, run, tmp_path):
-        cert = tmp_path / "env.json"
-        assert run("henson", "envelope", "--members", "0x0,x0[0]", "--json-out", str(cert))[0] == 0
-        code, mods = _fresh_modules(["verify", str(cert)], tmp_path)
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "henson envelope --members 0x0,x0[0]",
+            "search line --coloring col.txt",
+            "search csl --coloring col.txt",
+            "search prehomog --coloring col1.txt --w x0x1x2x3x4x5",
+            "cdrt pullback --coloring col.txt",
+        ],
+        ids=["envelope", "line-letter", "csl", "prehomog", "cdrt"],
+    )
+    def test_verify_loads_no_search(self, run, instance_dir, monkeypatch, command):
+        # the searches re-check their hits with the checkers in
+        # ``certificates``; verifying must not pull the searches back in
+        monkeypatch.chdir(instance_dir)
+        assert run(*command.split(), "--json-out", "cert.json")[0] == 0
+        code, mods = _fresh_modules(["verify", "cert.json"], instance_dir)
         assert code == 0
         assert not mods & {"numpy", "varword.search", "varword.prehomog", "varword.cdrt"}
 

@@ -1,7 +1,9 @@
 import pytest
 
+from varword import prehomog
+from varword.cli import main
 from varword.colorings import Coloring
-from varword.errors import CutPointMissing, NotFoundWithinHorizon
+from varword.errors import CutPointMissing, InvalidWord, NotFoundWithinHorizon
 from varword.prehomog import (
     csl_search,
     leq_m_check,
@@ -120,6 +122,25 @@ class TestOneStep:
         f = Coloring.constant(K, 8, 1, 2)
         with pytest.raises(CutPointMissing):
             one_step_prehomog(parse_word("x0x1", K), Word(K, ()), f, depth=1)
+
+    def test_failed_recheck_is_an_error_not_a_traceback(self, monkeypatch, tmp_path, capsys):
+        # an inner certificate of the wrong color must fail the re-check
+        # with the checker's rejection, which the CLI reports as an error
+        real = prehomog.csl_search
+
+        def wrong_color(*args, **kwargs):
+            cert = real(*args, **kwargs)
+            return cert._replace(color=1 - cert.color)
+
+        monkeypatch.setattr(prehomog, "csl_search", wrong_color)
+        f = Coloring.constant(K, 8, 1, 2)
+        with pytest.raises(InvalidWord):
+            one_step_prehomog(IDENT, Word(K, ()), f, depth=1, verify_tail=2)
+        col = tmp_path / "col1.txt"
+        col.write_text(f.dump())
+        code = main(["search", "prehomog", "--coloring", str(col), "--w", "x0x1x2x3x4x5x6x7"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
 class TestLeq:
