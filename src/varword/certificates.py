@@ -286,6 +286,7 @@ def _verify_tree(instance: dict, witness: dict) -> int:
     tree = tree_from_generator(g)
     _need(tree.element_set() == frozenset(elems), "element set mismatch")
     _need(int(witness["dimension"]) == tree.dimension, "dimension mismatch")
+    _need(witness["elements"] == instance["elements"], "witness elements differ from the instance's")
     return len(elems)
 
 
@@ -430,13 +431,21 @@ def builder_certificate_doc(dec: PwSyndeticDecomposition, trace) -> dict:
     return wrap("builder-trace", instance, {"stages": stages}, checked)
 
 
+def _geometric(k: int, lo: int, hi: int) -> int:
+    """k^lo + ... + k^hi for lo <= hi + 1, the element count of levels
+    lo..hi of a tree, in closed form: a hostile dimension costs no loop."""
+    return hi + 1 - lo if k == 1 else (k ** (hi + 1) - k**lo) // (k - 1)
+
+
 def _verify_builder(instance: dict, witness: dict) -> int:
     """Claims 1 and 2 of every stage, checked against the instance's P.
 
     Only the levels of a stage's tree within P's horizon are built, one
     at a time: claim 1 needs all of a level's words in P, so the work up
     to a failure is bounded by |P|, and a top level past the horizon
-    gives claim 2 only glued words past it.
+    gives claim 2 only glued words past it.  Each stage's claim records
+    must be what these checks find; the words they skip are counted
+    from the sizes alone (level j has k^j words).
     """
     from .largeness import FiniteFamily, glued_inclusion
     from .trees import tree_levels
@@ -445,24 +454,34 @@ def _verify_builder(instance: dict, witness: dict) -> int:
     p = dec.part
     just_empty = FiniteFamily(p.k, 0, 1)
     count = 0
-    for stage in witness["stages"]:
+    for i, stage in enumerate(witness["stages"]):
         g = word_from_json(stage["generator"])
         _need(g.k == p.k, "generator alphabet differs from the instance's")
         block = word_from_json(stage["block"])
-        residue = decomposition_from_json(stage["residue"]).part
-        top = ()
-        for top in tree_levels(g, p.N):
+        res_dec = decomposition_from_json(stage["residue"])
+        _need(res_dec.ell == dec.ell, f"stage {i}: residue ell differs from the instance's")
+        residue = res_dec.part
+        top, built, c1 = (), 0, 0
+        for built, top in enumerate(tree_levels(g, p.N), 1):
             ok, checked, _, bad = glued_inclusion(top, just_empty, p)
             if not ok:
                 raise CheckFailed(f"claim 1 fails at {format_word(bad)}")
-            count += checked
+            c1 += checked
+        dim = dimension(g)
         if len(g) <= p.N:  # the top level is within the horizon
             insts = [substitute(block, (a,)) for a in range(p.k)]
             heads = [t.concat(wa) for t in top for wa in insts]
-            ok, checked, _, bad = glued_inclusion(heads, residue, p)
+            ok, c2, s2, bad = glued_inclusion(heads, residue, p)
             if not ok:
                 raise CheckFailed(f"claim 2 fails at {format_word(bad)}")
-            count += checked
+        else:  # every glued word is past it
+            c2, s2 = 0, p.k ** (dim + 1) * residue.mask.bit_count()
+        s1 = _geometric(p.k, built, dim)  # the levels not built
+        for n, c, s in ((1, c1, s1), (2, c2, s2)):
+            record = stage[f"claim{n}"]
+            want = {"ok": True, "checked": c, "skipped": s}
+            _need(record == want and record["ok"] is True, f"stage {i}: claim {n} record mismatch")
+        count += c1 + c2
     return count
 
 
@@ -671,10 +690,13 @@ def _verify_envelope(instance: dict, witness: dict) -> int:
     members = [word_from_json(d) for d in instance["members"]]
     env = word_from_json(witness["word"])
     var_count = int(witness["variable_count"])
-    bound = 2 ** len(members) + len(members) - 1
+    m = len(set(members))  # ``minimal_envelope`` bounds by the distinct members
+    bound = 2**m + m - 1
     _need(dimension(env) == var_count, "variable count mismatch")
     _need(is_var_word(env, var_count), "envelope is not a valid variable word")
     _need(var_count <= bound, "variable count above the bound")
+    _need(witness["bound"] == bound, "bound mismatch")
+    _need(witness["minimal_by_search_order"] is True, "envelope not marked minimal by search order")
     assigns = {
         word_from_json(s).symbols: word_from_json(t)
         for s, t in witness["assignments"]

@@ -4,8 +4,8 @@ Structured canonical JSON goes to stdout, a one-line human summary to
 stderr.  Exit codes: 0 on success or certificate found, 2 when a
 bounded search legitimately exhausts its horizon, 1 on input errors.
 ``--json-out FILE`` additionally writes the same bytes to a file.
-Identical arguments produce byte-identical output regardless of
-``--workers``.
+Identical arguments produce byte-identical output; the searches walk
+their candidates lazily in one thread.
 
 Every process is a fresh interpreter, so a command loads only its own
 code: the handlers live in ``varword.commands``, one module per group,
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -108,14 +107,12 @@ def _emit(doc: dict, args, summary: str) -> None:
 GROUPS = ("word", "tree", "large", "search", "cdrt", "henson", "verify")
 
 # Flags several commands share; each command gets only those its handler
-# reads.  argparse runs a string default through ``type``, so a malformed
-# VARWORD_WORKERS is a usage error, not a traceback.
+# reads.
 _SHARED = {
     "k": {"type": int, "default": 2, "help": "alphabet size"},
     "ell": {"type": int, "default": 2, "help": "color count / syndeticity bound"},
     "horizon": {"type": int, "default": 8, "help": "word length horizon"},
     "dim": {"type": int, "default": 0, "help": "variable-word dimension"},
-    "workers": {"type": int, "help": "worker count (output is identical for any value)"},
 }
 
 
@@ -125,10 +122,7 @@ def _command(group, name: str, fn, *flags: str):
     # `large thick`) must fail rather than match a longer one (--ell-max)
     p = group.add_parser(name, allow_abbrev=False)
     for flag in flags:
-        kwargs = _SHARED[flag]
-        if flag == "workers":
-            kwargs = dict(kwargs, default=os.environ.get("VARWORD_WORKERS", "1"))
-        p.add_argument(f"--{flag}", **kwargs)
+        p.add_argument(f"--{flag}", **_SHARED[flag])
     p.add_argument("--json-out", help="also write the JSON result to this file")
     p.set_defaults(fn=fn)
     return p

@@ -31,12 +31,7 @@ def cmd_cdrt_pullback(args):
         pb = pullback_certificate(cert, coloring, depth=args.depth)
     else:
         # the pulled-back prefix needs k extra variables for the letter slots
-        inner = csl_search(
-            translated,
-            coloring.k + args.depth,
-            max_len=args.max_len,
-            workers=args.workers,
-        )
+        inner = csl_search(translated, coloring.k + args.depth, max_len=args.max_len)
         w_hat = inner.word
         pb = pullback_certificate(inner, coloring, depth=args.depth)
     doc = cdrt_certificate_doc(coloring, pb, args.depth, w_hat)
@@ -48,7 +43,7 @@ def register(sub) -> None:
     cd = sub.add_parser("cdrt").add_subparsers(dest="cmd", required=True)
     p = _command(cd, "translate", cmd_cdrt_translate)
     p.add_argument("--coloring", required=True)
-    p = _command(cd, "pullback", cmd_cdrt_pullback, "workers")
+    p = _command(cd, "pullback", cmd_cdrt_pullback)
     p.add_argument("--coloring", required=True)
     p.add_argument("--what", help="prefix over the empty alphabet; searched when omitted")
     p.add_argument("--color", type=int, default=0)

@@ -21,7 +21,7 @@ from ..words import format_word, parse_word
 
 def cmd_search_line(args):
     coloring = _coloring(args.coloring)
-    cert = search_line_with_letter(coloring, workers=args.workers)
+    cert = search_line_with_letter(coloring)
     doc = line_letter_certificate_doc(coloring, cert)
     _emit(doc, args, f"line {format_word(cert.line.generator)}, letter {cert.letter}, color {cert.color}")
     return 0
@@ -31,9 +31,7 @@ def cmd_search_csl(args):
     from ..prehomog import csl_search
 
     coloring = _coloring(args.coloring)
-    cert = csl_search(
-        coloring, args.depth, max_len=args.max_len, workers=args.workers
-    )
+    cert = csl_search(coloring, args.depth, max_len=args.max_len)
     doc = csl_certificate_doc(coloring, cert)
     _emit(doc, args, f"prefix {format_word(cert.word)}, color {cert.color}")
     return 0
@@ -41,9 +39,7 @@ def cmd_search_csl(args):
 
 def cmd_search_builder(args):
     dec = _decomposition(args)
-    trace = iterate_builder(
-        dec, args.steps, m_bound=args.m_bound, workers=args.workers
-    )
+    trace = iterate_builder(dec, args.steps, m_bound=args.m_bound)
     doc = builder_certificate_doc(dec, trace)
     _emit(
         doc,
@@ -74,8 +70,7 @@ def cmd_search_prehomog(args):
         return 0
     stem = parse_word(args.s, coloring.k)
     out = one_step_prehomog(
-        w, stem, coloring, depth=args.depth, verify_tail=args.tail_max,
-        workers=args.workers,
+        w, stem, coloring, depth=args.depth, verify_tail=args.tail_max
     )
     doc = prehomog_certificate_doc(coloring, w, out, args.tail_max)
     _emit(doc, args, f"w_hat {format_word(out.w_hat)}, color {out.color}")
@@ -84,18 +79,18 @@ def cmd_search_prehomog(args):
 
 def register(sub) -> None:
     srch = sub.add_parser("search").add_subparsers(dest="cmd", required=True)
-    p = _command(srch, "line", cmd_search_line, "workers")
+    p = _command(srch, "line", cmd_search_line)
     p.add_argument("--coloring", required=True)
-    p = _command(srch, "csl", cmd_search_csl, "workers")
+    p = _command(srch, "csl", cmd_search_csl)
     p.add_argument("--coloring", required=True)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--max-len", type=int, default=None)
-    p = _command(srch, "builder", cmd_search_builder, "ell", "workers")
+    p = _command(srch, "builder", cmd_search_builder, "ell")
     p.add_argument("--syndetic", required=True)
     p.add_argument("--thick", required=True)
     p.add_argument("--steps", type=int, default=2)
     p.add_argument("--m-bound", type=int, default=2)
-    p = _command(srch, "prehomog", cmd_search_prehomog, "workers")
+    p = _command(srch, "prehomog", cmd_search_prehomog)
     p.add_argument("--coloring", required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--s", default="-", help="stem for the one-step certificate")

@@ -594,18 +594,19 @@ def glued_inclusion(
 
 
 def thick_shrink(family: FiniteFamily, ell: int) -> FiniteFamily:
-    """{sigma in family : A^{<=ell}.sigma inside family}, at horizon N - ell."""
+    """{sigma in family : A^{<=ell}.sigma inside family}, at horizon N - ell.
+
+    The AND, over head lengths j <= ell, of the extensions every
+    length-j head keeps (the j = 0 term is ``restrict(N - ell)``).
+    """
     if ell > family.N:
         raise HorizonExceeded(f"ell {ell} beyond horizon {family.N}")
+    k = family.k
     n2 = family.N - ell
-    offs = _offsets(family.k, n2)
-    mask = family.restrict(n2).mask
-    for tau in letter_words(family.k, ell):
-        acc = 0
-        for m in range(n2 + 1):
-            acc |= family.extract_after_prefix(tau, m) << offs[m]
-        mask &= acc
-    return FiniteFamily(family.k, n2, mask)
+    mask = -1
+    for j in range(ell + 1):
+        mask &= _extensions(family, j, range(k**j), n2, every=True)
+    return FiniteFamily(k, n2, mask)
 
 
 # ---------------------------------------------------------------------------

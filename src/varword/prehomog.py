@@ -24,7 +24,6 @@ from typing import Iterator, NamedTuple, Optional
 from .certificates import check_csl, check_prehomog, stem_extension_words
 from .colorings import Coloring
 from .errors import CutPointMissing, InvalidWord, NotFoundWithinHorizon
-from .search import sharded_first
 from .words import (
     Word,
     compose,
@@ -63,7 +62,6 @@ def csl_search(
     coloring: Coloring,
     depth: int,
     max_len: Optional[int] = None,
-    workers: int = 1,
 ) -> CslCertificate:
     """Lex-least prefix W whose in-horizon instantiations are one color.
 
@@ -103,12 +101,12 @@ def csl_search(
         verify_csl(cert, coloring)
         return cert
 
-    hit = sharded_first(cands, attempt, workers)
+    hit = next((r for r in map(attempt, cands) if r is not None), None)
     if hit is None:
         raise NotFoundWithinHorizon(
             f"no monochromatic prefix of length <= {cap} at depth {depth}"
         )
-    return hit[1]
+    return hit
 
 
 def verify_csl(cert: CslCertificate, coloring: Coloring) -> None:
@@ -177,7 +175,6 @@ def one_step_prehomog(
     verify_tail: int = 1,
     tail_horizon: Optional[int] = None,
     max_len: Optional[int] = None,
-    workers: int = 1,
 ) -> OneStepCertificate:
     """Freeze the color of all in-horizon extensions of stem.x_n along W.
 
@@ -232,7 +229,7 @@ def one_step_prehomog(
         table[u_ext] = coloring(img)
     f_s = Coloring(ke, tail_horizon, 0, coloring.ell, table)
 
-    inner = csl_search(f_s, depth, max_len=max_len, workers=workers)
+    inner = csl_search(f_s, depth, max_len=max_len)
 
     # rename: letter x_m -> z at the first occurrence of x_m in stem.x_n,
     # search variable y_b -> fresh slot z_{|stem|+1+b}

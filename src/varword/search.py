@@ -1,13 +1,11 @@
 """Bounded searches around the finitary line-with-letter theorem.
 
-Every search enumerates candidates in length-then-lex order and
-returns the first witness, so output is deterministic and worker
-sharding cannot change it.  With one worker the candidates are walked
-lazily and the walk stops at the first hit; with several they are
-listed, cut into contiguous shards, and the global answer is the
-minimum candidate index over per-shard hits.  A line-with-letter hit
-is re-checked before it is returned with ``certificates.check_line_letter``,
-the check ``varword verify`` runs on its certificate.
+Every search walks its candidates lazily, in one thread, in
+length-then-lex order, and returns the first witness, so output is
+deterministic and the walk stops at the first hit.  A line-with-letter
+hit is re-checked before it is returned with
+``certificates.check_line_letter``, the check ``varword verify`` runs on
+its certificate.
 
 Provided here:
 
@@ -25,7 +23,7 @@ Provided here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ._frozen import Frozen
 from .certificates import check_line_letter
@@ -68,47 +66,7 @@ __all__ = [
     "BuilderStage",
     "BuilderTrace",
     "iterate_builder",
-    "sharded_first",
 ]
-
-
-def sharded_first(candidates: Iterable, evaluate: Callable, workers: int = 1):
-    """First candidate (by iteration order) whose evaluation is not None.
-
-    With one worker the candidates are iterated, so a generator is
-    consumed only up to the first hit.  With several the candidates are
-    listed and cut into contiguous shards scanned in parallel; each
-    shard stops at its own first hit and the earliest hit overall wins,
-    so the result never depends on the worker count.
-    """
-    if workers > 1:
-        candidates = list(candidates)
-    if workers <= 1 or len(candidates) < 2:
-        for i, cand in enumerate(candidates):
-            res = evaluate(cand)
-            if res is not None:
-                return i, res
-        return None
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [len(candidates) * w // workers for w in range(workers + 1)]
-
-    def scan(lo: int, hi: int):
-        for i in range(lo, hi):
-            res = evaluate(candidates[i])
-            if res is not None:
-                return i, res
-        return None
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        hits = list(
-            pool.map(lambda ab: scan(*ab), zip(bounds[:-1], bounds[1:]))
-        )
-    hits = [h for h in hits if h is not None]
-    if not hits:
-        return None
-    return min(hits, key=lambda h: h[0])
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +89,7 @@ def search_line_with_letter(
     the extended level S(1).a stays colorable.  Raises
     NotFoundWithinHorizon after exhausting all generators.
     """
+    # ``workers`` is ignored (one thread); kept only for perfbench's workers probe
     if coloring.n != 0:
         raise InvalidWord("line search expects a coloring of plain words")
     k, n_hor = coloring.k, coloring.N
@@ -158,12 +117,12 @@ def search_line_with_letter(
         verify_line_letter(cert, coloring)
         return cert
 
-    hit = sharded_first(cands, attempt, workers)
+    hit = next((r for r in map(attempt, cands) if r is not None), None)
     if hit is None:
         raise NotFoundWithinHorizon(
             f"no line-with-letter certificate with generator length <= {cap}"
         )
-    return hit[1]
+    return hit
 
 
 def verify_line_letter(cert: LineLetterCertificate, coloring: Coloring) -> None:
@@ -291,7 +250,6 @@ def step_lemma_search(
     dec: PwSyndeticDecomposition,
     m_bound: int = 2,
     max_gen_len: int = 6,
-    workers: int = 1,
 ) -> StepResult:
     """Smallest line S with S(0) inside P and S(1).Q inside P, Q certified.
 
@@ -338,12 +296,12 @@ def step_lemma_search(
         sigma_head, blocks = decompose(g)
         return StepResult(tree_from_generator(g), blocks[0], cert, True, checked + 1)
 
-    hit = sharded_first(cands, attempt, workers)
+    hit = next((r for r in map(attempt, cands) if r is not None), None)
     if hit is None:
         raise NotFoundWithinHorizon(
             f"no one-step line with generator length <= {cap}"
         )
-    return hit[1]
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +418,6 @@ def iterate_builder(
     s_max: int,
     m_bound: int = 2,
     max_gen_len: int = 6,
-    workers: int = 1,
 ) -> BuilderTrace:
     """Grow a tree of dimension s_max inside P by iterating the one-step lemma.
 
@@ -473,7 +430,7 @@ def iterate_builder(
     p = dec.part
     k = dec.k
     try:
-        step = step_lemma_search(dec, m_bound, max_gen_len, workers)
+        step = step_lemma_search(dec, m_bound, max_gen_len)
     except NotFoundWithinHorizon as exc:
         raise NotFoundWithinHorizon(f"stage 0: {exc}") from exc
     sigma0 = substitute(step.line.generator, ())
@@ -484,9 +441,7 @@ def iterate_builder(
     for s in range(s_max):
         prev = stages[-1]
         try:
-            step = step_lemma_search(
-                prev.residue.decomposition, m_bound, max_gen_len, workers
-            )
+            step = step_lemma_search(prev.residue.decomposition, m_bound, max_gen_len)
         except NotFoundWithinHorizon as exc:
             raise NotFoundWithinHorizon(f"stage {s + 1}: {exc}") from exc
         sigma0 = substitute(step.line.generator, ())

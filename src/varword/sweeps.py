@@ -3,14 +3,16 @@
 These are the heavy, fully deterministic batteries: substitution
 associativity over all prefix pairs, generator/tree round trips,
 line-with-letter feasibility over every coloring of a small cube, and
-the coded-graph scans.  Worker sharding splits contiguous index ranges
-and merges order-independent aggregates, so results are byte-identical
-for any worker count.
+the coded-graph scans.  A sweep's ``workers`` cuts its work into
+contiguous index ranges (or lengths), which ``_in_threads`` runs on a
+thread pool; the aggregates merge in shard order, so results are
+byte-identical for any worker count.  Threads overlap only the numpy
+calls that release the GIL.  This is the only module that starts
+threads: the searches are pure Python and walk in one thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -91,8 +93,19 @@ def build_prefix_table(k: int, max_len: int) -> WordTable:
 
 
 def _shard_bounds(total: int, workers: int) -> list[tuple[int, int]]:
+    workers = max(workers, 1)
     bounds = [total * w // workers for w in range(workers + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _in_threads(run, shards, workers: int) -> list:
+    """``[run(s) for s in shards]``, on a pool of ``workers`` threads if above 1."""
+    if workers <= 1:
+        return [run(s) for s in shards]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, shards))
 
 
 class AssocSweepResult(NamedTuple):
@@ -119,11 +132,7 @@ def assoc_exhaustive(
         lo, hi = lo_hi
         return _kernels.assoc_sweep(t.syms, t.lens, t.focc, k, lo, hi, max_len)
 
-    if workers <= 1:
-        parts = [run((0, m))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, _shard_bounds(m, workers)))
+    parts = _in_threads(run, _shard_bounds(m, workers), workers)
     checked = sum(p[0] for p in parts)
     failures = sum(p[1] for p in parts)
     first_bad = (-1, -1, -1, -1)
@@ -148,16 +157,10 @@ def tree_roundtrip_exhaustive(
     if k < 2:
         raise ValueError("kernel roundtrip requires k >= 2 (unary trees are not rigid)")
 
-    lengths = list(range(0, max_len + 1))
-
     def run(length):
         return _kernels.tree_roundtrip_sweep(k, max_len, length, length)
 
-    if workers <= 1:
-        parts = [run(length) for length in lengths]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, lengths))
+    parts = _in_threads(run, range(max_len + 1), workers)
     gens = sum(p[0] for p in parts)
     elems = sum(p[1] for p in parts)
     mism = sum(p[2] for p in parts)
@@ -207,11 +210,7 @@ def coloring_sweep(
         lo, hi = lo_hi
         _kernels.line_letter_coloring_sweep(certs, n_bits, lo, hi, out[lo:hi])
 
-    if workers <= 1:
-        run((0, total))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, _shard_bounds(total, workers)))
+    _in_threads(run, _shard_bounds(total, workers), workers)
     return out
 
 

@@ -22,6 +22,7 @@ from varword.errors import DomainTooLarge, IndexOutOfRange, InvalidWord
 from varword.largeness import (
     MAX_UNIVERSE,
     FiniteFamily,
+    PwSyndeticDecomposition,
     brown_select,
     check_family_size,
     is_syndetic,
@@ -226,6 +227,63 @@ def test_claim2_tamper_names_least_failing_word(docs):
     assert not res.ok and res.detail == f"claim 2 fails at {format_word(least)}"
 
 
+@pytest.mark.parametrize("claim", ["claim1", "claim2"])
+@pytest.mark.parametrize("tamper", [("ok", 0), ("checked", 10**9), ("checked", -1), ("skipped", 1), "drop"])
+def test_builder_claim_records_must_match(docs, claim, tamper):
+    # each of these verified OK with the same "5099 checks" while the
+    # verifier ignored the stage records
+    doc, _ = _builder_doc(docs)
+    assert certs.verify_certificate(doc) == (True, "builder-trace", "5099 checks")
+    for i in range(len(doc["witness"]["stages"])):
+        bad = json.loads(certs.canonical_json(doc))
+        stage = bad["witness"]["stages"][i]
+        if tamper == "drop":
+            del stage[claim]
+        else:
+            stage[claim][tamper[0]] = tamper[1]
+        assert not certs.verify_certificate(bad).ok, i
+
+
+def test_builder_residue_ell_must_be_the_instance_ell(docs):
+    doc, _ = _builder_doc(docs)
+    doc["witness"]["stages"][1]["residue"]["ell"] = 2
+    assert certs.verify_certificate(doc) == (
+        False, "builder-trace", "stage 1: residue ell differs from the instance's"
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 10])
+def test_builder_skipped_counts_derived_from_sizes(docs, n):
+    # the fixture's stages restaged against P cut to horizon n, with the
+    # builder's own stage check: levels past the horizon (n <= 1), a top
+    # level past it (n <= 1) and glued words past it (n >= 2) are skipped
+    from varword.search import BuilderTrace, _stage
+
+    dec = certs.decomposition_from_json(docs["builder-trace"]["instance"]["decomposition"])
+    small = PwSyndeticDecomposition(dec.syndetic.restrict(n), dec.thick.restrict(n), dec.ell)
+    trace = iterate_builder(dec, 2)
+    stages = tuple(_stage(st.tree, st, small.part) for st in trace.stages)
+    assert any(st.claim1_skipped or st.claim2_skipped for st in stages)
+    doc = builder_certificate_doc(small, BuilderTrace(small.part, stages))
+    checked = sum(st.claim1_checked + st.claim2_checked for st in stages)
+    assert certs.verify_certificate(doc) == (True, "builder-trace", f"{checked} checks")
+    doc["witness"]["stages"][-1]["claim2"]["skipped"] += 1
+    assert not certs.verify_certificate(doc).ok
+
+
+def test_builder_records_of_a_huge_tree_refused_quickly(docs):
+    # no level of x0...x19999 behind N + 1 letters is within the horizon:
+    # claim 1 skips 2^20001 - 1 words, counted in closed form and never
+    # turned into text (it is past the 4300-digit limit of int-to-str)
+    doc, part = _builder_doc(docs)
+    g = Word(K, (0,) * (part.N + 1) + tuple(range(K, K + 20000)))
+    doc["witness"]["stages"][0]["generator"] = certs.word_to_json(g)
+    t0 = time.perf_counter()
+    res = certs.verify_certificate(doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert res == (False, "builder-trace", "stage 0: claim 1 record mismatch")
+
+
 def test_builder_verifier_bounded_by_instance(docs):
     # x0...x19 has 2^21 - 1 tree elements; only those of length <= N are built
     doc, _ = _builder_doc(docs)
@@ -242,7 +300,11 @@ def test_tree_verifier_bounded_by_instance():
     # a dimension-30 witness for a 3-element instance is refused by count
     small = tree_from_generator(parse_word("0x0", K))
     instance = {"type": "elements", "elements": [certs.word_to_json(e) for e in small.elements]}
-    witness = {"generator": certs.word_to_json(Word(K, tuple(range(K, K + 30)))), "dimension": 30}
+    witness = {
+        "generator": certs.word_to_json(Word(K, tuple(range(K, K + 30)))),
+        "dimension": 30,
+        "elements": instance["elements"],
+    }
     doc = certs.wrap("tree", instance, witness, 3)
     t0 = time.perf_counter()
     res = certs.verify_certificate(doc)
@@ -251,6 +313,53 @@ def test_tree_verifier_bounded_by_instance():
     witness["generator"] = certs.word_to_json(small.generator)
     witness["dimension"] = 1
     assert certs.verify_certificate(certs.wrap("tree", instance, witness, 3)).ok
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [("drop", None), ("dict", None), ("k", 0), ("k", -1), ("k", 10**9), ("k", "x"),
+     ("symbols", 0), ("symbols", "x"), ("text", 0), ("text", "x")],
+)
+def test_tree_witness_elements_must_be_the_instance(docs, tamper):
+    # each of these verified OK while the verifier never read witness.elements
+    doc = json.loads(certs.canonical_json(docs["tree"]))
+    assert certs.verify_certificate(doc) == (True, "tree", "3 checks")
+    op, value = tamper
+    if op == "drop":
+        del doc["witness"]["elements"]
+    elif op == "dict":
+        doc["witness"]["elements"] = dict(enumerate(doc["witness"]["elements"]))
+    else:
+        doc["witness"]["elements"][-1][op] = value
+    assert not certs.verify_certificate(doc).ok
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [("bound", 0), ("bound", -1), ("bound", 10**9), ("bound", "x"), ("bound", None),
+     ("minimal_by_search_order", False), ("minimal_by_search_order", 1),
+     ("minimal_by_search_order", "x"), ("minimal_by_search_order", None)],
+)
+def test_envelope_bound_and_minimality_must_match(docs, tamper):
+    # each of these verified OK while the verifier ignored both fields
+    doc = json.loads(certs.canonical_json(docs["envelope"]))
+    assert certs.verify_certificate(doc).ok
+    key, value = tamper
+    if value is None:
+        del doc["witness"][key]
+    else:
+        doc["witness"][key] = value
+    assert not certs.verify_certificate(doc).ok
+
+
+def test_envelope_bound_counts_distinct_members():
+    members = [Word(1, (0,)), Word(1, (0,))]
+    env = minimal_envelope(members)
+    assert env.bound == 2
+    doc = json.loads(certs.canonical_json(envelope_certificate_doc(members, env)))
+    assert certs.verify_certificate(doc) == (True, "envelope", "2 checks")
+    doc["witness"]["bound"] = 2**2 + 2 - 1  # the bound over both listed members
+    assert certs.verify_certificate(doc) == (False, "envelope", "bound mismatch")
 
 
 def test_prehomog_verifier_bounded_by_instance(docs):

@@ -291,17 +291,6 @@ class TestCertificateBytes:
 
 
 class TestDeterminism:
-    def test_workers_flag_does_not_change_bytes(self, run, instance_dir):
-        outs = []
-        for w in ("1", "8"):
-            code, out, _ = run(
-                "search", "line", "--coloring", str(instance_dir / "col.txt"),
-                "--workers", w,
-            )
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
-
     def test_rerun_byte_identical(self, run, instance_dir):
         a = run("search", "line", "--coloring", str(instance_dir / "col.txt"))[1]
         b = run("search", "line", "--coloring", str(instance_dir / "col.txt"))[1]
@@ -318,18 +307,14 @@ class TestFlags:
             # no abbreviation: --ell must not stand for --ell-max
             ["large", "thick", "--family", "f.txt", "--ell", "2"],
             ["verify", "cert.json", "--dim", "1"],
+            # the searches run in one thread and take no worker count
+            ["search", "line", "--coloring", "c.txt", "--workers", "2"],
+            ["cdrt", "pullback", "--coloring", "c.txt", "--workers", "1"],
         ],
     )
     def test_unread_flag_is_usage_error(self, run, argv):
         code, out, err = run(*argv)
         assert code == 1 and out == "" and "unrecognized arguments" in err
-
-    def test_malformed_workers_default_is_usage_error(self, run, instance_dir, monkeypatch):
-        monkeypatch.setenv("VARWORD_WORKERS", "many")
-        code, out, err = run("search", "line", "--coloring", str(instance_dir / "col.txt"))
-        assert code == 1 and out == "" and "--workers" in err
-        # commands without --workers never read it
-        assert run("henson", "edge", "--v", "x0", "--w", "0x0")[0] == 0
 
 
 class TestMalformedInput:
@@ -507,6 +492,25 @@ class TestImportSets:
             "varword.commands", f"varword.commands.{group}"
         }
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "search line --coloring col.txt",
+            "search csl --coloring col.txt",
+            "search builder --syndetic synd.txt --thick thick.txt --ell 1 --steps 1",
+            "search prehomog --coloring col1.txt --w x0x1x2x3x4x5",
+            "cdrt translate --coloring col.txt",
+            "cdrt pullback --coloring col.txt",
+        ],
+        ids=["line", "csl", "builder", "prehomog", "translate", "pullback"],
+    )
+    def test_searches_start_no_thread_pool(self, instance_dir, command):
+        code, mods = _fresh_modules(command.split(), instance_dir, also=("concurrent.futures",))
+        assert code == 0 and "concurrent.futures" not in mods
+        if command.startswith("cdrt"):
+            # prehomog's csl search does not import varword.search
+            assert "varword.cdrt" in mods and not mods & {"varword.search", "varword.trees"}
+
     @pytest.mark.parametrize("group", ["word", "henson"])
     def test_no_digest_no_hashlib(self, tmp_path, group):
         code, mods = _fresh_modules(ONE_PER_GROUP[group], tmp_path, also=("hashlib",))
@@ -610,12 +614,12 @@ COMMAND_HELP_SHA256 = {
     "large split": "7e99264a625a1e84",
     "large brown": "2e9ccd14a1aafc5c",
     "large shrink": "a16a0f6c8ec607c8",
-    "search line": "2605fe66909bfcea",
-    "search csl": "3e6ddaf4d2bcd6b3",
-    "search builder": "37d30faae3375b99",
-    "search prehomog": "715f6541ee330334",
+    "search line": "b45f406d8d793546",
+    "search csl": "4fb82f6b44a266cf",
+    "search builder": "608bcd43d3d84f30",
+    "search prehomog": "fd5d16553255c875",
     "cdrt translate": "8f77749d9e19506d",
-    "cdrt pullback": "bc1ae57ee8904dfd",
+    "cdrt pullback": "7e8ff7c03cfcaed5",
     "henson enum": "0c0490833802758e",
     "henson edge": "b2cf465de878ccf6",
     "henson triangles": "08d7bc18ba60a6e2",

@@ -185,6 +185,19 @@ class TestThick:
     def test_shrink_empty(self):
         assert len(thick_shrink(FiniteFamily.empty(K, N), 2)) == 0
 
+    def test_shrink_matches_tau_walk(self):
+        # the definition, one tau at a time: sigma stays when tau.sigma lies
+        # in the family for every letter word tau of length <= ell
+        rng = random.Random(1401)
+        for k in (2, 3):
+            for n in range(9):
+                for ell in range(min(n, 3) + 1):
+                    for density in (0.6, 0.95, 1.0):
+                        fam = family(lambda w: rng.random() < density, k, n)
+                        taus = list(letter_words(k, ell))
+                        want = family(lambda s: all(t.concat(s) in fam for t in taus), k, n - ell)
+                        assert thick_shrink(fam, ell) == want, (k, n, ell, density)
+
     def test_shrink_preserves_thickness(self, rng):
         for _ in range(40):
             dec = random_piecewise_syndetic(rng, K, N, 1, 3)

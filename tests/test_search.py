@@ -23,7 +23,6 @@ from varword.search import (
     iterate_builder,
     line_letter_from_dim2,
     search_line_with_letter,
-    sharded_first,
     step_lemma_search,
     verify_line_letter,
 )
@@ -43,28 +42,6 @@ K = 2
 
 def full_dec(k, n, ell=1):
     return PwSyndeticDecomposition(FiniteFamily.full(k, n), FiniteFamily.full(k, n), ell)
-
-
-class TestShardedFirst:
-    def test_one_worker_stops_at_first_hit(self):
-        drawn = []
-
-        def cands():
-            for i in range(100):
-                drawn.append(i)
-                yield i
-
-        assert sharded_first(cands(), lambda i: i * i if i % 7 == 3 else None) == (3, 9)
-        assert drawn == [0, 1, 2, 3]
-
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_sharded_generator_matches_one_worker(self, workers):
-        def evaluate(i):
-            return -i if i % 11 in (5, 9) else None
-
-        want = sharded_first(iter(range(60)), evaluate)
-        assert sharded_first(iter(range(60)), evaluate, workers) == want == (5, -5)
-        assert sharded_first(iter(()), evaluate, workers) is None
 
 
 class TestLineSearch:
@@ -106,17 +83,24 @@ class TestLineSearch:
         assert format_word(cert.line.generator) == "x0"
         assert cert.color == 0
 
-    def test_worker_independence(self):
-        rng = random.Random(9)
-        tbl = {w: rng.randrange(2) for w in letter_words(K, 5)}
-        c = Coloring(K, 5, 0, 2, tbl)
-        results = []
-        for workers in (1, 2, 8):
-            try:
-                results.append(search_line_with_letter(c, workers=workers))
-            except NotFoundWithinHorizon:
-                results.append(None)
-        assert results[0] == results[1] == results[2]
+    def test_walk_stops_at_first_hit(self, monkeypatch):
+        # the walk draws generators only up to the hit's
+        import varword.search as search_mod
+
+        drawn = []
+
+        def counting(*args, **kwargs):
+            for g in var_words(*args, **kwargs):
+                drawn.append(g)
+                yield g
+
+        rng = random.Random(1)
+        c = Coloring(K, 5, 0, 2, {w: rng.randrange(2) for w in letter_words(K, 5)})
+        monkeypatch.setattr(search_mod, "var_words", counting)
+        cert = search_line_with_letter(c)
+        want = list(var_words(K, 4, dim=1, ordered=True, min_len=1))
+        assert want.index(cert.line.generator) == 5
+        assert drawn == want[:6]
 
     def test_verifier_rejects_tampered(self):
         c = Coloring.constant(K, 4, 0, 2)
@@ -415,7 +399,7 @@ def builder_ref(dec, s_max, m_bound=2, max_gen_len=6):
 class TestStepSearchReference:
     """The memoized, rank-space step search against a plain walk."""
 
-    def test_matches_reference_and_workers(self):
+    def test_matches_reference(self):
         rng = random.Random(1201)
         outcomes = set()
         for i in range(12):
@@ -434,7 +418,6 @@ class TestStepSearchReference:
                 assert res.residue == cert
                 assert res.residue.decomposition.part.mask == cert.decomposition.part.mask
                 assert res.inclusion_checked == checked
-                assert step_lemma_search(dec, workers=2) == res
                 outcomes.add("step found")
 
             want = builder_ref(dec, 2)
@@ -442,12 +425,9 @@ class TestStepSearchReference:
                 trace = iterate_builder(dec, 2)
             except NotFoundWithinHorizon as exc:
                 assert str(exc) == want
-                with pytest.raises(NotFoundWithinHorizon, match=str(exc)):
-                    iterate_builder(dec, 2, workers=2)
                 outcomes.add("builder not found")
             else:
                 got = [(st.tree.generator.symbols, st.block, st.residue) for st in trace.stages]
                 assert got == want
-                assert iterate_builder(dec, 2, workers=2) == trace
                 outcomes.add("builder found")
         assert outcomes == {"step found", "step not found", "builder found", "builder not found"}
