@@ -117,8 +117,16 @@ def word_to_json(w: Word) -> dict:
     return {"k": w.k, "symbols": list(w.symbols), "text": format_word(w)}
 
 
+def _int(x) -> int:
+    """An integer field of a document; ``int(...)`` would also take "1",
+    true and 1.0, giving one certificate many accepted byte forms."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {type(x).__name__}")
+    return x
+
+
 def word_from_json(doc: dict) -> Word:
-    w = Word(int(doc["k"]), tuple(int(s) for s in doc["symbols"]))
+    w = Word(_int(doc["k"]), tuple(_int(s) for s in doc["symbols"]))
     if format_word(w) != doc["text"]:
         raise InvalidWord("word text and symbols disagree")
     return w
@@ -140,10 +148,10 @@ def coloring_to_json(c: Coloring) -> dict:
 def coloring_from_json(doc: dict) -> Coloring:
     from .colorings import Coloring
 
-    k, n_horizon, dim = int(doc["k"]), int(doc["N"]), int(doc["n"])
+    k, n_horizon, dim = _int(doc["k"]), _int(doc["N"]), _int(doc["n"])
     Coloring.check_header(k, n_horizon, dim)
-    table = {parse_word(t, k): int(c) for t, c in doc["table"]}
-    coloring = Coloring(k, n_horizon, dim, int(doc["ell"]), table)
+    table = {parse_word(t, k): _int(c) for t, c in doc["table"]}
+    coloring = Coloring(k, n_horizon, dim, _int(doc["ell"]), table)
     coloring.validate_total()
     return coloring
 
@@ -155,8 +163,8 @@ def family_to_json(f: FiniteFamily) -> dict:
 def family_from_json(doc: dict) -> FiniteFamily:
     from .largeness import FiniteFamily, check_family_size
 
-    k = int(doc["k"])
-    n = int(doc["N"])
+    k = _int(doc["k"])
+    n = _int(doc["N"])
     check_family_size(k, n)
     texts = doc["words"]
     if not isinstance(texts, list):
@@ -179,7 +187,7 @@ def decomposition_from_json(doc: dict) -> PwSyndeticDecomposition:
     return PwSyndeticDecomposition(
         family_from_json(doc["syndetic"]),
         family_from_json(doc["thick"]),
-        int(doc["ell"]),
+        _int(doc["ell"]),
     )
 
 
@@ -201,7 +209,7 @@ def graph_from_json(doc: dict) -> GraphSpec:
     rows = doc["rows"]
     if not isinstance(rows, list):
         raise InvalidWord("graph rows are not a list")
-    return GraphSpec.from_rows(int(doc["n"]), rows, "<certificate graph>")
+    return GraphSpec.from_rows(_int(doc["n"]), rows, "<certificate graph>")
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +225,12 @@ class VerifyResult(NamedTuple):
 def _need(cond: bool, msg: str) -> None:
     if not cond:
         raise CheckFailed(msg)
+
+
+def _geometric(k: int, lo: int, hi: int) -> int:
+    """k^lo + ... + k^hi for lo <= hi + 1, the element count of levels
+    lo..hi of a tree, in closed form: a hostile dimension costs no loop."""
+    return hi + 1 - lo if k == 1 else (k ** (hi + 1) - k**lo) // (k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +268,7 @@ def check_line_letter(coloring: Coloring, g: Word, letter: int, color: int, chec
 def _verify_line_letter(instance: dict, witness: dict) -> int:
     coloring = coloring_from_json(instance)
     g = word_from_json(witness["generator"])
-    letter, color = int(witness["letter"]), int(witness["color"])
+    letter, color = _int(witness["letter"]), _int(witness["color"])
     checked = [word_from_json(d) for d in witness["checked"]]
     return len(check_line_letter(coloring, g, letter, color, checked))
 
@@ -275,18 +289,18 @@ def _verify_tree(instance: dict, witness: dict) -> int:
 
     elems = {word_from_json(d) for d in instance["elements"]}
     g = word_from_json(witness["generator"])
-    # the tree has k^0 + ... + k^dim elements: compare before building it
-    size, width = 0, 1
-    for _ in range(dimension(g) + 1):
-        size += width
-        if size > len(elems):
-            break
-        width *= g.k
-    _need(size == len(elems), "element set mismatch")
+    d = dimension(g)
+    # the tree has k^0 + ... + k^d elements: compare before building it; the
+    # count over min(k, 2) letters is no larger and bounds d before k^(d + 1)
+    _need(_geometric(min(g.k, 2), 0, d) <= len(elems), "element set mismatch")
+    _need(_geometric(g.k, 0, d) == len(elems), "element set mismatch")
     tree = tree_from_generator(g)
     _need(tree.element_set() == frozenset(elems), "element set mismatch")
-    _need(int(witness["dimension"]) == tree.dimension, "dimension mismatch")
-    _need(witness["elements"] == instance["elements"], "witness elements differ from the instance's")
+    _need(_int(witness["dimension"]) == tree.dimension, "dimension mismatch")
+    _need(
+        canonical_json(witness["elements"]) == canonical_json(instance["elements"]),
+        "witness elements differ from the instance's",
+    )
     return len(elems)
 
 
@@ -307,7 +321,7 @@ def _check_thick_witness(fam: FiniteFamily, anchors) -> int:
     count = 0
     for ell, sig_doc in anchors:
         sigma = word_from_json(sig_doc)
-        for tau in letter_words(fam.k, int(ell)):
+        for tau in letter_words(fam.k, _int(ell)):
             _need(tau.concat(sigma) in fam, "anchor block leaks out of the family")
             count += 1
     return count
@@ -388,8 +402,8 @@ def _verify_brown(instance: dict, witness: dict) -> int:
         _need(not (union & q).mask, "parts overlap")
         union = union | q
     _need(union.mask == p.mask, "parts do not cover P")
-    idx = int(witness["index"])
-    subset = [int(i) for i in witness["subset"]]
+    idx = _int(witness["index"])
+    subset = [_int(i) for i in witness["subset"]]
     _need(all(0 <= j < len(parts) for j in subset), "subset index outside the parts")
     _need(len(set(subset)) == len(subset), "subset repeats a part")
     _need(idx in subset, "selected index outside subset")
@@ -429,12 +443,6 @@ def builder_certificate_doc(dec: PwSyndeticDecomposition, trace) -> dict:
     ]
     checked = sum(s.claim1_checked + s.claim2_checked for s in trace.stages)
     return wrap("builder-trace", instance, {"stages": stages}, checked)
-
-
-def _geometric(k: int, lo: int, hi: int) -> int:
-    """k^lo + ... + k^hi for lo <= hi + 1, the element count of levels
-    lo..hi of a tree, in closed form: a hostile dimension costs no loop."""
-    return hi + 1 - lo if k == 1 else (k ** (hi + 1) - k**lo) // (k - 1)
 
 
 def _verify_builder(instance: dict, witness: dict) -> int:
@@ -479,8 +487,8 @@ def _verify_builder(instance: dict, witness: dict) -> int:
         s1 = _geometric(p.k, built, dim)  # the levels not built
         for n, c, s in ((1, c1, s1), (2, c2, s2)):
             record = stage[f"claim{n}"]
-            want = {"ok": True, "checked": c, "skipped": s}
-            _need(record == want and record["ok"] is True, f"stage {i}: claim {n} record mismatch")
+            got = (record["ok"] is True, _int(record["checked"]), _int(record["skipped"]))
+            _need(got == (True, c, s) and len(record) == 3, f"stage {i}: claim {n} record mismatch")
         count += c1 + c2
     return count
 
@@ -555,10 +563,10 @@ def _verify_prehomog(instance: dict, witness: dict) -> int:
         coloring_from_json(instance["coloring"]),
         word_from_json(instance["w"]),
         word_from_json(instance["stem"]),
-        int(instance["verify_tail"]),
+        _int(instance["verify_tail"]),
         word_from_json(witness["w_hat"]),
         word_from_json(witness["z_word"]),
-        int(witness["color"]),
+        _int(witness["color"]),
     )
     _need(pairs, "nothing verifiable within the horizon")
     return len(pairs)
@@ -595,7 +603,7 @@ def check_csl(coloring: Coloring, w: Word, color: int, depth: int, checked) -> l
 def _verify_csl(instance: dict, witness: dict) -> int:
     coloring = coloring_from_json(instance)
     w = word_from_json(witness["word"])
-    color, depth = int(witness["color"]), int(witness["depth"])
+    color, depth = _int(witness["color"]), _int(witness["depth"])
     checked = [(word_from_json(u), word_from_json(img)) for u, img in witness["checked"]]
     return len(check_csl(coloring, w, color, depth, checked))
 
@@ -636,10 +644,10 @@ def check_cdrt(coloring: Coloring, w: Word, color: int, depth: int) -> list[tupl
 
 def _verify_cdrt(instance: dict, witness: dict) -> int:
     coloring = coloring_from_json(instance["coloring"])
-    depth = int(instance["depth"])
+    depth = _int(instance["depth"])
     w_hat = word_from_json(witness["w_hat"])
     w = word_from_json(witness["word"])
-    color = int(witness["color"])
+    color = _int(witness["color"])
     _need(w.symbols == w_hat.symbols and w.k == coloring.k, "pullback mismatch")
     pairs = check_cdrt(coloring, w, color, depth)
     _need(pairs, "nothing verifiable within the horizon")
@@ -689,13 +697,13 @@ def envelope_certificate_doc(members, env) -> dict:
 def _verify_envelope(instance: dict, witness: dict) -> int:
     members = [word_from_json(d) for d in instance["members"]]
     env = word_from_json(witness["word"])
-    var_count = int(witness["variable_count"])
+    var_count = _int(witness["variable_count"])
     m = len(set(members))  # ``minimal_envelope`` bounds by the distinct members
     bound = 2**m + m - 1
     _need(dimension(env) == var_count, "variable count mismatch")
     _need(is_var_word(env, var_count), "envelope is not a valid variable word")
     _need(var_count <= bound, "variable count above the bound")
-    _need(witness["bound"] == bound, "bound mismatch")
+    _need(_int(witness["bound"]) == bound, "bound mismatch")
     _need(witness["minimal_by_search_order"] is True, "envelope not marked minimal by search order")
     assigns = {
         word_from_json(s).symbols: word_from_json(t)
@@ -727,14 +735,15 @@ def verify_certificate(doc: dict) -> VerifyResult:
         return VerifyResult(False, "?", "malformed certificate: not a JSON object")
     kind = doc.get("kind", "?")
     try:
-        _need(doc.get("schema") == SCHEMA, f"unsupported schema {doc.get('schema')}")
+        schema = doc.get("schema")
+        _need(type(schema) is int and schema == SCHEMA, f"unsupported schema {schema}")
         _need(kind in _VERIFIERS, f"unknown kind {kind!r}")
         _need(
             digest(doc["instance"]) == doc["digest"],
             "instance digest mismatch",
         )
         count = _VERIFIERS[kind](doc["instance"], doc["witness"])
-        declared = int(doc.get("checked_count", count))
+        declared = _int(doc.get("checked_count", count))
         _need(count >= 1 and declared >= 1, "empty verification")
         return VerifyResult(True, kind, f"{count} checks")
     except CheckFailed as exc:

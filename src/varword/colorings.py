@@ -68,26 +68,6 @@ class Coloring(Frozen):
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "table", {} if table is None else table)
 
-    def _astuple(self) -> tuple:
-        return (self.k, self.N, self.n, self.ell, self.table)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())  # a dict table is unhashable, as before
-
-    def __repr__(self) -> str:
-        return (
-            f"Coloring(k={self.k!r}, N={self.N!r}, n={self.n!r}, "
-            f"ell={self.ell!r}, table={self.table!r})"
-        )
-
-    def __reduce__(self):
-        return Coloring, self._astuple()
-
     @classmethod
     def from_function(
         cls, k: int, n_horizon: int, dim: int, ell: int, fn: Callable[[Word], int]

@@ -65,7 +65,6 @@ __all__ = [
     "density",
     "density_profile",
     "density_split",
-    "concat_family",
     "is_syndetic",
     "is_thick",
     "glued_inclusion",
@@ -106,20 +105,6 @@ class FiniteFamily(Frozen):
         _set_k(self, k)
         _set_n(self, N)
         _set_mask(self, mask)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.mask == other.mask and self.k == other.k and self.N == other.N
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.N, self.mask))
-
-    def __repr__(self) -> str:
-        return f"FiniteFamily(k={self.k!r}, N={self.N!r}, mask={self.mask!r})"
-
-    def __reduce__(self):
-        return FiniteFamily, (self.k, self.N, self.mask)
 
     # -- construction ------------------------------------------------
 
@@ -292,7 +277,8 @@ class FiniteFamily(Frozen):
         return FiniteFamily(k, n2, _extensions(self, len(generator), heads, n2, every=True))
 
     def append(self, sigma: Word) -> tuple["FiniteFamily", int]:
-        """Family . sigma = {tau sigma}; members pushed past N are dropped."""
+        """Family . sigma = {tau sigma}, and the count of members pushed past N,
+        which are dropped."""
         ks = self.k ** len(sigma)
         vs = _value(self.k, sigma)
         offs = _offsets(self.k, self.N)
@@ -424,11 +410,6 @@ def density_split(
     f_wit = tuple(r for r in b if r not in cset)
     side = "E" if len(e_wit) >= len(f_wit) else "F"
     return DensitySplitReport(epsilon, b, c, e_wit, f_wit, side)
-
-
-def concat_family(family: FiniteFamily, sigma: Word) -> tuple[FiniteFamily, int]:
-    """Append sigma to every member; returns the image and the dropped count."""
-    return family.append(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -624,23 +605,6 @@ class PwSyndeticDecomposition(Frozen):
         object.__setattr__(self, "syndetic", syndetic)
         object.__setattr__(self, "thick", thick)
         object.__setattr__(self, "ell", ell)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.syndetic, self.thick, self.ell) == (other.syndetic, other.thick, other.ell)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.syndetic, self.thick, self.ell))
-
-    def __repr__(self) -> str:
-        return (
-            f"PwSyndeticDecomposition(syndetic={self.syndetic!r}, "
-            f"thick={self.thick!r}, ell={self.ell!r})"
-        )
-
-    def __reduce__(self):
-        return PwSyndeticDecomposition, (self.syndetic, self.thick, self.ell)
 
     @property
     def part(self) -> FiniteFamily:

@@ -187,20 +187,6 @@ class HEmbedding(Frozen):
                 raise InvalidWord(f"{format_word(b)} is not a left 1-variable word")
         object.__setattr__(self, "blocks", blocks)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
-
-    def __repr__(self) -> str:
-        return f"HEmbedding(blocks={self.blocks!r})"
-
-    def __reduce__(self):
-        return HEmbedding, (self.blocks,)
-
     @property
     def k(self) -> int:
         return self.blocks[0].k

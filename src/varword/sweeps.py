@@ -51,26 +51,6 @@ class WordTable(Frozen):
         object.__setattr__(self, "lens", lens)
         object.__setattr__(self, "focc", focc)
 
-    def _astuple(self) -> tuple:
-        return (self.k, self.syms, self.lens, self.focc)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())  # arrays are unhashable, as before
-
-    def __repr__(self) -> str:
-        return (
-            f"WordTable(k={self.k!r}, syms={self.syms!r}, "
-            f"lens={self.lens!r}, focc={self.focc!r})"
-        )
-
-    def __reduce__(self):
-        return WordTable, self._astuple()
-
     def __len__(self):
         return len(self.lens)
 

@@ -54,23 +54,11 @@ class OVWTree(Frozen):
     """The instantiation tree of ``generator``; no slots, so that
     ``level_lengths`` can cache itself in the instance dict."""
 
+    _fields = ("generator", "elements")
+
     def __init__(self, generator: Word, elements: tuple[Word, ...]):
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "elements", elements)  # sorted by (length, lex)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.generator, self.elements) == (other.generator, other.elements)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.generator, self.elements))
-
-    def __repr__(self) -> str:
-        return f"OVWTree(generator={self.generator!r}, elements={self.elements!r})"
-
-    def __reduce__(self):
-        return OVWTree, (self.generator, self.elements)
 
     @property
     def k(self) -> int:

@@ -658,10 +658,10 @@ def mutation_sites(docs):
 
 
 @pytest.fixture(scope="module")
-def small_mutation_sites(docs):
-    """As ``mutation_sites``, with the two kinds whose verifiers re-read a
-    large instance rebuilt over smaller ones (a 2-stage builder at N = 9,
-    prehomog over a coloring of A^{<=5})."""
+def small_docs(docs):
+    """``docs`` with the two kinds whose verifiers re-read a large instance
+    rebuilt over smaller ones (a 2-stage builder at N = 9, prehomog over a
+    coloring of A^{<=5})."""
     small = dict(docs)
     dec = random_piecewise_syndetic(random.Random(21), K, 9, 1, 2, 0.95, 0.95)
     small["builder-trace"] = builder_certificate_doc(dec, iterate_builder(dec, 2))
@@ -669,7 +669,13 @@ def small_mutation_sites(docs):
     w = parse_word("x0x1x2x3x4", K)
     one = one_step_prehomog(w, Word(K, ()), f1, depth=1, verify_tail=1)
     small["prehomog"] = prehomog_certificate_doc(f1, w, one, 1)
-    return _grouped_sites(small)
+    return small
+
+
+@pytest.fixture(scope="module")
+def small_mutation_sites(small_docs):
+    """As ``mutation_sites``, over ``small_docs``."""
+    return _grouped_sites(small_docs)
 
 
 def _mutated(blob, path, op, arg):
@@ -686,6 +692,42 @@ def _mutated(blob, path, op, arg):
         node[path[-1]] = arg
     doc["digest"] = certs.digest(doc["instance"])
     return doc
+
+
+def _int_paths(blob):
+    """The first path of each field of the instance and witness that holds
+    an integer, and the top-level ``checked_count``."""
+    doc = json.loads(blob)
+    first = {}
+    for part in ("instance", "witness"):
+        for path, _ in _sites(doc[part], (part,)):
+            node = doc
+            for key in path:
+                node = node[key]
+            if type(node) is int:
+                first.setdefault(_field(path), path)
+    return [*first.values(), ("checked_count",)]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_integer_fields_take_only_integers(small_docs, kind):
+    # int(...) took each of these, so one certificate had many accepted forms
+    blob = certs.canonical_json(small_docs[kind])
+    for path in _int_paths(blob):
+        if kind == "embedding" and path == ("instance", "horizon"):
+            continue  # descriptive: the verifier never reads it
+        for value in ("1", True, 1.0):
+            res = certs.verify_certificate(_mutated(blob, path, "set", value))
+            assert not res.ok, (path, value)
+            if path[:2] != ("witness", "elements"):  # compared with the instance's, not read
+                assert res.detail.startswith("malformed certificate:"), (path, value, res.detail)
+
+
+@pytest.mark.parametrize("schema", ["1", True, 1.0])
+def test_schema_must_be_the_integer(docs, schema):
+    doc = json.loads(certs.canonical_json(docs["csl"]))
+    doc["schema"] = schema
+    assert certs.verify_certificate(doc) == (False, "csl", f"unsupported schema {schema}")
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

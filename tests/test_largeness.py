@@ -12,7 +12,6 @@ from varword.largeness import (
     FiniteFamily,
     PwSyndeticDecomposition,
     brown_select,
-    concat_family,
     density,
     density_profile,
     density_split,
@@ -119,22 +118,22 @@ class TestDensitySplit:
 class TestConcat:
     def test_epsilon(self):
         fam = family(lambda w: len(w) < 2)
-        out, dropped = concat_family(fam, Word(K, ()))
+        out, dropped = fam.append(Word(K, ()))
         assert out.mask == fam.mask and dropped == 0
 
     def test_singleton(self):
         fam = FiniteFamily.from_words(K, N, [Word(K, ())])
-        out, _ = concat_family(fam, parse_word("10", K))
+        out, _ = fam.append(parse_word("10", K))
         assert [format_word(w) for w in out.words()] == ["10"]
 
     def test_example(self):
         fam = FiniteFamily.from_words(K, N, [parse_word("0", K), parse_word("1", K)])
-        out, _ = concat_family(fam, parse_word("10", K))
+        out, _ = fam.append(parse_word("10", K))
         assert sorted(format_word(w) for w in out.words()) == ["010", "110"]
 
     def test_drops_beyond_horizon(self):
         fam = FiniteFamily.from_words(K, 3, [parse_word("111", K)])
-        out, dropped = concat_family(fam, parse_word("0", K))
+        out, dropped = fam.append(parse_word("0", K))
         assert len(out) == 0 and dropped == 1
 
 

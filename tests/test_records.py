@@ -1,11 +1,18 @@
 """Value semantics of every record type: keyword construction, equality,
-hashing where the fields allow it, and no attribute assignment."""
+hashing where the fields allow it, no attribute assignment, copying and
+pickling."""
 
+import copy
+import importlib
+import pickle
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import varword
+from varword._frozen import Frozen
 from varword.cdrt import CdrtPullback
 from varword.certificates import VerifyResult
 from varword.colorings import Coloring
@@ -132,3 +139,44 @@ def test_hand_written_records_compare_by_value():
     with pytest.raises(AttributeError):
         del FAM.mask
     assert TREE.level_lengths == (1, 2)  # cached on a record that refuses setattr
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_frozen_record_is_listed():
+    for module in pkgutil.walk_packages(varword.__path__, "varword."):
+        importlib.import_module(module.name)
+    found = {cls for cls in _subclasses(Frozen) if cls.__module__.startswith("varword.")}
+    assert found <= {cls for cls, _, _ in RECORDS}
+
+
+def test_frozen_record_without_fields_is_refused():
+    with pytest.raises(TypeError):
+        class Bare(Frozen):
+            pass
+
+    with pytest.raises(TypeError):
+        class Inherits(Word):  # fields are read from the class itself, never inherited
+            __slots__ = ()
+
+
+@pytest.mark.parametrize("cls, kwargs, hashable", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_copy_and_pickle_keep_the_record(cls, kwargs, hashable):
+    a = cls(**kwargs)
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is cls and repr(b) == repr(a)
+        if hashable:
+            assert b == a and hash(b) == hash(a)
+
+
+HASHABLE = [r[:2] for r in RECORDS if r[2]]
+
+
+@pytest.mark.parametrize("cls, kwargs", HASHABLE, ids=[r[0].__name__ for r in HASHABLE])
+def test_record_hashes_like_its_field_tuple(cls, kwargs):
+    # set and dict orders, and with them the output bytes, follow these hashes
+    assert hash(cls(**kwargs)) == hash(tuple(kwargs.values()))
