@@ -6,9 +6,9 @@ associativity sweep (``assoc_sweep``), the ordered-generator round trip
 (``line_letter_coloring_sweep``) and the coded-graph scans on packed
 neighbour rows (``henson_adjacency_packed`` builds the rows in bounded
 row blocks, ``henson_triangle_packed`` ANDs the two rows of each edge
-in bounded edge chunks).  Each keeps its plain loop as ``*_py``, the
-reference it must match bit for bit (see ``tests/test_kernels.py`` and
-``python -m varword.benchmark``).
+in bounded edge chunks).  ``tests/test_kernels.py`` checks each against
+the ``Word``-object route, or a short oracle where no ``Word`` can
+hold the input.
 
 Word encoding in here is flat arrays: symbols as small ints with
 letters below k and x_j as k+j, one row per word, -1 padding, plus a
@@ -62,7 +62,7 @@ def _rows_differ(a, b):
 # substitution associativity sweep
 
 
-def assoc_sweep_py(syms, lens, focc, k, lo, hi, max_u_len):
+def assoc_sweep(syms, lens, focc, k, lo, hi, max_u_len):
     """Check w[v[u]] == compose(w, v)[u] for all pairs (w in [lo,hi), v) and letter u.
 
     Returns (both_defined_checks, failures, i, j, m, uval) where the last
@@ -76,100 +76,6 @@ def assoc_sweep_py(syms, lens, focc, k, lo, hi, max_u_len):
     agree, so the sweep checks the table's cut points (``focc`` against
     ``syms`` and ``lens``), not the values of ``substitute``/``compose``;
     those rest on the object-level tests.
-    """
-    n_words = syms.shape[0]
-    width = syms.shape[1]
-    zbuf = np.empty(width, np.int64)
-    vu = np.empty(width, np.int64)
-    wvu = np.empty(width, np.int64)
-    zu = np.empty(width, np.int64)
-    udig = np.empty(width, np.int64)
-    checked = 0
-    failures = 0
-    bad_i = bad_j = bad_m = bad_u = -1
-    for i in range(lo, hi):
-        lw = lens[i]
-        for j in range(n_words):
-            lv = lens[j]
-            # compose w (row i) with v (row j) into zbuf
-            zlen = 0
-            for c in range(lw):
-                s = syms[i, c]
-                if s < k:
-                    zbuf[zlen] = s
-                    zlen += 1
-                else:
-                    b = s - k
-                    if b >= lv:
-                        break
-                    zbuf[zlen] = syms[j, b]
-                    zlen += 1
-            for m in range(max_u_len + 1):
-                pv = focc[j, m] if m < focc.shape[1] else -1
-                if pv < 0:
-                    break  # x_m absent from v: larger m absent too
-                fw = focc[i, pv] if pv < focc.shape[1] else -1
-                # first occurrence of x_m in the composition
-                fz = -1
-                for c in range(zlen):
-                    if zbuf[c] == k + m:
-                        fz = c
-                        break
-                if fw < 0:
-                    if fz >= 0:
-                        failures += 1
-                        if bad_i < 0:
-                            bad_i, bad_j, bad_m, bad_u = i, j, m, -1
-                    continue
-                if fz < 0:
-                    failures += 1
-                    if bad_i < 0:
-                        bad_i, bad_j, bad_m, bad_u = i, j, m, -2
-                    continue
-                undefined = fw != fz
-                for c in range(pv):
-                    if syms[j, c] >= k + m:
-                        undefined = True
-                for c in range(fw):
-                    if syms[i, c] >= k + pv:
-                        undefined = True
-                for c in range(fz):
-                    if zbuf[c] > k + m:
-                        undefined = True
-                for uval in range(k**m):
-                    checked += 1
-                    if undefined:
-                        failures += 1
-                        if bad_i < 0:
-                            bad_i, bad_j, bad_m, bad_u = i, j, m, uval
-                        continue
-                    r = uval
-                    for b in range(m - 1, -1, -1):
-                        udig[b] = r % k
-                        r //= k
-                    # v[u]
-                    for c in range(pv):
-                        s = syms[j, c]
-                        vu[c] = s if s < k else udig[s - k]
-                    # w[v[u]]
-                    for c in range(fw):
-                        s = syms[i, c]
-                        wvu[c] = s if s < k else vu[s - k]
-                    # compose(w, v)[u]
-                    for c in range(fz):
-                        s = zbuf[c]
-                        zu[c] = s if s < k else udig[s - k]
-                    for c in range(fw):
-                        if wvu[c] != zu[c]:
-                            failures += 1
-                            if bad_i < 0:
-                                bad_i, bad_j, bad_m, bad_u = i, j, m, uval
-                            break
-    return checked, failures, bad_i, bad_j, bad_m, bad_u
-
-
-def assoc_sweep(syms, lens, focc, k, lo, hi, max_u_len):
-    """Numpy form of ``assoc_sweep_py``: same arguments, same return value.
 
     Takes a block of w rows against every v at once.  Per block it
     composes every pair; per m it sorts the pairs into x_m absent on
@@ -309,153 +215,6 @@ def assoc_sweep(syms, lens, focc, k, lo, hi, max_u_len):
 # ordered-generator tree roundtrip sweep (k >= 2)
 
 
-def tree_roundtrip_sweep_py(k, max_len, lo_len, hi_len):
-    """Build and invert every ordered generator with length in [lo_len, hi_len].
-
-    Enumerates generators through base-(k+2) codes (letters, repeat
-    current variable, introduce next variable), instantiates every
-    level, reconstructs the generator from the element set alone and
-    compares.  Returns (generators, elements, mismatches, bad_code).
-    """
-    width = max_len
-    gbuf = np.empty(width, np.int64)
-    cuts = np.empty(width + 1, np.int64)
-    g2 = np.empty(width, np.int64)
-    max_elems = 1
-    for _ in range(width + 1):
-        max_elems *= k
-    total_e = (max_elems * k - 1) // (k - 1)
-    elems = np.empty((total_e, width), np.int64)
-    elen = np.empty(total_e, np.int64)
-    pos_of_val = np.empty(max_elems, np.int64)
-    digits = np.empty(width, np.int64)
-    code = np.empty(width, np.int64)
-    n_gen = 0
-    n_elems = 0
-    mismatches = 0
-    bad_code = -1
-    for length in range(lo_len, hi_len + 1):
-        for c in range(length):
-            code[c] = 0
-        while True:
-            # decode: digit < k letter, k repeat, k+1 introduce
-            nvars = 0
-            valid = True
-            for c in range(length):
-                d = code[c]
-                if d < k:
-                    gbuf[c] = d
-                elif d == k:
-                    if nvars == 0:
-                        valid = False
-                        break
-                    gbuf[c] = k + nvars - 1
-                else:
-                    gbuf[c] = k + nvars
-                    nvars += 1
-            if valid:
-                n = nvars
-                # cut positions: first occurrence of each variable, then end
-                for j in range(n):
-                    for c in range(length):
-                        if gbuf[c] == k + j:
-                            cuts[j] = c
-                            break
-                cuts[n] = length
-                # elements, level by level, pattern value ascending
-                row = 0
-                for j in range(n + 1):
-                    cnt = 1
-                    for _ in range(j):
-                        cnt *= k
-                    for val in range(cnt):
-                        r = val
-                        for b in range(j - 1, -1, -1):
-                            digits[b] = r % k
-                            r //= k
-                        cl = cuts[j]
-                        for c in range(cl):
-                            s = gbuf[c]
-                            elems[row, c] = s if s < k else digits[s - k]
-                        elen[row] = cl
-                        row += 1
-                n_gen += 1
-                n_elems += row
-                # ---- reconstruction from elements only ----
-                top_cnt = 1
-                for _ in range(n):
-                    top_cnt *= k
-                top0 = row - top_cnt
-                ok = True
-                for t in range(top_cnt):
-                    val = 0
-                    for i2 in range(n):
-                        val = val * k + elems[top0 + t, cuts[i2]]
-                    pos_of_val[val] = top0 + t
-                for c in range(length):
-                    jz = 0
-                    for j in range(n):
-                        if cuts[j] <= c:
-                            jz = j + 1
-                    # jz-1 is the zone variable when c is past cuts[jz-1]
-                    iscut = False
-                    for j in range(n):
-                        if cuts[j] == c:
-                            g2[c] = k + j
-                            iscut = True
-                            break
-                    if iscut:
-                        continue
-                    v0 = elems[pos_of_val[0], c] if n > 0 else elems[top0, c]
-                    same = True
-                    for val in range(top_cnt):
-                        if elems[pos_of_val[val], c] != v0:
-                            same = False
-                            break
-                    if same:
-                        g2[c] = v0
-                        continue
-                    found = False
-                    for i2 in range(jz):
-                        match = True
-                        for val in range(top_cnt):
-                            dig = val
-                            for _ in range(n - 1 - i2):
-                                dig //= k
-                            dig %= k
-                            if elems[pos_of_val[val], c] != dig:
-                                match = False
-                                break
-                        if match:
-                            g2[c] = k + i2
-                            found = True
-                            break
-                    if not found:
-                        ok = False
-                        break
-                if ok:
-                    for c in range(length):
-                        if g2[c] != gbuf[c]:
-                            ok = False
-                            break
-                if not ok:
-                    mismatches += 1
-                    if bad_code < 0:
-                        bc = 0
-                        for c in range(length):
-                            bc = bc * (k + 2) + code[c]
-                        bad_code = bc
-            # odometer
-            pos = length - 1
-            while pos >= 0 and code[pos] == k + 1:
-                code[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
-            code[pos] += 1
-    return n_gen, n_elems, mismatches, bad_code
-
-
 def _roundtrip_batch(k, g, n):
     """Instantiate and reconstruct generators that all have n variables.
 
@@ -497,7 +256,16 @@ def _roundtrip_batch(k, g, n):
 
 
 def tree_roundtrip_sweep(k, max_len, lo_len, hi_len):
-    """Numpy form of ``tree_roundtrip_sweep_py``: same arguments, same return value.
+    """Build and invert every ordered generator with length in [lo_len, hi_len].
+
+    Enumerates generators through base-(k+2) codes, most significant
+    digit first (digit < k a letter, k repeats the current variable,
+    k+1 introduces the next; a repeat before any variable is no
+    generator), instantiates every level, reconstructs the generator
+    from the element set alone and compares.  Returns (generators,
+    elements, mismatches, bad_code): elements sums k^0 + ... + k^n over
+    the generators of n variables, and bad_code is the first failing
+    code in (length, code) order, or -1.  max_len is not read.
 
     Decodes the base-(k+2) codes of each length in chunks, in code
     order, and hands the generators to ``_roundtrip_batch`` grouped by
@@ -541,33 +309,14 @@ def tree_roundtrip_sweep(k, max_len, lo_len, hi_len):
 # line-with-letter sweep over all 2-colorings (any k, horizon fixed by tables)
 
 
-def line_letter_coloring_sweep_py(cert_words, n_bits, lo, hi, out_found):
-    """For each coloring bitmask in [lo, hi), mark whether some certificate
-    triple (rank indices into the coloring) is monochromatic."""
-    n_certs = cert_words.shape[0]
-    width = cert_words.shape[1]
-    for f in range(lo, hi):
-        hit = 0
-        for t in range(n_certs):
-            c0 = (f >> cert_words[t, 0]) & 1
-            ok = 1
-            for q in range(1, width):
-                if (f >> cert_words[t, q]) & 1 != c0:
-                    ok = 0
-                    break
-            if ok == 1:
-                hit = 1
-                break
-        out_found[f - lo] = hit
-    return 0
-
-
 # plane r of the colorings 0..63: bit i set where bit r of i is
 _LANE_PLANES = [sum(1 << i for i in range(64) if i >> r & 1) for r in range(6)]
 
 
 def line_letter_coloring_sweep(cert_words, n_bits, lo, hi, out_found):
-    """Bit-sliced form of ``line_letter_coloring_sweep_py``: same arguments, same output.
+    """For each coloring bitmask f in [lo, hi), set out_found[f - lo] to 1
+    when some row t of cert_words (rank indices into the coloring, bit
+    t[q] of f the color of word t[q]) is monochromatic under f, else 0.
 
     The colorings f are held as n_bits bit planes: plane r holds bit r
     of every f, 64 colorings per uint64 lane, lanes starting at
@@ -602,33 +351,6 @@ def line_letter_coloring_sweep(cert_words, n_bits, lo, hi, out_found):
 # coded-graph kernels
 
 
-def henson_adjacency_loops_py(bits, lens, out):
-    v = bits.shape[0]
-    for i in range(v):
-        for j in range(v):
-            if lens[i] < lens[j]:
-                if (bits[j] >> lens[i]) & 1 == 1 and (bits[i] & bits[j]) == 0:
-                    out[i, j] = 1
-                    out[j, i] = 1
-    return 0
-
-
-def henson_triangle_scan_py(packed, ei, ej):
-    """AND the packed neighbour rows of every edge; first common bit wins."""
-    words = packed.shape[1]
-    for e in range(ei.shape[0]):
-        i = ei[e]
-        j = ej[e]
-        for w in range(words):
-            both = packed[i, w] & packed[j, w]
-            if both != 0:
-                b = 0
-                while (both >> np.uint64(b)) & np.uint64(1) == np.uint64(0):
-                    b += 1
-                return i, j, w * 64 + b
-    return -1, -1, -1
-
-
 def _pack_into(out: np.ndarray, a: int, rows: np.ndarray) -> None:
     """Pack 0/1 rows into out[a : a + len(rows)], one bit per column."""
     packed = np.packbits(rows, axis=1, bitorder="little")
@@ -649,9 +371,12 @@ def pack_rows(adj: np.ndarray) -> np.ndarray:
 def henson_adjacency_packed(bits: np.ndarray, lens: np.ndarray):
     """Packed adjacency rows and upper-triangle edge list of the coded graph.
 
-    The rule is ``henson_adjacency_loops_py``'s, for vertices with
-    bits[i] < 2**lens[i]: then bit lens[i] of bits[j] can be set only
-    when lens[i] < lens[j], so the length test is implied.  Rows are
+    Vertex i is the word over {0, x0} of length lens[i] with x0 at
+    position p where bit p of bits[i] is set.  Vertices i and j are adjacent when
+    lens[i] < lens[j], bit lens[i] of bits[j] is set and bits[i] &
+    bits[j] == 0 (or the same with i and j swapped).  For vertices with
+    bits[i] < 2**lens[i], bit lens[i] of bits[j] can be set only when
+    lens[i] < lens[j], so the length test is implied.  Rows are
     computed ``_ROW_BLOCK`` cells at a time and packed as ``pack_rows``
     packs them.  Returns (packed, ei, ej), the edges (ei < ej) in
     row-major order.
@@ -682,7 +407,8 @@ def henson_adjacency_packed(bits: np.ndarray, lens: np.ndarray):
 
 
 def henson_triangle_packed(packed, ei, ej):
-    """Chunked form of ``henson_triangle_scan_py``: same arguments, same return value.
+    """First edge (i, j) of the list ei, ej whose packed neighbour rows
+    share a vertex u, as (i, j, u).
 
     ANDs the packed rows of ``_EDGE_CHUNK`` // words edges at a time.
     The first edge in list order whose rows share a bit wins, with its

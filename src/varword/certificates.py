@@ -453,7 +453,8 @@ def _verify_builder(instance: dict, witness: dict) -> int:
     to a failure is bounded by |P|, and a top level past the horizon
     gives claim 2 only glued words past it.  Each stage's claim records
     must be what these checks find; the words they skip are counted
-    from the sizes alone (level j has k^j words).
+    from the sizes alone (level j has k^j words), and a count with more
+    bits than its record is refused before it is built.
     """
     from .largeness import FiniteFamily, glued_inclusion
     from .trees import tree_levels
@@ -476,18 +477,22 @@ def _verify_builder(instance: dict, witness: dict) -> int:
                 raise CheckFailed(f"claim 1 fails at {format_word(bad)}")
             c1 += checked
         dim = dimension(g)
+        c2 = s2 = 0
         if len(g) <= p.N:  # the top level is within the horizon
             insts = [substitute(block, (a,)) for a in range(p.k)]
             heads = [t.concat(wa) for t in top for wa in insts]
             ok, c2, s2, bad = glued_inclusion(heads, residue, p)
             if not ok:
                 raise CheckFailed(f"claim 2 fails at {format_word(bad)}")
-        else:  # every glued word is past it
-            c2, s2 = 0, p.k ** (dim + 1) * residue.mask.bit_count()
-        s1 = _geometric(p.k, built, dim)  # the levels not built
-        for n, c, s in ((1, c1, s1), (2, c2, s2)):
+        for n, c in ((1, c1), (2, c2)):
             record = stage[f"claim{n}"]
             got = (record["ok"] is True, _int(record["checked"]), _int(record["skipped"]))
+            if n == 2:  # past the horizon, k^(dim + 1) glued words per residue word
+                s = s2 if len(g) <= p.N else p.k ** (dim + 1) * residue.mask.bit_count()
+            elif built > dim or dim * (p.k.bit_length() - 1) < got[2].bit_length():
+                s = _geometric(p.k, built, dim)  # the levels not built
+            else:  # they hold k^dim or more words, more than the record holds
+                s = None
             _need(got == (True, c, s) and len(record) == 3, f"stage {i}: claim {n} record mismatch")
         count += c1 + c2
     return count
@@ -664,7 +669,9 @@ def _verify_embedding(instance: dict, witness: dict) -> int:
     from .henson import edge
 
     g = graph_from_json(instance["graph"])
-    mode = instance.get("mode", "greedy")
+    mode = instance["mode"]
+    _need(mode in ("greedy", "phi"), f"unknown embedding mode {mode!r}")
+    horizon = _int(instance["horizon"])
     images = [word_from_json(d) for d in witness["words"]]
     _need(len(images) == g.n, "image count mismatch")
     _need(all(w.k == 1 for w in images), "image not over the alphabet {0}")
@@ -677,6 +684,7 @@ def _verify_embedding(instance: dict, witness: dict) -> int:
     if mode == "greedy":
         for i, w in enumerate(images):
             _need(w.has_variables(), "greedy image outside the vertex set")
+            _need(len(w) <= horizon, "greedy image past the horizon")
             if i:
                 _need(len(w) > len(images[i - 1]), "image lengths not increasing")
     return count

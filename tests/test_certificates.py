@@ -284,6 +284,23 @@ def test_builder_records_of_a_huge_tree_refused_quickly(docs):
     assert res == (False, "builder-trace", "stage 0: claim 1 record mismatch")
 
 
+def test_builder_records_of_a_huge_alphabet_refused_quickly(docs):
+    # P over k = 10^18 holds only the empty word: x0...x99999 skips ~k^100000 words
+    doc, _ = _builder_doc(docs)
+    k = 10**18
+    fam = certs.family_to_json(FiniteFamily(k, 0, 1))
+    doc["instance"]["decomposition"] = {"type": "pw-decomposition", "ell": 0, "syndetic": fam, "thick": fam}
+    doc["digest"] = certs.digest(doc["instance"])
+    stage = doc["witness"]["stages"][0]
+    stage["residue"]["ell"] = 0
+    stage["generator"] = certs.word_to_json(Word(k, tuple(range(k, k + 10**5))))
+    doc["witness"]["stages"] = [stage]
+    t0 = time.perf_counter()
+    res = certs.verify_certificate(doc)
+    assert time.perf_counter() - t0 < 0.25
+    assert res == (False, "builder-trace", "stage 0: claim 1 record mismatch")
+
+
 def test_builder_verifier_bounded_by_instance(docs):
     # x0...x19 has 2^21 - 1 tree elements; only those of length <= N are built
     doc, _ = _builder_doc(docs)
@@ -551,6 +568,22 @@ def test_embedding_graph_is_malformed(docs, n, rows):
     assert not res.ok and res.detail.startswith("malformed certificate")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("mode", "zzz"), ("mode", ...), ("horizon", "x"), ("horizon", [1]), ("horizon", None), ("horizon", 1)],
+    ids=["mode-zzz", "mode-dropped", "horizon-text", "horizon-list", "horizon-null", "horizon-1"],
+)
+def test_embedding_mode_and_horizon_are_read(docs, field, value):
+    # each verified OK while the verifier read neither; the images have lengths 1 to 3
+    doc = json.loads(certs.canonical_json(docs["embedding"]))
+    if value is ...:
+        del doc["instance"][field]
+    else:
+        doc["instance"][field] = value
+    doc["digest"] = certs.digest(doc["instance"])
+    assert not certs.verify_certificate(doc).ok
+
+
 def test_triangle_free_matches_triple_walk():
     from itertools import combinations
 
@@ -714,8 +747,6 @@ def test_integer_fields_take_only_integers(small_docs, kind):
     # int(...) took each of these, so one certificate had many accepted forms
     blob = certs.canonical_json(small_docs[kind])
     for path in _int_paths(blob):
-        if kind == "embedding" and path == ("instance", "horizon"):
-            continue  # descriptive: the verifier never reads it
         for value in ("1", True, 1.0):
             res = certs.verify_certificate(_mutated(blob, path, "set", value))
             assert not res.ok, (path, value)
