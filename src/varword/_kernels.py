@@ -255,7 +255,7 @@ def _roundtrip_batch(k, g, n):
     return (is_cut | same | found).all(axis=1) & (g2 == g).all(axis=1)
 
 
-def tree_roundtrip_sweep(k, max_len, lo_len, hi_len):
+def tree_roundtrip_sweep(k, lo_len, hi_len):
     """Build and invert every ordered generator with length in [lo_len, hi_len].
 
     Enumerates generators through base-(k+2) codes, most significant
@@ -265,7 +265,7 @@ def tree_roundtrip_sweep(k, max_len, lo_len, hi_len):
     from the element set alone and compares.  Returns (generators,
     elements, mismatches, bad_code): elements sums k^0 + ... + k^n over
     the generators of n variables, and bad_code is the first failing
-    code in (length, code) order, or -1.  max_len is not read.
+    code in (length, code) order, or -1.
 
     Decodes the base-(k+2) codes of each length in chunks, in code
     order, and hands the generators to ``_roundtrip_batch`` grouped by

@@ -87,8 +87,11 @@ SCHEMA = 1
 TOOL = f"varword {__version__}"
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps builds one per call
+
+
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def digest(obj: Any) -> str:
@@ -139,9 +142,7 @@ def coloring_to_json(c: Coloring) -> dict:
         "N": c.N,
         "n": c.n,
         "ell": c.ell,
-        "table": [
-            [format_word(w), c.table[w]] for w in sorted(c.table, key=Word.key)
-        ],
+        "table": list(map(list, c.entries())),
     }
 
 
@@ -150,8 +151,17 @@ def coloring_from_json(doc: dict) -> Coloring:
 
     k, n_horizon, dim = _int(doc["k"]), _int(doc["N"]), _int(doc["n"])
     Coloring.check_header(k, n_horizon, dim)
-    table = {parse_word(t, k): _int(c) for t, c in doc["table"]}
-    coloring = Coloring(k, n_horizon, dim, _int(doc["ell"]), table)
+    rows = doc["table"]
+    coloring = None  # rows [text, color] in rank order are compared with the domain's, not parsed
+    try:
+        texts, colors = [t for t, _ in rows], [c for _, c in rows]
+    except (TypeError, ValueError):  # rows of another form
+        pass
+    else:
+        coloring = Coloring.from_entries(k, n_horizon, dim, doc.get("ell"), texts, colors)
+    if coloring is None:
+        table = {parse_word(t, k): _int(c) for t, c in rows}
+        coloring = Coloring(k, n_horizon, dim, _int(doc["ell"]), table)
     coloring.validate_total()
     return coloring
 
@@ -222,9 +232,11 @@ class VerifyResult(NamedTuple):
     detail: str = ""
 
 
-def _need(cond: bool, msg: str) -> None:
+def _need(cond: bool, msg: str, *words: Word) -> None:
+    """Raise ``CheckFailed(msg)`` unless cond, with the texts of ``words``
+    put in its ``{}``s: a check that holds formats nothing."""
     if not cond:
-        raise CheckFailed(msg)
+        raise CheckFailed(msg.format(*map(format_word, words)) if words else msg)
 
 
 def _geometric(k: int, lo: int, hi: int) -> int:
@@ -250,18 +262,17 @@ def line_letter_certificate_doc(coloring: Coloring, cert) -> dict:
 def check_line_letter(coloring: Coloring, g: Word, letter: int, color: int, checked) -> set[Word]:
     """The words S(0) and S(1).letter of the line S generated by ``g`` all
     have ``color``, and ``checked`` holds exactly these words; returns them."""
-    from .trees import level, tree_from_generator
+    from .trees import tree_levels
 
-    tree = tree_from_generator(g)
-    _need(tree.dimension == 1, "generator is not one-dimensional")
+    levels = tree_levels(g, len(g))  # NotOrdered for a bad generator; builds no level yet
+    _need(dimension(g) == 1, "generator is not one-dimensional")
     _need(len(g) + 1 <= coloring.N, "line does not fit the horizon")
     _need(0 <= letter < coloring.k, "letter outside alphabet")
-    expected = {level(tree, 0)[0]}
-    for w in level(tree, 1):
-        expected.add(Word(w.k, w.symbols + (letter,)))
+    expected = set(next(levels))  # S(0); then S(1).letter, by k more substitutions
+    expected.update(Word(w.k, w.symbols + (letter,)) for w in next(levels))
     _need(set(checked) == expected, "checked set mismatch")
     for w in expected:
-        _need(coloring(w) == color, f"{format_word(w)} has the wrong color")
+        _need(coloring(w) == color, "{} has the wrong color", w)
     return expected
 
 
@@ -556,9 +567,10 @@ def check_prehomog(
             img = substitute(w_hat, t, omega=True)
         except VarwordError:
             continue
-        if img not in coloring:
+        c = coloring.get(img)
+        if c is None:
             continue
-        _need(coloring(img) == color, f"color breaks at t={format_word(t)}")
+        _need(c == color, "color breaks at t={}", t)
         pairs.append((t, img))
     return pairs
 
@@ -597,8 +609,9 @@ def check_csl(coloring: Coloring, w: Word, color: int, depth: int, checked) -> l
     pairs = []
     for u in var_words(coloring.k, depth, dim=coloring.n):
         img = substitute(w, u, omega=True)  # must be defined for every pattern
-        _need(img in coloring, f"image of {format_word(u)} leaves the domain")
-        _need(coloring(img) == color, f"color breaks at {format_word(u)}")
+        c = coloring.get(img)
+        _need(c is not None, "image of {} leaves the domain", u)
+        _need(c == color, "color breaks at {}", u)
         pairs.append((u, img))
     _need(pairs, "empty pattern range")
     _need(list(checked) == pairs, "checked pairs are not the pattern walk")
@@ -640,9 +653,10 @@ def check_cdrt(coloring: Coloring, w: Word, color: int, depth: int) -> list[tupl
                 img = substitute(w, u, omega=True)
             except VarwordError:
                 continue
-            if img not in coloring:
+            c = coloring.get(img)
+            if c is None:
                 continue
-            _need(coloring(img) == color, f"pullback color breaks at {format_word(u)}")
+            _need(c == color, "pullback color breaks at {}", u)
             pairs.append((u, img))
     return pairs
 
@@ -718,9 +732,9 @@ def _verify_envelope(instance: dict, witness: dict) -> int:
         for s, t in witness["assignments"]
     }
     for s in members:
-        _need(s.symbols in assigns, f"no assignment for {format_word(s)}")
+        _need(s.symbols in assigns, "no assignment for {}", s)
         t = assigns[s.symbols]
-        _need(substitute(env, t) == s, f"assignment fails for {format_word(s)}")
+        _need(substitute(env, t) == s, "assignment fails for {}", s)
     return len(members)
 
 

@@ -5,11 +5,20 @@ an alphabet of size k with length at most N; dimension 0 is the plain
 word case.  The table is explicit, which keeps every search honest:
 the instance is a finite object that can be hashed into certificates
 and re-read by the verifier.
+
+Colors are held in rank order: the domain's words in (length, lex)
+order, the order ``var_words`` yields them in, are ranked 0, 1, ...,
+and ``_codec`` ranks a word by arithmetic.  For dimension 0 this is the
+rank of ``FiniteFamily``, so a 2-coloring of A^{<=N} has the bit layout
+of a family's mask and of ``coloring_sweep``'s colorings.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+from collections.abc import Mapping
+from functools import lru_cache
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import InputError, InvalidWord, VarwordError
@@ -17,7 +26,6 @@ from .words import (
     Word,
     check_universe,
     format_word,
-    is_var_word,
     parse_word,
     var_words,
 )
@@ -54,44 +62,179 @@ def _domain_size(k: int, n_horizon: int, dim: int, cap: int) -> int:
     return total
 
 
-class Coloring(Frozen):
-    """A color in ``[0, ell)`` for each n-variable word of length at most N over k letters."""
+@lru_cache(maxsize=32)
+def _codec(k: int, n_horizon: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Rank tables of the domain ``var_words(k, n_horizon, dim=dim)``.
 
-    __slots__ = ("k", "N", "n", "ell", "table")
+    ways[r][i] counts the ways to end a word whose prefix has introduced
+    i variables with r more symbols and exactly dim variables: a letter
+    or an introduced variable (k + i ways) keeps i and the next variable
+    raises it, the recurrence of ``_domain_size``.  A word's rank is
+    offs[len] plus, at each position, the symbol times the ways left
+    after it, since the symbols below it (letters, then variables in
+    index order) each start that many words.  offs[N + 1] is the
+    domain's size; for dim 0, ways[r][0] = k^r and offs is
+    ``largeness._offsets``.  Only built for a domain whose colors are
+    at hand, so its size is bounded by theirs.
+    """
+    ways = [tuple(int(i == dim) for i in range(dim + 1))]
+    for _ in range(n_horizon):
+        prev = ways[-1]
+        ways.append(tuple((k + i) * prev[i] + (prev[i + 1] if i < dim else 0) for i in range(dim + 1)))
+    offs = [0]
+    for length in range(n_horizon + 1):
+        offs.append(offs[-1] + ways[length][0])
+    return tuple(ways), tuple(offs)
+
+
+def _pack(colors: Sequence[int]):
+    """Colors in rank order as ``bytes``, or a tuple when one is not a byte."""
+    try:
+        return bytes(colors)
+    except (TypeError, ValueError):
+        return tuple(colors)
+
+
+class Coloring(Frozen):
+    """A color in ``[0, ell)`` for each n-variable word of length at most N over k letters.
+
+    ``colors[r]`` is the color of the domain's word of rank r, in a
+    ``bytes`` (a tuple when a color is above 255).  The constructor also
+    takes a ``Word``-to-color mapping; one that is not a total coloring
+    of the domain with colors in range is kept as given, as ``colors``,
+    so that ``validate_total`` can name its first defect.
+    """
+
+    __slots__ = ("k", "N", "n", "ell", "colors")
 
     def __init__(
-        self, k: int, N: int, n: int, ell: int, table: Mapping[Word, int] | None = None
+        self, k: int, N: int, n: int, ell: int, table: Mapping[Word, int] | Sequence[int] | None = None
     ):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "table", {} if table is None else table)
+        if table is None:
+            table = {}
+        colors = self._ranked(table) if isinstance(table, Mapping) else _pack(table)
+        object.__setattr__(self, "colors", colors)
+
+    def _ranked(self, table: Mapping[Word, int]):
+        """The mapping's colors in rank order, or the mapping itself."""
+        if _domain_size(self.k, self.N, self.n, len(table)) == len(table):
+            colors = [0] * len(table)
+            for w, c in table.items():
+                r = self.rank(w)
+                if r is None or not 0 <= c < self.ell:
+                    break
+                colors[r] = c  # distinct words have distinct ranks
+            else:
+                return _pack(colors)
+        return table if type(table) is dict else dict(table)
 
     @classmethod
     def from_function(
         cls, k: int, n_horizon: int, dim: int, ell: int, fn: Callable[[Word], int]
     ) -> "Coloring":
-        table = {}
+        colors = []
         for w in var_words(k, n_horizon, dim=dim):
             c = fn(w)
             if not 0 <= c < ell:
                 raise InvalidWord(f"color {c} out of range for {format_word(w)}")
-            table[w] = c
-        return cls(k, n_horizon, dim, ell, table)
+            colors.append(c)
+        return cls(k, n_horizon, dim, ell, colors)
 
     @classmethod
     def constant(cls, k: int, n_horizon: int, dim: int, ell: int, color: int = 0):
         return cls.from_function(k, n_horizon, dim, ell, lambda w: color)
 
+    # -- ranks -------------------------------------------------------
+
+    def rank(self, w: Word) -> Optional[int]:
+        """The rank of w in the domain, or None for a word outside it."""
+        k, dim = self.k, self.n
+        syms = w.symbols
+        rest = len(syms)
+        if w.k != k or rest > self.N:
+            return None
+        ways, offs = _codec(k, self.N, dim)
+        if not dim:  # a plain word: offs[len] plus its lex value
+            v = 0
+            for s in syms:
+                if s >= k:
+                    return None
+                v = v * k + s
+            return offs[rest] + v
+        r = offs[rest]
+        i = 0  # variables introduced so far; the next one is k + i
+        for s in syms:
+            rest -= 1
+            if s > k + i or (s == k + i and i == dim):
+                return None
+            r += s * ways[rest][i]
+            i += s == k + i
+        return r if i == dim else None
+
+    def get(self, w: Word) -> Optional[int]:
+        """The color of w, or None for a word outside the domain."""
+        colors = self.colors
+        if type(colors) is dict:
+            return colors.get(w)
+        r = self.rank(w)
+        return None if r is None else colors[r]
+
     def __call__(self, w: Word) -> int:
-        return self.table[w]
+        c = self.get(w)
+        if c is None:
+            raise KeyError(w)
+        return c
 
     def __contains__(self, w: Word) -> bool:
-        return w in self.table
+        return self.get(w) is not None
 
     def domain(self) -> Iterator[Word]:
         return var_words(self.k, self.N, dim=self.n)
+
+    @property
+    def table(self) -> dict[Word, int]:
+        """The colors by word: a kept mapping, or a new dict."""
+        if type(self.colors) is dict:
+            return self.colors
+        return dict(zip(self.domain(), self.colors))
+
+    def entries(self) -> list[tuple[str, int]]:
+        """(text, color) per word of the table, in rank order (key order
+        for a kept mapping); ``digit_texts`` writes plain words over 2..10
+        letters from their ranks."""
+        colors = self.colors
+        if type(colors) is dict:
+            return [(format_word(w), colors[w]) for w in sorted(colors, key=Word.key)]
+        if self.n == 0 and 2 <= self.k <= 10:
+            from ._family_text import digit_texts
+
+            texts = digit_texts(self.k, _codec(self.k, self.N, 0)[1], (1 << len(colors)) - 1)
+        else:
+            texts = map(format_word, self.domain())
+        return list(zip(texts, colors))
+
+    @classmethod
+    def from_entries(
+        cls, k: int, n_horizon: int, dim: int, ell, texts: list, colors: list
+    ) -> Optional["Coloring"]:
+        """The coloring of a table read as texts and colors, when the texts
+        are the domain's own in rank order and the colors are ints in
+        [0, ell); otherwise None, and the caller parses word by word.
+
+        Only for plain words over 2..10 letters, after ``check_header``.
+        """
+        if dim != 0 or not 2 <= k <= 10 or type(ell) is not int or not set(map(type, colors)) <= {int}:
+            return None
+        if colors and not 0 <= min(colors) <= max(colors) < ell:
+            return None
+        if _domain_size(k, n_horizon, 0, len(texts)) != len(texts):
+            return None
+        col = cls(k, n_horizon, 0, ell, colors)
+        return col if col.entries() == list(zip(texts, colors)) else None
 
     @staticmethod
     def check_header(k: int, n_horizon: int, dim: int) -> None:
@@ -108,41 +251,45 @@ class Coloring(Frozen):
     def validate_total(self) -> None:
         """Every word of the domain has a color in [0, ell), and the table holds no other word.
 
-        When every table word lies in the domain and every color is in
-        range, the table is total exactly when it is as large as the
-        domain, which is counted without building its words.  Otherwise
-        the domain is walked to name the first defect; the walk stops at
-        the first word missing from the table, so it takes at most
-        len(table) + 1 steps whatever the header says.
+        Colors in rank order only need their count and range checked.  A
+        kept mapping is not total or not in range (the constructor ranks
+        every other one), and the domain is walked to name its first
+        defect; the walk stops at the first word missing from the
+        mapping, so it takes at most len(mapping) + 1 steps whatever the
+        header says.
         """
-        if (
-            all(0 <= c < self.ell for c in self.table.values())
-            and all(
-                w.k == self.k and len(w) <= self.N and is_var_word(w, self.n)
-                for w in self.table
-            )
-            and _domain_size(self.k, self.N, self.n, len(self.table)) == len(self.table)
-        ):
+        colors = self.colors
+        if not type(colors) is dict:
+            if colors and not (min(colors) >= 0 and max(colors) < self.ell):
+                r = next(r for r, c in enumerate(colors) if not 0 <= c < self.ell)
+                raise InvalidWord(f"color {colors[r]} out of range for {format_word(self._unrank(r))}")
+            size = _domain_size(self.k, self.N, self.n, len(colors))
+            if size > len(colors):
+                raise InvalidWord(f"coloring not total: missing {format_word(self._unrank(len(colors)))}")
+            if size < len(colors):
+                raise InvalidWord(f"{len(colors)} colors for a domain of {size} words")
             return
         seen = 0
         for w in self.domain():
-            c = self.table.get(w)
+            c = colors.get(w)
             if c is None:
                 raise InvalidWord(f"coloring not total: missing {format_word(w)}")
             if not 0 <= c < self.ell:
                 raise InvalidWord(f"color {c} out of range for {format_word(w)}")
             seen += 1
-        if seen != len(self.table):
+        if seen != len(colors):
             domain = set(self.domain())
-            extra = min((w for w in self.table if w not in domain), key=Word.key)
+            extra = min((w for w in colors if w not in domain), key=Word.key)
             raise InvalidWord(f"{format_word(extra)} is outside the coloring's domain")
+
+    def _unrank(self, r: int) -> Word:
+        return next(islice(self.domain(), r, None))
 
     # -- file form: header "k N n ell", then one "word color" per line ----
 
     def dump(self) -> str:
         lines = [f"{self.k} {self.N} {self.n} {self.ell}"]
-        for w in sorted(self.table, key=Word.key):
-            lines.append(f"{format_word(w)} {self.table[w]}")
+        lines += [f"{t} {c}" for t, c in self.entries()]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -161,6 +308,26 @@ class Coloring(Frozen):
             cls.check_header(k, n_horizon, dim)
         except VarwordError as exc:
             raise InputError(str(exc), filename, 1, 1) from None
+        col = None
+        if dim == 0:  # lines "text color" in rank order are compared with the domain's, not parsed
+            rows = [line.split(" ") for line in lines[1:]]
+            try:
+                texts, colors = [t for t, _ in rows], [int(c) for _, c in rows]
+            except ValueError:  # a line of another form, or a color that is no integer
+                pass
+            else:
+                col = cls.from_entries(k, n_horizon, dim, ell, texts, colors)
+        if col is None:
+            col = cls(k, n_horizon, dim, ell, cls._parse_table(lines, k, ell, filename))
+        try:
+            col.validate_total()
+        except VarwordError as exc:
+            raise InputError(str(exc), filename, 1, 1) from None
+        return col
+
+    @staticmethod
+    def _parse_table(lines: list[str], k: int, ell: int, filename: str) -> dict[Word, int]:
+        """The table of a coloring file, word by word with ``parse_word``."""
         table = {}
         for i, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -179,9 +346,4 @@ class Coloring(Frozen):
             if not 0 <= c < ell:
                 raise InputError(f"color {c} out of range", filename, i, len(parts[0]) + 2)
             table[w] = c
-        col = cls(k, n_horizon, dim, ell, table)
-        try:
-            col.validate_total()
-        except VarwordError as exc:
-            raise InputError(str(exc), filename, 1, 1) from None
-        return col
+        return table

@@ -12,7 +12,19 @@ class VarwordError(Exception):
 
 
 class CutPointMissing(VarwordError):
-    """Substitution needs x_{|u|} but the finite prefix never shows it."""
+    """Substitution needs x_{|u|} but the finite prefix never shows it.
+
+    ``substitute`` raises it with the word and m = |u|, and the message
+    replaces them on the first ``str()``: most raises are caught unread.
+    """
+
+    def __str__(self):
+        if len(self.args) == 2:
+            from .words import format_word
+
+            w, m = self.args
+            self.args = (f"{format_word(w)} has no occurrence of x{m} and is not a {m}-variable word",)
+        return super().__str__()
 
 
 class IndexOutOfRange(VarwordError):

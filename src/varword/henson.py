@@ -27,6 +27,7 @@ from .errors import (
 )
 from .words import (
     Word,
+    _enumerate,
     dimension,
     first_occurrence,
     format_word,
@@ -354,22 +355,54 @@ def _cover(env: Word, member: Word) -> Optional[Word]:
     return None
 
 
+def _envelope_prefixes(mem: list[Word], longest: int):
+    """The walk's ``keep`` for envelopes of ``mem`` over one letter.
+
+    ``_cover(env, s)`` needs env's letters before |s| to be s's symbols,
+    each variable there to take one value, and position |s| to be the
+    end of env or a first occurrence.  A prefix that breaks this for
+    some member covers no word it extends, so its subtree is skipped;
+    ``_cover`` still checks every word the walk yields.
+    """
+
+    def fits(i, p):
+        # may position i hold the letter 0 (p is None), or the variable
+        # first placed at p, for every member?
+        return all(len(s) < i or (len(s) > i and s[i] == (0 if p is None else s[p])) for s in mem)
+
+    letter = [fits(i, None) for i in range(longest + 1)]
+    repeat = [[fits(i, p) for p in range(i)] for i in range(longest + 1)]
+
+    def keep(syms, i):
+        s = syms[i]
+        if s < VAR:
+            return letter[i]
+        p = syms.index(s)  # the variable's first occurrence; a new one fits every member
+        return p == i or repeat[i][p]
+
+    return keep
+
+
 def minimal_envelope(members: Iterable[Word]) -> Envelope:
     """Fewest-variable word from which every member arises by substitution.
 
     Exhaustive over candidates ordered by variable count, then length,
     then lex; the first hit is minimal by construction.  Candidate
-    lengths are capped at max member length + 1, which suffices because
-    a cut past the longest member never helps and appending beyond it
-    only introduces variables.
+    lengths run from the longest member's length, since a shorter word
+    has no cut there, to one more, which suffices because a cut past
+    the longest member never helps and appending beyond it only
+    introduces variables.  Each length's walk skips the prefixes that
+    contradict a member (``_envelope_prefixes``), so the first hit is
+    the one the full walk finds.
     """
     mem = sorted(set(members), key=Word.key)
     if not mem:
         raise InputError("empty member set")
     bound = 2 ** len(mem) + len(mem) - 1
     longest = max(len(s) for s in mem)
+    keep = _envelope_prefixes(mem, longest)
     for d in range(longest + 2):
-        for env in var_words(1, longest + 1, dim=d):
+        for env in _enumerate(1, longest + 1, longest, False, d, d, keep):
             assign = []
             for s in mem:
                 t = _cover(env, s)

@@ -89,9 +89,9 @@ def csl_search(
                 img = substitute(w, u, omega=True)
             except CutPointMissing:
                 return None
-            if img not in coloring:
+            c = coloring.get(img)
+            if c is None:
                 return None
-            c = coloring(img)
             if color is None:
                 color = c
             elif c != color:
@@ -146,10 +146,9 @@ def prehomog_check(
         first_t = None
         first_color = None
         for t in stem_extension_words(s, k, n, tail_max, w, coloring.N):
-            img = substitute(w, t, omega=True)  # the walk passes over missing cuts
-            if img not in coloring:
+            c = coloring.get(substitute(w, t, omega=True))  # the walk passes over missing cuts
+            if c is None:
                 continue
-            c = coloring(img)
             checked += 1
             if first_t is None:
                 first_t, first_color = t, c
@@ -219,15 +218,16 @@ def one_step_prehomog(
         t = Word(k, base + u_ext.symbols)
         return substitute(w, t, omega=True)
 
-    table = {}
+    colors = []  # in rank order: letter_words walks the domain of f_s in it
     for u_ext in letter_words(ke, tail_horizon):
         img = derived(u_ext)  # CutPointMissing propagates: horizon too short
-        if img not in coloring:
+        c = coloring.get(img)
+        if c is None:
             raise CutPointMissing(
                 f"derived word {format_word(img)} leaves the coloring domain"
             )
-        table[u_ext] = coloring(img)
-    f_s = Coloring(ke, tail_horizon, 0, coloring.ell, table)
+        colors.append(c)
+    f_s = Coloring(ke, tail_horizon, 0, coloring.ell, colors)
 
     inner = csl_search(f_s, depth, max_len=max_len)
 

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ._frozen import Frozen
 from .certificates import check_line_letter
-from .colorings import Coloring
+from .colorings import Coloring, _codec
 from .errors import (
     NoConnector,
     NotFoundWithinHorizon,
@@ -36,6 +36,8 @@ from .errors import (
 from .trees import OVWTree, level, tree_from_generator
 from .words import (
     Word,
+    _enumerate,
+    _symbol_tuples,
     decompose,
     format_word,
     is_left_var_word,
@@ -88,41 +90,47 @@ def search_line_with_letter(
     The line size plus one must fit under the coloring horizon so that
     the extended level S(1).a stays colorable.  Raises
     NotFoundWithinHorizon after exhausting all generators.
+
+    Candidates are symbol tuples, walked lazily in (length, lex) order,
+    and colors are read by rank: S(0) is g's letters before its variable,
+    and S(1)[b].a has the lex value (base + b * ones) * k + a, where
+    base reads the variable as 0 and ones has a 1 at each of its places.
+    Only the hit becomes ``Word``s.
     """
     # ``workers`` is ignored (one thread); kept only for perfbench's workers probe
     if coloring.n != 0:
         raise InvalidWord("line search expects a coloring of plain words")
     k, n_hor = coloring.k, coloring.N
     cap = n_hor - 1 if max_gen_len is None else min(max_gen_len, n_hor - 1)
-    cands = (
-        (g, a)
-        for g in var_words(k, cap, dim=1, ordered=True, min_len=1)
-        for a in range(k)
+    colors = coloring.colors
+    offs = _codec(k, n_hor, 0)[1]
+    for length in range(1, cap + 1):
+        top = offs[length + 1]  # rank of the first word of length |g| + 1
+        for g in _symbol_tuples(k, length, True, 1, 1):
+            cut = g.index(k)
+            base = ones = 0
+            for s in g:
+                base, ones = base * k, ones * k
+                if s == k:
+                    ones += 1
+                else:
+                    base += s
+            color = colors[offs[cut] + base // k ** (length - cut)]  # S(0) = g[:cut]
+            for a in range(k):
+                if all(colors[top + (base + b * ones) * k + a] == color for b in range(k)):
+                    return _line_hit(coloring, Word(k, g), a, color)
+    raise NotFoundWithinHorizon(
+        f"no line-with-letter certificate with generator length <= {cap}"
     )
 
-    def attempt(cand):
-        g, a = cand
-        w0 = substitute(g, ())
-        color = coloring(w0)
-        checked = [w0]
-        for b in range(k):
-            w = substitute(g, (b,))
-            wa = Word(k, w.symbols + (a,))
-            if coloring(wa) != color:
-                return None
-            checked.append(wa)
-        cert = LineLetterCertificate(
-            tree_from_generator(g), a, color, tuple(checked)
-        )
-        verify_line_letter(cert, coloring)
-        return cert
 
-    hit = next((r for r in map(attempt, cands) if r is not None), None)
-    if hit is None:
-        raise NotFoundWithinHorizon(
-            f"no line-with-letter certificate with generator length <= {cap}"
-        )
-    return hit
+def _line_hit(coloring: Coloring, g: Word, a: int, color: int) -> LineLetterCertificate:
+    line = tree_from_generator(g)
+    root, *level1 = line.elements  # S(0), then S(1) in lex order
+    checked = (root, *(Word(g.k, w.symbols + (a,)) for w in level1))
+    cert = LineLetterCertificate(line, a, color, checked)
+    verify_line_letter(cert, coloring)
+    return cert
 
 
 def verify_line_letter(cert: LineLetterCertificate, coloring: Coloring) -> None:
@@ -162,14 +170,7 @@ def line_letter_from_dim2(
     sigma_star = Word(k, connector.symbols[:-1])
     cut1 = tree.level_lengths[1]
     line_gen = Word(k, tree.generator.symbols[:cut1] + sigma_star.symbols)
-    line = tree_from_generator(line_gen)
-    checked = [substitute(line_gen, ())]
-    for b in range(k):
-        w = substitute(line_gen, (b,))
-        checked.append(Word(k, w.symbols + (a,)))
-    cert = LineLetterCertificate(line, a, color, tuple(checked))
-    verify_line_letter(cert, coloring)
-    return cert, connector
+    return _line_hit(coloring, line_gen, a, color), connector
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +243,37 @@ def step_lemma_search(
     Q is the full residue of P past S, re-certified as piecewise
     syndetic at the reduced horizon; both inclusions are re-verified
     on the hit's own words (S(1).Q in rank space) before the result is
-    returned.  Candidate lines are enumerated only up to the first hit.
-    Within one search, S(0) in P is decided once per distinct S(0), and
-    a raw residue that ``pws_certify`` refused is not certified again;
+    returned.  Candidate lines are enumerated only up to the first hit,
+    in (length, lex) order.  S(0) is the generator up to its variable,
+    so the walk decides S(0) in P where it places the variable, once per
+    distinct S(0), and never builds a generator of a refused S(0).  A
+    raw residue that ``pws_certify`` refused is not certified again;
     both memos die with the search.
+
+    The residue of g lies at horizon N - |g|, its reach at N - |g| - ell,
+    and ``is_thick`` finds no anchor for ``m_bound`` below horizon
+    ``m_bound``, so no generator longer than N - ell - m_bound can
+    certify: the walk stops there.
     """
     from .largeness import glued_inclusion, pws_certify
 
     p = dec.part
     k = dec.k
     cap = min(max_gen_len, dec.N - 1)
-    cands = var_words(k, cap, dim=1, ordered=True, min_len=1)
+    longest = min(cap, dec.N - dec.ell - max(m_bound, 0))  # the longest generator that can certify
     roots: dict[tuple[int, ...], bool] = {}  # S(0) in P, by the symbols of S(0)
     refused: set[tuple[int, int]] = set()  # (N, mask) of the residues pws_certify refused
 
-    def attempt(g):
-        syms = g.symbols
-        root = syms[: syms.index(k)]  # S(0) = g[()]: g up to its only variable
+    def root_inside(syms, i):
+        if syms[i] != k or k in syms[:i]:
+            return True  # a letter, or the variable again
+        root = tuple(syms[:i])
         inside = roots.get(root)
         if inside is None:
             inside = roots[root] = Word(k, root) in p
-        if not inside:
-            return None
+        return inside
+
+    def attempt(g):
         q_raw = p.line_residue(g)  # d_super_s(p, line)
         key = (q_raw.N, q_raw.mask)
         if not q_raw.mask or key in refused:
@@ -282,6 +292,8 @@ def step_lemma_search(
         sigma_head, blocks = decompose(g)
         return StepResult(tree_from_generator(g), blocks[0], cert, True, checked + 1)
 
+    # var_words(k, longest, dim=1, ordered=True, min_len=1) without the refused S(0)
+    cands = _enumerate(k, longest, 1, True, 1, 1, root_inside)
     hit = next((r for r in map(attempt, cands) if r is not None), None)
     if hit is None:
         raise NotFoundWithinHorizon(

@@ -138,7 +138,7 @@ def tree_roundtrip_exhaustive(
         raise ValueError("kernel roundtrip requires k >= 2 (unary trees are not rigid)")
 
     def run(length):
-        return _kernels.tree_roundtrip_sweep(k, max_len, length, length)
+        return _kernels.tree_roundtrip_sweep(k, length, length)
 
     parts = _in_threads(run, range(max_len + 1), workers)
     gens = sum(p[0] for p in parts)

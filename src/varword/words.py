@@ -412,9 +412,7 @@ def substitute(w: Word, u, omega: bool = False) -> Word:
     cut = first_occurrence(w, m)
     if cut is None:
         if omega or dimension(w) != m or not is_var_word(w, m):
-            raise CutPointMissing(
-                f"{format_word(w)} has no occurrence of x{m} and is not a {m}-variable word"
-            )
+            raise CutPointMissing(w, m)  # most raises are caught: the text waits for str()
         cut = len(w.symbols)
     out = []
     for s in w.symbols[:cut]:
@@ -512,14 +510,18 @@ def recompose(sigma: Word, blocks: Sequence[Word]) -> Word:
 #
 # Each length is one depth-first walk in symbol order, pruned by the
 # number of variables introduced so far: a branch that can no longer
-# end with between lo and hi variables is never entered.
+# end with between lo and hi variables is never entered.  A caller's
+# ``keep(syms, i)`` prunes further: it is asked once per nonempty prefix
+# ``syms[:i + 1]``, whole tuples included, and a refused prefix is left
+# with its subtree.  ``syms`` is the walk's own list: read, never write.
 
 
-def _symbol_tuples(k, length, ordered, lo, hi):
-    """Symbol tuples of one length in lex order, introducing lo..hi variables."""
+def _symbol_tuples(k, length, ordered, lo, hi, keep=None):
+    """Symbol tuples of one length in lex order, introducing lo..hi
+    variables, without the subtrees of the prefixes ``keep`` refuses."""
     if lo > hi or hi < 0:
         return
-    if hi == 0:
+    if length == 0 or (hi == 0 and keep is None):
         yield from product(range(k), repeat=length)
         return
     table = {}
@@ -551,8 +553,14 @@ def _symbol_tuples(k, length, ordered, lo, hi):
     while i >= 0:
         if i == last:
             head = tuple(syms[:last])
-            for s in opts[last]:
-                yield head + (s,)
+            if keep is None:
+                for s in opts[last]:
+                    yield head + (s,)
+            else:
+                for s in opts[last]:
+                    syms[last] = s
+                    if keep(syms, last):
+                        yield head + (s,)
             i -= 1
             continue
         j = nxt[i]
@@ -561,6 +569,8 @@ def _symbol_tuples(k, length, ordered, lo, hi):
             continue
         s = syms[i] = opts[i][j]
         nxt[i] = j + 1
+        if keep is not None and not keep(syms, i):
+            continue
         new = intro[i] + (s == k + intro[i])
         i += 1
         intro[i] = new
@@ -568,12 +578,12 @@ def _symbol_tuples(k, length, ordered, lo, hi):
         nxt[i] = 0
 
 
-def _enumerate(k, max_len, min_len, ordered, lo, hi) -> Iterator[Word]:
+def _enumerate(k, max_len, min_len, ordered, lo, hi, keep=None) -> Iterator[Word]:
     if k < 0:
         raise IndexOutOfRange(f"alphabet size must be >= 0, got {k}")
     for length in range(max(min_len, 0), max_len + 1):
         top = length if hi is None else min(hi, length)
-        for syms in _symbol_tuples(k, length, ordered, lo, top):
+        for syms in _symbol_tuples(k, length, ordered, lo, top, keep):
             yield _trusted(k, syms)
 
 

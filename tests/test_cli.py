@@ -181,6 +181,18 @@ class TestSearchAndVerify:
         assert code == 2
         assert json.loads(out)["error"] == "NotFoundWithinHorizon"
 
+    def test_builder_past_its_horizon_is_not_found(self, run, tmp_path):
+        # ell = 2 at N = 6: stage 1's residue has horizon 2, and its candidates
+        # longer than 0 have no room for ell; this exited 1 with HorizonExceeded
+        dec = random_piecewise_syndetic(random.Random(0), 2, 6, 2, 2, 0.9, 0.9)
+        for name, fam in (("s", dec.syndetic), ("t", dec.thick)):
+            (tmp_path / f"{name}.txt").write_text("2 6\n" + "\n".join(map(format_word, fam.words())) + "\n")
+        argv = ["--syndetic", str(tmp_path / "s.txt"), "--thick", str(tmp_path / "t.txt"), "--ell", "2"]
+        for steps in ("0", "1", "2"):
+            code, out, err = run("search", "builder", *argv, "--steps", steps)
+            assert code in (0, 2) and "HorizonExceeded" not in out + err
+        assert (code, json.loads(out)["message"]) == (2, "stage 1: no one-step line with generator length <= 2")
+
     def test_missing_file_exit_code(self, run):
         code, _, _ = run("search", "line", "--coloring", "/nonexistent/x.txt")
         assert code == 1
@@ -469,6 +481,14 @@ class TestImportSets:
         code, mods = _fresh_modules(["verify", "cert.json"], instance_dir)
         assert code == 0
         assert not mods & {"numpy", "varword.search", "varword.prehomog", "varword.cdrt"}
+
+    def test_line_search_and_its_verify_load_no_sweeps(self, run, instance_dir, monkeypatch):
+        # colorings are read and searched in rank space without the array kernels
+        monkeypatch.chdir(instance_dir)
+        code, mods = _fresh_modules(["search", "line", "--coloring", "col.txt", "--json-out", "line.json"], instance_dir)
+        assert code == 0 and not mods & {"numpy", "varword.sweeps", "varword._kernels"}
+        code, mods = _fresh_modules(["verify", "line.json"], instance_dir)
+        assert code == 0 and not mods & {"numpy", "varword.sweeps", "varword._kernels"}
 
     def test_search_line_skips_largeness(self, instance_dir):
         # importing varword.commands.search and running a line search loads

@@ -219,6 +219,42 @@ class TestEnvelope:
                 assert any(_cover(cand, s) is None for s in members)
 
 
+    def test_pruned_walk_matches_full_walk(self):
+        # every envelope of the singletons, pairs and sampled triples of the
+        # words of length <= 4, against the unpruned walk over every length
+        from varword.henson import _cover
+        from varword.words import var_words
+
+        def full_walk(members):
+            mem = sorted(set(members), key=Word.key)
+            longest = max(len(s) for s in mem)
+            for d in range(longest + 2):
+                for env in var_words(1, longest + 1, dim=d):
+                    assign = tuple((s, _cover(env, s)) for s in mem)
+                    if all(t is not None for _, t in assign):
+                        return env, assign
+
+        pool = _all_unary_words(4)
+        inputs = [[s] for s in pool] + [list(p) for p in combinations(pool, 2)]
+        inputs += [list(t) for t in combinations(pool, 3)][::29]
+        for members in inputs:
+            env = minimal_envelope(members)
+            assert (env.word, env.assignments) == full_walk(members), members
+
+    def test_cover_calls_on_criterion_9_pool(self, monkeypatch):
+        # a count, not a clock: the pruned walks call _cover 3,969 times on
+        # criterion 9's 2,016 inputs (the full walk made 765,636 calls)
+        import varword.henson as henson_mod
+
+        calls = []
+        cover = henson_mod._cover
+        monkeypatch.setattr(henson_mod, "_cover", lambda env, s: calls.append(1) or cover(env, s))
+        pool = _all_unary_words(5)
+        for members in [[s] for s in pool] + [list(p) for p in combinations(pool, 2)]:
+            minimal_envelope(members)
+        assert len(calls) <= 2 * 3969
+
+
 class TestProfile:
     def test_single_vertex_constant(self):
         g = GraphSpec.from_pairs(1, [])

@@ -8,7 +8,7 @@ chunk boundaries) are checked against a short oracle written here.
 """
 
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -66,6 +66,56 @@ def object_level_assoc_count(max_len):
     return checked
 
 
+def assoc_oracle(t, syms, focc, max_u_len):
+    """(checked, failures, i, j, m, uval) of ``assoc_sweep`` over a whole table,
+    u by u: rows read as words up to the table's cut points.
+
+    w[v[u]] is cut at focc[i, focc[j, m]], compose(w, v)[u] at the first
+    x_m in the composition; a read of a variable outside the substituted
+    word fails every u of its (i, j, m).
+    """
+
+    def read(row, cut, u):  # row[:cut] under u, None if it reads past u
+        out = []
+        for s in row[:cut]:
+            if s >= K and s - K >= len(u):
+                return None
+            out.append(u[s - K] if s >= K else s)
+        return out
+
+    checked = failures = 0
+    first = None
+    rows = [list(r) for r in syms]
+    for i, w in enumerate(rows):
+        for j, v in enumerate(rows):
+            z = []
+            for s in w[: t.lens[i]]:
+                if s >= K and s - K >= t.lens[j]:
+                    break
+                z.append(v[s - K] if s >= K else s)
+            for m in range(min(max_u_len + 1, focc.shape[1])):
+                if (focc[j, : m + 1] < 0).any():
+                    break  # v does not reach x_m
+                pv = focc[j, m]
+                fw = focc[i, pv] if pv < focc.shape[1] else -1
+                fz = z.index(K + m) if K + m in z else -1
+                if (fw < 0) != (fz < 0):
+                    failures += 1
+                    first = first or (i, j, m, -1 if fw < 0 else -2)
+                    continue
+                if fw < 0:
+                    continue
+                us = list(product(range(K), repeat=m))
+                checked += len(us)
+                for uval, u in enumerate(us):
+                    vu = read(v, pv, u)
+                    lhs = None if vu is None else read(w, fw, vu)
+                    if lhs is None or lhs != read(z, fz, u):
+                        failures += 1
+                        first = first or (i, j, m, uval)
+    return (checked, failures) + (first or (-1, -1, -1, -1))
+
+
 class TestAssocKernel:
     def test_agrees_with_object_level(self):
         res = assoc_exhaustive(K, 3)
@@ -117,6 +167,29 @@ class TestAssocKernel:
             )
             faulty += a[1] > 0
         assert faulty >= 10
+
+    def test_planted_faults_against_oracle(self, rng):
+        # the exact first failure (i, j, m, uval) and failure count, from
+        # the oracle, on tables with one corrupted cut point or symbol
+        t = build_prefix_table(K, 3)
+        width = t.syms.shape[1]
+        # x0 without x0 (only the composition has a cut), 0x0 with x0 first
+        # at 2 and 0x0[0] opening with x1 (every u fails)
+        faults = [("focc", 3, 0, -1), ("focc", 6, 0, 2), ("syms", 20, 0, K + 1)]
+        for trial in range(12):
+            r = rng.randrange(len(t))
+            if trial % 2:
+                faults.append(("syms", r, rng.randrange(width), rng.choice([-1, 0, 1, K, K + 1, K + width + 1])))
+            else:
+                faults.append(("focc", r, rng.randrange(width + 2), rng.randrange(-1, width)))
+        seen = set()
+        for where, r, c, value in faults:
+            syms, focc = t.syms.copy(), t.focc.copy()
+            (syms if where == "syms" else focc)[r, c] = value
+            got = _kernels.assoc_sweep(syms, t.lens, focc, K, 0, len(t), 3)
+            assert got == assoc_oracle(t, syms, focc, 3), (where, r, c, value, got)
+            seen.add(got[5] if got[1] else None)
+        assert {-2, -1, 0} <= seen
 
 
 class TestRoundtripKernel:
@@ -173,6 +246,22 @@ class TestColoringSweep:
             except NotFoundWithinHorizon:
                 got = False
             assert got == bool(found[bits])
+
+    @pytest.mark.parametrize("k, n_hor", [(2, 3), (3, 2)])
+    def test_search_agrees_on_colorings_built_from_masks(self, k, n_hor):
+        # Coloring keeps its colors in rank order, the sweep's bit order, so
+        # bit r of a sweep mask is the color of the word of rank r
+        found = coloring_sweep(k, n_hor)
+        size = FiniteFamily.empty(k, n_hor).universe_size
+        rng = np.random.default_rng(18)
+        for bits in rng.choice(len(found), 1500, replace=False).tolist():
+            c = Coloring(k, n_hor, 0, 2, bytes(bits >> r & 1 for r in range(size)))
+            try:
+                search_line_with_letter(c)
+                got = True
+            except NotFoundWithinHorizon:
+                got = False
+            assert got == bool(found[bits]), bits
 
     def test_worker_invariance(self):
         a = coloring_sweep(K, 3, workers=1)

@@ -4,6 +4,7 @@ import pytest
 
 from varword.colorings import Coloring
 from varword.errors import (
+    HorizonExceeded,
     InvalidWord,
     NotFoundWithinHorizon,
 )
@@ -84,23 +85,24 @@ class TestLineSearch:
         assert cert.color == 0
 
     def test_walk_stops_at_first_hit(self, monkeypatch):
-        # the walk draws generators only up to the hit's
+        # the walk draws generators, as symbol tuples, only up to the hit's
         import varword.search as search_mod
+        from varword.words import _symbol_tuples
 
         drawn = []
 
-        def counting(*args, **kwargs):
-            for g in var_words(*args, **kwargs):
+        def counting(*args):
+            for g in _symbol_tuples(*args):
                 drawn.append(g)
                 yield g
 
         rng = random.Random(1)
         c = Coloring(K, 5, 0, 2, {w: rng.randrange(2) for w in letter_words(K, 5)})
-        monkeypatch.setattr(search_mod, "var_words", counting)
+        monkeypatch.setattr(search_mod, "_symbol_tuples", counting)
         cert = search_line_with_letter(c)
         want = list(var_words(K, 4, dim=1, ordered=True, min_len=1))
         assert want.index(cert.line.generator) == 5
-        assert drawn == want[:6]
+        assert drawn == [g.symbols for g in want[:6]]
 
     def test_verifier_rejects_tampered(self):
         c = Coloring.constant(K, 4, 0, 2)
@@ -344,6 +346,50 @@ class TestBuilder:
             rdec = st.residue.decomposition
             assert is_syndetic(rdec.syndetic, rdec.ell).ok
             assert is_thick(rdec.thick, rdec.ell).ok
+
+
+class TestHorizonCap:
+    """A generator whose residue has no room for ``ell`` is never certified."""
+
+    def test_ell_2_matches_reference(self):
+        rng = random.Random(1802)
+        crashed = 0
+        outcomes = set()
+        for i in range(16):
+            dec = random_piecewise_syndetic(rng, K, 4 + i % 4, 2, 2, rng.uniform(0.5, 1), rng.uniform(0.5, 1))
+            try:
+                step_ref(dec)
+            except HorizonExceeded:
+                crashed += 1  # as step_lemma_search itself did before its cap
+            # the plain walk over the generators whose residue reaches ell
+            want = step_ref(dec, max_gen_len=min(6, dec.N - dec.ell))
+            try:
+                res = step_lemma_search(dec)
+            except NotFoundWithinHorizon as exc:
+                assert isinstance(want, str)
+                assert str(exc) == f"no one-step line with generator length <= {min(6, dec.N - 1)}"
+                outcomes.add("not found")
+            else:
+                assert (res.line.generator, res.block, res.residue, res.inclusion_checked) == want
+                outcomes.add("found")
+        assert crashed >= 3 and outcomes == {"found", "not found"}
+
+    def test_line_residue_calls_on_reference_inputs(self, monkeypatch):
+        # a count, not a clock: 1,824 residues on TestStepSearchReference's
+        # inputs (2,008 before the cap)
+        calls = []
+        residue = FiniteFamily.line_residue
+        monkeypatch.setattr(FiniteFamily, "line_residue", lambda f, g: calls.append(1) or residue(f, g))
+        rng = random.Random(1201)
+        for i in range(12):
+            lo, hi = (0.2, 0.6) if i % 4 == 0 else (0.9, 0.99)
+            dec = random_piecewise_syndetic(rng, K, 8 + i % 5, 1, 2, rng.uniform(lo, hi), rng.uniform(lo, hi))
+            for search in (lambda: step_lemma_search(dec), lambda: iterate_builder(dec, 2)):
+                try:
+                    search()
+                except NotFoundWithinHorizon:
+                    pass
+        assert len(calls) <= 2 * 1824
 
 
 def step_ref(dec, m_bound=2, max_gen_len=6):

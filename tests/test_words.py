@@ -54,6 +54,16 @@ class TestSubstitutionExamples:
         with pytest.raises(CutPointMissing):
             substitute(W_EXAMPLE, parse_word("010", K), omega=True)
 
+    def test_cut_point_missing_text_is_written_on_first_read(self):
+        # the raise carries the word and m; str() writes the message once
+        with pytest.raises(CutPointMissing) as info:
+            substitute(W_EXAMPLE, (0, 1, 0), omega=True)
+        exc = info.value
+        assert exc.args == (W_EXAMPLE, 3)
+        want = "01x0[1]0x1[0]1x0[0]01x2 has no occurrence of x3 and is not a 3-variable word"
+        assert str(exc) == want and str(exc) == want and exc.args == (want,)
+        assert str(CutPointMissing("a written message")) == "a written message"
+
     def test_exact_dimension_needs_no_cut(self):
         w = parse_word("x0 0x1", K)
         assert sub(w, "10") == "100"
@@ -456,3 +466,26 @@ def test_enumerations_match_filtered_reference(k):
                     lengths,
                 )
             check(lambda: letter_words(k, max_len, min_len=min_len), ("letters",), lambda d, o: d == 0, lengths)
+
+
+@pytest.mark.parametrize("k, ordered, lo, hi", [(1, False, 0, 3), (2, False, 1, 2), (2, True, 1, 1), (3, False, 0, 0)])
+def test_walk_prunes_exactly_the_refused_subtrees(k, ordered, lo, hi):
+    # the keep hook against the unpruned walk, filtered by every prefix
+    from varword.words import _symbol_tuples
+
+    def keep(syms, i):
+        asked.append(tuple(syms[: i + 1]))
+        return sum(syms[: i + 1]) % 3 != 2  # refuses some prefixes at every depth
+
+    def kept(t):
+        return all(sum(t[: i + 1]) % 3 != 2 for i in range(len(t)))
+
+    for length in range(6):
+        top = min(hi, length)
+        full = list(_symbol_tuples(k, length, ordered, lo, top))
+        asked = []
+        pruned = list(_symbol_tuples(k, length, ordered, lo, top, keep))
+        assert pruned == [t for t in full if kept(t)]
+        # each prefix is asked at most once, and never below a refused one
+        assert len(asked) == len(set(asked))
+        assert all(kept(p[:-1]) for p in asked)
