@@ -61,7 +61,7 @@ def translate(coloring: Coloring) -> Coloring:
     words, so the induced coloring is total on them.
     """
     table = {
-        Word(0, w.symbols): c for w, c in coloring.table.items()
+        Word(0, w.symbols): c for w, c in coloring.items()
     }
     return Coloring(0, coloring.N, coloring.k + coloring.n, coloring.ell, table)
 

@@ -233,8 +233,7 @@ class VerifyResult(NamedTuple):
 
 
 def _need(cond: bool, msg: str, *words: Word) -> None:
-    """Raise ``CheckFailed(msg)`` unless cond, with the texts of ``words``
-    put in its ``{}``s: a check that holds formats nothing."""
+    """Raise ``CheckFailed(msg)`` unless cond; ``words`` fill its ``{}``s, formatted only then."""
     if not cond:
         raise CheckFailed(msg.format(*map(format_word, words)) if words else msg)
 

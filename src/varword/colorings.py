@@ -8,9 +8,9 @@ and re-read by the verifier.
 
 Colors are held in rank order: the domain's words in (length, lex)
 order, the order ``var_words`` yields them in, are ranked 0, 1, ...,
-and ``_codec`` ranks a word by arithmetic.  For dimension 0 this is the
-rank of ``FiniteFamily``, so a 2-coloring of A^{<=N} has the bit layout
-of a family's mask and of ``coloring_sweep``'s colorings.
+and a word's rank is computed by arithmetic.  For dimension 0 this is
+the rank of ``FiniteFamily``, so a 2-coloring of A^{<=N} has the bit
+layout of a family's mask and of ``coloring_sweep``'s colorings.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import InputError, InvalidWord, VarwordError
 from .words import (
     Word,
     check_universe,
+    _offsets,
     format_word,
     parse_word,
     var_words,
@@ -64,26 +65,30 @@ def _domain_size(k: int, n_horizon: int, dim: int, cap: int) -> int:
 
 @lru_cache(maxsize=32)
 def _codec(k: int, n_horizon: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Rank tables of the domain ``var_words(k, n_horizon, dim=dim)``.
+    """Rank tables of the domain ``var_words(k, n_horizon, dim=dim)``, dim >= 1.
 
-    ways[r][i] counts the ways to end a word whose prefix has introduced
-    i variables with r more symbols and exactly dim variables: a letter
-    or an introduced variable (k + i ways) keeps i and the next variable
-    raises it, the recurrence of ``_domain_size``.  A word's rank is
-    offs[len] plus, at each position, the symbol times the ways left
-    after it, since the symbols below it (letters, then variables in
-    index order) each start that many words.  offs[N + 1] is the
-    domain's size; for dim 0, ways[r][0] = k^r and offs is
-    ``largeness._offsets``.  Only built for a domain whose colors are
-    at hand, so its size is bounded by theirs.
+    ways[t][i] counts the ends of a word whose prefix has introduced i
+    variables, with dim - i + t symbols to go (t to spare): a letter or
+    an introduced variable (k + i ways) spends one spare symbol and the
+    next variable raises i, the recurrence of ``_domain_size``.  Only
+    t <= N - dim occurs, so the table holds (N - dim + 1)(dim + 1)
+    counts; offs[L] counts the words shorter than L.  ``Coloring.rank``
+    builds it only for a word of dim symbols or more, and a reader ranks
+    only in a domain as large as its table, which holds x0^j x1 ...
+    x_{dim-1} for j = 1 .. N - dim + 1: the counts are at most (table
+    size) x (word length + 1), none above the table size.
     """
-    ways = [tuple(int(i == dim) for i in range(dim + 1))]
-    for _ in range(n_horizon):
-        prev = ways[-1]
-        ways.append(tuple((k + i) * prev[i] + (prev[i + 1] if i < dim else 0) for i in range(dim + 1)))
-    offs = [0]
-    for length in range(n_horizon + 1):
-        offs.append(offs[-1] + ways[length][0])
+    ways = []
+    prev = (0,) * (dim + 1)
+    for t in range(n_horizon - dim + 1):
+        row = [0] * (dim + 2)
+        row[dim + 1] = int(t == 0)  # the word is complete: one way with no spare symbol left
+        for i in range(dim, -1, -1):
+            row[i] = (k + i) * prev[i] + row[i + 1]
+        ways.append(prev := tuple(row[: dim + 1]))
+    offs = [0] * (dim + 1)
+    for t in range(n_horizon - dim + 1):
+        offs.append(offs[-1] + ways[t][0])
     return tuple(ways), tuple(offs)
 
 
@@ -99,16 +104,19 @@ class Coloring(Frozen):
     """A color in ``[0, ell)`` for each n-variable word of length at most N over k letters.
 
     ``colors[r]`` is the color of the domain's word of rank r, in a
-    ``bytes`` (a tuple when a color is above 255).  The constructor also
-    takes a ``Word``-to-color mapping; one that is not a total coloring
-    of the domain with colors in range is kept as given, as ``colors``,
-    so that ``validate_total`` can name its first defect.
+    ``bytes`` (a tuple when a color is not a byte).  The constructor also
+    takes a ``Word``-to-color mapping.  One that colors some other set
+    of words than the domain is kept as given, as ``mapping`` (None for
+    every other coloring), with no colors in rank order:
+    ``validate_total`` names its first defect, and ``cdrt.translate``
+    colors every encoded word so.
     """
 
-    __slots__ = ("k", "N", "n", "ell", "colors")
+    __slots__ = ("k", "N", "n", "ell", "colors", "mapping")
 
     def __init__(
-        self, k: int, N: int, n: int, ell: int, table: Mapping[Word, int] | Sequence[int] | None = None
+        self, k: int, N: int, n: int, ell: int, table: Mapping[Word, int] | Sequence[int] | None = None,
+        mapping: Optional[dict[Word, int]] = None,
     ):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "N", N)
@@ -116,21 +124,26 @@ class Coloring(Frozen):
         object.__setattr__(self, "ell", ell)
         if table is None:
             table = {}
-        colors = self._ranked(table) if isinstance(table, Mapping) else _pack(table)
-        object.__setattr__(self, "colors", colors)
+        if isinstance(table, Mapping):
+            table, mapping = self._ranked(table)
+        object.__setattr__(self, "colors", _pack(table))
+        object.__setattr__(self, "mapping", mapping)
 
     def _ranked(self, table: Mapping[Word, int]):
-        """The mapping's colors in rank order, or the mapping itself."""
-        if _domain_size(self.k, self.N, self.n, len(table)) == len(table):
-            colors = [0] * len(table)
+        """The mapping's colors in rank order, or none and the mapping
+        itself when it colors some other set of words than the domain:
+        one of as many words as the domain is ranked word by word."""
+        size = len(table)
+        if _domain_size(self.k, self.N, self.n, size) == size:
+            colors = [0] * size
             for w, c in table.items():
                 r = self.rank(w)
-                if r is None or not 0 <= c < self.ell:
+                if r is None:
                     break
                 colors[r] = c  # distinct words have distinct ranks
             else:
-                return _pack(colors)
-        return table if type(table) is dict else dict(table)
+                return colors, None
+        return (), table if type(table) is dict else dict(table)
 
     @classmethod
     def from_function(
@@ -151,37 +164,49 @@ class Coloring(Frozen):
     # -- ranks -------------------------------------------------------
 
     def rank(self, w: Word) -> Optional[int]:
-        """The rank of w in the domain, or None for a word outside it."""
+        """The rank of w in the domain, or None for a word outside it.
+
+        Plain words rank as in ``FiniteFamily``: ``_offsets`` plus the lex
+        value.  An n-variable word ranks offs[len] plus, at each position,
+        the symbol times the ways left after it in ``_codec``'s table,
+        since the symbols below it (letters, then variables in index
+        order) each start that many words.
+        """
         k, dim = self.k, self.n
         syms = w.symbols
         rest = len(syms)
-        if w.k != k or rest > self.N:
+        if w.k != k or not 0 <= dim <= rest <= self.N:  # _codec only for a word of dim symbols
             return None
-        ways, offs = _codec(k, self.N, dim)
-        if not dim:  # a plain word: offs[len] plus its lex value
+        if not dim:
             v = 0
             for s in syms:
                 if s >= k:
                     return None
                 v = v * k + s
-            return offs[rest] + v
+            return _offsets(k, self.N)[rest] + v
+        ways, offs = _codec(k, self.N, dim)
         r = offs[rest]
-        i = 0  # variables introduced so far; the next one is k + i
+        i, t = 0, rest - dim  # variables introduced, and symbols to spare
         for s in syms:
-            rest -= 1
-            if s > k + i or (s == k + i and i == dim):
+            t -= 1  # spare after s, if s keeps i: so for each symbol below s
+            if s < k + i:
+                if t < 0:
+                    return None  # no room left for the variables to come
+                r += s * ways[t][i]
+            elif s == k + i and i < dim:
+                if t >= 0:
+                    r += s * ways[t][i]
+                i, t = i + 1, t + 1
+            else:
                 return None
-            r += s * ways[rest][i]
-            i += s == k + i
-        return r if i == dim else None
+        return r
 
     def get(self, w: Word) -> Optional[int]:
         """The color of w, or None for a word outside the domain."""
-        colors = self.colors
-        if type(colors) is dict:
-            return colors.get(w)
+        if self.mapping is not None:
+            return self.mapping.get(w)
         r = self.rank(w)
-        return None if r is None else colors[r]
+        return None if r is None or r >= len(self.colors) else self.colors[r]
 
     def __call__(self, w: Word) -> int:
         c = self.get(w)
@@ -195,27 +220,57 @@ class Coloring(Frozen):
     def domain(self) -> Iterator[Word]:
         return var_words(self.k, self.N, dim=self.n)
 
+    def items(self) -> Iterable[tuple[Word, int]]:
+        """(word, color) pairs: the kept mapping's, or the domain's in rank order."""
+        if self.mapping is not None:
+            return self.mapping.items()
+        return zip(self.domain(), self.colors)
+
     @property
     def table(self) -> dict[Word, int]:
-        """The colors by word: a kept mapping, or a new dict."""
-        if type(self.colors) is dict:
-            return self.colors
-        return dict(zip(self.domain(), self.colors))
+        """The colors by word: the kept mapping, or a new dict."""
+        return self.mapping if self.mapping is not None else dict(self.items())
 
     def entries(self) -> list[tuple[str, int]]:
-        """(text, color) per word of the table, in rank order (key order
-        for a kept mapping); ``digit_texts`` writes plain words over 2..10
-        letters from their ranks."""
+        """(text, color) per word of the table, in rank order, the order of
+        ``Word.key``; ``digit_texts`` writes plain words over 2..10 letters
+        from their ranks."""
         colors = self.colors
-        if type(colors) is dict:
-            return [(format_word(w), colors[w]) for w in sorted(colors, key=Word.key)]
+        if self.mapping is not None:
+            return [(format_word(w), self.mapping[w]) for w in sorted(self.mapping, key=Word.key)]
         if self.n == 0 and 2 <= self.k <= 10:
             from ._family_text import digit_texts
 
-            texts = digit_texts(self.k, _codec(self.k, self.N, 0)[1], (1 << len(colors)) - 1)
+            texts = digit_texts(self.k, _offsets(self.k, self.N), (1 << len(colors)) - 1)
         else:
             texts = map(format_word, self.domain())
         return list(zip(texts, colors))
+
+    def line_letter(self, g: Sequence[int]) -> Optional[tuple[int, int]]:
+        """The least letter a with S(0) and every S(1).a of one color, and
+        that color, or None; for a coloring of plain words and the symbols
+        g of a 1-variable word with |g| < N, which spans the line S.
+
+        Read by rank: S(0) is g's letters before its variable, and
+        g[b].a has the lex value (base + b * ones) * k + a, where base
+        reads the variable as 0 and ones has a 1 at each of its places.
+        """
+        k, colors = self.k, self.colors
+        offs = _offsets(k, self.N)
+        length, cut = len(g), g.index(k)
+        base = ones = 0
+        for s in g:
+            base, ones = base * k, ones * k
+            if s == k:
+                ones += 1
+            else:
+                base += s
+        color = colors[offs[cut] + base // k ** (length - cut)]
+        top = offs[length + 1]  # rank of the first word of length |g| + 1
+        for a in range(k):
+            if all(colors[top + (base + b * ones) * k + a] == color for b in range(k)):
+                return a, color
+        return None
 
     @classmethod
     def from_entries(
@@ -251,36 +306,30 @@ class Coloring(Frozen):
     def validate_total(self) -> None:
         """Every word of the domain has a color in [0, ell), and the table holds no other word.
 
-        Colors in rank order only need their count and range checked.  A
-        kept mapping is not total or not in range (the constructor ranks
-        every other one), and the domain is walked to name its first
-        defect; the walk stops at the first word missing from the
-        mapping, so it takes at most len(mapping) + 1 steps whatever the
-        header says.
+        Colors in rank order only need their range and count checked.  A
+        kept mapping is walked in domain order to name its first defect:
+        the walk stops at the first word it misses, so it takes at most
+        len(mapping) + 1 steps whatever the header says, and words outside
+        are then found by rank, in a domain no larger than the mapping.
         """
-        colors = self.colors
-        if not type(colors) is dict:
-            if colors and not (min(colors) >= 0 and max(colors) < self.ell):
-                r = next(r for r, c in enumerate(colors) if not 0 <= c < self.ell)
-                raise InvalidWord(f"color {colors[r]} out of range for {format_word(self._unrank(r))}")
-            size = _domain_size(self.k, self.N, self.n, len(colors))
-            if size > len(colors):
-                raise InvalidWord(f"coloring not total: missing {format_word(self._unrank(len(colors)))}")
-            if size < len(colors):
-                raise InvalidWord(f"{len(colors)} colors for a domain of {size} words")
-            return
-        seen = 0
-        for w in self.domain():
-            c = colors.get(w)
-            if c is None:
-                raise InvalidWord(f"coloring not total: missing {format_word(w)}")
-            if not 0 <= c < self.ell:
-                raise InvalidWord(f"color {c} out of range for {format_word(w)}")
-            seen += 1
-        if seen != len(colors):
-            domain = set(self.domain())
-            extra = min((w for w in colors if w not in domain), key=Word.key)
+        if self.mapping is not None:
+            for w in self.domain():
+                c = self.mapping.get(w)
+                if c is None:
+                    raise InvalidWord(f"coloring not total: missing {format_word(w)}")
+                if not 0 <= c < self.ell:
+                    raise InvalidWord(f"color {c} out of range for {format_word(w)}")
+            extra = min((w for w in self.mapping if self.rank(w) is None), key=Word.key)
             raise InvalidWord(f"{format_word(extra)} is outside the coloring's domain")
+        colors = self.colors
+        if colors and not (min(colors) >= 0 and max(colors) < self.ell):
+            r = next(r for r, c in enumerate(colors) if not 0 <= c < self.ell)
+            raise InvalidWord(f"color {colors[r]} out of range for {format_word(self._unrank(r))}")
+        size = _domain_size(self.k, self.N, self.n, len(colors))
+        if size > len(colors):
+            raise InvalidWord(f"coloring not total: missing {format_word(self._unrank(len(colors)))}")
+        if size < len(colors):
+            raise InvalidWord(f"{len(colors)} colors for a domain of {size} words")
 
     def _unrank(self, r: int) -> Word:
         return next(islice(self.domain(), r, None))

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .words import (
     Word,
-    _enumerate,
     dimension,
     first_occurrence,
     format_word,
@@ -402,7 +401,7 @@ def minimal_envelope(members: Iterable[Word]) -> Envelope:
     longest = max(len(s) for s in mem)
     keep = _envelope_prefixes(mem, longest)
     for d in range(longest + 2):
-        for env in _enumerate(1, longest + 1, longest, False, d, d, keep):
+        for env in var_words(1, longest + 1, dim=d, min_len=longest, keep=keep):
             assign = []
             for s in mem:
                 t = _cover(env, s)

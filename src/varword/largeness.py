@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ._frozen import Frozen
@@ -46,7 +45,7 @@ from .errors import (
     NotAPartition,
     VarwordError,
 )
-from .words import MAX_UNIVERSE, Word, check_universe, format_word, letter_words, parse_word
+from .words import MAX_UNIVERSE, Word, _offsets, check_universe, format_word, letter_words, parse_word
 
 __all__ = [
     "MAX_UNIVERSE",
@@ -75,15 +74,6 @@ __all__ = [
     "pws_certify",
     "random_piecewise_syndetic",
 ]
-
-
-@lru_cache(maxsize=None)
-def _offsets(k: int, n: int) -> tuple[int, ...]:
-    """offsets[L] = rank of the first word of length L; offsets[N+1] = total."""
-    out = [0]
-    for length in range(n + 1):
-        out.append(out[-1] + k**length)
-    return tuple(out)
 
 
 def check_family_size(k: int, n: int) -> None:

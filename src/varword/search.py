@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ._frozen import Frozen
 from .certificates import check_line_letter
-from .colorings import Coloring, _codec
+from .colorings import Coloring
 from .errors import (
     NoConnector,
     NotFoundWithinHorizon,
@@ -36,8 +36,6 @@ from .errors import (
 from .trees import OVWTree, level, tree_from_generator
 from .words import (
     Word,
-    _enumerate,
-    _symbol_tuples,
     decompose,
     format_word,
     is_left_var_word,
@@ -91,34 +89,22 @@ def search_line_with_letter(
     the extended level S(1).a stays colorable.  Raises
     NotFoundWithinHorizon after exhausting all generators.
 
-    Candidates are symbol tuples, walked lazily in (length, lex) order,
-    and colors are read by rank: S(0) is g's letters before its variable,
-    and S(1)[b].a has the lex value (base + b * ones) * k + a, where
-    base reads the variable as 0 and ones has a 1 at each of its places.
-    Only the hit becomes ``Word``s.
+    Candidates are walked lazily and their colors read by rank
+    (``Coloring.line_letter``); only the hit's levels become words.  A
+    coloring built from a mapping of other words than its domain is
+    refused with ``validate_total``'s message.
     """
     # ``workers`` is ignored (one thread); kept only for perfbench's workers probe
     if coloring.n != 0:
         raise InvalidWord("line search expects a coloring of plain words")
+    if coloring.mapping is not None:
+        coloring.validate_total()  # names the first word missing or outside
     k, n_hor = coloring.k, coloring.N
     cap = n_hor - 1 if max_gen_len is None else min(max_gen_len, n_hor - 1)
-    colors = coloring.colors
-    offs = _codec(k, n_hor, 0)[1]
-    for length in range(1, cap + 1):
-        top = offs[length + 1]  # rank of the first word of length |g| + 1
-        for g in _symbol_tuples(k, length, True, 1, 1):
-            cut = g.index(k)
-            base = ones = 0
-            for s in g:
-                base, ones = base * k, ones * k
-                if s == k:
-                    ones += 1
-                else:
-                    base += s
-            color = colors[offs[cut] + base // k ** (length - cut)]  # S(0) = g[:cut]
-            for a in range(k):
-                if all(colors[top + (base + b * ones) * k + a] == color for b in range(k)):
-                    return _line_hit(coloring, Word(k, g), a, color)
+    for g in var_words(k, cap, dim=1, ordered=True, min_len=1):
+        hit = coloring.line_letter(g.symbols)
+        if hit is not None:
+            return _line_hit(coloring, g, *hit)
     raise NotFoundWithinHorizon(
         f"no line-with-letter certificate with generator length <= {cap}"
     )
@@ -292,8 +278,7 @@ def step_lemma_search(
         sigma_head, blocks = decompose(g)
         return StepResult(tree_from_generator(g), blocks[0], cert, True, checked + 1)
 
-    # var_words(k, longest, dim=1, ordered=True, min_len=1) without the refused S(0)
-    cands = _enumerate(k, longest, 1, True, 1, 1, root_inside)
+    cands = var_words(k, longest, dim=1, ordered=True, min_len=1, keep=root_inside)
     hit = next((r for r in map(attempt, cands) if r is not None), None)
     if hit is None:
         raise NotFoundWithinHorizon(

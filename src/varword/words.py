@@ -30,6 +30,7 @@ alphabets), ``x_j`` prints as ``x{j}`` and the empty word prints as
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -510,10 +511,9 @@ def recompose(sigma: Word, blocks: Sequence[Word]) -> Word:
 #
 # Each length is one depth-first walk in symbol order, pruned by the
 # number of variables introduced so far: a branch that can no longer
-# end with between lo and hi variables is never entered.  A caller's
-# ``keep(syms, i)`` prunes further: it is asked once per nonempty prefix
-# ``syms[:i + 1]``, whole tuples included, and a refused prefix is left
-# with its subtree.  ``syms`` is the walk's own list: read, never write.
+# end with between lo and hi variables is never entered.  ``keep(syms, i)``
+# is asked once per nonempty prefix syms[:i + 1] (syms is the walk's own
+# list: read, never write), and a refused prefix loses its subtree.
 
 
 def _symbol_tuples(k, length, ordered, lo, hi, keep=None):
@@ -553,14 +553,10 @@ def _symbol_tuples(k, length, ordered, lo, hi, keep=None):
     while i >= 0:
         if i == last:
             head = tuple(syms[:last])
-            if keep is None:
-                for s in opts[last]:
+            for s in opts[last]:
+                syms[last] = s
+                if keep is None or keep(syms, last):
                     yield head + (s,)
-            else:
-                for s in opts[last]:
-                    syms[last] = s
-                    if keep(syms, last):
-                        yield head + (s,)
             i -= 1
             continue
         j = nxt[i]
@@ -592,6 +588,15 @@ def letter_words(k: int, max_len: int, min_len: int = 0) -> Iterator[Word]:
     return _enumerate(k, max_len, min_len, False, 0, 0)
 
 
+@lru_cache(maxsize=None)
+def _offsets(k: int, n: int) -> tuple[int, ...]:
+    """offsets[L] = rank of the first word of length L in A^{<=n}; offsets[n+1] = total."""
+    out = [0]
+    for length in range(n + 1):
+        out.append(out[-1] + k**length)
+    return tuple(out)
+
+
 MAX_UNIVERSE = 1 << 22  # words a family or coloring read from a file or a certificate may span
 
 
@@ -619,6 +624,7 @@ def var_words(
     dim: Optional[int] = None,
     ordered: bool = False,
     min_len: int = 0,
+    keep=None,
 ) -> Iterator[Word]:
     """All valid variable words by (length, lex); dim=None means any dimension.
 
@@ -628,11 +634,11 @@ def var_words(
     never enters a branch that cannot end with exactly ``dim``
     variables.  Words are built as they are yielded; nothing is kept
     between calls, so a caller that reads a list more than once should
-    list it once.
+    list it once.  ``keep`` prunes the walk further, as ``_symbol_tuples`` says.
     """
     if dim is None:
-        return _enumerate(k, max_len, min_len, ordered, 0, None)
-    return _enumerate(k, max_len, min_len, ordered, dim, dim)
+        return _enumerate(k, max_len, min_len, ordered, 0, None, keep)
+    return _enumerate(k, max_len, min_len, ordered, dim, dim, keep)
 
 
 def prefix_valid_words(

@@ -10,8 +10,7 @@ import pytest
 from varword import certificates as certs
 from varword.colorings import Coloring, _codec, _domain_size
 from varword.errors import InputError, VarwordError
-from varword.largeness import _offsets
-from varword.words import Word, format_word, prefix_valid_words, var_words
+from varword.words import Word, _offsets, format_word, prefix_valid_words, var_words
 
 DOMAINS = [(0, 4, 2), (1, 5, 1), (2, 4, 0), (2, 4, 1), (3, 3, 2), (2, 5, 2), (3, 3, 0), (11, 2, 0)]
 
@@ -21,7 +20,8 @@ def test_rank_is_the_domain_walk_position(k, n_horizon, dim):
     c = Coloring.from_function(k, n_horizon, dim, 3, lambda w: len(w) % 3)
     domain = list(var_words(k, n_horizon, dim=dim))
     assert [c.rank(w) for w in domain] == list(range(len(domain)))
-    assert _codec(k, n_horizon, dim)[1][-1] == len(domain) == _domain_size(k, n_horizon, dim, 10**6)
+    offs = _codec(k, n_horizon, dim)[1] if dim else _offsets(k, n_horizon)
+    assert offs[-1] == len(domain) == _domain_size(k, n_horizon, dim, 10**6)
     assert [c(w) for w in domain] == [len(w) % 3 for w in domain]
     assert c.entries() == [(format_word(w), len(w) % 3) for w in domain]
     # every other prefix-valid word, a longer one and one over another alphabet rank None
@@ -31,18 +31,12 @@ def test_rank_is_the_domain_walk_position(k, n_horizon, dim):
     assert c.rank(Word(k + 1, ())) is None
 
 
-def test_plain_offsets_are_the_family_offsets():
-    for k in range(5):
-        for n in range(7):
-            assert _codec(k, n, 0)[1] == _offsets(k, n)
-
-
 @pytest.mark.parametrize("k, n_horizon, dim", DOMAINS)
 def test_word_mapping_constructor_ranks_the_table(k, n_horizon, dim):
     rng = random.Random(k * 100 + n_horizon * 10 + dim)
     table = {w: rng.randrange(300) for w in var_words(k, n_horizon, dim=dim)}
     c = Coloring(k, n_horizon, dim, 300, dict(reversed(table.items())))
-    assert c.table == table and type(c.colors) in (bytes, tuple)
+    assert c.table == table and type(c.colors) in (bytes, tuple) and c.mapping is None
     assert c == Coloring(k, n_horizon, dim, 300, c.colors) == pickle.loads(pickle.dumps(c))
     small = Coloring(k, n_horizon, dim, 2, {w: col % 2 for w, col in table.items()})
     assert type(small.colors) is bytes and hash(small) == hash(pickle.loads(pickle.dumps(small)))
@@ -153,3 +147,60 @@ def test_validate_total_of_ranked_colors():
     Coloring(2, 2, 0, 2, bytes(7)).validate_total()
     with pytest.raises(InputError, match="coloring not total: missing 11"):
         Coloring.parse("2 2 0 2\n" + "\n".join(f"{t} 0" for t, _ in c.entries()) + "\n")
+
+
+def test_mapping_of_other_words_is_kept():
+    # it has no colors in rank order; the mapping itself answers
+    table = {w: len(w) % 2 for w in var_words(2, 3, dim=0)}
+    first, second = sorted(table, key=Word.key)[4:6]
+    del table[first]
+    c = Coloring(2, 3, 0, 2, table)
+    assert c.mapping is table and c.table is table and c.colors == b""
+    assert c.get(second) == table[second] and c.get(first) is None
+    with pytest.raises(VarwordError, match=f"coloring not total: missing {format_word(first)}"):
+        c.validate_total()
+    wide = dict(Coloring.constant(2, 2, 0, 2).table)
+    wide[Word(2, (0, 0, 0))] = 1
+    c = Coloring(2, 2, 0, 2, wide)
+    assert c.mapping is wide and c.colors == b"" and c.get(Word(2, (0, 0, 0))) == 1
+    with pytest.raises(VarwordError, match="000 is outside the coloring's domain"):
+        c.validate_total()
+
+
+def _read_small(read, k, n_horizon, dim, text, color):
+    """The outcome of reading a one-row table, and the reader's peak traced memory."""
+    import tracemalloc
+
+    import varword.colorings as colorings_mod
+
+    colorings_mod._codec.cache_clear()
+    tracemalloc.start()
+    if read == "json":
+        doc = {"type": "coloring", "k": k, "N": n_horizon, "n": dim, "ell": 2, "table": [[text, color]]}
+        got = _outcome(lambda: certs.coloring_from_json(doc))
+    else:
+        got = _outcome(lambda: Coloring.parse(f"{k} {n_horizon} {dim} 2\n{text} {color}\n"))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return got, peak
+
+
+@pytest.mark.parametrize("read", ["json", "file"])
+def test_long_word_domain_reads_in_small_memory(read):
+    # k = 1, N = n = 2000: the domain is the one word x0 x1 ... x1999; a
+    # rank table of every (length, variables) pair held (1 + D)^D-sized
+    # counts, about 1.8 GB at D = 2000
+    d = 2000
+    got, peak = _read_small(read, 1, d, d, "".join(f"x{i}" for i in range(d)), 1)
+    assert got == (1, d, d, 2, b"\x01")
+    assert peak < 4 << 20, peak  # 0.16 MB measured
+
+
+@pytest.mark.parametrize("read", ["json", "file"])
+def test_word_shorter_than_its_dimension_builds_no_rank_table(read):
+    # n far above N leaves the domain empty; "-" is outside it, and no
+    # table sized by n is built to say so
+    got, peak = _read_small(read, 2, 5, 10**6, "-", 0)
+    assert got[0] == ("InvalidWord" if read == "json" else "InputError")
+    assert got[1].endswith("- is outside the coloring's domain")
+    assert peak < 4 << 20, peak

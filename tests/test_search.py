@@ -85,24 +85,30 @@ class TestLineSearch:
         assert cert.color == 0
 
     def test_walk_stops_at_first_hit(self, monkeypatch):
-        # the walk draws generators, as symbol tuples, only up to the hit's
+        # the walk draws generators only up to the hit's
         import varword.search as search_mod
-        from varword.words import _symbol_tuples
 
         drawn = []
 
-        def counting(*args):
-            for g in _symbol_tuples(*args):
+        def counting(*args, **kwargs):
+            for g in var_words(*args, **kwargs):
                 drawn.append(g)
                 yield g
 
         rng = random.Random(1)
         c = Coloring(K, 5, 0, 2, {w: rng.randrange(2) for w in letter_words(K, 5)})
-        monkeypatch.setattr(search_mod, "_symbol_tuples", counting)
+        monkeypatch.setattr(search_mod, "var_words", counting)
         cert = search_line_with_letter(c)
         want = list(var_words(K, 4, dim=1, ordered=True, min_len=1))
         assert want.index(cert.line.generator) == 5
-        assert drawn == [g.symbols for g in want[:6]]
+        assert drawn == want[:6]
+
+    def test_partial_coloring_is_refused(self):
+        # its colors stop at the first missing word, so the walk cannot read past it
+        table = {w: 0 for w in letter_words(K, 4)}
+        del table[Word(K, (1, 0, 1))]
+        with pytest.raises(InvalidWord, match="coloring not total: missing 101"):
+            search_line_with_letter(Coloring(K, 4, 0, 2, table))
 
     def test_verifier_rejects_tampered(self):
         c = Coloring.constant(K, 4, 0, 2)
