@@ -54,16 +54,16 @@ def decode_word(u_hat: Word, k: int, n: int) -> Word:
 
 
 def translate(coloring: Coloring) -> Coloring:
-    """Induced coloring over the empty alphabet, dimension k + n.
+    """Induced coloring of the (k+n)-variable words over the empty alphabet.
 
-    The table is keyed by the encoded words; proper (k+n)-variable
-    words over the empty alphabet always decode to valid n-variable
-    words, so the induced coloring is total on them.
+    Each such word colors as the word of the same symbol codes over k
+    letters: a proper (k+n)-variable word decodes to a valid n-variable
+    word, so the induced coloring is total on its own domain.
     """
-    table = {
-        Word(0, w.symbols): c for w, c in coloring.items()
-    }
-    return Coloring(0, coloring.N, coloring.k + coloring.n, coloring.ell, table)
+    k = coloring.k
+    return Coloring.from_function(
+        0, coloring.N, k + coloring.n, coloring.ell, lambda u: coloring(Word(k, u.symbols))
+    )
 
 
 def pullback_word(w_hat: Word, k: int) -> Word:

@@ -162,7 +162,6 @@ def coloring_from_json(doc: dict) -> Coloring:
     if coloring is None:
         table = {parse_word(t, k): _int(c) for t, c in rows}
         coloring = Coloring(k, n_horizon, dim, _int(doc["ell"]), table)
-    coloring.validate_total()
     return coloring
 
 
@@ -604,7 +603,7 @@ def check_csl(coloring: Coloring, w: Word, color: int, depth: int, checked) -> l
     pairs (u, W[u]) in pattern order; returns these pairs."""
     _need(is_prefix_valid(w), "word is not prefix-valid")
     # patterns are walked lazily: distinct patterns have distinct images,
-    # so one leaves the domain within len(coloring.table) + 1 steps
+    # so one leaves the domain within len(coloring.colors) + 1 steps
     pairs = []
     for u in var_words(coloring.k, depth, dim=coloring.n):
         img = substitute(w, u, omega=True)  # must be defined for every pattern

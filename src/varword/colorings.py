@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import InputError, InvalidWord, VarwordError
@@ -105,36 +105,53 @@ class Coloring(Frozen):
 
     ``colors[r]`` is the color of the domain's word of rank r, in a
     ``bytes`` (a tuple when a color is not a byte).  The constructor also
-    takes a ``Word``-to-color mapping.  One that colors some other set
-    of words than the domain is kept as given, as ``mapping`` (None for
-    every other coloring), with no colors in rank order:
-    ``validate_total`` names its first defect, and ``cdrt.translate``
-    colors every encoded word so.
+    takes a table of colors by ``Word``, which it ranks.  Either way every
+    coloring is total: the constructor refuses colors that miss a word
+    of the domain, color one outside it or leave [0, ell), and names the
+    first defect.
     """
 
-    __slots__ = ("k", "N", "n", "ell", "colors", "mapping")
+    __slots__ = ("k", "N", "n", "ell", "colors")
 
-    def __init__(
-        self, k: int, N: int, n: int, ell: int, table: Mapping[Word, int] | Sequence[int] | None = None,
-        mapping: Optional[dict[Word, int]] = None,
-    ):
+    def __init__(self, k: int, N: int, n: int, ell: int, colors: Mapping[Word, int] | Sequence[int]):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ell", ell)
-        if table is None:
-            table = {}
-        if isinstance(table, Mapping):
-            table, mapping = self._ranked(table)
-        object.__setattr__(self, "colors", _pack(table))
-        object.__setattr__(self, "mapping", mapping)
+        if isinstance(colors, Mapping):
+            colors = self._ranked(colors)
+            size = len(colors)
+        else:
+            size = _domain_size(k, N, n, len(colors))
+        colors = _pack(colors)
+        if colors and not (min(colors) >= 0 and max(colors) < ell):
+            r = next(r for r, c in enumerate(colors) if not 0 <= c < ell)
+            if r < size:
+                raise InvalidWord(f"color {colors[r]} out of range for {format_word(self._unrank(r))}")
+        if size > len(colors):
+            raise InvalidWord(f"coloring not total: missing {format_word(self._unrank(len(colors)))}")
+        if size < len(colors):
+            raise InvalidWord(f"{len(colors)} colors for a domain of {size} words")
+        object.__setattr__(self, "colors", colors)
 
-    def _ranked(self, table: Mapping[Word, int]):
-        """The mapping's colors in rank order, or none and the mapping
-        itself when it colors some other set of words than the domain:
-        one of as many words as the domain is ranked word by word."""
+    def _ranked(self, table: Mapping[Word, int]) -> list:
+        """The table's colors in rank order, when it colors exactly the
+        domain; otherwise raises, naming its first defect.
+
+        A table of as many words as the domain is ranked word by word.
+        Any other is walked in domain order: the walk stops at the first
+        word it misses, so it takes at most len(table) + 1 steps whatever
+        the header says, and words outside are then found by rank, in a
+        domain no larger than the table.  The domain's first word is
+        x0 x1 ... x_{n-1}; a table with no word of n symbols misses it,
+        and is refused before the domain is counted, which takes a step
+        per length up to n whatever the table's size.
+        """
+        k, n_horizon, dim = self.k, self.N, self.n
+        if 1 <= dim <= n_horizon and not any(len(w.symbols) == dim for w in table):
+            raise InvalidWord(f"coloring not total: no word of length n={dim}")
         size = len(table)
-        if _domain_size(self.k, self.N, self.n, size) == size:
+        if _domain_size(k, n_horizon, dim, size) == size:
             colors = [0] * size
             for w, c in table.items():
                 r = self.rank(w)
@@ -142,20 +159,21 @@ class Coloring(Frozen):
                     break
                 colors[r] = c  # distinct words have distinct ranks
             else:
-                return colors, None
-        return (), table if type(table) is dict else dict(table)
+                return colors
+        for w in self.domain():
+            c = table.get(w)
+            if c is None:
+                raise InvalidWord(f"coloring not total: missing {format_word(w)}")
+            if not 0 <= c < self.ell:
+                raise InvalidWord(f"color {c} out of range for {format_word(w)}")
+        extra = min((w for w in table if self.rank(w) is None), key=Word.key)
+        raise InvalidWord(f"{format_word(extra)} is outside the coloring's domain")
 
     @classmethod
     def from_function(
         cls, k: int, n_horizon: int, dim: int, ell: int, fn: Callable[[Word], int]
     ) -> "Coloring":
-        colors = []
-        for w in var_words(k, n_horizon, dim=dim):
-            c = fn(w)
-            if not 0 <= c < ell:
-                raise InvalidWord(f"color {c} out of range for {format_word(w)}")
-            colors.append(c)
-        return cls(k, n_horizon, dim, ell, colors)
+        return cls(k, n_horizon, dim, ell, [fn(w) for w in var_words(k, n_horizon, dim=dim)])
 
     @classmethod
     def constant(cls, k: int, n_horizon: int, dim: int, ell: int, color: int = 0):
@@ -203,10 +221,8 @@ class Coloring(Frozen):
 
     def get(self, w: Word) -> Optional[int]:
         """The color of w, or None for a word outside the domain."""
-        if self.mapping is not None:
-            return self.mapping.get(w)
         r = self.rank(w)
-        return None if r is None or r >= len(self.colors) else self.colors[r]
+        return None if r is None else self.colors[r]
 
     def __call__(self, w: Word) -> int:
         c = self.get(w)
@@ -220,24 +236,11 @@ class Coloring(Frozen):
     def domain(self) -> Iterator[Word]:
         return var_words(self.k, self.N, dim=self.n)
 
-    def items(self) -> Iterable[tuple[Word, int]]:
-        """(word, color) pairs: the kept mapping's, or the domain's in rank order."""
-        if self.mapping is not None:
-            return self.mapping.items()
-        return zip(self.domain(), self.colors)
-
-    @property
-    def table(self) -> dict[Word, int]:
-        """The colors by word: the kept mapping, or a new dict."""
-        return self.mapping if self.mapping is not None else dict(self.items())
-
     def entries(self) -> list[tuple[str, int]]:
-        """(text, color) per word of the table, in rank order, the order of
+        """(text, color) per word of the domain, in rank order, the order of
         ``Word.key``; ``digit_texts`` writes plain words over 2..10 letters
         from their ranks."""
         colors = self.colors
-        if self.mapping is not None:
-            return [(format_word(w), self.mapping[w]) for w in sorted(self.mapping, key=Word.key)]
         if self.n == 0 and 2 <= self.k <= 10:
             from ._family_text import digit_texts
 
@@ -303,34 +306,6 @@ class Coloring(Frozen):
             k, n_horizon - max(dim, 0), f"coloring with k={k}, N={n_horizon}, n={dim}"
         )
 
-    def validate_total(self) -> None:
-        """Every word of the domain has a color in [0, ell), and the table holds no other word.
-
-        Colors in rank order only need their range and count checked.  A
-        kept mapping is walked in domain order to name its first defect:
-        the walk stops at the first word it misses, so it takes at most
-        len(mapping) + 1 steps whatever the header says, and words outside
-        are then found by rank, in a domain no larger than the mapping.
-        """
-        if self.mapping is not None:
-            for w in self.domain():
-                c = self.mapping.get(w)
-                if c is None:
-                    raise InvalidWord(f"coloring not total: missing {format_word(w)}")
-                if not 0 <= c < self.ell:
-                    raise InvalidWord(f"color {c} out of range for {format_word(w)}")
-            extra = min((w for w in self.mapping if self.rank(w) is None), key=Word.key)
-            raise InvalidWord(f"{format_word(extra)} is outside the coloring's domain")
-        colors = self.colors
-        if colors and not (min(colors) >= 0 and max(colors) < self.ell):
-            r = next(r for r, c in enumerate(colors) if not 0 <= c < self.ell)
-            raise InvalidWord(f"color {colors[r]} out of range for {format_word(self._unrank(r))}")
-        size = _domain_size(self.k, self.N, self.n, len(colors))
-        if size > len(colors):
-            raise InvalidWord(f"coloring not total: missing {format_word(self._unrank(len(colors)))}")
-        if size < len(colors):
-            raise InvalidWord(f"{len(colors)} colors for a domain of {size} words")
-
     def _unrank(self, r: int) -> Word:
         return next(islice(self.domain(), r, None))
 
@@ -367,11 +342,11 @@ class Coloring(Frozen):
             else:
                 col = cls.from_entries(k, n_horizon, dim, ell, texts, colors)
         if col is None:
-            col = cls(k, n_horizon, dim, ell, cls._parse_table(lines, k, ell, filename))
-        try:
-            col.validate_total()
-        except VarwordError as exc:
-            raise InputError(str(exc), filename, 1, 1) from None
+            table = cls._parse_table(lines, k, ell, filename)
+            try:
+                col = cls(k, n_horizon, dim, ell, table)
+            except VarwordError as exc:
+                raise InputError(str(exc), filename, 1, 1) from None
         return col
 
     @staticmethod

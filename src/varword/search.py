@@ -90,15 +90,11 @@ def search_line_with_letter(
     NotFoundWithinHorizon after exhausting all generators.
 
     Candidates are walked lazily and their colors read by rank
-    (``Coloring.line_letter``); only the hit's levels become words.  A
-    coloring built from a mapping of other words than its domain is
-    refused with ``validate_total``'s message.
+    (``Coloring.line_letter``); only the hit's levels become words.
     """
     # ``workers`` is ignored (one thread); kept only for perfbench's workers probe
     if coloring.n != 0:
         raise InvalidWord("line search expects a coloring of plain words")
-    if coloring.mapping is not None:
-        coloring.validate_total()  # names the first word missing or outside
     k, n_hor = coloring.k, coloring.N
     cap = n_hor - 1 if max_gen_len is None else min(max_gen_len, n_hor - 1)
     for g in var_words(k, cap, dim=1, ordered=True, min_len=1):

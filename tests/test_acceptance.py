@@ -13,7 +13,7 @@ from itertools import combinations
 
 from conftest import random_letters, random_prefix_valid
 from varword import certificates as certs
-from varword.cdrt import encode_word, pullback_certificate, translate
+from varword.cdrt import decode_word, encode_word, pullback_certificate, translate
 from varword.cli import (
     builder_certificate_doc,
     csl_certificate_doc,
@@ -46,6 +46,7 @@ from varword.words import (
     compose,
     decompose,
     format_word,
+    is_var_word,
     parse_word,
     recompose,
     substitute,
@@ -329,11 +330,18 @@ def test_criterion_10_cdrt_translation():
             K, 4, 1, 2, lambda w: (len(w) + sum(1 for s in w.symbols if s >= K)) % 2
         )
         chat = translate(c)
-        count = 0
+        count = colored = 0
         for u in var_words(K, 4, dim=1):
-            assert chat(encode_word(u, 1)) == c(u)
+            uh = encode_word(u, 1)
+            assert (uh in chat) == is_var_word(uh, K + 1)
+            if uh in chat:
+                assert chat(uh) == c(u)
+                colored += 1
+            assert decode_word(uh, K, 1) == u
             count += 1
-        assert count == 90
+        assert count == 90 and colored == len(chat.colors) == 7
+        for uh in chat.domain():
+            assert chat(uh) == c(decode_word(uh, K, 1))
 
         pulled = 0
         for cc in (

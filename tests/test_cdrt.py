@@ -7,10 +7,11 @@ from varword.cdrt import (
     pullback_word,
     translate,
 )
+from varword.certificates import coloring_from_json, coloring_to_json
 from varword.colorings import Coloring
 from varword.errors import InvalidWord, NotFoundWithinHorizon
 from varword.prehomog import csl_search
-from varword.words import Word, format_word, parse_word, var_words
+from varword.words import Word, format_word, is_var_word, parse_word, var_words
 
 K = 2
 
@@ -21,15 +22,21 @@ def checkerboard(w):
 
 class TestEncodeDecode:
     def test_roundtrip_exhaustive(self):
+        # the translation colors exactly the proper (K+1)-variable words
         c = Coloring.from_function(K, 4, 1, 2, checkerboard)
         chat = translate(c)
-        count = 0
+        count = colored = 0
         for u in var_words(K, 4, dim=1):
             uh = encode_word(u, 1)
-            assert chat(uh) == c(u)
+            assert (uh in chat) == is_var_word(uh, K + 1)
+            if uh in chat:
+                assert chat(uh) == c(u)
+                colored += 1
             assert decode_word(uh, K, 1) == u
             count += 1
-        assert count == 90
+        assert count == 90 and colored == len(chat.colors) == 7
+        for uh in chat.domain():
+            assert chat(uh) == c(decode_word(uh, K, 1))
 
     def test_unary_zero_dim(self):
         c = Coloring.from_function(1, 4, 0, 2, lambda w: len(w) % 2)
@@ -37,7 +44,10 @@ class TestEncodeDecode:
         for j in range(5):
             uh = Word(0, (0,) * j)
             assert format_word(decode_word(uh, 1, 0)) == format_word(Word(1, (0,) * j))
-            assert chat(uh) == j % 2
+            # the empty word is no 1-variable word: it is outside the translation's domain
+            assert (uh in chat) == (j >= 1)
+            if j:
+                assert chat(uh) == j % 2
 
     def test_encode_requires_valid_input(self):
         with pytest.raises(InvalidWord):
@@ -96,3 +106,20 @@ class TestPullback:
         pb = pullback_certificate(cert, c, depth=2)
         assert pb.color == 2
         assert all(u.has_variables() for u, _ in pb.checked)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        Coloring.from_function(K, 4, 1, 2, checkerboard),
+        Coloring.from_function(1, 4, 0, 2, lambda w: len(w) % 2),
+        Coloring.constant(K, 5, 0, 2, 1),
+        Coloring.from_function(K, 5, 0, 2, lambda w: w[0] if len(w) else 0),
+        Coloring.from_function(K, 5, 0, 2, lambda w: 1 if len(w) >= 1 else 0),
+        Coloring.constant(K, 6, 1, 3, 2),
+    ],
+    ids=["checkerboard", "unary", "constant", "first-letter", "nonempty", "dim-1"],
+)
+def test_translation_rereads(c):
+    chat = translate(c)
+    assert coloring_from_json(coloring_to_json(chat)) == chat

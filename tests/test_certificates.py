@@ -32,7 +32,7 @@ from varword.largeness import (
 from varword.prehomog import csl_search, one_step_prehomog
 from varword.search import iterate_builder, search_line_with_letter
 from varword.trees import level, tree_from_generator
-from varword.words import Word, format_word, parse_word, substitute
+from varword.words import Word, format_word, parse_word, substitute, var_words
 
 K = 2
 
@@ -447,25 +447,26 @@ def test_coloring_serialization_roundtrip():
     c = Coloring.from_function(K, 3, 1, 2, lambda w: len(w) % 2)
     doc = certs.coloring_to_json(c)
     back = certs.coloring_from_json(doc)
-    assert back.table == c.table and back.n == 1
+    assert back == c and back.n == 1
 
 
-def _walk_total(c):
-    """Coloring.validate_total by walking the whole domain word by word."""
-    for w in c.domain():
-        if w not in c.table:
+def _walk_total(k, n_horizon, dim, ell, table):
+    """The constructor's totality check, by walking the whole domain word by word."""
+    domain = list(var_words(k, n_horizon, dim=dim))
+    for w in domain:
+        if w not in table:
             return f"coloring not total: missing {format_word(w)}"
-        if not 0 <= c.table[w] < c.ell:
-            return f"color {c.table[w]} out of range for {format_word(w)}"
-    extra = sorted(set(c.table) - set(c.domain()), key=Word.key)
+        if not 0 <= table[w] < ell:
+            return f"color {table[w]} out of range for {format_word(w)}"
+    extra = sorted(set(table) - set(domain), key=Word.key)
     return f"{format_word(extra[0])} is outside the coloring's domain" if extra else None
 
 
 @pytest.mark.parametrize("k, n_horizon, dim", [(2, 4, 0), (2, 4, 1), (3, 3, 2), (1, 5, 1)])
 def test_validate_total_matches_domain_walk(k, n_horizon, dim):
+    # totality is checked when a coloring is built from a mapping
     rng = random.Random(k * 100 + n_horizon * 10 + dim)
-    full = Coloring.constant(k, n_horizon, dim, 2)
-    words = sorted(full.table, key=Word.key)
+    words = list(var_words(k, n_horizon, dim=dim))
     outside = [parse_word(t, k) for t in ("0" * (n_horizon + 1), "x0" * (dim + 1) + "x" + str(dim + 1))]
     for trial in range(40):
         table = {w: rng.randrange(2) for w in words}
@@ -476,13 +477,12 @@ def test_validate_total_matches_domain_walk(k, n_horizon, dim):
             table[rng.choice(outside)] = 0
         elif defect == 3:
             table[rng.choice(words)] = rng.choice([-1, 2])
-        c = Coloring(k, n_horizon, dim, 2, table)
         try:
-            c.validate_total()
+            Coloring(k, n_horizon, dim, 2, table)
             got = None
         except InvalidWord as exc:
             got = str(exc)
-        assert got == _walk_total(c)
+        assert got == _walk_total(k, n_horizon, dim, 2, table)
         assert (got is None) == (defect == 0)
 
 

@@ -270,6 +270,14 @@ class TestSearchAndVerify:
         assert code == 0
         assert json.loads(out)["slot_count"] == 63 * 62
 
+    def test_translation_rereads(self, run, instance_dir):
+        # the translated coloring lists exactly its own domain, so the reader takes it back
+        code, out, _ = run("cdrt", "translate", "--coloring", str(instance_dir / "col.txt"))
+        doc = json.loads(out)["translated"]
+        back = certs.coloring_from_json(doc)
+        assert code == 0 and (back.k, back.N, back.n) == (0, 5, 2)
+        assert certs.coloring_to_json(back) == doc
+
 
 # sha256 (first 16 hex digits) of the stdout of each certificate-emitting
 # command on the instance_dir files, recorded before the certificate

@@ -6,6 +6,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varword import certificates as certs
 from varword.colorings import Coloring, _codec, _domain_size
@@ -36,11 +37,11 @@ def test_word_mapping_constructor_ranks_the_table(k, n_horizon, dim):
     rng = random.Random(k * 100 + n_horizon * 10 + dim)
     table = {w: rng.randrange(300) for w in var_words(k, n_horizon, dim=dim)}
     c = Coloring(k, n_horizon, dim, 300, dict(reversed(table.items())))
-    assert c.table == table and type(c.colors) in (bytes, tuple) and c.mapping is None
+    assert dict(zip(c.domain(), c.colors)) == table and type(c.colors) in (bytes, tuple)
     assert c == Coloring(k, n_horizon, dim, 300, c.colors) == pickle.loads(pickle.dumps(c))
+    assert hash(c) == hash(pickle.loads(pickle.dumps(c)))
     small = Coloring(k, n_horizon, dim, 2, {w: col % 2 for w, col in table.items()})
     assert type(small.colors) is bytes and hash(small) == hash(pickle.loads(pickle.dumps(small)))
-    c.validate_total()
 
 
 def _outcome(read):
@@ -136,35 +137,35 @@ def test_readers_take_the_canonical_route(monkeypatch):
     assert certs.coloring_from_json(doc) == c == Coloring.parse(c.dump())
 
 
-def test_validate_total_of_ranked_colors():
-    c = Coloring(2, 2, 0, 2, bytes([0, 1, 1, 0, 1, 0]))
+def test_constructor_checks_ranked_colors():
     with pytest.raises(VarwordError, match="coloring not total: missing 11"):
-        c.validate_total()
+        Coloring(2, 2, 0, 2, bytes([0, 1, 1, 0, 1, 0]))
     with pytest.raises(VarwordError, match="color 2 out of range for 0"):
-        Coloring(2, 2, 0, 2, bytes([0, 2, 1, 0, 1, 0, 3])).validate_total()
+        Coloring(2, 2, 0, 2, bytes([0, 2, 1, 0, 1, 0, 3]))
     with pytest.raises(VarwordError, match="8 colors for a domain of 7 words"):
-        Coloring(2, 2, 0, 2, bytes(8)).validate_total()
-    Coloring(2, 2, 0, 2, bytes(7)).validate_total()
+        Coloring(2, 2, 0, 2, bytes(8))
+    with pytest.raises(VarwordError, match="8 colors for a domain of 7 words"):
+        Coloring(2, 2, 0, 2, bytes(7) + b"\x03")  # a bad color past the domain has no word to name
+    full = Coloring(2, 2, 0, 2, bytes(7))
+    assert full.colors == bytes(7)
     with pytest.raises(InputError, match="coloring not total: missing 11"):
-        Coloring.parse("2 2 0 2\n" + "\n".join(f"{t} 0" for t, _ in c.entries()) + "\n")
+        Coloring.parse("2 2 0 2\n" + "\n".join(f"{t} 0" for t, _ in full.entries()[:6]) + "\n")
 
 
-def test_mapping_of_other_words_is_kept():
-    # it has no colors in rank order; the mapping itself answers
+def test_mapping_of_other_words_is_refused():
+    # the constructor names the first defect: a word missing, then a word outside
     table = {w: len(w) % 2 for w in var_words(2, 3, dim=0)}
-    first, second = sorted(table, key=Word.key)[4:6]
+    first = sorted(table, key=Word.key)[4]
     del table[first]
-    c = Coloring(2, 3, 0, 2, table)
-    assert c.mapping is table and c.table is table and c.colors == b""
-    assert c.get(second) == table[second] and c.get(first) is None
     with pytest.raises(VarwordError, match=f"coloring not total: missing {format_word(first)}"):
-        c.validate_total()
-    wide = dict(Coloring.constant(2, 2, 0, 2).table)
+        Coloring(2, 3, 0, 2, table)
+    wide = dict.fromkeys(var_words(2, 2, dim=0), 0)
     wide[Word(2, (0, 0, 0))] = 1
-    c = Coloring(2, 2, 0, 2, wide)
-    assert c.mapping is wide and c.colors == b"" and c.get(Word(2, (0, 0, 0))) == 1
     with pytest.raises(VarwordError, match="000 is outside the coloring's domain"):
-        c.validate_total()
+        Coloring(2, 2, 0, 2, wide)
+    wide[Word(2, (0, 0))] = 2
+    with pytest.raises(VarwordError, match="color 2 out of range for 00"):
+        Coloring(2, 2, 0, 2, wide)
 
 
 def _read_small(read, k, n_horizon, dim, text, color):
@@ -204,3 +205,90 @@ def test_word_shorter_than_its_dimension_builds_no_rank_table(read):
     assert got[0] == ("InvalidWord" if read == "json" else "InputError")
     assert got[1].endswith("- is outside the coloring's domain")
     assert peak < 4 << 20, peak
+
+
+@pytest.mark.parametrize("read", ["json", "file"])
+@pytest.mark.parametrize("d", [10**6, 10**9])
+def test_table_without_its_n_symbol_word_is_refused_uncounted(monkeypatch, read, d):
+    # the domain's first word is x0 x1 ... x_{n-1}; a table with no word of
+    # n symbols misses it, and counting the domain would take d steps
+    import varword.colorings as colorings_mod
+
+    def refuse(*args):
+        raise AssertionError("counted the domain")
+
+    monkeypatch.setattr(colorings_mod, "_domain_size", refuse)
+    got, peak = _read_small(read, 2, d, d, "-", 0)
+    assert got[0] == ("InvalidWord" if read == "json" else "InputError")
+    assert got[1].endswith(f"coloring not total: no word of length n={d}")
+    assert peak < 4 << 20, peak
+
+
+# -- fuzzing the readers: small tables drawn from word texts, colors and junk
+
+_TEXTS = ["-", "0", "1", "2", "9", "00", "01", "10", "x0", "x1", "0x0", "x0x0", "x0x1", "x1x0", "x0[0]", "[1]0"]
+_NUMBERS = ["0", "1", "2", "3", "-1", "300", "1000000", "1000000000"]
+_JUNK = ["", " ", "x", "1.0", "+1", "1_0", "\u00b2", "\t", "0 0"]
+_BASES = [Coloring.constant(2, 2, 0, 2), Coloring.constant(2, 2, 1, 2), Coloring.constant(1, 3, 0, 3),
+          Coloring.from_function(3, 2, 0, 2, lambda w: len(w) % 2), Coloring.constant(0, 3, 2, 2)]
+
+
+def _edited(data, rows, draw_row):
+    """``rows`` with up to three rows replaced, inserted or deleted."""
+    rows = list(rows)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(rows)))
+        op = data.draw(st.sampled_from(["set", "insert", "delete"]))
+        if op == "insert" or i == len(rows):
+            rows.insert(i, data.draw(draw_row))
+        elif op == "set":
+            rows[i] = data.draw(draw_row)
+        else:
+            del rows[i]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_file_reader_returns_or_raises_input_error(data):
+    line = st.one_of(
+        st.tuples(st.sampled_from(_TEXTS + _JUNK), st.sampled_from(_NUMBERS[:5] + _JUNK)).map(" ".join),
+        st.sampled_from(_TEXTS + _NUMBERS + _JUNK),
+    )
+    header = st.lists(st.sampled_from(_NUMBERS), min_size=4, max_size=4).map(" ".join)
+    if data.draw(st.booleans()):
+        lines = _edited(data, data.draw(st.sampled_from(_BASES)).dump().splitlines(), line | header)
+    else:
+        lines = [data.draw(header | line)] + data.draw(st.lists(line, max_size=6))
+    try:
+        col = Coloring.parse("\n".join(lines) + "\n", "f.txt")
+    except InputError as exc:
+        assert exc.line >= 1
+    else:
+        assert Coloring.parse(col.dump()) == col
+
+
+@pytest.fixture(scope="module")
+def csl_blob():
+    from varword.prehomog import csl_search
+
+    c = Coloring.constant(2, 2, 0, 2)
+    return certs.canonical_json(certs.csl_certificate_doc(c, csl_search(c, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verifier_never_raises_on_a_fuzzed_coloring(csl_blob, data):
+    value = st.sampled_from([0, 1, 2, 3, -1, 300, 10**6, 10**9, "2", None, 1.0, True, [], {}])
+    row = st.one_of(
+        st.tuples(st.sampled_from(_TEXTS + _JUNK + [0, None]), value).map(list),
+        st.sampled_from([[], ["-"], ["-", 0, 0], "01", 0, None]),
+    )
+    instance = certs.coloring_to_json(data.draw(st.sampled_from(_BASES)))
+    instance["table"] = _edited(data, instance["table"], row)
+    for key in data.draw(st.lists(st.sampled_from(["k", "N", "n", "ell", "table"]), max_size=2)):
+        instance[key] = data.draw(value)
+    doc = json.loads(csl_blob)
+    doc["instance"] = instance
+    doc["digest"] = certs.digest(instance)
+    assert isinstance(certs.verify_certificate(doc), certs.VerifyResult)

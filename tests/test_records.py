@@ -61,7 +61,7 @@ RECORDS = [
     (Word, {"k": 2, "symbols": (0, 2)}, True),
     (Condition, {"name": "occurrence", "ok": False, "position": 3, "detail": "x1 never occurs"}, True),
     (ValidityReport, {"word": W, "n": 1, "ordered": False, "conditions": (Condition("a", True),)}, True),
-    (Coloring, {"k": 2, "N": 1, "n": 0, "ell": 2, "table": {Word(2, ()): 0}}, False),
+    (Coloring, {"k": 2, "N": 1, "n": 0, "ell": 2, "colors": b"\x00\x01\x01"}, True),
     (OVWTree, {"generator": W, "elements": TREE.elements}, True),
     (CanonicalIso, {"tree": TREE, "to_pattern": {W: V}, "from_pattern": {V: W}}, False),
     (FiniteFamily, {"k": 2, "N": 2, "mask": 0b1011}, True),
@@ -135,7 +135,9 @@ def test_hand_written_records_compare_by_value():
     assert FiniteFamily(2, 2, 5) != FiniteFamily(2, 3, 5)
     assert hash(Word(2, (0, 1))) == hash((2, (0, 1)))  # the dataclass hash, so set orders hold
     assert repr(Word(2, (0, 1))) == "Word(k=2, symbols=(0, 1))"
-    assert Coloring(2, 1, 0, 2).table == {}
+    assert Coloring.__slots__ == ("k", "N", "n", "ell", "colors")  # one representation: rank order
+    by_word = {Word(2, (1,)): 1, Word(2, ()): 0, Word(2, (0,)): 1}
+    assert Coloring(2, 1, 0, 2, by_word) == Coloring(2, 1, 0, 2, b"\x00\x01\x01")
     with pytest.raises(AttributeError):
         del FAM.mask
     assert TREE.level_lengths == (1, 2)  # cached on a record that refuses setattr
