@@ -21,7 +21,7 @@ from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
-from .errors import InputError, InvalidWord, VarwordError
+from .errors import IndexOutOfRange, InputError, InvalidWord, VarwordError
 from .words import (
     Word,
     check_universe,
@@ -296,15 +296,17 @@ class Coloring(Frozen):
 
     @staticmethod
     def check_header(k: int, n_horizon: int, dim: int) -> None:
-        """Reject a header read from outside whose domain spans more than
-        ``MAX_UNIVERSE`` words, before the domain is walked.
+        """Reject a header read from outside whose domain is empty (N < 0,
+        n < 0 or n > N) or spans more than ``MAX_UNIVERSE`` words, before
+        the domain is walked.
 
         The domain holds u x0 x1 ... x_{n-1} for every letter word u of
         length at most N - n, so it is at least as large as A^{<=N-n}.
         """
-        check_universe(
-            k, n_horizon - max(dim, 0), f"coloring with k={k}, N={n_horizon}, n={dim}"
-        )
+        what = f"coloring with k={k}, N={n_horizon}, n={dim}"
+        if not 0 <= dim <= n_horizon:
+            raise IndexOutOfRange(f"{what} has an empty domain: 0 <= n <= N fails")
+        check_universe(k, n_horizon - dim, what)
 
     def _unrank(self, r: int) -> Word:
         return next(islice(self.domain(), r, None))

@@ -5,12 +5,19 @@ from __future__ import annotations
 from ..cdrt import pullback_certificate, translate
 from ..certificates import cdrt_certificate_doc, coloring_to_json
 from ..cli import _coloring, _command, _emit
+from ..errors import InputError
 from ..prehomog import CslCertificate, csl_search
 from ..words import format_word, parse_word
 
 
 def cmd_cdrt_translate(args):
     coloring = _coloring(args.coloring)
+    if coloring.k + coloring.n > coloring.N:
+        # the (k+n)-variable words of length <= N, the translation's domain, are none
+        raise InputError(
+            f"translation of k={coloring.k}, n={coloring.n} has an empty domain: k + n > N={coloring.N}",
+            args.coloring, 1, 1,
+        )
     out = translate(coloring)
     doc = {
         "kind": "cdrt-translation",

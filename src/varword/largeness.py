@@ -40,6 +40,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from ._frozen import Frozen
 from .errors import (
     HorizonExceeded,
+    IndexOutOfRange,
     InputError,
     NoPartSelected,
     NotAPartition,
@@ -81,8 +82,11 @@ def check_family_size(k: int, n: int) -> None:
 
     A family's mask holds one bit per word of A^{<=N} and its offset
     table one entry per length, so either past ``MAX_UNIVERSE`` raises
-    ``DomainTooLarge``; a negative k raises ``IndexOutOfRange``.
+    ``DomainTooLarge``; a negative k, or a negative N (an empty A^{<=N}),
+    raises ``IndexOutOfRange``.
     """
+    if n < 0:
+        raise IndexOutOfRange(f"family with k={k}, N={n} has an empty domain: N < 0")
     check_universe(k, n, f"family with k={k}, N={n}")
 
 

@@ -7,8 +7,9 @@ the coded-graph scans.  A sweep's ``workers`` cuts its work into
 contiguous index ranges (or lengths), which ``_in_threads`` runs on a
 thread pool; the aggregates merge in shard order, so results are
 byte-identical for any worker count.  Threads overlap only the numpy
-calls that release the GIL.  This is the only module that starts
-threads: the searches are pure Python and walk in one thread.
+calls that release the GIL, and each thread's kernel call holds its own
+block buffers.  This is the only module that starts threads: the
+searches are pure Python and walk in one thread.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def _vertex_arrays(n_horizon: int) -> tuple[np.ndarray, np.ndarray]:
 def henson_adjacency(n_horizon: int) -> tuple[list, np.ndarray]:
     """The vertices and the dense 0/1 adjacency matrix of the coded graph."""
     bits, lens = _vertex_arrays(n_horizon)
-    packed, _, _ = _kernels.henson_adjacency_packed(bits, lens)
+    packed = _kernels.henson_adjacency_packed(bits, lens)
     adj = np.unpackbits(packed.view(np.uint8), axis=1, count=len(bits), bitorder="little")
     return enum_vertices(n_horizon), adj
 
@@ -231,10 +232,10 @@ class HensonScanReport(NamedTuple):
 def henson_triangle_report(n_horizon: int) -> HensonScanReport:
     """Common-neighbour scan along every edge of the coded graph."""
     bits, lens = _vertex_arrays(n_horizon)
-    packed, ei, ej = _kernels.henson_adjacency_packed(bits, lens)
-    i, j, u = _kernels.henson_triangle_packed(packed, ei, ej)
+    packed = _kernels.henson_adjacency_packed(bits, lens)
+    i, j, u, edges = _kernels.henson_triangle_packed(packed)
     if i >= 0:
         verts = enum_vertices(n_horizon)
         triple = (verts[i], verts[j], verts[u])
         raise TriangleFound("triangle " + ", ".join(map(format_word, triple)), triple=triple)
-    return HensonScanReport(n_horizon, len(bits), len(ei))
+    return HensonScanReport(n_horizon, len(bits), edges)

@@ -100,14 +100,6 @@ class Word(Frozen):
     def __iter__(self):
         return iter(self.symbols)
 
-    def is_letter(self, i: int) -> bool:
-        return self.symbols[i] < self.k
-
-    def var_index(self, i: int) -> int:
-        """Variable index at position i, or -1 for a letter."""
-        s = self.symbols[i]
-        return s - self.k if s >= self.k else -1
-
     def has_variables(self) -> bool:
         return any(s >= self.k for s in self.symbols)
 

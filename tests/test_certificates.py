@@ -402,8 +402,18 @@ def test_family_size_limit():
     for k, n in [(2, 22), (3, 14), (1, MAX_UNIVERSE), (0, MAX_UNIVERSE), (10**6, 2)]:
         with pytest.raises(DomainTooLarge):
             check_family_size(k, n)
-    with pytest.raises(IndexOutOfRange):
-        check_family_size(-1, 3)
+    for k, n in [(-1, 3), (2, -1), (0, -1)]:
+        with pytest.raises(IndexOutOfRange):
+            check_family_size(k, n)
+
+
+@pytest.mark.parametrize("N, n", [(-1, 0), (3, -1), (3, 5), (-2, -1)])
+def test_coloring_header_with_empty_domain(N, n):
+    doc = {"type": "coloring", "k": 2, "N": N, "n": n, "ell": 2, "table": []}
+    with pytest.raises(IndexOutOfRange, match="empty domain"):
+        certs.coloring_from_json(doc)
+    with pytest.raises(IndexOutOfRange, match="empty domain"):
+        Coloring.check_header(2, N, n)
 
 
 def test_family_serialization_roundtrip():

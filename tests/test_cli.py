@@ -361,6 +361,38 @@ class TestMalformedInput:
         code, _, err = run("search", "line", "--coloring", str(col))
         assert code == 1 and err.startswith(f"input error: {col}:1:")
 
+    @pytest.mark.parametrize("header", ["2 -1 0 2", "2 3 -1 2", "2 3 5 2"])
+    @pytest.mark.parametrize("command", ["search line", "search csl", "cdrt translate"])
+    def test_coloring_header_with_empty_domain(self, run, tmp_path, header, command):
+        # N < 0 and n < 0 read as empty colorings, so the searches reported
+        # not-found (exit 2); cdrt translate printed a table or raised KeyError
+        col = tmp_path / "c.txt"
+        col.write_text(header + "\n")
+        code, out, err = run(*command.split(), "--coloring", str(col))
+        assert (code, out) == (1, "") and err.startswith(f"input error: {col}:1:")
+        assert "empty domain" in err
+
+    @pytest.mark.parametrize("command", ["large density", "large thick", "search builder"])
+    def test_family_header_with_empty_domain(self, run, tmp_path, command):
+        # N < 0 read as an empty family: exit 0, or 2 for the builder
+        fam = tmp_path / "f.txt"
+        fam.write_text("2 -1\n")
+        flags = ["--syndetic", str(fam), "--thick", str(fam)] if command == "search builder" else ["--family", str(fam)]
+        code, _, err = run(*command.split(), *flags)
+        assert code == 1 and err.startswith(f"input error: {fam}:1:") and "empty domain" in err
+
+    def test_translation_with_empty_domain_is_refused(self, run, tmp_path):
+        # k + n > N leaves no (k+n)-variable word of length <= N: the empty
+        # table printed here would not read back
+        col = tmp_path / "c.txt"
+        col.write_text(Coloring.constant(2, 2, 1, 2, 1).dump())
+        code, out, err = run("cdrt", "translate", "--coloring", str(col))
+        assert (code, out) == (1, "") and err.startswith(f"input error: {col}:1:")
+        assert "k + n > N=2" in err
+        col.write_text(Coloring.constant(2, 3, 1, 2, 1).dump())
+        code, out, _ = run("cdrt", "translate", "--coloring", str(col))
+        assert code == 0 and json.loads(out)["translated"]["n"] == 3
+
     @pytest.mark.parametrize("eps", ["abc", "1/0"])
     def test_malformed_eps(self, run, instance_dir, eps):
         code, out, err = run("large", "density", "--family", str(instance_dir / "synd.txt"), "--eps", eps)

@@ -199,11 +199,11 @@ def test_long_word_domain_reads_in_small_memory(read):
 
 @pytest.mark.parametrize("read", ["json", "file"])
 def test_word_shorter_than_its_dimension_builds_no_rank_table(read):
-    # n far above N leaves the domain empty; "-" is outside it, and no
-    # table sized by n is built to say so
+    # n far above N leaves the domain empty; the header is refused, and
+    # no table sized by n is built to say so
     got, peak = _read_small(read, 2, 5, 10**6, "-", 0)
-    assert got[0] == ("InvalidWord" if read == "json" else "InputError")
-    assert got[1].endswith("- is outside the coloring's domain")
+    assert got[0] == ("IndexOutOfRange" if read == "json" else "InputError")
+    assert got[1].endswith("coloring with k=2, N=5, n=1000000 has an empty domain: 0 <= n <= N fails")
     assert peak < 4 << 20, peak
 
 

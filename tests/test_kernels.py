@@ -4,7 +4,7 @@ Every sweep has two independent routes: the flat-array kernel and the
 Word-object implementation built from the core operations.  Small
 instances are checked for exact agreement.  Inputs that no Word can
 hold (corrupted tables, arbitrary graphs, coloring ranges that cross
-chunk boundaries) are checked against a short oracle written here.
+block boundaries) are checked against a short oracle written here.
 """
 
 import tracemalloc
@@ -168,9 +168,10 @@ class TestAssocKernel:
             faulty += a[1] > 0
         assert faulty >= 10
 
-    def test_planted_faults_against_oracle(self, rng):
+    def test_planted_faults_against_oracle(self, rng, monkeypatch):
         # the exact first failure (i, j, m, uval) and failure count, from
-        # the oracle, on tables with one corrupted cut point or symbol
+        # the oracle, on tables with one corrupted cut point or symbol; a
+        # one-byte budget (one w row per block) gives the same
         t = build_prefix_table(K, 3)
         width = t.syms.shape[1]
         # x0 without x0 (only the composition has a cut), 0x0 with x0 first
@@ -186,8 +187,13 @@ class TestAssocKernel:
         for where, r, c, value in faults:
             syms, focc = t.syms.copy(), t.focc.copy()
             (syms if where == "syms" else focc)[r, c] = value
+            want = assoc_oracle(t, syms, focc, 3)
             got = _kernels.assoc_sweep(syms, t.lens, focc, K, 0, len(t), 3)
-            assert got == assoc_oracle(t, syms, focc, 3), (where, r, c, value, got)
+            assert got == want, (where, r, c, value, got)
+            with monkeypatch.context() as small:
+                small.setattr(_kernels, "_BLOCK_BYTES", 1)
+                got = _kernels.assoc_sweep(syms, t.lens, focc, K, 0, len(t), 3)
+            assert got == want, (where, r, c, value, got)
             seen.add(got[5] if got[1] else None)
         assert {-2, -1, 0} <= seen
 
@@ -204,6 +210,50 @@ class TestRoundtripKernel:
             elements += len(tree.elements)
         assert res.generators == count
         assert res.elements == elements
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_small_budget_matches_default(self, k, monkeypatch):
+        # decode blocks of a few codes, and queues that flush many times
+        # per length; every generator reaches one batch
+        want = _kernels.tree_roundtrip_sweep(k, 0, 7)
+        real, batched = _kernels._roundtrip_batch, []
+
+        def counted(k, g, n, *buffers):
+            batched.append(len(g))
+            return real(k, g, n, *buffers)
+
+        monkeypatch.setattr(_kernels, "_roundtrip_batch", counted)
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1 << 12)
+        assert _kernels.tree_roundtrip_sweep(k, 0, 7) == want
+        assert sum(batched) == want[0]
+
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_failures_are_counted_and_located(self, budget, monkeypatch):
+        # a batch that refuses every generator whose symbols sum to 1 mod 3:
+        # the count and the first refused code (length, then code) are the
+        # oracle's, whatever the blocks
+        real = _kernels._roundtrip_batch
+
+        def refusing(k, g, n, *buffers):
+            return real(k, g, n, *buffers) & (g.astype(np.int64).sum(axis=1) % 3 != 1)
+
+        monkeypatch.setattr(_kernels, "_roundtrip_batch", refusing)
+        if budget:
+            monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
+        k, base = 3, 5
+        refused, first = 0, -1
+        for length in range(6):
+            for code in range(base**length):
+                digits = [code // base ** (length - 1 - c) % base for c in range(length)]
+                opened = digits.index(k + 1) if k + 1 in digits else length
+                if k in digits[:opened]:
+                    continue  # a repeat before any variable: no generator
+                nv = np.cumsum([d == k + 1 for d in digits])
+                if sum(d if d < k else k + v - 1 for d, v in zip(digits, nv)) % 3 == 1:
+                    refused += 1
+                    first = code if first < 0 else first
+        got = _kernels.tree_roundtrip_sweep(k, 0, 5)
+        assert got[2:] == (refused, first)
 
     def test_rejects_unary(self):
         with pytest.raises(ValueError):
@@ -269,9 +319,9 @@ class TestColoringSweep:
         assert (a == b).all()
 
     def test_python_variant_agrees(self, rng, monkeypatch):
-        # chunks of 3 lanes (192 colorings), so that the ranges, whose
-        # bounds are mostly not multiples of 64, cross chunk boundaries
-        monkeypatch.setattr(_kernels, "_CHUNK", 192)
+        # blocks of one lane (64 colorings), so that the ranges, whose
+        # bounds are mostly not multiples of 64, cross block boundaries
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1)
         for n_hor in (2, 3):
             certs, _ = line_letter_certs(K, n_hor)
             rows = certs.tolist()
@@ -294,18 +344,16 @@ def _vertex_arrays_from_words(verts):
     return bits, lens
 
 
-def _packed_with_edges(adj):
-    ei, ej = np.nonzero(np.triu(adj))
-    return _kernels.pack_rows(adj), ei.astype(np.int32), ej.astype(np.int32)
-
-
-def _first_triangle(adj, ei, ej):
-    """The first edge in list order whose ends share a neighbour, with the least one."""
+def _first_triangle(adj):
+    """The first edge (i < j, row-major) whose ends share a neighbour, with
+    the least one and the number of edges before it; -1s and the number of
+    edges when there is none."""
     nbrs = [set(np.flatnonzero(row).tolist()) for row in adj]
-    for i, j in zip(ei.tolist(), ej.tolist()):
+    ei, ej = np.nonzero(np.triu(adj))
+    for e, (i, j) in enumerate(zip(ei.tolist(), ej.tolist())):
         if common := nbrs[i] & nbrs[j]:
-            return i, j, min(common)
-    return -1, -1, -1
+            return i, j, min(common), e
+    return -1, -1, -1, len(ei)
 
 
 class TestHensonKernels:
@@ -324,39 +372,54 @@ class TestHensonKernels:
             assert (bits == want_bits).all() and (lens == want_lens).all(), n
 
     def test_adjacency_numpy_vs_loops(self, monkeypatch):
+        default = _kernels._BLOCK_BYTES
         for n in range(1, 9):
             verts = enum_vertices(n)
             bits, lens = _vertex_arrays_from_words(verts)
             out = np.array([[edge(v, w) for w in verts] for v in verts], np.uint8)
-            want_i, want_j = np.nonzero(np.triu(out))
-            # small row blocks: one row per block, or blocks that end mid-length
-            for row_block in (1, 700, 1 << 18):
-                monkeypatch.setattr(_kernels, "_ROW_BLOCK", row_block)
-                packed, ei, ej = _kernels.henson_adjacency_packed(bits, lens)
+            want = _first_triangle(out)
+            # the scan lists the edges one row per block, or in blocks that
+            # end mid-length
+            for budget in (1, 1 << 15, default):
+                monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
+                packed = _kernels.henson_adjacency_packed(bits, lens)
                 unpacked = np.unpackbits(packed.view(np.uint8), axis=1, count=len(bits), bitorder="little")
-                assert (unpacked == out).all(), (n, row_block)
-                assert (packed == _kernels.pack_rows(out)).all(), (n, row_block)
-                assert (ei == want_i).all() and (ej == want_j).all(), (n, row_block)
+                assert (unpacked == out).all(), (n, budget)
+                assert (packed == _kernels.pack_rows(out)).all(), (n, budget)
+                assert _kernels.henson_triangle_packed(packed) == want, (n, budget)
 
     def test_triangle_scan_both_paths_clean(self):
         verts, adj = henson_adjacency(7)
-        packed, ei, ej = _packed_with_edges(adj)
-        a = _first_triangle(adj, ei, ej)
-        b = _kernels.henson_triangle_packed(packed, ei, ej)
+        a = _first_triangle(adj)
+        b = _kernels.henson_triangle_packed(_kernels.pack_rows(adj))
         assert a[0] == b[0] == -1
 
     def test_triangle_scan_catches_planted_triangle(self):
         adj = np.zeros((4, 4), np.uint8)
         for i, j in [(0, 1), (1, 2), (0, 2), (2, 3)]:
             adj[i, j] = adj[j, i] = 1
-        packed, ei, ej = _packed_with_edges(adj)
-        i, j, u = _first_triangle(adj, ei, ej)
+        i, j, u, e = _first_triangle(adj)
         assert sorted((i, j, u)) == [0, 1, 2]
-        assert _kernels.henson_triangle_packed(packed, ei, ej) == (i, j, u)
+        assert _kernels.henson_triangle_packed(_kernels.pack_rows(adj)) == (i, j, u, e)
+
+    def test_triangle_scan_hit_past_first_edge_block(self, monkeypatch):
+        # a dense bipartite graph on 0..59 and the triangle 7, 62, 63: the
+        # first hit is edge 200-odd of the first row block, past its first
+        # block of edges at a 9,216-byte budget (8 rows, 144 edges)
+        v = np.arange(64)
+        adj = ((v[:, None] < 60) & (v < 60) & ((v[:, None] + v) % 2 == 1)).astype(np.uint8)
+        for i, j in [(7, 62), (7, 63), (62, 63)]:
+            adj[i, j] = adj[j, i] = 1
+        want = _first_triangle(adj)
+        assert want[:3] == (7, 62, 63) and want[3] > 144
+        for budget in (1, 9216, _kernels._BLOCK_BYTES):
+            monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
+            assert _kernels.henson_triangle_packed(_kernels.pack_rows(adj)) == want, budget
 
     def test_triangle_scan_random_graphs(self, rng, monkeypatch):
-        # chunks of 21 to 64 edges, so that the first hit is often past the first chunk
-        monkeypatch.setattr(_kernels, "_EDGE_CHUNK", 64)
+        # blocks of 16 to 32 edges, from blocks of 1 to 113 rows, so that the
+        # first hit is often past the first block
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 2048)
         outcomes = set()
         for t in range(240):
             n = rng.randrange(1, 140)
@@ -371,9 +434,8 @@ class TestHensonKernels:
             if t % 3 == 1 and n >= 3:
                 for i, j in combinations(rng.sample(range(n), 3), 2):
                     adj[i, j] = adj[j, i] = 1
-            packed, ei, ej = _packed_with_edges(adj)
-            want = _first_triangle(adj, ei, ej)
-            assert _kernels.henson_triangle_packed(packed, ei, ej) == want, t
+            want = _first_triangle(adj)
+            assert _kernels.henson_triangle_packed(_kernels.pack_rows(adj)) == want, t
             outcomes.add(want[0] >= 0)
         assert outcomes == {True, False}
 
@@ -393,7 +455,7 @@ class TestHensonKernels:
         def mutant_adjacency(bits, lens):
             verts = enum_vertices(int(lens.max()))
             adj = np.array([[passing_only(v, w) for w in verts] for v in verts], np.uint8)
-            return _packed_with_edges(adj)
+            return _kernels.pack_rows(adj)
 
         with pytest.raises(TriangleFound) as want:
             assert_triangle_free(5, passing_only)
@@ -403,15 +465,34 @@ class TestHensonKernels:
         assert str(got.value) == str(want.value)
         assert got.value.triple == want.value.triple
 
-    def test_report_memory_bounded(self):
+
+def _triangle_report():
+    rep = henson_triangle_report(10)
+    assert rep.edges == 77_309
+    return rep
+
+
+@pytest.mark.parametrize(
+    "battery",
+    [
+        lambda: assoc_exhaustive(K, 5),
+        lambda: tree_roundtrip_exhaustive(K, 8),
+        lambda: coloring_sweep(K, 3).tobytes(),
         # a dense int64 adjacency of these 2,036 vertices alone is 33 MB;
-        # the packed rows are 0.5 MB and every temporary is bounded
-        henson_triangle_report(3)  # warm any lazy numpy state first
-        tracemalloc.start()
-        try:
-            rep = henson_triangle_report(10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.edges == 77_309
-        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        # the packed rows are 0.5 MB, and no edge list is kept
+        _triangle_report,
+    ],
+    ids=["assoc", "tree", "coloring", "triangles"],
+)
+def test_battery_peak_within_budget(battery):
+    # the batteries at their benchmark sizes hold a few block buffers of
+    # _BLOCK_BYTES besides their inputs and results
+    want = battery()  # warm any lazy numpy state first
+    tracemalloc.start()
+    try:
+        got = battery()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
