@@ -213,7 +213,10 @@ def parse_chi(text: str, n: int, filename: str = "<chi>") -> Callable[[tuple[Wor
 
     The words are over {0, x0}; blank lines are skipped.  The result
     raises ``InputError`` naming the file for an embedding with no line.
+    A negative n leaves no embedding to color and is refused.
     """
+    if n < 0:
+        raise InputError(f"coloring of {n}-vertex embeddings has an empty domain: n < 0", filename, 1, 1)
     table = {}
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

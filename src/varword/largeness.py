@@ -193,15 +193,15 @@ class FiniteFamily(Frozen):
             check_family_size(k, n)
         except VarwordError as exc:
             raise InputError(str(exc), filename, 1, 1) from None
-        words = []
+        mask = 0
         for i, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             try:
-                words.append(parse_word(line.strip(), k))
+                mask |= 1 << _rank(k, n, parse_word(line.strip(), k))
             except VarwordError as exc:
                 raise InputError(str(exc), filename, i, 1) from None
-        return cls.from_words(k, n, words)
+        return cls(k, n, mask)
 
     def _check(self, other: "FiniteFamily") -> None:
         if (self.k, self.N) != (other.k, other.N):
@@ -267,8 +267,8 @@ class FiniteFamily(Frozen):
                 ones += 1
             else:
                 base += s
-        heads = [base + a * ones for a in range(k)]
-        return FiniteFamily(k, n2, _extensions(self, len(generator), heads, n2, every=True))
+        heads = [(len(generator), [base + a * ones for a in range(k)])]
+        return _stack(k, n2, _head_blocks(self, heads, n2, every=True))
 
     def append(self, sigma: Word) -> tuple["FiniteFamily", int]:
         """Family . sigma = {tau sigma}, and the count of members pushed past N,
@@ -423,50 +423,62 @@ class SyndeticCheck(NamedTuple):
 
 
 def prepend_reach(family: FiniteFamily, ell: int) -> FiniteFamily:
-    """{sigma : tau.sigma in family for some tau with |tau| <= ell}, horizon N - ell.
+    """{sigma : tau.sigma in family for some tau with |tau| <= ell}, horizon N - ell."""
+    return _over_prefixes(family, ell, every=False)
 
-    The reach's length-m band is the OR, over every tau, of tau's block
-    of length-m extensions: the k^|tau| blocks of width k^m in the band
-    of length |tau| + m.
+
+def _head_blocks(
+    family: FiniteFamily, heads: Sequence[tuple[int, Iterable[int]]], n2: int, every: bool
+) -> Iterator[int]:
+    """For m = 0..n2 in turn, the AND (``every``) or OR of the heads'
+    blocks of length-m extensions, a mask over A^m.
+
+    ``heads`` holds (length, lex values) pairs, one per head length, and
+    every length + n2 <= N.  A head's length-m extensions are the run of
+    k^m bits at its value's place in the band of length + m.  The AND
+    stops once it is empty, and a caller may stop at any m.
     """
-    if ell > family.N:
-        raise HorizonExceeded(f"ell {ell} beyond horizon {family.N}")
-    k = family.k
-    n2 = family.N - ell
-    mask = 0
-    for j in range(ell + 1):
-        mask |= _extensions(family, j, range(k**j), n2, every=False)
-    return FiniteFamily(k, n2, mask)
-
-
-def _extensions(family: FiniteFamily, length: int, heads: Iterable[int], n2: int, every: bool) -> int:
-    """The mask over A^{<=n2} of {sigma : h.sigma in family} for every (or some) head h.
-
-    ``heads`` are lex values of words of the given length, and
-    length + n2 <= N.  A head's length-m extensions are the run of
-    k^m bits at its value's place in the band of length + m, so each
-    length-m band of the result is one AND (or OR) of runs.
-    """
-    k = family.k
-    big = _offsets(k, family.N)
-    offs = _offsets(k, n2)
-    heads = list(heads)
-    mask = 0
+    k, mask = family.k, family.mask
+    offs = _offsets(k, family.N)
     for m in range(n2 + 1):
         width = k**m
         full = (1 << width) - 1
-        band = (family.mask >> big[length + m]) & ((1 << (width * k**length)) - 1)
-        if every:
-            acc = full
-            for v in heads:
-                acc &= band >> (v * width)
-        else:
-            acc = 0
-            for v in heads:
-                acc |= band >> (v * width)
-            acc &= full
-        mask |= acc << offs[m]
-    return mask
+        acc = full if every else 0
+        for length, values in heads:
+            band = (mask >> offs[length + m]) & ((1 << (width * k**length)) - 1)
+            if every:
+                for v in values:
+                    acc &= band >> (v * width)
+                    if not acc:
+                        break
+                if not acc:
+                    break
+            else:
+                for v in values:
+                    acc |= band >> (v * width)
+        yield acc & full
+
+
+def _prefixes(k: int, ell: int) -> list[tuple[int, range]]:
+    """Every tau in A^{<=ell} as ``_head_blocks`` heads."""
+    return [(j, range(k**j)) for j in range(ell + 1)]
+
+
+def _over_prefixes(family: FiniteFamily, ell: int, every: bool) -> FiniteFamily:
+    """The AND (``every``) or OR, over every tau in A^{<=ell}, of
+    {sigma : tau.sigma in family}, at horizon N - ell."""
+    if ell > family.N:
+        raise HorizonExceeded(f"ell {ell} beyond horizon {family.N}")
+    n2 = family.N - ell
+    return _stack(family.k, n2, _head_blocks(family, _prefixes(family.k, ell), n2, every))
+
+
+def _stack(k: int, n: int, bands: Iterable[int]) -> FiniteFamily:
+    """The family at horizon n whose length-m band is the m-th of ``bands``."""
+    mask = 0
+    for band, start in zip(bands, _offsets(k, n)):
+        mask |= band << start
+    return FiniteFamily(k, n, mask)
 
 
 def is_syndetic(
@@ -507,30 +519,19 @@ class ThickCheck(NamedTuple):
 def is_thick(family: FiniteFamily, ell_max: int) -> ThickCheck:
     """Find, for each ell <= ell_max, the lex-least anchor sigma with A^{<=ell}.sigma inside.
 
-    For each length m the candidate anchors of length m are the bits of
-    the AND, over every tau in A^{<=ell}, of tau's block of length-m
-    extensions; the lowest bit at the smallest m is the lex-least anchor.
+    The anchors of length m are the bits of ``thick_shrink``'s length-m
+    band, so the lowest bit at the smallest m is the lex-least anchor;
+    the bands are built one length at a time, up to the first nonempty.
     """
     k = family.k
     anchors = []
     for ell in range(ell_max + 1):
-        found = None
-        for m in range(family.N - ell + 1):
-            width = k**m
-            acc = (1 << width) - 1
-            for j in range(ell + 1):
-                # the k^j blocks of width k^m in band j + m are tau's blocks, |tau| = j
-                band = family.band(j + m)
-                for i in range(k**j):
-                    acc &= band >> (i * width)
-                    if not acc:
-                        break
+        for m, acc in enumerate(_head_blocks(family, _prefixes(k, ell), family.N - ell, every=True)):
             if acc:
-                found = _word_of(k, m, (acc & -acc).bit_length() - 1)
+                anchors.append((ell, _word_of(k, m, (acc & -acc).bit_length() - 1)))
                 break
-        if found is None:
+        else:
             return ThickCheck(False, ell_max, failing_ell=ell)
-        anchors.append((ell, found))
     return ThickCheck(True, ell_max, witness=ThickWitness(tuple(anchors)))
 
 
@@ -569,19 +570,8 @@ def glued_inclusion(
 
 
 def thick_shrink(family: FiniteFamily, ell: int) -> FiniteFamily:
-    """{sigma in family : A^{<=ell}.sigma inside family}, at horizon N - ell.
-
-    The AND, over head lengths j <= ell, of the extensions every
-    length-j head keeps (the j = 0 term is ``restrict(N - ell)``).
-    """
-    if ell > family.N:
-        raise HorizonExceeded(f"ell {ell} beyond horizon {family.N}")
-    k = family.k
-    n2 = family.N - ell
-    mask = -1
-    for j in range(ell + 1):
-        mask &= _extensions(family, j, range(k**j), n2, every=True)
-    return FiniteFamily(k, n2, mask)
+    """{sigma in family : A^{<=ell}.sigma inside family}, at horizon N - ell."""
+    return _over_prefixes(family, ell, every=True)
 
 
 # ---------------------------------------------------------------------------

@@ -172,15 +172,13 @@ def one_step_prehomog(
     coloring: Coloring,
     depth: int = 1,
     verify_tail: int = 1,
-    tail_horizon: Optional[int] = None,
-    max_len: Optional[int] = None,
 ) -> OneStepCertificate:
     """Freeze the color of all in-horizon extensions of stem.x_n along W.
 
     Builds the derived coloring of extension tails over the alphabet
-    enlarged by x_0..x_n (total on tails up to tail_horizon, which
-    defaults to the largest length W and the coloring horizon support,
-    capped at depth + 3), finds a monochromatic substitution prefix U
+    enlarged by x_0..x_n (total on tails up to the tail horizon: the
+    largest length W and the coloring horizon support, at least depth
+    and at most depth + 3), finds a monochromatic substitution prefix U
     there, renames the letter-variables x_m to the variable slots of
     their first occurrence in stem.x_n and the search variables to
     fresh slots, and composes the renamed prefix onto W after the pure
@@ -201,16 +199,13 @@ def one_step_prehomog(
     ke = k + n + 1  # letters of A plus x_0..x_n as extra letters
     base = stem.symbols + (k + n,)
 
-    if tail_horizon is None:
-        # largest tail length whose images stay defined and in-domain
-        tail_horizon = depth
-        while tail_horizon < depth + 3:
-            cut = first_occurrence(w, len(stem) + 1 + tail_horizon + 1)
-            if cut is None or cut > coloring.N:
-                break
-            tail_horizon += 1
-    if tail_horizon < depth:
-        raise CutPointMissing("tail horizon below the requested search depth")
+    # largest tail length whose images stay defined and in-domain
+    tail_horizon = depth
+    while tail_horizon < depth + 3:
+        cut = first_occurrence(w, len(stem) + 1 + tail_horizon + 1)
+        if cut is None or cut > coloring.N:
+            break
+        tail_horizon += 1
 
     def derived(u_ext: Word) -> Word:
         # u_ext is a letter word over the enlarged alphabet; the same
@@ -229,7 +224,7 @@ def one_step_prehomog(
         colors.append(c)
     f_s = Coloring(ke, tail_horizon, 0, coloring.ell, colors)
 
-    inner = csl_search(f_s, depth, max_len=max_len)
+    inner = csl_search(f_s, depth)
 
     # rename: letter x_m -> z at the first occurrence of x_m in stem.x_n,
     # search variable y_b -> fresh slot z_{|stem|+1+b}
@@ -289,10 +284,9 @@ def _pure_prefix_continuations(
     yield from all_words
 
 
-def leq_m_check(
-    w_hat: Word, w: Word, m: int, max_len: int = 8, extra_vars: int = 2
-) -> LeqResult:
-    """Search for V with pure prefix z_0..z_{m-1} and compose(w, V) matching w_hat.
+def leq_m_check(w_hat: Word, w: Word, m: int, max_len: int = 8) -> LeqResult:
+    """Search for V with pure prefix z_0..z_{m-1}, at most two variables
+    past it and length at most max_len, and compose(w, V) matching w_hat.
 
     Matching means agreement on the common defined region (one word is
     a prefix of the other); a candidate whose composition truncates
@@ -302,7 +296,7 @@ def leq_m_check(
     certificates do).  Returns the first witness in length-then-lex
     order, or ok=False after exhausting the bounded space.
     """
-    for v in _pure_prefix_continuations(w.k, m, max_len, m + extra_vars):
+    for v in _pure_prefix_continuations(w.k, m, max_len, m + 2):
         z = compose(w, v)
         overlap = min(len(z), len(w_hat))
         if z.symbols[:overlap] == w_hat.symbols[:overlap]:

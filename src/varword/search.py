@@ -23,7 +23,7 @@ Provided here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._frozen import Frozen
 from .certificates import check_line_letter
@@ -80,9 +80,7 @@ class LineLetterCertificate(NamedTuple):
     checked: tuple[Word, ...]  # S(0) together with S(1).a
 
 
-def search_line_with_letter(
-    coloring: Coloring, workers: int = 1, max_gen_len: Optional[int] = None
-) -> LineLetterCertificate:
+def search_line_with_letter(coloring: Coloring, workers: int = 1) -> LineLetterCertificate:
     """Lex-least monochromatic line-and-letter pair within the horizon.
 
     The line size plus one must fit under the coloring horizon so that
@@ -95,9 +93,8 @@ def search_line_with_letter(
     # ``workers`` is ignored (one thread); kept only for perfbench's workers probe
     if coloring.n != 0:
         raise InvalidWord("line search expects a coloring of plain words")
-    k, n_hor = coloring.k, coloring.N
-    cap = n_hor - 1 if max_gen_len is None else min(max_gen_len, n_hor - 1)
-    for g in var_words(k, cap, dim=1, ordered=True, min_len=1):
+    cap = coloring.N - 1
+    for g in var_words(coloring.k, cap, dim=1, ordered=True, min_len=1):
         hit = coloring.line_letter(g.symbols)
         if hit is not None:
             return _line_hit(coloring, g, *hit)
@@ -207,6 +204,13 @@ def d_super_s(family: FiniteFamily, line: OVWTree) -> FiniteFamily:
     return family.line_residue(line.generator)
 
 
+# The one-step walk's longest generator.  A step that finds nothing has
+# walked every one-variable generator up to this length: 966 of them at
+# k = 2 and 4,368 at k = 3, and each further length about triples
+# (k = 2) or quadruples (k = 3) that walk.
+_MAX_GEN_LEN = 6
+
+
 class StepResult(NamedTuple):
     line: OVWTree
     block: Word  # left 1-variable word w with S(1) = S(0).w[A]
@@ -215,11 +219,7 @@ class StepResult(NamedTuple):
     inclusion_checked: int
 
 
-def step_lemma_search(
-    dec: PwSyndeticDecomposition,
-    m_bound: int = 2,
-    max_gen_len: int = 6,
-) -> StepResult:
+def step_lemma_search(dec: PwSyndeticDecomposition, m_bound: int = 2) -> StepResult:
     """Smallest line S with S(0) inside P and S(1).Q inside P, Q certified.
 
     Q is the full residue of P past S, re-certified as piecewise
@@ -241,7 +241,7 @@ def step_lemma_search(
 
     p = dec.part
     k = dec.k
-    cap = min(max_gen_len, dec.N - 1)
+    cap = min(_MAX_GEN_LEN, dec.N - 1)
     longest = min(cap, dec.N - dec.ell - max(m_bound, 0))  # the longest generator that can certify
     roots: dict[tuple[int, ...], bool] = {}  # S(0) in P, by the symbols of S(0)
     refused: set[tuple[int, int]] = set()  # (N, mask) of the residues pws_certify refused
@@ -392,12 +392,7 @@ def _stage(tree: OVWTree, step: StepResult, p: FiniteFamily) -> BuilderStage:
     return BuilderStage(tree, step.block, step.residue, *c1[:3], *c2[:3])
 
 
-def iterate_builder(
-    dec: PwSyndeticDecomposition,
-    s_max: int,
-    m_bound: int = 2,
-    max_gen_len: int = 6,
-) -> BuilderTrace:
+def iterate_builder(dec: PwSyndeticDecomposition, s_max: int, m_bound: int = 2) -> BuilderTrace:
     """Grow a tree of dimension s_max inside P by iterating the one-step lemma.
 
     After every stage both invariants are re-verified exactly at the
@@ -409,7 +404,7 @@ def iterate_builder(
     p = dec.part
     k = dec.k
     try:
-        step = step_lemma_search(dec, m_bound, max_gen_len)
+        step = step_lemma_search(dec, m_bound)
     except NotFoundWithinHorizon as exc:
         raise NotFoundWithinHorizon(f"stage 0: {exc}") from exc
     sigma0 = substitute(step.line.generator, ())
@@ -420,7 +415,7 @@ def iterate_builder(
     for s in range(s_max):
         prev = stages[-1]
         try:
-            step = step_lemma_search(prev.residue.decomposition, m_bound, max_gen_len)
+            step = step_lemma_search(prev.residue.decomposition, m_bound)
         except NotFoundWithinHorizon as exc:
             raise NotFoundWithinHorizon(f"stage {s + 1}: {exc}") from exc
         sigma0 = substitute(step.line.generator, ())

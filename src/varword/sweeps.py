@@ -14,13 +14,14 @@ searches are pure Python and walk in one thread.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import _kernels
 from ._frozen import Frozen
-from .words import Word, prefix_valid_words, var_words
+from .words import Word, _symbol_tuples, var_words
 from .henson import enum_vertices
 from .errors import TriangleFound
 from .words import format_word
@@ -57,20 +58,32 @@ class WordTable(Frozen):
 
 
 def build_prefix_table(k: int, max_len: int) -> WordTable:
-    words = list(prefix_valid_words(k, max_len))
-    m = len(words)
+    """Every prefix-valid word of length <= max_len, in (length, lex) order,
+    filled one length at a time from the walk's symbol tuples."""
+    blocks = [_symbol_rows(k, length) for length in range(max_len + 1)]
+    m = sum(len(b) for b in blocks)
     width = max(max_len, 1)
     syms = np.full((m, width), -1, np.int64)
     lens = np.zeros(m, np.int64)
     focc = np.full((m, width + 2), -1, np.int64)
-    for i, w in enumerate(words):
-        lens[i] = len(w)
-        for c, s in enumerate(w.symbols):
-            syms[i, c] = s
-            j = s - k
-            if j >= 0 and focc[i, j] < 0:
-                focc[i, j] = c
+    lo = 0
+    for length, block in enumerate(blocks):
+        rows = slice(lo, lo + len(block))
+        syms[rows, :length] = block
+        lens[rows] = length
+        for j in range(length):  # a word of this length has at most this many variables
+            hit = block == k + j
+            focc[rows, j] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+        lo += len(block)
     return WordTable(k, syms, lens, focc)
+
+
+def _symbol_rows(k: int, length: int) -> np.ndarray:
+    """The prefix-valid words of one length as rows, in lex order."""
+    if length == 0:
+        return np.zeros((1, 0), np.int64)  # the empty word
+    flat = chain.from_iterable(_symbol_tuples(k, length, False, 0, length))
+    return np.fromiter(flat, np.int64).reshape(-1, length)
 
 
 def _shard_bounds(total: int, workers: int) -> list[tuple[int, int]]:

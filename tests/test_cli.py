@@ -381,6 +381,18 @@ class TestMalformedInput:
         code, _, err = run(*command.split(), *flags)
         assert code == 1 and err.startswith(f"input error: {fam}:1:") and "empty domain" in err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [("2 3\nx0\n", "2:1: x0 contains a variable"), ("2 2\n0\n000\n", "3:1: |000| > horizon 2")],
+        ids=["variable", "too-long"],
+    )
+    def test_family_member_outside_domain(self, run, tmp_path, text, where):
+        # a member the header's domain lacks is cited by line, like any other defect
+        fam = tmp_path / "f.txt"
+        fam.write_text(text)
+        code, out, err = run("large", "density", "--family", str(fam), "--eps", "1/2")
+        assert (code, out, err) == (1, "", f"input error: {fam}:{where}\n")
+
     def test_translation_with_empty_domain_is_refused(self, run, tmp_path):
         # k + n > N leaves no (k+n)-variable word of length <= N: the empty
         # table printed here would not read back

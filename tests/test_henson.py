@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_prefix_valid
 from varword.errors import (
@@ -325,6 +326,57 @@ class TestParseChi:
         with pytest.raises(InputError) as info:
             parse_chi(text, 2, "chi.txt")
         assert str(info.value) == message
+
+
+# pieces of file lines: well-formed, out of range and junk
+_COUNTS = ["0", "1", "2", "3", "-1", "-3", "1_0", "+2", "\u0662", "x", "", "2 2", "99999999999"]
+_ROWS = ["", "0", "1", "00", "01", "10", "11", "000", "010", "001", "100", "0 1", "2", "x0", " 01"]
+_CHI_WORDS = ["-", "0", "1", "x0", "0x0", "x00", "x0x0", "x1", "0y", "00x0", "x0[0]"]
+_CHI_COLORS = ["0", "1", "2", "-1", "+1", "1_0", "one", "1.5", "\u0661", "9" * 5000]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_COUNTS), st.lists(st.sampled_from(_ROWS), max_size=5))
+def test_graph_reader_returns_or_raises_input_error(header, rows):
+    # a negative vertex count (an empty vertex set) is refused with the rest
+    text = "\n".join([header] + rows) + "\n"
+    try:
+        g = GraphSpec.parse(text, "g.txt")
+    except InputError as exc:
+        assert exc.filename == "g.txt" and exc.line >= 1
+    else:
+        assert g.n >= 0 and not header.strip().startswith("-")
+        assert GraphSpec.parse(g.dump()) == g
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-2, 3),
+    st.lists(
+        st.one_of(
+            st.tuples(st.lists(st.sampled_from(_CHI_WORDS), max_size=4), st.sampled_from(_CHI_COLORS)).map(
+                lambda wc: " ".join([*wc[0], wc[1]])
+            ),
+            st.sampled_from(["", " ", "x0", "0 0 0 0 0"]),
+        ),
+        max_size=5,
+    ),
+)
+def test_chi_reader_returns_or_raises_input_error(n, lines):
+    # n < 0 leaves no embedding to color and is refused whatever the lines
+    try:
+        chi = parse_chi("\n".join(lines) + "\n", n, "chi.txt")
+    except InputError as exc:
+        assert exc.filename == "chi.txt" and exc.line >= 1
+        assert n >= 0 or (exc.line, exc.column) == (1, 1)
+    else:
+        assert n >= 0
+        want = {}
+        for line in lines:
+            if line.strip():
+                *texts, color = line.split()
+                want[tuple(parse_word(t, 1) for t in texts)] = int(color)
+        assert all(chi(emb) == color for emb, color in want.items())
 
 
 def _all_unary_words(max_len):

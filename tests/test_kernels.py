@@ -34,6 +34,7 @@ from varword.trees import generator_from_tree, tree_from_generator
 from varword.words import (
     Word,
     compose,
+    first_occurrence,
     letter_words,
     prefix_valid_words,
     substitute,
@@ -121,6 +122,21 @@ class TestAssocKernel:
         res = assoc_exhaustive(K, 3)
         assert (res.failures, res.first_bad) == (0, (-1, -1, -1, -1))
         assert res.checked == object_level_assoc_count(3)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_prefix_table_matches_word_walk(self, k):
+        # the table, row by row, from each Word of prefix_valid_words
+        for max_len in range(-1, 6 if k < 3 else 5):
+            t = build_prefix_table(k, max_len)
+            words = list(prefix_valid_words(k, max_len))
+            width = max(max_len, 1)
+            assert t.syms.shape == (len(words), width) and t.focc.shape == (len(words), width + 2)
+            assert t.syms.dtype == t.lens.dtype == t.focc.dtype == np.int64
+            for row, w in enumerate(words):
+                assert t.lens[row] == len(w)
+                assert list(t.syms[row]) == [*w.symbols, *[-1] * (width - len(w))]
+                focc = [-1 if first_occurrence(w, j) is None else first_occurrence(w, j) for j in range(width + 2)]
+                assert list(t.focc[row]) == focc
 
     def test_sharding_invariance(self):
         r1 = assoc_exhaustive(K, 4, workers=1)

@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import compress, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import glued_inclusion_ref, is_thick_ref, random_letters
-from varword.errors import HorizonExceeded, NoPartSelected, NotAPartition
+from varword.errors import HorizonExceeded, InputError, NoPartSelected, NotAPartition
 from varword.largeness import (
     FiniteFamily,
     PwSyndeticDecomposition,
@@ -386,6 +387,30 @@ class TestRankSpaceChecks:
             seen.add(got.ok)
         assert seen == {True, False}
 
+    def test_head_blocks_agree_on_every_small_family(self):
+        # every k = 2 family with N <= 3, every ell <= N + 1: is_thick's anchors
+        # are the lowest members of thick_shrink(F, ell), its failing ell is the
+        # first whose shrink is empty (or N + 1, where none is defined), and
+        # is_syndetic holds exactly where prepend_reach is full
+        for n in range(4):
+            for shrinking in (thick_shrink, prepend_reach):
+                with pytest.raises(HorizonExceeded):
+                    shrinking(FiniteFamily.full(2, n), n + 1)
+            for mask in range(1 << FiniteFamily.full(2, n).universe_size):
+                fam = FiniteFamily(2, n, mask)
+                anchors = []
+                for ell in range(n + 1):
+                    shrink, reach = thick_shrink(fam, ell), prepend_reach(fam, ell)
+                    assert is_syndetic(fam, ell).ok == (len(reach) == reach.universe_size)
+                    if shrink.mask and len(anchors) == ell:
+                        anchors.append((ell, shrink.unrank((shrink.mask & -shrink.mask).bit_length() - 1)))
+                fails = is_thick(fam, n + 1)
+                assert not fails.ok and fails.failing_ell == len(anchors)
+                if anchors:
+                    assert is_thick(fam, len(anchors) - 1).witness.anchors == tuple(anchors)
+                if n <= 2:
+                    assert fails == is_thick_ref(fam, n + 1)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_prepend_reach_matches_word_route(self, k):
         rng = random.Random(800 + k)
@@ -493,3 +518,40 @@ class TestTextCodec:
                     tracemalloc.stop()
                 assert peak - before < 32 << 20
                 assert after - before <= left
+
+
+# pieces of family file lines: well-formed, out of range and junk
+_FAMILY_NUMBERS = ["0", "1", "2", "3", "4", "-1", "-5", "1_0", "+2", "\u0662", "x", "1.5", "", "23"]
+_FAMILY_WORDS = ["-", "0", "1", "2", "01", "10", "000", "0101", "x0", "0x0", "x1", "0 1", "", " ", "#", "\u0661"]
+
+
+def _family_text(header, lines):
+    return "\n".join([" ".join(header)] + lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(["0", "1", "2", "3"]), min_size=2, max_size=2),
+        st.lists(st.sampled_from(_FAMILY_NUMBERS), max_size=3),
+    ),
+    st.lists(st.sampled_from(_FAMILY_WORDS), max_size=6),
+)
+def test_family_reader_returns_or_raises_input_error(header, lines):
+    # a member with a variable, or longer than N, is an input error too
+    try:
+        fam = FiniteFamily.parse(_family_text(header, lines), "f.txt")
+    except InputError as exc:
+        assert exc.filename == "f.txt" and exc.line >= 1
+    else:
+        assert fam.N >= 0
+        dumped = f"{fam.k} {fam.N}\n" + "".join(t + "\n" for t in fam.texts())
+        assert FiniteFamily.parse(dumped) == fam
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-3, 12), st.integers(-50, -1), st.lists(st.sampled_from(_FAMILY_WORDS), max_size=4))
+def test_family_header_with_empty_domain_is_refused(k, n, lines):
+    with pytest.raises(InputError) as info:
+        FiniteFamily.parse(_family_text([str(k), str(n)], lines), "f.txt")
+    assert (info.value.line, info.value.column) == (1, 1)
