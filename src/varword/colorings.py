@@ -283,15 +283,20 @@ class Coloring(Frozen):
         are the domain's own in rank order and the colors are ints in
         [0, ell); otherwise None, and the caller parses word by word.
 
-        Only for plain words over 2..10 letters, after ``check_header``.
+        For any domain, after ``check_header``.  The domain's first word
+        is x0 x1 ... x_{n-1}: a table whose first text has not n variables
+        lacks it, and is left to the caller before the domain is counted,
+        which takes a step per length up to n whatever the table's size.
         """
-        if dim != 0 or not 2 <= k <= 10 or type(ell) is not int or not set(map(type, colors)) <= {int}:
+        if not texts or type(texts[0]) is not str or texts[0].count("x") != dim:
             return None
-        if colors and not 0 <= min(colors) <= max(colors) < ell:
+        if type(ell) is not int or not set(map(type, colors)) <= {int}:
             return None
-        if _domain_size(k, n_horizon, 0, len(texts)) != len(texts):
+        if not 0 <= min(colors) <= max(colors) < ell:
             return None
-        col = cls(k, n_horizon, 0, ell, colors)
+        if _domain_size(k, n_horizon, dim, len(texts)) != len(texts):
+            return None
+        col = cls(k, n_horizon, dim, ell, colors)
         return col if col.entries() == list(zip(texts, colors)) else None
 
     @staticmethod
@@ -334,15 +339,14 @@ class Coloring(Frozen):
             cls.check_header(k, n_horizon, dim)
         except VarwordError as exc:
             raise InputError(str(exc), filename, 1, 1) from None
-        col = None
-        if dim == 0:  # lines "text color" in rank order are compared with the domain's, not parsed
-            rows = [line.split(" ") for line in lines[1:]]
-            try:
-                texts, colors = [t for t, _ in rows], [int(c) for _, c in rows]
-            except ValueError:  # a line of another form, or a color that is no integer
-                pass
-            else:
-                col = cls.from_entries(k, n_horizon, dim, ell, texts, colors)
+        col = None  # lines "text color" in rank order are compared with the domain's, not parsed
+        rows = [line.split(" ") for line in lines[1:]]
+        try:
+            texts, colors = [t for t, _ in rows], [int(c) for _, c in rows]
+        except ValueError:  # a line of another form, or a color that is no integer
+            pass
+        else:
+            col = cls.from_entries(k, n_horizon, dim, ell, texts, colors)
         if col is None:
             table = cls._parse_table(lines, k, ell, filename)
             try:

@@ -14,7 +14,7 @@ and the strict greedy embedding is the companion that stays inside it.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
@@ -71,12 +71,7 @@ def hvertex(bits: str) -> Word:
 
 def enum_vertices(n_horizon: int) -> list[Word]:
     """All vertices of length <= horizon in length-then-lex order."""
-    out = []
-    for length in range(1, n_horizon + 1):
-        for v in range(1, 1 << length):
-            bits = tuple((v >> (length - 1 - i)) & 1 for i in range(length))
-            out.append(Word(1, bits))
-    return out
+    return list(var_words(1, n_horizon, dim=1))
 
 
 def edge(v: Word, w: Word) -> bool:
@@ -157,11 +152,12 @@ class GraphSpec(NamedTuple):
             nbrs.setdefault(b, set()).add(a)
         return not any(nbrs[a] & nbrs[b] for a, b in self.edges)
 
+    def rows(self) -> list[str]:
+        """The adjacency rows: row i has ``1`` at j for each edge (i, j), else ``0``."""
+        return ["".join("1" if self.adj(i, j) else "0" for j in range(self.n)) for i in range(self.n)]
+
     def dump(self) -> str:
-        rows = [str(self.n)]
-        for i in range(self.n):
-            rows.append("".join("1" if self.adj(i, j) else "0" for j in range(self.n)))
-        return "\n".join(rows) + "\n"
+        return "\n".join([str(self.n), *self.rows()]) + "\n"
 
     @classmethod
     def parse(cls, text: str, filename: str = "<graph>") -> "GraphSpec":
@@ -180,7 +176,10 @@ class GraphSpec(NamedTuple):
     def from_rows(cls, n: int, rows, filename: str = "<graph>") -> "GraphSpec":
         """The graph of n adjacency rows of n ``0``/``1`` characters each,
         with no self-loop and symmetric; row i is cited as line i + 2, as
-        in the file form."""
+        in the file form.  A negative n leaves no vertex and is refused at
+        the header."""
+        if n < 0:
+            raise InputError(f"graph with n={n} has an empty domain: n < 0", filename, 1, 1)
         if len(rows) != n:
             raise InputError(f"expected {n} adjacency rows", filename, len(rows) + 1, 1)
         pairs = []
@@ -453,11 +452,7 @@ def profile_coloring(
     else:
         chi_fn = chi
     d = 2**g.n + g.n - 1 if dim is None else dim
-    pool = []
-    for length in range(d + 1):
-        for v in range(1 << length):
-            bits = tuple((v >> (length - 1 - b)) & 1 for b in range(length))
-            pool.append(Word(1, bits))
+    pool = [Word(1, syms) for length in range(d + 1) for syms in product((0, VAR), repeat=length)]
     slots = []
     for combo in combinations(pool, g.n):
         for perm in permutations(range(g.n)):

@@ -19,7 +19,7 @@ horizons; exhaustion raises NotFoundWithinHorizon.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .certificates import check_csl, check_prehomog, stem_extension_words
 from .colorings import Coloring
@@ -259,31 +259,6 @@ class LeqResult(NamedTuple):
     witness: Optional[Word] = None
 
 
-def _pure_prefix_continuations(
-    k: int, m: int, total_max: int, max_vars: int
-) -> Iterator[Word]:
-    """Prefix-valid words starting with z_0..z_{m-1} in pure positions."""
-    head = tuple(k + j for j in range(m))
-
-    def rec(tail: list[int], introduced: int):
-        yield Word(k, head + tuple(tail))
-        if m + len(tail) >= total_max:
-            return
-        for a in range(k):
-            tail.append(a)
-            yield from rec(tail, introduced)
-            tail.pop()
-        for j in range(min(introduced + 1, max_vars)):
-            tail.append(k + j)
-            yield from rec(tail, introduced + 1 if j == introduced else introduced)
-            tail.pop()
-
-    # order by total length then lex
-    all_words = list(rec([], m))
-    all_words.sort(key=Word.key)
-    yield from all_words
-
-
 def leq_m_check(w_hat: Word, w: Word, m: int, max_len: int = 8) -> LeqResult:
     """Search for V with pure prefix z_0..z_{m-1}, at most two variables
     past it and length at most max_len, and compose(w, V) matching w_hat.
@@ -296,7 +271,12 @@ def leq_m_check(w_hat: Word, w: Word, m: int, max_len: int = 8) -> LeqResult:
     certificates do).  Returns the first witness in length-then-lex
     order, or ok=False after exhausting the bounded space.
     """
-    for v in _pure_prefix_continuations(w.k, m, max_len, m + 2):
+    k = w.k
+
+    def keep(syms, i):  # z_0 .. z_{m-1} in place, then at most two more variables
+        return syms[i] == k + i if i < m else syms[i] != k + m + 2
+
+    for v in var_words(k, max(max_len, m), min_len=m, keep=keep):
         z = compose(w, v)
         overlap = min(len(z), len(w_hat))
         if z.symbols[:overlap] == w_hat.symbols[:overlap]:

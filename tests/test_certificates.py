@@ -636,6 +636,64 @@ def test_split_tau_walk_bounded_by_horizon(docs):
     assert time.perf_counter() - t0 < 1.0
 
 
+def _part_json(inst):
+    return certs.family_to_json(certs.decomposition_from_json(inst["decomposition"]).part)
+
+
+@pytest.mark.parametrize(
+    "kind, tamper, detail",
+    [
+        ("split", lambda inst: inst.update(c=inst["b"]), "B, C do not partition P"),
+        ("split", lambda inst: inst.update(c=_part_json(inst)), "B, C do not partition P"),
+        ("brown", lambda inst: inst.update(parts=inst["parts"][:1] * 2), "parts overlap"),
+        ("brown", lambda inst: inst.update(parts=inst["parts"][:1]), "parts do not cover P"),
+    ],
+    ids=["split-cover", "split-overlap", "brown-overlap", "brown-cover"],
+)
+def test_partition_tamper_names_its_check(docs, kind, tamper, detail):
+    # the split and brown identities follow from these checks (B and the
+    # parts lie in P, which lies in T), and are not checked apart from them
+    doc = json.loads(certs.canonical_json(docs[kind]))
+    tamper(doc["instance"])
+    doc["digest"] = certs.digest(doc["instance"])
+    assert certs.verify_certificate(doc) == (False, kind, detail)
+
+
+def _word_doc(k, *symbols):
+    return certs.word_to_json(Word(k, symbols))
+
+
+@pytest.mark.parametrize(
+    "kind, field, word, detail",
+    [
+        ("csl", "word", _word_doc(K, 3, 2), "word is not prefix-valid"),
+        ("csl", "word", _word_doc(K, 0, 0, 0, 0, 2, 3), "image of 0 leaves the domain"),
+        ("cdrt", "word", _word_doc(K, 0, 1, 2, 3, 0), "pullback mismatch"),
+        ("cdrt", "both", (_word_doc(0, 0, 1, 3, 2), _word_doc(K, 0, 1, 3, 2)), "pullback is not prefix-valid"),
+        ("prehomog", "z_word", _word_doc(K, 3, 2, 4), "z is not prefix-valid"),
+        ("prehomog", "z_word", _word_doc(K, 0, 2, 3), "z does not start with a pure variable prefix"),
+        ("prehomog", "w_hat", _word_doc(K, 2, 3), "w_hat is not compose(w, z)"),
+    ],
+    ids=["csl-prefix", "csl-domain", "cdrt-mismatch", "cdrt-prefix", "prehomog-z", "prehomog-pure", "prehomog-compose"],
+)
+def test_coloring_kind_tamper_names_its_check(docs, kind, field, word, detail):
+    doc = json.loads(certs.canonical_json(docs[kind]))
+    if field == "both":  # the pullback stays the word of w_hat's symbols
+        doc["witness"]["w_hat"], doc["witness"]["word"] = word
+    else:
+        doc["witness"][field] = word
+    assert certs.verify_certificate(doc) == (False, kind, detail)
+
+
+def test_embedding_graph_with_empty_domain_is_malformed(docs):
+    # a negative vertex count is refused at the graph's header
+    doc = json.loads(certs.canonical_json(docs["embedding"]))
+    doc["instance"]["graph"] = {"type": "graph", "n": -1, "rows": []}
+    doc["digest"] = certs.digest(doc["instance"])
+    detail = "malformed certificate: <certificate graph>:1:1: graph with n=-1 has an empty domain: n < 0"
+    assert certs.verify_certificate(doc) == (False, "embedding", detail)
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_non_finite_number_is_malformed(docs, value):
     # JSON's Infinity died in int() with an OverflowError traceback

@@ -405,6 +405,15 @@ class TestMalformedInput:
         code, out, _ = run("cdrt", "translate", "--coloring", str(col))
         assert code == 0 and json.loads(out)["translated"]["n"] == 3
 
+    @pytest.mark.parametrize("text", ["-1\n", "-3\n01\n10\n00\n11\n"], ids=["n-1", "n-3-four-rows"])
+    def test_graph_header_with_empty_domain(self, run, tmp_path, text):
+        # a negative vertex count is refused at the header, whatever rows follow
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        n = text.split()[0]
+        code, out, err = run("henson", "embed", "--graph", str(graph))
+        assert (code, out, err) == (1, "", f"input error: {graph}:1:1: graph with n={n} has an empty domain: n < 0\n")
+
     @pytest.mark.parametrize("eps", ["abc", "1/0"])
     def test_malformed_eps(self, run, instance_dir, eps):
         code, out, err = run("large", "density", "--family", str(instance_dir / "synd.txt"), "--eps", eps)

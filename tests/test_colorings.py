@@ -71,7 +71,7 @@ def _hostile_tables(c):
     yield "empty", []
 
 
-@pytest.mark.parametrize("dim", [0, 1])
+@pytest.mark.parametrize("dim", [0, 1, 2])
 def test_json_reader_matches_word_route(monkeypatch, dim):
     c = Coloring.from_function(2, 4, dim, 2, lambda w: (len(w) + w.symbols.count(1)) % 2)
     variants = list(_hostile_tables(c))
@@ -99,7 +99,7 @@ def test_json_reader_matches_word_route(monkeypatch, dim):
     assert fast[0][4] == c.colors
 
 
-@pytest.mark.parametrize("dim", [0, 1])
+@pytest.mark.parametrize("dim", [0, 1, 2])
 def test_file_reader_matches_word_route(monkeypatch, dim):
     c = Coloring.from_function(2, 4, dim, 2, lambda w: (len(w) + w.symbols.count(1)) % 2)
     head = c.dump().split("\n", 1)[0]
@@ -122,19 +122,21 @@ def test_file_reader_matches_word_route(monkeypatch, dim):
 
 
 def test_readers_take_the_canonical_route(monkeypatch):
-    # a canonical table of plain words is compared with the domain's texts, not parsed
+    # a canonical table of any domain is compared with the domain's texts, not
+    # parsed: plain words over 3 and 11 letters, n = 1 and 2, one letter, and
+    # the empty alphabet of ``cdrt translate``'s domains
     import varword.certificates as certs_mod
     import varword.colorings as colorings_mod
-
-    c = Coloring.from_function(3, 4, 0, 2, lambda w: len(w) % 2)
-    doc = json.loads(certs.canonical_json(certs.coloring_to_json(c)))
 
     def refuse(text, k):
         raise AssertionError("parsed a word of a canonical table")
 
     monkeypatch.setattr(certs_mod, "parse_word", refuse)
     monkeypatch.setattr(colorings_mod, "parse_word", refuse)
-    assert certs.coloring_from_json(doc) == c == Coloring.parse(c.dump())
+    for k, n_horizon, dim in [(3, 4, 0), (2, 4, 1), (2, 5, 2), (1, 5, 1), (11, 2, 0), (0, 4, 2), (0, 3, 0)]:
+        c = Coloring.from_function(k, n_horizon, dim, 2, lambda w: (len(w) + sum(w.symbols)) % 2)
+        doc = json.loads(certs.canonical_json(certs.coloring_to_json(c)))
+        assert certs.coloring_from_json(doc) == c == Coloring.parse(c.dump()), (k, n_horizon, dim)
 
 
 def test_constructor_checks_ranked_colors():

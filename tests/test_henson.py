@@ -44,6 +44,16 @@ class TestVertices:
         oracle = sum(2**length - 1 for length in range(1, n + 1))
         assert len(enum_vertices(n)) == oracle == 2 ** (n + 1) - n - 2
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+    def test_walk_matches_bit_loop(self, n):
+        # oracle: the numbers 1 .. 2^L - 1 in L bits, 1 marking the variable
+        oracle = [
+            Word(1, tuple((v >> (length - 1 - i)) & 1 for i in range(length)))
+            for length in range(1, n + 1)
+            for v in range(1, 1 << length)
+        ]
+        assert enum_vertices(n) == oracle
+
 
 class TestEdge:
     def test_examples(self):

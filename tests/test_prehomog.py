@@ -11,7 +11,7 @@ from varword.prehomog import (
     prehomog_check,
     verify_csl,
 )
-from varword.words import Word, compose, format_word, parse_word, substitute
+from varword.words import Word, compose, dimension, format_word, parse_word, prefix_valid_words, substitute
 
 K = 2
 IDENT = parse_word("x0x1x2x3x4x5x6x7", K)
@@ -181,3 +181,30 @@ class TestLeq:
         what = compose(IDENT, v)
         assert leq_m_check(what, IDENT, 2, max_len=5).ok
         assert leq_m_check(what, IDENT, 1, max_len=5).ok
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5])
+    def test_witness_is_the_first_match_of_the_full_walk(self, monkeypatch, m):
+        # brute force: every prefix-valid word of length m..max_len (the bare
+        # pure prefix when m > max_len) with z_0..z_{m-1} pure and at most
+        # two variables past them, filtered in walk order; the search must
+        # try exactly the words before its witness, or all of them
+        max_len = 4
+        w = parse_word("x00x1[1]x2x3", K)
+        pure = tuple(K + j for j in range(m))
+        space = [
+            v
+            for v in prefix_valid_words(K, max(max_len, m), min_len=m)
+            if v.symbols[:m] == pure and dimension(v) <= m + 2
+        ]
+        tried = []
+        monkeypatch.setattr(prehomog, "compose", lambda w, v: tried.append(v) or compose(w, v))
+        for what in [*prefix_valid_words(K, 3), Word(K, (1,) * 9)]:
+            want = next((v for v in space if _agree(compose(w, v), what)), None)
+            tried.clear()
+            assert leq_m_check(what, w, m, max_len) == (want is not None, want), format_word(what)
+            assert tried == (space if want is None else space[: space.index(want) + 1])
+
+
+def _agree(z, what):
+    overlap = min(len(z), len(what))
+    return z.symbols[:overlap] == what.symbols[:overlap]
