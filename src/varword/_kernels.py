@@ -7,7 +7,10 @@ associativity sweep (``assoc_sweep``), the ordered-generator round trip
 neighbour rows (``henson_adjacency_packed`` builds the rows,
 ``henson_triangle_packed`` ANDs the two rows of each edge).
 ``tests/test_kernels.py`` checks each against the ``Word``-object
-route, or a short oracle where no ``Word`` can hold the input.
+route, or a short oracle where no ``Word`` can hold the input.  Each
+battery in ``sweeps`` is one call of its kernel over the whole range,
+in one thread; only ``assoc_sweep`` takes a range (of w rows), which
+the tests use to bisect to a first failure.
 
 The sweeps and the triangle scan work a block at a time, and
 ``_BLOCK_BYTES`` is the one constant that sizes their blocks.  A call allocates its block buffers
@@ -213,8 +216,8 @@ def _roundtrip_batch(k, g, n, e, same, found):
     return (is_cut | same | found).all(axis=1) & (g2 == g).all(axis=1)
 
 
-def tree_roundtrip_sweep(k, lo_len, hi_len):
-    """Build and invert every ordered generator with length in [lo_len, hi_len].
+def tree_roundtrip_sweep(k, max_len):
+    """Build and invert every ordered generator of length at most max_len.
 
     Enumerates generators through base-(k+2) codes, most significant
     digit first (digit < k a letter, k repeats the current variable,
@@ -234,10 +237,10 @@ def tree_roundtrip_sweep(k, lo_len, hi_len):
     n_gen = n_elems = mismatches = 0
     bad_code = -1
     base = k + 2
-    dt = _int_dtype(-1, k + max(hi_len, 0))
-    cells = max(_BLOCK_BYTES // 4, max(hi_len, 1) * k ** max(hi_len, 0))
+    dt = _int_dtype(-1, k + max(max_len, 0))
+    cells = max(_BLOCK_BYTES // 4, max(max_len, 1) * k ** max(max_len, 0))
     e, same, found = np.empty(cells, np.int8), np.empty(cells, bool), np.empty(cells, bool)
-    for length in range(lo_len, hi_len + 1):
+    for length in range(max_len + 1):
         width = max(length, 1)
         total = base**length
         cdt = _int_dtype(0, total)
@@ -300,34 +303,35 @@ def tree_roundtrip_sweep(k, lo_len, hi_len):
 _LANE_PLANES = [sum(1 << i for i in range(64) if i >> r & 1) for r in range(6)]
 
 
-def line_letter_coloring_sweep(cert_words, n_bits, lo, hi, out_found):
-    """For each coloring bitmask f in [lo, hi), set out_found[f - lo] to 1
-    when some row t of cert_words (rank indices into the coloring, bit
-    t[q] of f the color of word t[q]) is monochromatic under f, else 0.
+def line_letter_coloring_sweep(cert_words, n_bits, out_found):
+    """For each coloring bitmask f < 2**n_bits, set out_found[f] to 1 when
+    some row t of cert_words (rank indices into the coloring, bit t[q]
+    of f the color of word t[q]) is monochromatic under f, else 0.
 
     The colorings f are held as n_bits bit planes: plane r holds bit r
-    of every f, 64 colorings per uint64 lane, lanes starting at
-    multiples of 64 (Biham, FSE 1997).  Planes 0-5 repeat in every lane;
-    plane r >= 6 is all ones or all zeros per lane.  A row is
-    monochromatic in the lanes where its first plane XORs to zero with
-    each other plane; any row sets the hit lane.  All rows are taken at
-    once, one row position at a time, a block of lanes at a time.
+    of every f, 64 colorings per uint64 lane (Biham, FSE 1997).  Planes
+    0-5 repeat in every lane; plane r >= 6 is all ones or all zeros per
+    lane.  A row is monochromatic in the lanes where its first plane
+    XORs to zero with each other plane; any row sets the hit lane.  All
+    rows are taken at once, one row position at a time, a block of lanes
+    at a time.
     """
     rows = np.asarray(cert_words, np.intp)
+    total = 1 << n_bits
     if rows.size == 0:
-        out_found[: hi - lo] = 0
+        out_found[:total] = 0
         return 0
     # per lane: the planes; the first words of the rows, their differences,
     # one more plane of every row and the copy ``take`` makes of it; and
     # the unpacked hits
-    lanes = max(1, min(_BLOCK_BYTES // (8 * (n_bits + 4 * len(rows) + 10)), (hi + 63 - lo + lo % 64) >> 6))
+    lanes = max(1, min(_BLOCK_BYTES // (8 * (n_bits + 4 * len(rows) + 10)), (total + 63) >> 6))
     planes = np.empty((n_bits, lanes), np.uint64)
     for r in range(min(n_bits, 6)):
         planes[r] = _LANE_PLANES[r]
     first, differ, other = (np.empty((len(rows), lanes), np.uint64) for _ in range(3))
     hit = np.empty(lanes, "<u8")
-    for a in range(lo - lo % 64, hi, 64 * lanes):
-        b = min(a + 64 * lanes, hi)
+    for a in range(0, total, 64 * lanes):
+        b = min(a + 64 * lanes, total)
         lane = np.arange(a >> 6, (b + 63) >> 6, dtype=np.int64)
         n = len(lane)
         block = planes[:, :n]
@@ -343,8 +347,7 @@ def line_letter_coloring_sweep(cert_words, n_bits, lo, hi, out_found):
         np.invert(d, out=d)
         np.bitwise_or.reduce(d, axis=0, out=h)
         found = np.unpackbits(h.view(np.uint8), bitorder="little")
-        s = max(a, lo)
-        out_found[s - lo : b - lo] = found[s - a : b - a]
+        out_found[a:b] = found[: b - a]
     return 0
 
 

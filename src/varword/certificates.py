@@ -11,10 +11,10 @@ contract.
 This is the only module that knows the format.  Each kind has one
 builder, ``<kind>_certificate_doc``, which only serializes the objects
 its search already computed, and one check.  For the kinds a search
-re-checks before returning (line-letter, csl, prehomog, cdrt) the check
-is ``check_<kind>``, which takes objects: the search calls it on its
-hit, and ``_verify_<kind>`` parses the document and calls the same
-function.  A failed check raises ``CheckFailed``.
+re-checks before returning (line-letter, csl, prehomog, cdrt, embedding,
+envelope) the check is ``check_<kind>``, which takes objects: the search
+calls it on its hit, and ``_verify_<kind>`` parses the document and
+calls the same function.  A failed check raises ``CheckFailed``.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ __all__ = [
     "check_csl",
     "check_prehomog",
     "check_cdrt",
+    "check_embedding",
+    "check_envelope",
     "stem_extension_words",
     "VerifyResult",
     "verify_certificate",
@@ -669,14 +671,14 @@ def embedding_certificate_doc(g: GraphSpec, images, mode: str, horizon) -> dict:
     return wrap("embedding", instance, witness, g.n * (g.n - 1) // 2 or 1)
 
 
-def _verify_embedding(instance: dict, witness: dict) -> int:
+def check_embedding(g: GraphSpec, images, horizon) -> int:
+    """``images`` are distinct words over {0, x0}, one per vertex of the
+    triangle-free graph ``g``, adjacent exactly where g is; with a
+    ``horizon`` (greedy mode, None for phi) each is a vertex, no longer
+    than the horizon and longer than the one before.  Returns the number
+    of vertex pairs checked."""
     from .henson import edge
 
-    g = graph_from_json(instance["graph"])
-    mode = instance["mode"]
-    _need(mode in ("greedy", "phi"), f"unknown embedding mode {mode!r}")
-    horizon = _int(instance["horizon"])
-    images = [word_from_json(d) for d in witness["words"]]
     _need(len(images) == g.n, "image count mismatch")
     _need(all(w.k == 1 for w in images), "image not over the alphabet {0}")
     _need(len(set(images)) == g.n, "images are not distinct")
@@ -685,13 +687,22 @@ def _verify_embedding(instance: dict, witness: dict) -> int:
     for i, j in combinations(range(g.n), 2):
         _need(edge(images[i], images[j]) == g.adj(i, j), f"edge mismatch at ({i},{j})")
         count += 1
-    if mode == "greedy":
+    if horizon is not None:
         for i, w in enumerate(images):
             _need(w.has_variables(), "greedy image outside the vertex set")
             _need(len(w) <= horizon, "greedy image past the horizon")
             if i:
                 _need(len(w) > len(images[i - 1]), "image lengths not increasing")
     return count
+
+
+def _verify_embedding(instance: dict, witness: dict) -> int:
+    g = graph_from_json(instance["graph"])
+    mode = instance["mode"]
+    _need(mode in ("greedy", "phi"), f"unknown embedding mode {mode!r}")
+    horizon = _int(instance["horizon"])
+    images = [word_from_json(d) for d in witness["words"]]
+    return check_embedding(g, images, horizon if mode == "greedy" else None)
 
 
 def envelope_certificate_doc(members, env) -> dict:
@@ -706,26 +717,31 @@ def envelope_certificate_doc(members, env) -> dict:
     return wrap("envelope", instance, witness, len(env.assignments))
 
 
+def check_envelope(members, word: Word, var_count: int, assignments) -> int:
+    """``word`` is a variable word of ``var_count`` variables, at most
+    2^m + m - 1 for the m distinct ``members``, and each member is word[t]
+    for its t in ``assignments``, (member, t) pairs.  Returns the number
+    of members."""
+    m = len(set(members))
+    _need(dimension(word) == var_count, "variable count mismatch")
+    _need(is_var_word(word, var_count), "envelope is not a valid variable word")
+    _need(var_count <= 2**m + m - 1, "variable count above the bound")
+    assigns = {s.symbols: t for s, t in assignments}
+    for s in members:
+        _need(s.symbols in assigns, "no assignment for {}", s)
+        _need(substitute(word, assigns[s.symbols]) == s, "assignment fails for {}", s)
+    return len(members)
+
+
 def _verify_envelope(instance: dict, witness: dict) -> int:
     members = [word_from_json(d) for d in instance["members"]]
     env = word_from_json(witness["word"])
     var_count = _int(witness["variable_count"])
     m = len(set(members))  # ``minimal_envelope`` bounds by the distinct members
-    bound = 2**m + m - 1
-    _need(dimension(env) == var_count, "variable count mismatch")
-    _need(is_var_word(env, var_count), "envelope is not a valid variable word")
-    _need(var_count <= bound, "variable count above the bound")
-    _need(_int(witness["bound"]) == bound, "bound mismatch")
+    _need(_int(witness["bound"]) == 2**m + m - 1, "bound mismatch")
     _need(witness["minimal_by_search_order"] is True, "envelope not marked minimal by search order")
-    assigns = {
-        word_from_json(s).symbols: word_from_json(t)
-        for s, t in witness["assignments"]
-    }
-    for s in members:
-        _need(s.symbols in assigns, "no assignment for {}", s)
-        t = assigns[s.symbols]
-        _need(substitute(env, t) == s, "assignment fails for {}", s)
-    return len(members)
+    assignments = [(word_from_json(s), word_from_json(t)) for s, t in witness["assignments"]]
+    return check_envelope(members, env, var_count, assignments)
 
 
 _VERIFIERS = {

@@ -250,31 +250,29 @@ class PhiEmbedding(NamedTuple):
 def phi_embed(g: GraphSpec) -> PhiEmbedding:
     """Direct image: vertex i becomes the length-i word marking its earlier neighbours.
 
-    Edges and non-edges are preserved under the verbatim relation; the
-    image of a vertex with no earlier neighbour contains no variable
-    and is flagged as outside the official vertex set.
+    Edges and non-edges are preserved under the verbatim relation
+    (re-checked with the verifier's ``check_embedding``); the image of a
+    vertex with no earlier neighbour contains no variable and is flagged
+    as outside the official vertex set.
     """
+    from .certificates import check_embedding
+
     if not g.is_triangle_free():
         raise NotTriangleFree("input graph contains a triangle")
-    words = []
-    for i in range(g.n):
-        syms = tuple(VAR if g.adj(i, j) else 0 for j in range(i))
-        words.append(Word(1, syms))
-    for i, j in combinations(range(g.n), 2):
-        if edge(words[i], words[j]) != g.adj(i, j):
-            raise AssertionError(f"edge preservation failed at ({i},{j})")
-    return PhiEmbedding(
-        tuple(words), tuple(w.has_variables() for w in words)
-    )
+    words = tuple(Word(1, tuple(VAR if g.adj(i, j) else 0 for j in range(i))) for i in range(g.n))
+    check_embedding(g, words, None)
+    return PhiEmbedding(words, tuple(w.has_variables() for w in words))
 
 
 def greedy_embed(g: GraphSpec, n_horizon: int) -> tuple[Word, ...]:
     """Strictly-inside embedding with image lengths increasing.
 
     Vertex i gets the lex-least vertex word longer than every earlier
-    image that realizes exactly the required edges; the induced
-    subgraph on the image is re-verified before returning.
+    image that realizes exactly the required edges; the image is
+    re-checked with the verifier's ``check_embedding`` before returning.
     """
+    from .certificates import check_embedding
+
     if not g.is_triangle_free():
         raise NotTriangleFree("input graph contains a triangle")
     images: list[Word] = []
@@ -296,9 +294,7 @@ def greedy_embed(g: GraphSpec, n_horizon: int) -> tuple[Word, ...]:
             )
         images.append(found)
         min_len = len(found) + 1
-    for i, j in combinations(range(g.n), 2):
-        if edge(images[i], images[j]) != g.adj(i, j):
-            raise AssertionError("greedy image fails isomorphism re-check")
+    check_embedding(g, images, n_horizon)
     return tuple(images)
 
 
@@ -394,8 +390,11 @@ def minimal_envelope(members: Iterable[Word]) -> Envelope:
     the longest member never helps and appending beyond it only
     introduces variables.  Each length's walk skips the prefixes that
     contradict a member (``_envelope_prefixes``), so the first hit is
-    the one the full walk finds.
+    the one the full walk finds.  The hit is re-checked with the
+    verifier's ``check_envelope`` before returning.
     """
+    from .certificates import check_envelope
+
     mem = sorted(set(members), key=Word.key)
     if not mem:
         raise InputError("empty member set")
@@ -411,10 +410,7 @@ def minimal_envelope(members: Iterable[Word]) -> Envelope:
                     break
                 assign.append((s, t))
             else:
-                if d > bound:
-                    raise AssertionError(
-                        f"minimal envelope uses {d} variables, above the bound {bound}"
-                    )
+                check_envelope(mem, env, d, assign)
                 return Envelope(env, tuple(assign), d, bound)
     raise NotFoundWithinHorizon("no envelope within the length cap")
 

@@ -724,7 +724,9 @@ def brown_select(
                 raise AssertionError("selected part identity failed")
             evidence = is_thick(t_prime, dec.ell)
             return BrownSelection(i, combo, new_dec, check, removal, evidence)
-    raise AssertionError("minimal subset had no critical index")
+    # a minimal subset of two or more parts has every index critical, so
+    # here it is one part and the complement of T alone is syndetic
+    raise NoPartSelected(f"complement of T is already syndetic at ell={dec.ell}: no part is critical")
 
 
 # ---------------------------------------------------------------------------

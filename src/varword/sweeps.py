@@ -3,13 +3,8 @@
 These are the heavy, fully deterministic batteries: substitution
 associativity over all prefix pairs, generator/tree round trips,
 line-with-letter feasibility over every coloring of a small cube, and
-the coded-graph scans.  A sweep's ``workers`` cuts its work into
-contiguous index ranges (or lengths), which ``_in_threads`` runs on a
-thread pool; the aggregates merge in shard order, so results are
-byte-identical for any worker count.  Threads overlap only the numpy
-calls that release the GIL, and each thread's kernel call holds its own
-block buffers.  This is the only module that starts threads: the
-searches are pure Python and walk in one thread.
+the coded-graph scans.  Each battery is one kernel call over its whole
+range, in one thread, so its result is the same bytes on every run.
 """
 
 from __future__ import annotations
@@ -86,22 +81,6 @@ def _symbol_rows(k: int, length: int) -> np.ndarray:
     return np.fromiter(flat, np.int64).reshape(-1, length)
 
 
-def _shard_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(workers, 1)
-    bounds = [total * w // workers for w in range(workers + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _in_threads(run, shards, workers: int) -> list:
-    """``[run(s) for s in shards]``, on a pool of ``workers`` threads if above 1."""
-    if workers <= 1:
-        return [run(s) for s in shards]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, shards))
-
-
 class AssocSweepResult(NamedTuple):
     words: int
     pairs: int
@@ -119,22 +98,11 @@ def assoc_exhaustive(
     cut points agree, so this checks the cut points; the values of
     ``substitute``/``compose`` rest on the object-level tests.
     """
+    # ``workers`` is ignored (one thread); kept only for perfbench's workers probe
     t = table or build_prefix_table(k, max_len)
     m = len(t)
-
-    def run(lo_hi):
-        lo, hi = lo_hi
-        return _kernels.assoc_sweep(t.syms, t.lens, t.focc, k, lo, hi, max_len)
-
-    parts = _in_threads(run, _shard_bounds(m, workers), workers)
-    checked = sum(p[0] for p in parts)
-    failures = sum(p[1] for p in parts)
-    first_bad = (-1, -1, -1, -1)
-    for p in parts:
-        if p[2] >= 0:
-            first_bad = (p[2], p[3], p[4], p[5])
-            break
-    return AssocSweepResult(m, m * m, checked, failures, first_bad)
+    checked, failures, *first_bad = _kernels.assoc_sweep(t.syms, t.lens, t.focc, k, 0, m, max_len)
+    return AssocSweepResult(m, m * m, checked, failures, tuple(first_bad))
 
 
 class RoundTripResult(NamedTuple):
@@ -148,18 +116,10 @@ def tree_roundtrip_exhaustive(
     k: int, max_len: int, workers: int = 1
 ) -> RoundTripResult:
     """generator -> tree -> generator identity over all ordered generators."""
+    # ``workers`` is ignored (one thread); kept only for perfbench's workers probe
     if k < 2:
         raise ValueError("kernel roundtrip requires k >= 2 (unary trees are not rigid)")
-
-    def run(length):
-        return _kernels.tree_roundtrip_sweep(k, length, length)
-
-    parts = _in_threads(run, range(max_len + 1), workers)
-    gens = sum(p[0] for p in parts)
-    elems = sum(p[1] for p in parts)
-    mism = sum(p[2] for p in parts)
-    bad = next((p[3] for p in parts if p[3] >= 0), -1)
-    return RoundTripResult(gens, elems, mism, bad)
+    return RoundTripResult(*_kernels.tree_roundtrip_sweep(k, max_len))
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +153,13 @@ def coloring_sweep(
     k: int, n_horizon: int, workers: int = 1
 ) -> np.ndarray:
     """found/not-found bitmap over every 2-coloring of A^{<=n_horizon}."""
+    # ``workers`` is ignored (one thread); kept only for perfbench's workers probe
     certs, _ = line_letter_certs(k, n_horizon)
     from .largeness import FiniteFamily
 
     n_bits = FiniteFamily.empty(k, n_horizon).universe_size
-    total = 1 << n_bits
-    out = np.zeros(total, np.uint8)
-
-    def run(lo_hi):
-        lo, hi = lo_hi
-        _kernels.line_letter_coloring_sweep(certs, n_bits, lo, hi, out[lo:hi])
-
-    _in_threads(run, _shard_bounds(total, workers), workers)
+    out = np.zeros(1 << n_bits, np.uint8)
+    _kernels.line_letter_coloring_sweep(certs, n_bits, out)
     return out
 
 

@@ -685,6 +685,39 @@ def test_coloring_kind_tamper_names_its_check(docs, kind, field, word, detail):
     assert certs.verify_certificate(doc) == (False, kind, detail)
 
 
+def _graph_doc(*rows):
+    return {"type": "graph", "n": len(rows), "rows": list(rows)}
+
+
+@pytest.mark.parametrize(
+    "kind, tamper, detail",
+    [
+        ("embedding", lambda doc: doc["witness"]["words"].pop(), "image count mismatch"),
+        ("embedding", lambda doc: doc["instance"].update(graph=_graph_doc("011", "101", "110")),
+         "instance graph has a triangle"),
+        ("embedding", lambda doc: doc["instance"].update(graph=_graph_doc("010", "100", "000")),
+         "edge mismatch at (1,2)"),
+        # the phi images of the same path keep its edges, but - holds no variable
+        ("embedding", lambda doc: doc["witness"].update(words=[_word_doc(1), _word_doc(1, 1), _word_doc(1, 0, 1)]),
+         "greedy image outside the vertex set"),
+        ("envelope", lambda doc: doc["witness"].update(word=_word_doc(1, 2, 1)),
+         "envelope is not a valid variable word"),
+        # x0 .. x5 against two members, whose bound is 2^2 + 2 - 1 = 5
+        ("envelope", lambda doc: doc["witness"].update(word=_word_doc(1, *range(1, 7)), variable_count=6),
+         "variable count above the bound"),
+        ("envelope", lambda doc: doc["witness"]["assignments"].pop(), "no assignment for 00"),
+    ],
+    ids=["image-count", "triangle", "edge", "vertex-set", "valid-word", "above-bound", "no-assignment"],
+)
+def test_embedding_and_envelope_tamper_names_its_check(docs, kind, tamper, detail):
+    # each tamper trips its check with every earlier check holding, so no
+    # earlier check implies it
+    doc = json.loads(certs.canonical_json(docs[kind]))
+    tamper(doc)
+    doc["digest"] = certs.digest(doc["instance"])
+    assert certs.verify_certificate(doc) == (False, kind, detail)
+
+
 def test_embedding_graph_with_empty_domain_is_malformed(docs):
     # a negative vertex count is refused at the graph's header
     doc = json.loads(certs.canonical_json(docs["embedding"]))

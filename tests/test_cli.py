@@ -218,6 +218,18 @@ class TestSearchAndVerify:
         assert code == 0
         assert run("verify", str(tmp_path / "br.json"))[0] == 0
 
+    def test_brown_with_syndetic_complement_is_not_found(self, run, tmp_path):
+        # with ~T syndetic alone no part is critical; this died with an
+        # AssertionError traceback
+        words = "\n".join(format_word(w) for w in FiniteFamily.full(2, 3).words())
+        (tmp_path / "s.txt").write_text(f"2 3\n{words}\n")
+        (tmp_path / "t.txt").write_text("2 3\n000\n")
+        argv = ["large", "brown", "--syndetic", "s.txt", "--thick", "t.txt", "--parts", "t.txt", "--ell", "1"]
+        code, out, err = run(*[str(tmp_path / a) if a.endswith(".txt") else a for a in argv])
+        message = "complement of T is already syndetic at ell=1: no part is critical"
+        assert code == 2 and json.loads(out) == {"error": "NoPartSelected", "kind": "not-found", "message": message}
+        assert err == f"not found: {message}\n"
+
     def test_split_certificate(self, run, instance_dir, tmp_path):
         code, out, _ = run(
             "large", "split",

@@ -150,6 +150,25 @@ class TestGreedy:
             greedy_embed(g, 3)
 
 
+def test_searches_recheck_with_the_verifiers_checks(monkeypatch):
+    # phi, greedy and the envelope search hand their results to the checks
+    # that ``verify`` runs on their certificates
+    from varword import certificates
+
+    calls = []
+    for name in ("check_embedding", "check_envelope"):
+        real = getattr(certificates, name)
+        monkeypatch.setattr(certificates, name, lambda *a, real=real: calls.append(a) or real(*a))
+    g = GraphSpec.from_pairs(3, [(0, 1), (1, 2)])
+    pe, images = phi_embed(g), greedy_embed(g, 10)
+    env = minimal_envelope([Word(1, (0, 0)), Word(1, (1,))])
+    assert calls == [
+        (g, pe.words, None),
+        (g, list(images), 10),
+        ([Word(1, (1,)), Word(1, (0, 0))], env.word, 2, list(env.assignments)),
+    ]
+
+
 class TestInvariance:
     def test_identity_prefix(self):
         w = Word(1, (1, 2, 3, 4, 5))  # x0 x1 x2 x3 x4

@@ -3,10 +3,11 @@
 Every sweep has two independent routes: the flat-array kernel and the
 Word-object implementation built from the core operations.  Small
 instances are checked for exact agreement.  Inputs that no Word can
-hold (corrupted tables, arbitrary graphs, coloring ranges that cross
-block boundaries) are checked against a short oracle written here.
+hold (corrupted tables, arbitrary graphs, colorings in blocks of one
+lane) are checked against a short oracle written here.
 """
 
+import threading
 import tracemalloc
 from itertools import combinations, product
 
@@ -138,11 +139,6 @@ class TestAssocKernel:
                 focc = [-1 if first_occurrence(w, j) is None else first_occurrence(w, j) for j in range(width + 2)]
                 assert list(t.focc[row]) == focc
 
-    def test_sharding_invariance(self):
-        r1 = assoc_exhaustive(K, 4, workers=1)
-        r8 = assoc_exhaustive(K, 4, workers=8)
-        assert r1 == r8
-
     def test_python_variant_agrees_on_planted_faults(self, rng):
         # the faults hit syms (letters and variables, in or out of range) and
         # focc (any position, or absent).  A pair reads only its own two rows,
@@ -177,10 +173,9 @@ class TestAssocKernel:
                 assert sweep([*range(j), i], j, j + 1)[1] == sweep([i], 0, 1)[1] * (i >= j), a
                 assert sweep([*range(j + 1), i], j + 1, j + 2)[2:] == (j + 1, *a[3:]), a
                 assert a[5] >= 0 or (focc[i, focc[j, a[4]]] < 0) == (a[5] == -1), a
-            bad = WordTable(K, syms, t.lens, focc)
-            assert assoc_exhaustive(K, 3, workers=1, table=bad) == assoc_exhaustive(
-                K, 3, workers=3, table=bad
-            )
+            full = sweep(slice(None), 0, len(t))
+            res = assoc_exhaustive(K, 3, table=WordTable(K, syms, t.lens, focc))
+            assert (res.checked, res.failures, *res.first_bad) == full
             faulty += a[1] > 0
         assert faulty >= 10
 
@@ -231,7 +226,7 @@ class TestRoundtripKernel:
     def test_small_budget_matches_default(self, k, monkeypatch):
         # decode blocks of a few codes, and queues that flush many times
         # per length; every generator reaches one batch
-        want = _kernels.tree_roundtrip_sweep(k, 0, 7)
+        want = _kernels.tree_roundtrip_sweep(k, 7)
         real, batched = _kernels._roundtrip_batch, []
 
         def counted(k, g, n, *buffers):
@@ -240,7 +235,7 @@ class TestRoundtripKernel:
 
         monkeypatch.setattr(_kernels, "_roundtrip_batch", counted)
         monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1 << 12)
-        assert _kernels.tree_roundtrip_sweep(k, 0, 7) == want
+        assert _kernels.tree_roundtrip_sweep(k, 7) == want
         assert sum(batched) == want[0]
 
     @pytest.mark.parametrize("budget", [1, None])
@@ -268,7 +263,7 @@ class TestRoundtripKernel:
                 if sum(d if d < k else k + v - 1 for d, v in zip(digits, nv)) % 3 == 1:
                     refused += 1
                     first = code if first < 0 else first
-        got = _kernels.tree_roundtrip_sweep(k, 0, 5)
+        got = _kernels.tree_roundtrip_sweep(k, 5)
         assert got[2:] == (refused, first)
 
     def test_rejects_unary(self):
@@ -329,29 +324,18 @@ class TestColoringSweep:
                 got = False
             assert got == bool(found[bits]), bits
 
-    def test_worker_invariance(self):
-        a = coloring_sweep(K, 3, workers=1)
-        b = coloring_sweep(K, 3, workers=8)
-        assert (a == b).all()
-
-    def test_python_variant_agrees(self, rng, monkeypatch):
-        # blocks of one lane (64 colorings), so that the ranges, whose
-        # bounds are mostly not multiples of 64, cross block boundaries
+    def test_python_variant_agrees(self, monkeypatch):
+        # blocks of one lane (64 colorings): the 128 and 32,768 colorings
+        # at n_hor = 2 and 3 run in 2 and 512 blocks
         monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1)
         for n_hor in (2, 3):
             certs, _ = line_letter_certs(K, n_hor)
             rows = certs.tolist()
             n_bits = FiniteFamily.empty(K, n_hor).universe_size
-            total = 1 << n_bits
-            ranges = [(0, total)] + [
-                (lo, rng.randrange(lo, min(lo + 1500, total) + 1))
-                for lo in (rng.randrange(total) for _ in range(30))
-            ]
-            for lo, hi in ranges:
-                out = np.full(hi - lo, 2, np.uint8)
-                _kernels.line_letter_coloring_sweep(certs, n_bits, lo, hi, out)
-                want = [any(len({f >> q & 1 for q in t}) == 1 for t in rows) for f in range(lo, hi)]
-                assert (out == want).all(), (n_hor, lo, hi)
+            out = np.full(1 << n_bits, 2, np.uint8)
+            _kernels.line_letter_coloring_sweep(certs, n_bits, out)
+            want = [any(len({f >> q & 1 for q in t}) == 1 for t in rows) for f in range(1 << n_bits)]
+            assert (out == want).all(), n_hor
 
 
 def _vertex_arrays_from_words(verts):
@@ -480,6 +464,24 @@ class TestHensonKernels:
             henson_triangle_report(5)
         assert str(got.value) == str(want.value)
         assert got.value.triple == want.value.triple
+
+
+@pytest.mark.parametrize(
+    "battery",
+    [
+        lambda workers: assoc_exhaustive(K, 4, workers=workers),
+        lambda workers: tree_roundtrip_exhaustive(K, 6, workers=workers),
+        lambda workers: coloring_sweep(K, 3, workers=workers).tobytes(),
+    ],
+    ids=["assoc", "tree", "coloring"],
+)
+def test_batteries_run_in_one_thread(battery, monkeypatch):
+    # ``workers`` is ignored: no battery starts a thread, at any count
+    def refuse(self):
+        raise AssertionError("a sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert battery(1) == battery(8)
 
 
 def _triangle_report():

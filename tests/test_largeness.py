@@ -298,6 +298,16 @@ class TestBrown:
             assert is_thick(new.thick, dec.ell).ok
             assert new.part.mask == parts[sel.index].mask
 
+    def test_syndetic_complement_selects_no_part(self):
+        # ~T = everything but 000 is syndetic at ell = 1, so the one-part
+        # subset is minimal and removing its part keeps it syndetic
+        thick = FiniteFamily.from_words(K, 3, [Word(K, (0, 0, 0))])
+        dec = PwSyndeticDecomposition(FiniteFamily.full(K, 3), thick, 1)
+        assert is_syndetic(thick.complement(), 1).ok
+        with pytest.raises(NoPartSelected) as exc:
+            brown_select(dec, [thick])
+        assert str(exc.value) == "complement of T is already syndetic at ell=1: no part is critical"
+
     def test_no_part_selected(self):
         dec = PwSyndeticDecomposition(
             FiniteFamily.full(K, 4), FiniteFamily.full(K, 4), 0
