@@ -676,24 +676,24 @@ def check_embedding(g: GraphSpec, images, horizon) -> int:
     triangle-free graph ``g``, adjacent exactly where g is; with a
     ``horizon`` (greedy mode, None for phi) each is a vertex, no longer
     than the horizon and longer than the one before.  Returns the number
-    of vertex pairs checked."""
+    of vertex pairs checked, or 1, the image count, when there is none:
+    the builder's ``checked_count``."""
     from .henson import edge
 
     _need(len(images) == g.n, "image count mismatch")
     _need(all(w.k == 1 for w in images), "image not over the alphabet {0}")
     _need(len(set(images)) == g.n, "images are not distinct")
     _need(g.is_triangle_free(), "instance graph has a triangle")
-    count = 0
     for i, j in combinations(range(g.n), 2):
-        _need(edge(images[i], images[j]) == g.adj(i, j), f"edge mismatch at ({i},{j})")
-        count += 1
+        if edge(images[i], images[j]) != g.adj(i, j):
+            raise CheckFailed(f"edge mismatch at ({i},{j})")
     if horizon is not None:
         for i, w in enumerate(images):
             _need(w.has_variables(), "greedy image outside the vertex set")
             _need(len(w) <= horizon, "greedy image past the horizon")
             if i:
                 _need(len(w) > len(images[i - 1]), "image lengths not increasing")
-    return count
+    return g.n * (g.n - 1) // 2 or 1
 
 
 def _verify_embedding(instance: dict, witness: dict) -> int:

@@ -317,39 +317,20 @@ class Envelope(NamedTuple):
 
 
 def _cover(env: Word, member: Word) -> Optional[Word]:
-    """Find t with env[t] == member, scanning cut depths ascending."""
-    d = dimension(env)
-    cuts = [first_occurrence(env, m) for m in range(d)]
-    cuts.append(len(env))
-    k = env.k
-    for m in range(d + 1):
-        if cuts[m] != len(member):
-            continue
-        if m < d and cuts[m] is None:
-            continue
-        t = [None] * m
-        ok = True
-        for pos in range(len(member)):
-            s = env.symbols[pos]
-            if s < k:
-                if member.symbols[pos] != s:
-                    ok = False
-                    break
-            else:
-                j = s - k
-                if t[j] is None:
-                    t[j] = member.symbols[pos]
-                elif t[j] != member.symbols[pos]:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        if any(x is None for x in t):
-            continue  # some variable has its first occurrence past the cut
-        cand = Word(k, tuple(t))
-        if substitute(env, cand) == member:
-            return cand
-    return None
+    """The t with env[t] == member, or None.
+
+    Such a t holds one value per variable first seen before |member|,
+    and env's cut for it, the first x_|t| (or the end of env), must fall
+    at |member|; t is read off member at those first occurrences, and
+    the substitution decides.
+    """
+    firsts = [first_occurrence(env, j) for j in range(dimension(env))]
+    m = sum(f < len(member) for f in firsts)
+    cut = firsts[m] if m < len(firsts) else len(env)
+    if cut != len(member):
+        return None
+    t = Word(env.k, tuple(member.symbols[f] for f in firsts[:m]))
+    return t if substitute(env, t) == member else None
 
 
 def _envelope_prefixes(mem: list[Word], longest: int):

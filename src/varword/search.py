@@ -39,7 +39,6 @@ from .words import (
     decompose,
     format_word,
     is_left_var_word,
-    letter_words,
     substitute,
     var_words,
 )
@@ -123,9 +122,11 @@ def line_letter_from_dim2(
 ) -> tuple[LineLetterCertificate, Word]:
     """Turn a monochromatic dimension-2 tree into a line-with-letter pair.
 
-    Scans for the lex-least nonempty connector sigma with
-    T(1).sigma inside T(2); the line is T(0) | T(1).sigma* where
-    sigma* drops the last letter, and that letter is returned with it.
+    Finds the lex-least nonempty connector sigma with T(1).sigma inside
+    T(2); the line is T(0) | T(1).sigma* where sigma* drops the last
+    letter, and that letter is returned with it.  A connector is the
+    tail past T(1)'s length of a word of T(2), so only those tails are
+    tried.
     """
     if tree.dimension != 2:
         raise InvalidWord("need a dimension-2 tree")
@@ -134,22 +135,15 @@ def line_letter_from_dim2(
         raise InvalidWord("tree is not monochromatic")
     (color,) = colors
     k = tree.k
-    l1, l2 = tree.level_lengths[1], tree.level_lengths[2]
-    lvl1, lvl2 = set(level(tree, 1)), set(level(tree, 2))
-    connector = None
-    for sigma in letter_words(k, l2 - l1, min_len=l2 - l1):
-        if len(sigma) == 0:
-            continue
-        if all(Word(k, w.symbols + sigma.symbols) in lvl2 for w in lvl1):
-            connector = sigma
+    l1 = tree.level_lengths[1]
+    lvl1, lvl2 = level(tree, 1), set(level(tree, 2))
+    for sigma in sorted({w.symbols[l1:] for w in lvl2}):
+        if all(Word(k, w.symbols + sigma) in lvl2 for w in lvl1):
             break
-    if connector is None:
+    else:
         raise NoConnector("no nonempty connector from T(1) into T(2)")
-    a = connector.symbols[-1]
-    sigma_star = Word(k, connector.symbols[:-1])
-    cut1 = tree.level_lengths[1]
-    line_gen = Word(k, tree.generator.symbols[:cut1] + sigma_star.symbols)
-    return _line_hit(coloring, line_gen, a, color), connector
+    line_gen = Word(k, tree.generator.symbols[:l1] + sigma[:-1])
+    return _line_hit(coloring, line_gen, sigma[-1], color), Word(k, sigma)
 
 
 # ---------------------------------------------------------------------------

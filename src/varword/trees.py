@@ -6,18 +6,18 @@ instantiations by u of length j; all of them share the same length
 (the position of the first occurrence of x_j), so levels are the
 length strata of the element set.  A line is the one-dimensional case.
 
-``generator_from_tree`` inverts the construction: the generating word
-is reconstructed zone by zone, deciding letters against variables by
-column agreement across the next level, and the reconstruction is
-verified against every level before it is returned.  For alphabets of
-size at least two the generator is unique; for the unary alphabet the
-lex-least generator is returned (variables only at the cut columns).
+``generator_from_tree`` inverts the construction: after the level
+counts are checked, the generator is read off the top level column by
+column, and the tree it generates, compared with the given set, decides
+whether it is returned.  For alphabets of size at least two the
+generator is unique; for the unary alphabet the lex-least generator is
+returned (variables only at the cut columns).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from ._frozen import Frozen
 from .errors import (
@@ -124,91 +124,52 @@ def size(tree: OVWTree) -> int:
 
 
 def generator_from_tree(elements: Iterable[Word]) -> Word:
-    """Reconstruct the unique ordered generator of an instantiation tree.
+    """The ordered generator whose instantiation tree is ``elements``.
 
-    Raises NotATree with a diagnostic element pair when the set is not
-    of the required form.
+    Level j of a tree holds k^j words of one length, the first
+    occurrence of x_j; the counts are checked first, so that nothing
+    larger than the input is built.  The generator is then read off the
+    top level: the root gives the letters before the first cut, the
+    column at level j's length is x_j, a column constant over the top
+    level is that letter, and a column past level j's length that varies
+    is x_j (an ordered word holds no other variable there).  Its tree,
+    compared with the input, decides: NotATree with a diagnostic element
+    pair when they differ.  For alphabets of size at least two the
+    generator is unique; over one letter the lex-least one is returned.
     """
     elems = sorted(set(elements), key=Word.key)
     if not elems:
         raise NotATree("empty set")
     k = elems[0].k
     for e in elems:
-        if e.has_variables():
+        if any(s >= k for s in e.symbols):  # over k letters: the columns read below hold letters
             raise NotATree(f"{format_word(e)} contains a variable", pair=(e, e))
 
     by_len: dict[int, list[Word]] = {}
     for e in elems:
         by_len.setdefault(len(e), []).append(e)
     lens = sorted(by_len)
-    n = len(lens) - 1
-
     for j, length in enumerate(lens):
         if len(by_len[length]) != k**j:
             raise NotATree(
                 f"level {j} has {len(by_len[length])} elements, expected {k**j}",
                 pair=(by_len[length][0], by_len[length][-1]),
             )
-    if len(by_len[lens[0]]) != 1:
-        raise NotATree("no unique root")
 
-    gen: list[Optional[int]] = [None] * lens[-1]
-    gen[: lens[0]] = list(elems[0].symbols)
+    cuts = {c: k + j for j, c in enumerate(lens[:-1])}
+    top = by_len[lens[-1]]
+    gen = list(elems[0].symbols)  # the root holds the letters before the first cut
+    for c in range(lens[0], lens[-1]):
+        if c in cuts:
+            x = cuts[c]  # the variable of the zone that starts here
+        values = {e.symbols[c] for e in top}
+        gen.append(values.pop() if len(values) == 1 and c not in cuts else x)
 
-    # zone j spans the columns first seen at level j+1; decide each column
-    # from the level-(j+1) instantiations, paired with their patterns via
-    # the values at the earlier cut columns.
-    for j in range(n):
-        lvl = by_len[lens[j + 1]]
-        paired: dict[tuple[int, ...], Word] = {}
-        for e in lvl:
-            u = tuple(e.symbols[lens[i]] for i in range(j + 1))
-            if any(d >= k for d in u):
-                raise NotATree(f"non-letter at a cut column of {format_word(e)}", pair=(e, e))
-            if u in paired:
-                raise NotATree(
-                    "two elements share an instantiation pattern",
-                    pair=(paired[u], e),
-                )
-            paired[u] = e
-        if len(paired) != k ** (j + 1):
-            raise NotATree("level does not cover all patterns")
-        items = sorted(paired.items())
-        for c in range(lens[j], lens[j + 1]):
-            if c == lens[j]:
-                if all(e.symbols[c] == u[j] for u, e in items):
-                    gen[c] = k + j
-                    continue
-                a, b = items[0][1], items[-1][1]
-                raise NotATree(f"cut column {c} does not vary with the pattern", pair=(a, b))
-            vals = [e.symbols[c] for _, e in items]
-            if len(set(vals)) == 1:
-                gen[c] = vals[0]
-                continue
-            for i in range(j + 1):
-                if all(e.symbols[c] == u[i] for u, e in items):
-                    gen[c] = k + i
-                    break
-            else:
-                bad = next(
-                    (x, y)
-                    for (ux, x) in items
-                    for (uy, y) in items
-                    if x.symbols[c] != y.symbols[c]
-                )
-                raise NotATree(f"column {c} is neither constant nor a variable", pair=bad)
-
-    g = Word(k, tuple(gen))  # type: ignore[arg-type]
-    try:
-        rebuilt = tree_from_generator(g)
-    except NotOrdered as exc:
-        raise NotATree(f"reconstructed generator is not ordered: {exc}") from exc
-    if rebuilt.element_set() != frozenset(elems):
-        extra = rebuilt.element_set() ^ frozenset(elems)
-        some = sorted(extra, key=Word.key)[0]
-        raise NotATree(
-            f"verification failed at {format_word(some)}", pair=(some, some)
-        )
+    g = Word(k, tuple(gen))
+    extra = tree_from_generator(g).element_set() ^ frozenset(elems)
+    if extra:
+        some = min(extra, key=Word.key)
+        raise NotATree(f"verification failed at {format_word(some)}", pair=(some, some))
     return g
 
 

@@ -718,6 +718,36 @@ def test_embedding_and_envelope_tamper_names_its_check(docs, kind, tamper, detai
     assert certs.verify_certificate(doc) == (False, kind, detail)
 
 
+@pytest.mark.parametrize(
+    "kind, tamper, detail",
+    [
+        ("line-letter", lambda doc: doc["witness"].update(generator=_word_doc(K, 2, 3)),
+         "generator is not one-dimensional"),
+        # length N = 5: the words S(1).a would leave the coloring's domain
+        ("line-letter", lambda doc: doc["witness"].update(generator=_word_doc(K, 2, 0, 0, 0, 0)),
+         "line does not fit the horizon"),
+        # a fourth element: the bound over min(k, 2) letters (3 <= 4) holds, the exact count fails
+        ("tree", lambda doc: doc["instance"]["elements"].append(_word_doc(K, 0)), "element set mismatch"),
+        ("line-letter", lambda doc: doc.update(checked_count=0), "empty verification"),
+    ],
+    ids=["one-dimensional", "horizon", "tree-count", "empty"],
+)
+def test_line_tree_and_count_tamper_names_its_check(docs, kind, tamper, detail, monkeypatch):
+    # each tamper trips its check with every earlier check holding; none
+    # builds a tree, so the exact count answers before the set comparison,
+    # whose message it shares
+    import varword.trees as trees_mod
+
+    def no_tree(g):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(trees_mod, "tree_from_generator", no_tree)
+    doc = json.loads(certs.canonical_json(docs[kind]))
+    tamper(doc)
+    doc["digest"] = certs.digest(doc["instance"])
+    assert certs.verify_certificate(doc) == (False, kind, detail)
+
+
 def test_embedding_graph_with_empty_domain_is_malformed(docs):
     # a negative vertex count is refused at the graph's header
     doc = json.loads(certs.canonical_json(docs["embedding"]))

@@ -282,6 +282,18 @@ class TestSearchAndVerify:
         assert code == 0
         assert json.loads(out)["slot_count"] == 63 * 62
 
+    @pytest.mark.parametrize("text", ["0\n", "1\n0\n"], ids=["n0", "n1"])
+    @pytest.mark.parametrize("mode", [[], ["--phi"]], ids=["greedy", "phi"])
+    def test_embedding_without_vertex_pairs_verifies(self, run, tmp_path, text, mode):
+        # the verifier counted only vertex pairs: 0, an "empty verification"
+        graph, cert = tmp_path / "g.txt", tmp_path / "c.json"
+        graph.write_text(text)
+        code, _, _ = run("henson", "embed", "--graph", str(graph), "--horizon", "4", *mode, "--json-out", str(cert))
+        assert code == 0
+        code, out, err = run("verify", str(cert))
+        assert code == 0 and json.loads(out)["detail"] == "1 checks"
+        assert err == "embedding: OK (1 checks)\n"
+
     def test_translation_rereads(self, run, instance_dir):
         # the translated coloring lists exactly its own domain, so the reader takes it back
         code, out, _ = run("cdrt", "translate", "--coloring", str(instance_dir / "col.txt"))

@@ -271,6 +271,19 @@ class TestEnvelope:
             env = minimal_envelope(members)
             assert (env.word, env.assignments) == full_walk(members), members
 
+    def test_cover_matches_substitution(self):
+        # env[t] has length env's cut at |t|, so at most one t gives a member;
+        # _cover finds it, or None, as substituting every t up to the dimension does
+        from varword.henson import _cover
+        from varword.words import var_words
+
+        members = _all_unary_words(4)
+        for d in range(4):
+            for env in var_words(1, 5, dim=d):
+                images = {substitute(env, t): t for t in _all_unary_words(d)}
+                for s in members:
+                    assert _cover(env, s) == images.get(s), (format_word(env), format_word(s))
+
     def test_cover_calls_on_criterion_9_pool(self, monkeypatch):
         # a count, not a clock: the pruned walks call _cover 3,969 times on
         # criterion 9's 2,016 inputs (the full walk made 765,636 calls)

@@ -132,6 +132,24 @@ class TestFromDim2:
         for w in level(cert.line, 1):
             assert Word(K, w.symbols + (cert.letter,)) in top
 
+    def test_connector_matches_full_scan(self):
+        # the lex-least connector over all of A^(l2 - l1); over two letters
+        # every ordered dimension-2 tree has one
+        c = Coloring.constant(K, 8, 0, 2)
+        for g in var_words(K, 7, dim=2, ordered=True):
+            tree = tree_from_generator(g)
+            l1, l2 = tree.level_lengths[1:]
+            lvl1, lvl2 = level(tree, 1), set(level(tree, 2))
+            want = next(
+                sigma
+                for sigma in letter_words(K, l2 - l1, min_len=l2 - l1)
+                if all(Word(K, w.symbols + sigma.symbols) in lvl2 for w in lvl1)
+            )
+            cert, connector = line_letter_from_dim2(tree, c)
+            assert connector == want, format_word(g)
+            assert cert.line.generator.symbols == g.symbols[:l1] + want.symbols[:-1]
+            assert cert.letter == want.symbols[-1]
+
     def test_rejects_wrong_dimension(self):
         tree = tree_from_generator(parse_word("x0", K))
         with pytest.raises(InvalidWord):

@@ -112,6 +112,59 @@ class TestInvert:
             generator_from_tree(elems)
 
 
+def _first_generators(k, max_len):
+    """The lex-least ordered generator of each tree, by its element set."""
+    first = {}
+    for g in var_words(k, max_len, ordered=True):
+        first.setdefault(tree_from_generator(g).element_set(), g)
+    return first
+
+
+class TestInvertAgainstBruteForce:
+    @pytest.mark.parametrize("k, max_len, edit_len", [(1, 6, 6), (2, 6, 4), (3, 4, 3)])
+    def test_every_tree_and_one_element_edit(self, k, max_len, edit_len):
+        # the answer is the lex-least ordered generator whose tree is the set
+        # (the walk yields each length in lex order, and a tree's generators
+        # share its top length), and NotATree with a pair when there is none
+        first = _first_generators(k, max_len)
+        inputs = list(first)
+        for tree, g in first.items():
+            if len(g) <= edit_len:
+                pool = list(letter_words(k, len(g)))
+                for e in tree:
+                    inputs.append(tree - {e})
+                    inputs += [tree - {e} | {w} for w in pool if w not in tree]
+        for elems in inputs:
+            if not elems:
+                continue
+            want = first.get(elems)
+            try:
+                got = generator_from_tree(elems)
+            except NotATree as exc:
+                assert want is None and exc.pair is not None, sorted(map(format_word, elems))
+            else:
+                assert got == want, sorted(map(format_word, elems))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_chain_builds_no_more_words_than_it_holds(self, k, monkeypatch):
+        # one letter word at each of 40 lengths: over one letter a legal
+        # 39-variable tree, over two a level 1 of one word, not two
+        import varword.trees as trees_mod
+
+        built = []
+        real = trees_mod.substitute
+        monkeypatch.setattr(trees_mod, "substitute", lambda w, u: built.append(u) or real(w, u))
+        chain = [Word(k, (0,) * n) for n in range(40)]
+        try:
+            got = generator_from_tree(chain)
+        except NotATree as exc:
+            assert k == 2 and str(exc) == "level 1 has 1 elements, expected 2" and exc.pair
+            got = None
+        assert len(built) <= len(chain)
+        if k == 1:
+            assert dimension(got) == 39 and tree_from_generator(got).element_set() == set(chain)
+
+
 class TestIso:
     def test_examples(self):
         t = tree_from_generator(GEN)
