@@ -505,17 +505,17 @@ def stem_extension_words(stem: Word, k: int, n: int, tail_max: int, w_hat: Word,
     """Each t = stem . x_n . tail, |tail| <= tail_max, whose image w_hat[t] can be colored,
     by (length, lex); tails run over A | {x_0..x_n}.
 
-    w_hat[t] is cut at the first x_{|t|} in w_hat, so a length |t| whose
-    cut is missing (the image raises) or past the horizon (the image is
-    uncolored) is passed over whole; no such cut exists past w_hat's
-    dimension.
+    For a prefix-valid w_hat: w_hat[t] is w_hat cut before its first
+    x_|t|, so the lengths walked are those below w_hat's dimension whose
+    cut is at most the horizon, and these first occurrences ascend.  By
+    the cut rule (CHANGES.md), for an n-variable stem each image walked
+    is an (n+1)-variable word of length at most the horizon.
     """
     base = stem.symbols + (k + n,)
     symbols = list(range(k)) + [k + j for j in range(n + 1)]
     for tail_len in range(min(tail_max, dimension(w_hat) - 1 - len(base)) + 1):
-        cut = first_occurrence(w_hat, len(base) + tail_len)
-        if cut is None or cut > horizon:
-            continue
+        if first_occurrence(w_hat, len(base) + tail_len) > horizon:
+            break
         for tail in product(symbols, repeat=tail_len):
             yield Word(k, base + tail)
 
@@ -539,13 +539,15 @@ def check_prehomog(
     w_hat[t] has ``color`` for every colorable extension t of stem . x_n
     with a tail of length at most ``tail_max``.
 
-    Returns the (t, w_hat[t]) pairs checked, which may be none: an empty
-    walk is for the caller to judge.
+    With w and z prefix-valid so is w_hat, and with the stem an
+    n-variable word (n = coloring.n - 1) each t walked is an
+    (n+1)-variable word: by the cut rule (CHANGES.md) every image walked
+    is then colored, and the walk is bounded by the coloring.  Returns
+    the (t, w_hat[t]) pairs checked, which may be none: an empty walk is
+    for the caller to judge.
     """
     n = coloring.n - 1
     m = len(stem) + 1
-    # with w and z prefix-valid so is w_hat, and a colorable image
-    # w_hat[t] then has |t| <= N: the walk is bounded by the coloring
     _need(is_prefix_valid(w), "w is not prefix-valid")
     _need(is_prefix_valid(z), "z is not prefix-valid")
     _need(
@@ -553,16 +555,12 @@ def check_prehomog(
         "z does not start with a pure variable prefix",
     )
     _need(compose(w, z) == w_hat, "w_hat is not compose(w, z)")
+    _need(n >= 0, "prehomogeneity needs a coloring of dimension >= 1")
+    _need(stem.k == coloring.k and is_var_word(stem, n), f"stem is not a {n}-variable word")
     pairs = []
     for t in stem_extension_words(stem, coloring.k, n, tail_max, w_hat, coloring.N):
-        try:
-            img = substitute(w_hat, t, omega=True)
-        except VarwordError:
-            continue
-        c = coloring.get(img)
-        if c is None:
-            continue
-        _need(c == color, "color breaks at t={}", t)
+        img = substitute(w_hat, t, omega=True)
+        _need(coloring.get(img) == color, "color breaks at t={}", t)
         pairs.append((t, img))
     return pairs
 
@@ -626,29 +624,23 @@ def cdrt_certificate_doc(coloring: Coloring, pb, depth: int, w_hat: Word) -> dic
 
 def check_cdrt(coloring: Coloring, w: Word, color: int, depth: int) -> list[tuple[Word, Word]]:
     """W[u] has ``color`` for every pattern u of the coloring's dimension up
-    to ``depth`` whose image is defined and colored.
+    to ``depth`` whose image is colored.
 
-    Returns the (u, W[u]) pairs checked, which may be none: an empty walk
-    is for the caller to judge.
+    W[u] is W cut before its first x_|u|.  In a prefix-valid W these
+    first occurrences ascend, and by the cut rule (CHANGES.md) every
+    pattern of a length whose cut is at most N has a colored image, and
+    no other has: the walk stops at the first longer cut, or past W's
+    dimension.  Returns the (u, W[u]) pairs checked, which may be none:
+    an empty walk is for the caller to judge.
     """
     _need(is_prefix_valid(w), "pullback is not prefix-valid")
-    # w[u] is cut at the first x_{|u|} in w: a pattern length whose cut is
-    # missing (the image raises) or past N (the image is uncolored) is
-    # passed over whole, and no cut exists past w's dimension
     pairs = []
     for length in range(min(depth, dimension(w) - 1) + 1):
-        cut = first_occurrence(w, length)
-        if cut is None or cut > coloring.N:
-            continue
+        if first_occurrence(w, length) > coloring.N:
+            break
         for u in var_words(coloring.k, length, dim=coloring.n, min_len=length):
-            try:
-                img = substitute(w, u, omega=True)
-            except VarwordError:
-                continue
-            c = coloring.get(img)
-            if c is None:
-                continue
-            _need(c == color, "pullback color breaks at {}", u)
+            img = substitute(w, u, omega=True)
+            _need(coloring.get(img) == color, "pullback color breaks at {}", u)
             pairs.append((u, img))
     return pairs
 

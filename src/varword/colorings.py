@@ -259,6 +259,8 @@ class Coloring(Frozen):
         reads the variable as 0 and ones has a 1 at each of its places.
         """
         k, colors = self.k, self.colors
+        if not k:  # no letter a
+            return None
         offs = _offsets(k, self.N)
         length, cut = len(g), g.index(k)
         base = ones = 0

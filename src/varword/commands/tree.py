@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..certificates import tree_certificate_doc, word_to_json as W2J
 from ..cli import _command, _emit
 from ..trees import canonical_iso, generator_from_tree, levels, size, tree_from_generator
-from ..words import format_word, parse_word
+from ..words import check_universe, dimension, format_word, parse_word
 
 
 def _tree_doc(tree):
@@ -18,8 +18,16 @@ def _tree_doc(tree):
     }
 
 
+def _tree(args):
+    """The tree of --gen, refused before it is built when it has more than
+    ``MAX_UNIVERSE`` elements (k^0 + ... + k^d for dimension d)."""
+    g = parse_word(args.gen, args.k)
+    check_universe(args.k, dimension(g), f"tree of a dimension-{dimension(g)} generator over k={args.k}")
+    return tree_from_generator(g)
+
+
 def cmd_tree_build(args):
-    tree = tree_from_generator(parse_word(args.gen, args.k))
+    tree = _tree(args)
     doc = tree_certificate_doc(tree)
     doc["tree"] = _tree_doc(tree)
     _emit(doc, args, f"{len(tree.elements)} elements, dimension {tree.dimension}")
@@ -35,7 +43,7 @@ def cmd_tree_invert(args):
 
 
 def cmd_tree_iso(args):
-    tree = tree_from_generator(parse_word(args.gen, args.k))
+    tree = _tree(args)
     iso = canonical_iso(tree)
     doc = {
         "kind": "canonical-iso",

@@ -14,6 +14,7 @@ and the strict greedy embedding is the companion that stays inside it.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -26,6 +27,7 @@ from .errors import (
     VarwordError,
 )
 from .words import (
+    MAX_UNIVERSE,
     Word,
     dimension,
     first_occurrence,
@@ -412,7 +414,6 @@ def profile_coloring(
     chi: Union[Callable[[tuple[Word, ...]], int], Mapping[tuple[Word, ...], int]],
     g: GraphSpec,
     n_horizon: int,
-    dim: Optional[int] = None,
 ) -> ProfileColoring:
     """Profile of a coloring of copies of g along substitution patterns.
 
@@ -421,14 +422,27 @@ def profile_coloring(
     (word set T, vertex ordering) pairs, the chi-value of the induced
     embedding when u[T] is an induced copy of g (None otherwise).  Two
     colorings agreeing on the image region of u get equal profiles.
+
+    The slots and the patterns are counted before either is built, and
+    more than ``MAX_UNIVERSE`` slots or (pattern, slot) pairs raise
+    ``DomainTooLarge``.
     """
-    if g.n > 3:
-        raise DomainTooLarge("profile domain explodes beyond 3 vertices")
+    from .colorings import _domain_size
+
+    d = 2**g.n + g.n - 1
+    # the slots are the ordered g.n-tuples of distinct words over {0, x0} of
+    # length <= d; past the bound's bit length one vertex alone has too many
+    slot_count = math.perm(2 ** (min(d, MAX_UNIVERSE.bit_length()) + 1) - 1, g.n)
+    cap = MAX_UNIVERSE // slot_count
+    if not cap or _domain_size(1, n_horizon, d, cap) > cap:
+        raise DomainTooLarge(
+            f"profile of a {g.n}-vertex graph at horizon {n_horizon} spans more than "
+            f"{MAX_UNIVERSE} slots or (pattern, slot) pairs"
+        )
     if isinstance(chi, Mapping):
         chi_fn = chi.__getitem__
     else:
         chi_fn = chi
-    d = 2**g.n + g.n - 1 if dim is None else dim
     pool = [Word(1, syms) for length in range(d + 1) for syms in product((0, VAR), repeat=length)]
     slots = []
     for combo in combinations(pool, g.n):

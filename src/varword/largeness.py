@@ -352,6 +352,8 @@ def density(family: FiniteFamily, r: int) -> Fraction:
     """Exact |D cap A^r| / k^r."""
     if r > family.N:
         raise HorizonExceeded(f"length {r} beyond horizon {family.N}")
+    if family.k == 0 and r > 0:
+        raise IndexOutOfRange(f"no word of length {r} over an empty alphabet: its density is undefined")
     return Fraction(family.band(r).bit_count(), family.k**r)
 
 

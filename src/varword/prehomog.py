@@ -67,31 +67,24 @@ def csl_search(
 
     W must contain x_0 .. x_depth so that W[u] is defined for every
     pattern u of length up to depth; all these instantiations must fall
-    inside the coloring's domain and in a single color class.
+    in a single color class.  By the cut rule (CHANGES.md) they lie in
+    the domain once x_depth first occurs by position N: so W has at most
+    N + 1 symbols (a longer W has the images of its prefix through its
+    first x_depth, met first), and a depth past N has no W.
     """
     k = coloring.k
     cap = coloring.N + 1 if max_len is None else max_len
-    patterns = list(var_words(k, depth, dim=coloring.n))
-    if not patterns:
+    if depth < coloring.n:  # no pattern of the coloring's dimension is that short
         raise InvalidWord(f"no dimension-{coloring.n} patterns up to depth {depth}")
-    cands = (
-        w
-        for w in prefix_valid_words(k, cap, min_vars=depth + 1)
-        if first_occurrence(w, depth) is not None
-        and first_occurrence(w, depth) <= coloring.N
-    )
+    # past N there is no candidate either, and the patterns are not listed
+    patterns = list(var_words(k, depth, dim=coloring.n)) if depth <= coloring.N else []
 
     def attempt(w):
         color = None
         checked = []
         for u in patterns:
-            try:
-                img = substitute(w, u, omega=True)
-            except CutPointMissing:
-                return None
+            img = substitute(w, u, omega=True)
             c = coloring.get(img)
-            if c is None:
-                return None
             if color is None:
                 color = c
             elif c != color:
@@ -101,6 +94,7 @@ def csl_search(
         verify_csl(cert, coloring)
         return cert
 
+    cands = prefix_valid_words(k, min(cap, coloring.N + 1), min_vars=depth + 1)
     hit = next((r for r in map(attempt, cands) if r is not None), None)
     if hit is None:
         raise NotFoundWithinHorizon(
@@ -134,21 +128,23 @@ def prehomog_check(
     """Does the color of W[t] for t ⊒ s.x_n depend only on the stem s?
 
     Scans stems s of dimension n = coloring.n - 1 up to length stem_max
-    and all in-horizon extension pairs; returns the lex-least violating
-    (s, t0, t1) if any.
+    (and N - 1: a longer stem has no extension of length <= N), and their
+    extensions whose images the horizon can color; returns the lex-least
+    violating (s, t0, t1) if any.  W must be prefix-valid, so that by the
+    cut rule (CHANGES.md) each of these images is colored.
     """
     if coloring.n < 1:
         raise InvalidWord("prehomogeneity needs a coloring of dimension >= 1")
+    if not is_prefix_valid(w):
+        raise InvalidWord("W must be prefix-valid")
     n = coloring.n - 1
     k = coloring.k
     checked = 0
-    for s in var_words(k, stem_max, dim=n):
+    for s in var_words(k, min(stem_max, coloring.N - 1), dim=n):
         first_t = None
         first_color = None
         for t in stem_extension_words(s, k, n, tail_max, w, coloring.N):
-            c = coloring.get(substitute(w, t, omega=True))  # the walk passes over missing cuts
-            if c is None:
-                continue
+            c = coloring.get(substitute(w, t, omega=True))
             checked += 1
             if first_t is None:
                 first_t, first_color = t, c

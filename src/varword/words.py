@@ -274,8 +274,15 @@ def validate(w: Word, n: int, ordered: bool = False) -> ValidityReport:
         )
     )
 
-    first = [first_occurrence(w, j) for j in range(n)]
-    missing = next((j for j, p in enumerate(first) if p is None), None)
+    # one pass for the variables present: a word of length L misses some
+    # x_j with j <= L, so no check walks all n indices
+    first: dict[int, int] = {}
+    for i, s in enumerate(w.symbols):
+        if s >= w.k:
+            first.setdefault(s - w.k, i)
+    missing = next(j for j in range(len(first) + 1) if j not in first)
+    if missing >= n:
+        missing = None
     conditions.append(
         Condition(
             "occurrence",
@@ -286,11 +293,9 @@ def validate(w: Word, n: int, ordered: bool = False) -> ValidityReport:
     )
 
     order_pos = None
-    for j in range(n - 1):
-        a, b = first[j], first[j + 1]
-        if a is None or b is None:
-            continue
-        if b < a:
+    for j in sorted(first):
+        b = first.get(j + 1)
+        if j + 1 < n and b is not None and b < first[j]:
             order_pos = b
             break
     conditions.append(
@@ -304,17 +309,15 @@ def validate(w: Word, n: int, ordered: bool = False) -> ValidityReport:
 
     if ordered:
         bad = None
-        seen_next = [False] * (n + 1)
+        latest = -1  # largest index below n seen so far
         for i, s in enumerate(w.symbols):
-            if s < w.k:
-                continue
             j = s - w.k
-            if j >= n:
+            if not 0 <= j < n:
                 continue
-            if any(seen_next[j + 1 : n]):
+            if latest > j:
                 bad = i
                 break
-            seen_next[j] = True
+            latest = j
         conditions.append(
             Condition(
                 "ordered",

@@ -685,6 +685,27 @@ def test_coloring_kind_tamper_names_its_check(docs, kind, field, word, detail):
     assert certs.verify_certificate(doc) == (False, kind, detail)
 
 
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("stem", certs.word_to_json(Word(3, ())), "stem is not a 0-variable word"),
+        ("stem", _word_doc(K, K), "stem is not a 0-variable word"),
+        ("coloring", certs.coloring_to_json(Coloring.constant(K, 8, 0, 2)),
+         "prehomogeneity needs a coloring of dimension >= 1"),
+        ("coloring", certs.coloring_to_json(Coloring.constant(K, 8, 2, 2)), "stem is not a 1-variable word"),
+    ],
+    ids=["stem-alphabet", "stem-variable", "coloring-dim0", "coloring-dim2"],
+)
+def test_prehomog_stem_and_dimension_are_checked(docs, field, value, detail):
+    # the extensions t = stem . x_n . tail are (n+1)-variable words only for an
+    # n-variable stem; the first three of these verified OK, walking words
+    # that were not extensions (over a dimension-0 coloring, x_n is a letter)
+    doc = json.loads(certs.canonical_json(docs["prehomog"]))
+    doc["instance"][field] = value
+    doc["digest"] = certs.digest(doc["instance"])
+    assert certs.verify_certificate(doc) == (False, "prehomog", detail)
+
+
 def _graph_doc(*rows):
     return {"type": "graph", "n": len(rows), "rows": list(rows)}
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import varword
 from varword import certificates as certs
@@ -13,7 +14,7 @@ from varword.cli import main
 from varword.colorings import Coloring
 from varword.henson import MAX_VERTEX_HORIZON
 from varword.largeness import FiniteFamily, random_piecewise_syndetic
-from varword.words import format_word
+from varword.words import MAX_UNIVERSE, format_word, prefix_valid_words
 
 
 @pytest.fixture
@@ -417,6 +418,17 @@ class TestMalformedInput:
         code, out, err = run("large", "density", "--family", str(fam), "--eps", "1/2")
         assert (code, out, err) == (1, "", f"input error: {fam}:{where}\n")
 
+    def test_empty_alphabet_ends_with_an_exit_code(self, run, tmp_path):
+        # over k = 0 the only word is the empty one: density divided by
+        # 0**r and the line search by 0**|g|, each a ZeroDivisionError traceback
+        (tmp_path / "f.txt").write_text("0 1\n-\n")
+        (tmp_path / "c.txt").write_text("0 4 0 2\n- 1\n")
+        code, out, err = run("large", "density", "--family", str(tmp_path / "f.txt"))
+        assert (code, out) == (1, "")
+        assert err == "error: IndexOutOfRange: no word of length 1 over an empty alphabet: its density is undefined\n"
+        code, out, err = run("search", "line", "--coloring", str(tmp_path / "c.txt"))
+        assert (code, err) == (2, "not found: no line-with-letter certificate with generator length <= 3\n")
+
     def test_translation_with_empty_domain_is_refused(self, run, tmp_path):
         # k + n > N leaves no (k+n)-variable word of length <= N: the empty
         # table printed here would not read back
@@ -499,6 +511,236 @@ class TestMalformedInput:
     def test_vertex_horizon_at_cap(self, run):
         code, out, err = run("henson", "enum", "--horizon", str(MAX_VERTEX_HORIZON))
         assert code == 0 and json.loads(out)["count"] == 2 ** (MAX_VERTEX_HORIZON + 1) - MAX_VERTEX_HORIZON - 2
+
+
+def _counted(monkeypatch, module, name, limit):
+    """Wrap the generator ``module.name`` so that each item it yields is
+    counted; past ``limit`` items the wrapper fails the test, so a walk
+    that would not end fails at once."""
+    real = getattr(module, name)
+    seen = []
+
+    def wrapper(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            seen.append(item)
+            assert len(seen) <= limit, f"{name} walked more than {limit} items"
+            yield item
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+class TestBoundedWalks:
+    """Flags far past the coloring's horizon end with an exit code, after a walk
+    bounded by the horizon.  Each of these used to run out of memory or time."""
+
+    SEVEN = "2 2 0 2\n- 0\n0 0\n1 1\n00 0\n01 1\n10 1\n11 1\n"  # A^{<=2}
+    NOT_FOUND_AT_3 = Coloring(2, 3, 0, 2, [1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0])
+
+    @pytest.mark.parametrize("depth", ["24", "99"])
+    def test_csl_depth_past_the_horizon_is_not_found(self, run, tmp_path, monkeypatch, depth):
+        from varword import prehomog
+
+        (tmp_path / "c.txt").write_text(self.SEVEN)
+        patterns = _counted(monkeypatch, prehomog, "var_words", 0)
+        code, out, err = run("search", "csl", "--coloring", str(tmp_path / "c.txt"), "--depth", depth)
+        assert (code, json.loads(out)["message"]) == (2, f"no monochromatic prefix of length <= 3 at depth {depth}")
+        assert err.startswith("not found: ") and patterns == []
+
+    def test_pullback_depth_past_the_horizon_is_not_found(self, run, tmp_path, monkeypatch):
+        from varword import prehomog
+
+        (tmp_path / "c.txt").write_text(self.SEVEN)
+        patterns = _counted(monkeypatch, prehomog, "var_words", 0)
+        code, out, err = run("cdrt", "pullback", "--coloring", str(tmp_path / "c.txt"), "--depth", "40")
+        assert (code, json.loads(out)["message"]) == (2, "no monochromatic prefix of length <= 3 at depth 42")
+        assert err.startswith("not found: ") and patterns == []
+
+    def test_pullback_candidates_stop_at_the_horizon(self, run, tmp_path, monkeypatch):
+        # the translated coloring has k = 0 and N = 3: a candidate longer than
+        # N + 1 = 4 symbols has the images of its prefix through x_3
+        from varword import prehomog
+
+        (tmp_path / "c.txt").write_text(self.NOT_FOUND_AT_3.dump())
+        cands = _counted(monkeypatch, prehomog, "prefix_valid_words", 100)
+        code, out, _ = run("cdrt", "pullback", "--coloring", str(tmp_path / "c.txt"), "--max-len", "40")
+        assert (code, json.loads(out)["message"]) == (2, "no monochromatic prefix of length <= 40 at depth 3")
+        assert cands == list(prefix_valid_words(0, 4, min_vars=4))
+
+    def test_prehomog_stems_stop_below_the_horizon(self, run, tmp_path, monkeypatch):
+        # at N = 5 a stem of 5 symbols has no extension of length <= 5; the
+        # constant coloring has no counterexample to end the walk early
+        from varword import prehomog
+
+        (tmp_path / "c.txt").write_text(Coloring.constant(2, 5, 1, 2).dump())
+        stems = _counted(monkeypatch, prehomog, "var_words", 2**5 - 1)
+        argv = ["--coloring", str(tmp_path / "c.txt"), "--w", "x0x1x2x3x4x5", "--stem-max", "40"]
+        code, out, _ = run("search", "prehomog", "--check", *argv)
+        assert (code, json.loads(out)["ok"], json.loads(out)["checked"]) == (0, True, 76)
+        assert max(map(len, stems)) == 4
+
+    def test_prehomog_check_refuses_a_word_that_is_not_prefix_valid(self, run, instance_dir):
+        # x1 before x0: the check read the images it could and exited 0
+        argv = ["--coloring", str(instance_dir / "col1.txt"), "--w", "x1x0x2x3"]
+        code, out, err = run("search", "prehomog", "--check", *argv)
+        assert (code, out, err) == (1, "", "error: InvalidWord: W must be prefix-valid\n")
+
+    @pytest.mark.parametrize(
+        "graph, horizon",
+        [("3\n011\n101\n110\n", "4"), ("3\n000\n000\n000\n", "0"), ("2\n01\n10\n", "8"), ("1\n0\n", "13")],
+        ids=["3-vertices", "3-vertices-h0", "2-vertices-h8", "1-vertex-h13"],
+    )
+    def test_henson_profile_too_large_is_refused(self, run, tmp_path, monkeypatch, graph, horizon):
+        # 3 vertices give C(2047, 3) * 3! slots: a MemoryError at any horizon;
+        # 2 vertices at horizon 8 have 2,934 patterns of 3,906 slots
+        from varword import henson
+
+        def never(*args):
+            raise AssertionError("the profile was built")
+
+        monkeypatch.setattr(henson, "combinations", never)
+        monkeypatch.setattr(henson, "var_words", never)
+        (tmp_path / "g.txt").write_text(graph)
+        code, out, err = run("henson", "profile", "--graph", str(tmp_path / "g.txt"), "--horizon", horizon)
+        n = graph.split()[0]
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: DomainTooLarge: profile of a {n}-vertex graph at horizon {horizon} "
+            f"spans more than {MAX_UNIVERSE} slots or (pattern, slot) pairs\n"
+        )
+
+    @pytest.mark.parametrize("cmd", ["build", "iso"])
+    def test_tree_too_large_is_refused(self, run, monkeypatch, cmd):
+        from varword.commands import tree
+
+        built = []
+        monkeypatch.setattr(tree, "tree_from_generator", built.append)
+        gen = "".join(f"x{j}" for j in range(22))
+        code, out, err = run("tree", cmd, "--gen", gen)
+        assert (code, out, built) == (1, "", [])
+        assert err == f"error: DomainTooLarge: tree of a dimension-22 generator over k=2 spans more than {MAX_UNIVERSE} words\n"
+
+
+# random argv drawn from the command table, on small random files
+
+INTS = (-1, 0, 1, 2, 99)
+SYMBOLS = ("0", "1", "2", "x0", "x1", "x2", "x3")
+WORD_FLAGS = {"w", "u", "gen", "v", "s", "what"}
+# the file each file flag reads; any file may be drawn in its place
+FILE_FLAGS = {
+    "coloring": "coloring", "syndetic": "family", "thick": "family2", "part": "family", "parts": "family2",
+    "family": "family", "graph": "graph", "chi": "chi", "certificate": "coloring",
+}
+
+
+def _command_table():
+    """(argv of the command, its actions) for every command of the full parser."""
+    import argparse
+
+    from varword.cli import build_parser
+
+    table = []
+    for group, gp in build_parser()._subparsers._group_actions[0].choices.items():
+        commands = {(): gp} if gp._subparsers is None else {
+            (name,): p for name, p in gp._subparsers._group_actions[0].choices.items()
+        }
+        for name, p in commands.items():
+            actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            table.append(((group, *name), actions))
+    return table
+
+
+COMMAND_TABLE = _command_table()
+
+
+@st.composite
+def _argvs(draw):
+    """A command and a value for each flag it takes, files named as ``_write_inputs`` names them."""
+    import argparse
+
+    command, actions = draw(st.sampled_from(COMMAND_TABLE))
+    word = st.lists(st.sampled_from(SYMBOLS), max_size=6).map(lambda s: "".join(s) or "-")
+    names = st.sampled_from(["coloring", "family", "family2", "graph", "chi"])
+    argv = list(command)
+    for a in actions:
+        if a.option_strings and not a.required and not draw(st.booleans()):
+            continue
+        if isinstance(a, argparse._StoreTrueAction):
+            argv.append(a.option_strings[0])
+            continue
+        if a.type is int:
+            values = [str(draw(st.sampled_from(INTS)))]
+        elif a.dest in FILE_FLAGS:
+            files = st.one_of(st.just(FILE_FLAGS[a.dest]), names)
+            values = draw(st.lists(files, min_size=1, max_size=3)) if a.nargs == "+" else [draw(files)]
+        elif a.dest in WORD_FLAGS:
+            values = [draw(word)]
+        elif a.dest in ("elements", "members"):
+            values = [",".join(draw(st.lists(word, min_size=1, max_size=3)))]
+        elif a.dest == "json_out":
+            values = ["out.json"]
+        else:
+            values = [draw(st.sampled_from(["1/2", "0", "2/3", "x", "1/0"]))]
+        argv += [*a.option_strings[:1], *values]
+    return argv
+
+
+# k, N, n and ell of the coloring, the graph's vertex count and a seed for the contents
+INPUTS = st.tuples(*map(st.integers, (0, 0, 0, 1, 0, 0), (3, 4, 4, 3, 4, 2**32 - 1)))
+
+
+def _write_inputs(k, n_horizon, dim, ell, vertices, seed):
+    """A coloring, two families, a graph and a chi file in the working
+    directory, each with N <= 4 (the coloring's n is at most N)."""
+    from varword.words import letter_words, var_words
+
+    rng = random.Random(seed)
+    dim = min(dim, n_horizon)
+    size = sum(1 for _ in var_words(k, n_horizon, dim=dim))
+    Path("coloring").write_text(Coloring(k, n_horizon, dim, ell, [rng.randrange(ell) for _ in range(size)]).dump())
+    for name in ("family", "family2"):
+        members = [format_word(w) for w in letter_words(k, n_horizon) if rng.random() < 0.6]
+        Path(name).write_text(f"{k} {n_horizon}\n" + "".join(t + "\n" for t in members))
+    adj = [[0] * vertices for _ in range(vertices)]
+    for i in range(vertices):
+        for j in range(i):
+            adj[i][j] = adj[j][i] = rng.randrange(2)
+    Path("graph").write_text(f"{vertices}\n" + "".join("".join(map(str, row)) + "\n" for row in adj))
+    words = ("0", "x0", "0x0", "x00")
+    lines = [" ".join(rng.choice(words) for _ in range(vertices)) + f" {rng.randrange(3)}" for _ in range(3)]
+    Path("chi").write_text("\n".join(lines) + "\n")
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argvs(), inputs=INPUTS)
+# each of these ran out of memory or time
+@example(argv=["search", "csl", "--coloring", "coloring", "--depth", "99"], inputs=(2, 2, 0, 2, 0, 0))
+@example(argv=["search", "prehomog", "--check", "--coloring", "coloring", "--w", "x0x1x2x3", "--stem-max", "99"],
+         inputs=(2, 4, 1, 1, 0, 0))
+@example(argv=["cdrt", "pullback", "--coloring", "coloring", "--depth", "99"], inputs=(2, 2, 0, 2, 0, 0))
+@example(argv=["cdrt", "pullback", "--coloring", "coloring", "--max-len", "99"], inputs=(2, 3, 0, 2, 0, 3))
+@example(argv=["henson", "profile", "--graph", "graph", "--horizon", "99"], inputs=(0, 0, 0, 1, 1, 0))
+@example(argv=["tree", "build", "--k", "99", "--gen", "x0x1x2x3x4x5"], inputs=(0, 0, 0, 1, 0, 0))
+@example(argv=["word", "validate", "--w", "x0", "--dim", "99", "--ordered"], inputs=(0, 0, 0, 1, 0, 0))
+def test_cli_property_exit_code_and_stderr_prefix(argv, inputs):
+    import contextlib
+    import io
+    import re
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        _write_inputs(*inputs)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert err.startswith("not found: "), (argv, err)
+    elif code == 1:
+        verify_fail = argv[0] == "verify" and re.match(r"\S+: FAIL \(", err)
+        assert err.startswith(("input error: ", "error: ", "usage: ")) or verify_fail, (argv, err)
 
 
 # one command per group, on the instance_dir files; verify reads a line-letter certificate

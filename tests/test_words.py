@@ -152,6 +152,95 @@ class TestValidity:
                     assert is_var_word(w, n) == unordered
                     assert is_var_word(w, n, ordered=True) == rep.passed
 
+    def test_validate_matches_reference_exhaustively(self):
+        # every word of length <= 5 over 2 letters and x0..x3, and each n
+        # up to |w| + 2, against the report that walked all n indices
+        for length in range(6):
+            for syms in product(range(K + 4), repeat=length):
+                w = Word(K, syms)
+                for n in range(length + 3):
+                    for ordered in (False, True):
+                        assert validate(w, n, ordered) == _validate_ref(w, n, ordered), (syms, n, ordered)
+
+    def test_validate_cost_does_not_grow_with_n(self, monkeypatch):
+        # `word validate --w x0 --dim 100000000` ran past 15 s: one
+        # first_occurrence call per index below n
+        from varword import words
+
+        calls = []
+
+        def counted(w, j):
+            calls.append(j)
+            if len(calls) > 100:
+                raise AssertionError("first_occurrence called per index")
+            return first_occurrence(w, j)
+
+        monkeypatch.setattr(words, "first_occurrence", counted)
+        rep = validate(parse_word("x0", K), 10**9, ordered=True)
+        assert [c.name for c in rep.failing()] == ["occurrence"]
+        assert rep.failing()[0].detail == "x1 never occurs"
+        assert len(calls) <= 100
+
+
+def _validate_ref(w, n, ordered=False):
+    """``validate`` as it was: one first_occurrence per index below n, and n + 1 flags."""
+    from varword.words import Condition, ValidityReport
+
+    conditions = []
+    pos_range = next((i for i, s in enumerate(w.symbols) if s >= w.k + n), None)
+    conditions.append(
+        Condition(
+            "index-range",
+            pos_range is None,
+            pos_range,
+            "" if pos_range is None else f"variable x{w.symbols[pos_range] - w.k} with only {n} allowed",
+        )
+    )
+    first = [first_occurrence(w, j) for j in range(n)]
+    missing = next((j for j, p in enumerate(first) if p is None), None)
+    conditions.append(
+        Condition(
+            "occurrence",
+            missing is None,
+            len(w.symbols) if missing is not None else None,
+            "" if missing is None else f"x{missing} never occurs",
+        )
+    )
+    order_pos = None
+    for j in range(n - 1):
+        a, b = first[j], first[j + 1]
+        if a is not None and b is not None and b < a:
+            order_pos = b
+            break
+    conditions.append(
+        Condition(
+            "first-order",
+            order_pos is None,
+            order_pos,
+            "" if order_pos is None else "first occurrences out of index order",
+        )
+    )
+    if ordered:
+        bad = None
+        seen_next = [False] * (n + 1)
+        for i, s in enumerate(w.symbols):
+            j = s - w.k
+            if s < w.k or j >= n:
+                continue
+            if any(seen_next[j + 1 : n]):
+                bad = i
+                break
+            seen_next[j] = True
+        conditions.append(
+            Condition(
+                "ordered",
+                bad is None,
+                bad,
+                "" if bad is None else f"x{w.symbols[bad] - w.k} reoccurs after a later variable",
+            )
+        )
+    return ValidityReport(w, n, ordered, tuple(conditions))
+
 
 class TestDecompose:
     def test_example(self):
