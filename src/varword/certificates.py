@@ -10,11 +10,24 @@ contract.
 
 This is the only module that knows the format.  Each kind has one
 builder, ``<kind>_certificate_doc``, which only serializes the objects
-its search already computed, and one check.  For the kinds a search
-re-checks before returning (line-letter, csl, prehomog, cdrt, embedding,
-envelope) the check is ``check_<kind>``, which takes objects: the search
-calls it on its hit, and ``_verify_<kind>`` parses the document and
-calls the same function.  A failed check raises ``CheckFailed``.
+its search already computed, and one check, which takes objects: the
+search runs it, and ``_verify_<kind>`` parses the document and runs the
+same function.  A failed check raises ``CheckFailed``.  Per kind:
+
+- line-letter: ``check_line_letter``, on the hit of ``search_line_with_letter``;
+- tree: the element set against ``tree_from_generator`` (``tree build`` runs no search);
+- split: ``largeness.split_sides``, run by ``pw_split``;
+- brown: ``largeness.check_partition`` and ``brown_side``, run by ``brown_select``;
+- builder-trace: ``check_builder_stage``, on each stage of ``iterate_builder``;
+- prehomog: ``check_prehomog``, on the hit of ``one_step_prehomog``;
+- csl: ``check_csl``, on each candidate of ``csl_search``;
+- cdrt: ``check_cdrt``, on the hit of ``pullback_certificate``;
+- embedding: ``check_embedding``, on the hit of ``phi_embed`` or ``greedy_embed``;
+- envelope: ``check_envelope``, on the hit of ``minimal_envelope``.
+
+Split and brown re-read their translators and anchors word by word
+(``_check_syndetic_witness``, ``_check_thick_witness``): the object route
+beside the rank-space ``is_syndetic`` and ``is_thick`` the searches run.
 """
 
 from __future__ import annotations
@@ -75,6 +88,7 @@ __all__ = [
     "embedding_certificate_doc",
     "envelope_certificate_doc",
     "check_line_letter",
+    "check_builder_stage",
     "check_csl",
     "check_prehomog",
     "check_cdrt",
@@ -353,15 +367,13 @@ def split_certificate_doc(dec: PwSyndeticDecomposition, b, c, res, translators=(
 
 
 def _verify_split(instance: dict, witness: dict) -> int:
+    from .largeness import split_sides
+
     dec = decomposition_from_json(instance["decomposition"])
     _need(0 <= dec.ell <= dec.N, "ell outside the horizon")  # it bounds the tau walks
     b = family_from_json(instance["b"])
     c = family_from_json(instance["c"])
-    p = dec.part
-    # with P = S & T, a partition B, C of P gives S~ & T == B and T~ & S == C
-    _need((b | c).mask == p.mask and not (b & c).mask, "B, C do not partition P")
-    s_tilde = b | (dec.syndetic - p)
-    t_tilde = s_tilde.complement()
+    s_tilde, t_tilde = split_sides(dec, b, c)  # NotAPartition unless B, C partition P
     side = witness["side"]
     count = 2
     if side == "B":
@@ -394,41 +406,26 @@ def brown_certificate_doc(dec: PwSyndeticDecomposition, parts, sel, translators)
 
 
 def _verify_brown(instance: dict, witness: dict) -> int:
-    from .largeness import FiniteFamily
+    from .largeness import brown_side, check_partition
 
     dec = decomposition_from_json(instance["decomposition"])
     _need(0 <= dec.ell <= dec.N, "ell outside the horizon")  # it bounds the tau walks
     parts = [family_from_json(d) for d in instance["parts"]]
-    p = dec.part
-    union = FiniteFamily.empty(dec.k, dec.N)
-    for q in parts:
-        _need(not (union & q).mask, "parts overlap")
-        union = union | q
-    _need(union.mask == p.mask, "parts do not cover P")
+    check_partition(dec.part, parts)
     idx = _int(witness["index"])
     subset = [_int(i) for i in witness["subset"]]
     _need(all(0 <= j < len(parts) for j in subset), "subset index outside the parts")
     _need(len(set(subset)) == len(subset), "subset repeats a part")
     _need(idx in subset, "selected index outside subset")
-    base = dec.thick.complement()
-    s_prime = base
-    for j in subset:
-        s_prime = s_prime | parts[j]
+    s_prime = brown_side(dec, parts, subset)
     count = _check_syndetic_witness(s_prime, dec.ell, witness["translators"])
-    rest = base
-    for j in subset:
-        if j != idx:
-            rest = rest | parts[j]
+    rest = brown_side(dec, parts, [j for j in subset if j != idx])
     sigma = word_from_json(witness["removal_counterexample"])
     for tau in letter_words(dec.k, dec.ell):
         _need(tau.concat(sigma) not in rest, "removal counterexample refuted")
         count += 1
-    # S' & T' is parts[idx]: the parts partition P, and P lies in T
-    t_prime = dec.thick
-    for j in subset:
-        if j != idx:
-            t_prime = t_prime - parts[j]
-    count += _check_thick_witness(t_prime, witness["thick_anchors"])
+    # T' = complement(rest), and S' & T' is parts[idx]
+    count += _check_thick_witness(rest.complement(), witness["thick_anchors"])
     return count
 
 
@@ -448,23 +445,48 @@ def builder_certificate_doc(dec: PwSyndeticDecomposition, trace) -> dict:
     return wrap("builder-trace", instance, {"stages": stages}, checked)
 
 
-def _verify_builder(instance: dict, witness: dict) -> int:
-    """Claims 1 and 2 of every stage, checked against the instance's P.
+def check_builder_stage(p: FiniteFamily, g: Word, block: Word, residue: FiniteFamily) -> tuple[int, int, int, int]:
+    """Claims 1 and 2 of a builder stage against P; a failed one raises
+    ``CheckFailed`` at its first failing word.
 
-    Only the levels of a stage's tree within P's horizon are built, one
-    at a time: claim 1 needs all of a level's words in P, so the work up
-    to a failure is bounded by |P|, and a top level past the horizon
-    gives claim 2 only glued words past it.  Each stage's claim records
-    must be what these checks find; the words they skip are counted
-    from the sizes alone (level j has k^j words), and a count with more
-    bits than its record is refused before it is built.
+    Claim 1: each word of g's tree within P's horizon lies in P.  Claim 2:
+    so does each top-level word glued to an instance of ``block`` and a
+    word of ``residue``, within the horizon.  Only the levels within the
+    horizon are built, so the work is bounded by |P|.  Returns (levels
+    built, claim 1 checked, claim 2 checked, claim 2 skipped); the caller
+    counts from sizes the words past the horizon: the levels not built,
+    and all of claim 2's when the top level is one of them.
     """
     from .largeness import FiniteFamily, glued_inclusion
     from .trees import tree_levels
 
+    just_empty = FiniteFamily(p.k, 0, 1)
+    top, built, c1 = (), 0, 0
+    for built, top in enumerate(tree_levels(g, p.N), 1):
+        ok, checked, _, bad = glued_inclusion(top, just_empty, p)
+        if not ok:
+            raise CheckFailed(f"claim 1 fails at {format_word(bad)}")
+        c1 += checked
+    c2 = s2 = 0
+    if len(g) <= p.N:  # the top level is within the horizon
+        insts = [substitute(block, (a,)) for a in range(p.k)]
+        heads = [t.concat(wa) for t in top for wa in insts]
+        ok, c2, s2, bad = glued_inclusion(heads, residue, p)
+        if not ok:
+            raise CheckFailed(f"claim 2 fails at {format_word(bad)}")
+    return built, c1, c2, s2
+
+
+def _verify_builder(instance: dict, witness: dict) -> int:
+    """Every stage's claims by ``check_builder_stage``, against the instance's P.
+
+    Each stage's claim records must be what the check finds; the words
+    past the horizon are counted from the sizes alone (level j has k^j
+    words), and a count with more bits than its record is refused before
+    it is built.
+    """
     dec = decomposition_from_json(instance["decomposition"])
     p = dec.part
-    just_empty = FiniteFamily(p.k, 0, 1)
     count = 0
     for i, stage in enumerate(witness["stages"]):
         g = word_from_json(stage["generator"])
@@ -473,20 +495,8 @@ def _verify_builder(instance: dict, witness: dict) -> int:
         res_dec = decomposition_from_json(stage["residue"])
         _need(res_dec.ell == dec.ell, f"stage {i}: residue ell differs from the instance's")
         residue = res_dec.part
-        top, built, c1 = (), 0, 0
-        for built, top in enumerate(tree_levels(g, p.N), 1):
-            ok, checked, _, bad = glued_inclusion(top, just_empty, p)
-            if not ok:
-                raise CheckFailed(f"claim 1 fails at {format_word(bad)}")
-            c1 += checked
+        built, c1, c2, s2 = check_builder_stage(p, g, block, residue)
         dim = dimension(g)
-        c2 = s2 = 0
-        if len(g) <= p.N:  # the top level is within the horizon
-            insts = [substitute(block, (a,)) for a in range(p.k)]
-            heads = [t.concat(wa) for t in top for wa in insts]
-            ok, c2, s2, bad = glued_inclusion(heads, residue, p)
-            if not ok:
-                raise CheckFailed(f"claim 2 fails at {format_word(bad)}")
         for n, c in ((1, c1), (2, c2)):
             record = stage[f"claim{n}"]
             got = (record["ok"] is True, _int(record["checked"]), _int(record["skipped"]))
@@ -589,10 +599,10 @@ def csl_certificate_doc(coloring: Coloring, cert) -> dict:
     return wrap("csl", coloring_to_json(coloring), witness, len(cert.checked))
 
 
-def check_csl(coloring: Coloring, w: Word, color: int, depth: int, checked) -> list[tuple[Word, Word]]:
+def check_csl(coloring: Coloring, w: Word, color: int, depth: int) -> list[tuple[Word, Word]]:
     """W[u] lies in the domain and has ``color`` for every pattern u of the
-    coloring's dimension up to ``depth``, and ``checked`` lists exactly the
-    pairs (u, W[u]) in pattern order; returns these pairs."""
+    coloring's dimension up to ``depth``; returns the pairs (u, W[u]) in
+    pattern order."""
     _need(is_prefix_valid(w), "word is not prefix-valid")
     # patterns are walked lazily: distinct patterns have distinct images,
     # so one leaves the domain within len(coloring.colors) + 1 steps
@@ -604,7 +614,6 @@ def check_csl(coloring: Coloring, w: Word, color: int, depth: int, checked) -> l
         _need(c == color, "color breaks at {}", u)
         pairs.append((u, img))
     _need(pairs, "empty pattern range")
-    _need(list(checked) == pairs, "checked pairs are not the pattern walk")
     return pairs
 
 
@@ -613,7 +622,9 @@ def _verify_csl(instance: dict, witness: dict) -> int:
     w = word_from_json(witness["word"])
     color, depth = _int(witness["color"]), _int(witness["depth"])
     checked = [(word_from_json(u), word_from_json(img)) for u, img in witness["checked"]]
-    return len(check_csl(coloring, w, color, depth, checked))
+    pairs = check_csl(coloring, w, color, depth)
+    _need(checked == pairs, "checked pairs are not the pattern walk")
+    return len(pairs)
 
 
 def cdrt_certificate_doc(coloring: Coloring, pb, depth: int, w_hat: Word) -> dict:

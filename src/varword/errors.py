@@ -63,8 +63,9 @@ class HorizonExceeded(VarwordError):
     """A length parameter exceeds the family horizon."""
 
 
-class NotAPartition(VarwordError):
-    """The supplied pieces do not partition the declared whole."""
+class NotAPartition(CheckFailed):
+    """The supplied pieces do not partition the declared whole: a failed
+    check of the split and brown searches and verifiers alike."""
 
 
 class NoPartSelected(VarwordError):

@@ -424,8 +424,10 @@ def profile_coloring(
     colorings agreeing on the image region of u get equal profiles.
 
     The slots and the patterns are counted before either is built, and
-    more than ``MAX_UNIVERSE`` slots or (pattern, slot) pairs raise
-    ``DomainTooLarge``.
+    more than ``MAX_UNIVERSE`` slots or (pattern, slot) pairs, each pair
+    weighed by the N + 1 symbols a pattern may hold, raise
+    ``DomainTooLarge``: with no vertex there is one slot, and the table
+    is the patterns alone.
     """
     from .colorings import _domain_size
 
@@ -433,7 +435,7 @@ def profile_coloring(
     # the slots are the ordered g.n-tuples of distinct words over {0, x0} of
     # length <= d; past the bound's bit length one vertex alone has too many
     slot_count = math.perm(2 ** (min(d, MAX_UNIVERSE.bit_length()) + 1) - 1, g.n)
-    cap = MAX_UNIVERSE // slot_count
+    cap = MAX_UNIVERSE // (slot_count * max(n_horizon + 1, 1))
     if not cap or _domain_size(1, n_horizon, d, cap) > cap:
         raise DomainTooLarge(
             f"profile of a {g.n}-vertex graph at horizon {n_horizon} spans more than "

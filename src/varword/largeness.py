@@ -62,6 +62,9 @@ __all__ = [
     "PwSplitResult",
     "BrownSelection",
     "PwCertification",
+    "split_sides",
+    "check_partition",
+    "brown_side",
     "density",
     "density_profile",
     "density_split",
@@ -615,41 +618,65 @@ class PwSplitResult(NamedTuple):
     thick_evidence: Optional[ThickCheck] = None
 
 
-def pw_split(
-    dec: PwSyndeticDecomposition, b: FiniteFamily, c: FiniteFamily
-) -> PwSplitResult:
-    """Two-way split of a piecewise syndetic set, with the proof's set identities.
+def split_sides(dec: PwSyndeticDecomposition, b: FiniteFamily, c: FiniteFamily) -> tuple[FiniteFamily, FiniteFamily]:
+    """S~ = B | (S - P) and T~ = complement(S~), for B, C a partition of P = S & T.
 
-    S~ = B | (S - P) and T~ = complement(S~); the identities B == S~ & T
-    and C == T~ & S are verified as exact bitset equalities, then the
-    side is decided by testing syndeticity of S~ at the decomposition's
-    ell.  The losing side comes with thickness evidence for T~.
+    Raises ``NotAPartition`` unless B, C partition P.  Then S~ & T == B
+    and T~ & S == C, since B lies in P, which lies in S and in T
+    (CHANGES.md has the proof).  ``pw_split`` and the split verifier
+    compute the sides here, as ``brown_select`` and the brown verifier
+    do with ``check_partition`` and ``brown_side``.
     """
     p = dec.part
     if (b | c).mask != p.mask or (b & c).mask:
         raise NotAPartition("B, C do not partition P")
+    s_tilde = b | (dec.syndetic - p)
+    return s_tilde, s_tilde.complement()
+
+
+def check_partition(p: FiniteFamily, parts: Sequence[FiniteFamily]) -> None:
+    """Raise ``NotAPartition`` unless ``parts`` are pairwise disjoint with union p."""
+    union = FiniteFamily.empty(p.k, p.N)
+    for q in parts:
+        if (union & q).mask:
+            raise NotAPartition("parts overlap")
+        union = union | q
+    if union.mask != p.mask:
+        raise NotAPartition("parts do not cover P")
+
+
+def brown_side(dec: PwSyndeticDecomposition, parts: Sequence[FiniteFamily], indices: Iterable[int]) -> FiniteFamily:
+    """(A^{<=N} - T) | the union of ``parts[j]`` for j in ``indices``.
+
+    Over a subset B of a partition of P it is the new syndetic side S';
+    over B less an index i, its complement T' = T - the other parts of B
+    is the new thick side, and S' & T' == parts[i]: the parts are
+    disjoint and lie in P, which lies in T (CHANGES.md has the proof).
+    """
+    fam = dec.thick.complement()
+    for j in indices:
+        fam = fam | parts[j]
+    return fam
+
+
+def pw_split(dec: PwSyndeticDecomposition, b: FiniteFamily, c: FiniteFamily) -> PwSplitResult:
+    """Two-way split of a piecewise syndetic set, with the proof's set identities.
+
+    S~ and T~ are ``split_sides``; the identities B == S~ & T and
+    C == T~ & S, which the partition implies, are reported as exact
+    bitset equalities.  The side is decided by testing syndeticity of S~
+    at the decomposition's ell, and the losing side comes with thickness
+    evidence for T~.
+    """
+    s_tilde, t_tilde = split_sides(dec, b, c)
     s, t = dec.syndetic, dec.thick
-    s_tilde = b | (s - p)
-    t_tilde = s_tilde.complement()
     id_b = (s_tilde & t).mask == b.mask
     id_c = (t_tilde & s).mask == c.mask
-    if not (id_b and id_c):
-        raise AssertionError("split identities failed; inputs corrupt")
     check = is_syndetic(s_tilde, dec.ell)
     if check.ok:
-        return PwSplitResult(
-            "B", b, PwSyndeticDecomposition(s_tilde, t, dec.ell), id_b, id_c, check
-        )
+        return PwSplitResult("B", b, PwSyndeticDecomposition(s_tilde, t, dec.ell), id_b, id_c, check)
     evidence = is_thick(t_tilde, dec.ell)
-    return PwSplitResult(
-        "C",
-        c,
-        PwSyndeticDecomposition(s, t_tilde, dec.ell),
-        id_b,
-        id_c,
-        check,
-        thick_evidence=evidence,
-    )
+    return PwSplitResult("C", c, PwSyndeticDecomposition(s, t_tilde, dec.ell), id_b, id_c, check, evidence)
 
 
 class BrownSelection(NamedTuple):
@@ -661,9 +688,7 @@ class BrownSelection(NamedTuple):
     thick_evidence: ThickCheck
 
 
-def brown_select(
-    dec: PwSyndeticDecomposition, parts: Sequence[FiniteFamily]
-) -> BrownSelection:
+def brown_select(dec: PwSyndeticDecomposition, parts: Sequence[FiniteFamily]) -> BrownSelection:
     """Pick a part of a partition of P that stays piecewise syndetic.
 
     Searches subsets B of part indices by increasing cardinality (then
@@ -673,26 +698,15 @@ def brown_select(
     syndeticity is returned together with the rebuilt decomposition for
     C_i, ready for independent re-verification.
     """
-    p = dec.part
     kparts = len(parts)
     if kparts == 0:
         raise NotAPartition("no parts supplied")
     if kparts > 8:
         raise NotAPartition("subset search capped at 8 parts")
-    union = FiniteFamily.empty(dec.k, dec.N)
-    for q in parts:
-        if (union & q).mask:
-            raise NotAPartition("parts overlap")
-        union = union | q
-    if union.mask != p.mask:
-        raise NotAPartition("parts do not cover P")
-
-    base = dec.thick.complement()
+    check_partition(dec.part, parts)
 
     def syndetic_of(indices: Iterable[int]) -> tuple[FiniteFamily, SyndeticCheck]:
-        fam = base
-        for j in indices:
-            fam = fam | parts[j]
+        fam = brown_side(dec, parts, indices)
         return fam, is_syndetic(fam, dec.ell)
 
     from itertools import combinations
@@ -715,15 +729,10 @@ def brown_select(
 
     combo, s_prime, check = chosen
     for i in combo:
-        rest = tuple(j for j in combo if j != i)
-        _, removal = syndetic_of(rest)
+        rest, removal = syndetic_of(j for j in combo if j != i)
         if not removal.ok:
-            t_prime = dec.thick
-            for j in rest:
-                t_prime = t_prime - parts[j]
+            t_prime = rest.complement()  # S' & T' is parts[i], by the partition
             new_dec = PwSyndeticDecomposition(s_prime, t_prime, dec.ell)
-            if new_dec.part.mask != parts[i].mask:
-                raise AssertionError("selected part identity failed")
             evidence = is_thick(t_prime, dec.ell)
             return BrownSelection(i, combo, new_dec, check, removal, evidence)
     # a minimal subset of two or more parts has every index critical, so

@@ -9,9 +9,10 @@ by the stem's variables, runs the prefix search there, renames the
 letter-variables back into variable slots and composes the result onto
 W.  The output is below W in the pure-prefix order ``leq_m``.
 
-Each search re-checks its hit against the original coloring with the
-check ``varword verify`` runs on the kind's certificate:
-``certificates.check_csl`` and ``certificates.check_prehomog``.
+Each search checks with the check ``varword verify`` runs on the
+kind's certificate: ``csl_search`` decides every candidate with
+``certificates.check_csl``, and ``one_step_prehomog`` re-checks its hit
+against the original coloring with ``certificates.check_prehomog``.
 
 All infinitary statements here are bounded searches with explicit
 horizons; exhaustion raises NotFoundWithinHorizon.
@@ -23,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from .certificates import check_csl, check_prehomog, stem_extension_words
 from .colorings import Coloring
-from .errors import CutPointMissing, InvalidWord, NotFoundWithinHorizon
+from .errors import CheckFailed, CutPointMissing, InvalidWord, NotFoundWithinHorizon
 from .words import (
     Word,
     compose,
@@ -41,7 +42,6 @@ from .words import (
 __all__ = [
     "CslCertificate",
     "csl_search",
-    "verify_csl",
     "PrehomogReport",
     "prehomog_check",
     "OneStepCertificate",
@@ -71,42 +71,23 @@ def csl_search(
     the domain once x_depth first occurs by position N: so W has at most
     N + 1 symbols (a longer W has the images of its prefix through its
     first x_depth, met first), and a depth past N has no W.
+
+    Each candidate is decided by ``certificates.check_csl``, which fails
+    it at its first image of another color.  The color asked for is that
+    of the first pattern x_0 ... x_{n-1}, whose image is W cut before its
+    first x_n.
     """
-    k = coloring.k
+    k, n = coloring.k, coloring.n
     cap = coloring.N + 1 if max_len is None else max_len
-    if depth < coloring.n:  # no pattern of the coloring's dimension is that short
-        raise InvalidWord(f"no dimension-{coloring.n} patterns up to depth {depth}")
-    # past N there is no candidate either, and the patterns are not listed
-    patterns = list(var_words(k, depth, dim=coloring.n)) if depth <= coloring.N else []
-
-    def attempt(w):
-        color = None
-        checked = []
-        for u in patterns:
-            img = substitute(w, u, omega=True)
-            c = coloring.get(img)
-            if color is None:
-                color = c
-            elif c != color:
-                return None
-            checked.append((u, img))
-        cert = CslCertificate(w, color, depth, tuple(checked))
-        verify_csl(cert, coloring)
-        return cert
-
-    cands = prefix_valid_words(k, min(cap, coloring.N + 1), min_vars=depth + 1)
-    hit = next((r for r in map(attempt, cands) if r is not None), None)
-    if hit is None:
-        raise NotFoundWithinHorizon(
-            f"no monochromatic prefix of length <= {cap} at depth {depth}"
-        )
-    return hit
-
-
-def verify_csl(cert: CslCertificate, coloring: Coloring) -> None:
-    """Re-check a certificate with ``certificates.check_csl``; raises
-    ``CheckFailed``, an ``InvalidWord``, when it does not hold."""
-    check_csl(coloring, cert.word, cert.color, cert.depth, cert.checked)
+    if depth < n:  # no pattern of the coloring's dimension is that short
+        raise InvalidWord(f"no dimension-{n} patterns up to depth {depth}")
+    for w in prefix_valid_words(k, min(cap, coloring.N + 1), min_vars=depth + 1):
+        color = coloring.get(Word(k, w.symbols[: first_occurrence(w, n)]))
+        try:
+            return CslCertificate(w, color, depth, tuple(check_csl(coloring, w, color, depth)))
+        except CheckFailed:
+            continue
+    raise NotFoundWithinHorizon(f"no monochromatic prefix of length <= {cap} at depth {depth}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import ast
+import inspect
 import json
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -18,21 +22,23 @@ from varword.cli import (
 from varword.cdrt import pullback_certificate, translate
 from varword.colorings import Coloring
 from varword.henson import GraphSpec, greedy_embed, minimal_envelope
-from varword.errors import DomainTooLarge, IndexOutOfRange, InvalidWord
+from varword.errors import CheckFailed, DomainTooLarge, IndexOutOfRange, InvalidWord
 from varword.largeness import (
     MAX_UNIVERSE,
     FiniteFamily,
     PwSyndeticDecomposition,
     brown_select,
+    brown_side,
     check_family_size,
     is_syndetic,
     pw_split,
     random_piecewise_syndetic,
+    split_sides,
 )
 from varword.prehomog import csl_search, one_step_prehomog
 from varword.search import iterate_builder, search_line_with_letter
 from varword.trees import level, tree_from_generator
-from varword.words import Word, format_word, parse_word, substitute, var_words
+from varword.words import Word, format_word, letter_words, parse_word, substitute, var_words
 
 K = 2
 
@@ -940,3 +946,215 @@ def test_every_field_mutation_never_raises(small_mutation_sites, kind):
         for path in dict.fromkeys(paths):
             res = certs.verify_certificate(_mutated(blob, path, op, arg))
             assert isinstance(res, certs.VerifyResult), (path, op, arg)
+
+
+# ---------------------------------------------------------------------------
+# named tampers of the largeness checks, and one hostile corpus that trips
+# every check the verifier makes
+
+
+def _split_brown_families(doc):
+    """The decomposition and the families named by a split or brown certificate."""
+    inst = doc["instance"]
+    dec = certs.decomposition_from_json(inst["decomposition"])
+    if doc["kind"] == "split":
+        return dec, certs.family_from_json(inst["b"]), certs.family_from_json(inst["c"])
+    return dec, [certs.family_from_json(p) for p in inst["parts"]]
+
+
+def _misrouted_translator(doc):
+    # a tau of length <= ell that does not take its sigma into S'
+    dec, parts = _split_brown_families(doc)
+    s_prime = brown_side(dec, parts, doc["witness"]["subset"])
+    for pair in doc["witness"]["translators"]:
+        sigma = certs.word_from_json(pair[0])
+        tau = next((t for t in letter_words(K, dec.ell) if t.concat(sigma) not in s_prime), None)
+        if tau is not None:
+            pair[1] = certs.word_to_json(tau)
+            return
+    pytest.fail("every sigma reaches S' by every tau")
+
+
+def _refuted_counterexample(doc):
+    # a member of S~ is refuted by the empty tau
+    s_tilde, _ = split_sides(*_split_brown_families(doc))
+    doc["witness"]["counterexample"] = certs.word_to_json(next(s_tilde.words()))
+
+
+def _refuted_removal_counterexample(doc):
+    # a member of S' without the selected part is refuted by the empty tau
+    dec, parts = _split_brown_families(doc)
+    wit = doc["witness"]
+    rest = brown_side(dec, parts, [j for j in wit["subset"] if j != wit["index"]])
+    wit["removal_counterexample"] = certs.word_to_json(next(rest.words()))
+
+
+def _leaking_anchor(doc):
+    # an anchor outside T~ leaks at the empty tau
+    _, t_tilde = split_sides(*_split_brown_families(doc))
+    anchor = doc["witness"]["thick_anchors"][0]
+    anchor[1] = certs.word_to_json(next(t_tilde.complement().words()))
+
+
+LARGENESS_TAMPERS = [
+    ("brown", _misrouted_translator, "translator misses the family"),
+    ("brown", lambda doc: doc["witness"]["translators"].pop(), "translator map does not cover the quantifier range"),
+    ("split", _refuted_counterexample, "counterexample refuted"),
+    ("brown", _refuted_removal_counterexample, "removal counterexample refuted"),
+    ("split", _leaking_anchor, "anchor block leaks out of the family"),
+]
+
+
+def _tampered(docs, kind, tamper):
+    """A copy of ``docs[kind]`` after ``tamper``, re-digested unless the tamper set the digest."""
+    doc = json.loads(certs.canonical_json(docs[kind]))
+    tamper(doc)
+    if doc["digest"] == docs[kind]["digest"]:
+        doc["digest"] = certs.digest(doc["instance"])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind, tamper, detail", LARGENESS_TAMPERS, ids=["translator", "cover", "counterexample", "removal", "anchor"]
+)
+def test_largeness_tamper_names_its_check(docs, kind, tamper, detail):
+    # each tamper trips its check with every earlier check holding, so no
+    # earlier check implies it
+    assert certs.verify_certificate(_tampered(docs, kind, tamper)) == (False, kind, detail)
+
+
+def _break_claim(n):
+    """Remove from P's syndetic side the stage-0 word that claim n checks first:
+    the root, or its first glued word within the horizon."""
+
+    def tamper(doc):
+        dec = doc["instance"]["decomposition"]
+        part = certs.decomposition_from_json(dec).part
+        stage = doc["witness"]["stages"][0]
+        word = certs.word_from_json(stage["generator"])  # stage 0's tree is its generator alone
+        if n == 2:
+            head = word.concat(substitute(certs.word_from_json(stage["block"]), (0,)))
+            residue = certs.decomposition_from_json(stage["residue"]).part
+            word = next(head.concat(s) for s in residue.words() if len(head) + len(s) <= part.N)
+        dec["syndetic"] = _flip(dec["syndetic"], part.rank(word))
+
+    return tamper
+
+
+def _words_update(*words):
+    return lambda doc: doc["witness"].update(words=[_word_doc(1, *w) for w in words])
+
+
+CORPUS_TAMPERS = LARGENESS_TAMPERS + [
+    ("csl", lambda doc: doc.update(schema=2), "unsupported schema 2"),
+    ("csl", lambda doc: doc.update(kind="x"), "unknown kind 'x'"),
+    ("csl", lambda doc: doc.update(digest="sha256:0"), "instance digest mismatch"),
+    ("line-letter", lambda doc: doc.update(checked_count=0), "empty verification"),
+    ("line-letter", lambda doc: doc["witness"].update(generator=_word_doc(K, 2, 3)), "generator is not one-dimensional"),
+    ("line-letter", lambda doc: doc["witness"].update(generator=_word_doc(K, 2, 0, 0, 0, 0)),
+     "line does not fit the horizon"),
+    ("csl", lambda doc: doc["witness"].update(word=_word_doc(K, 3, 2)), "word is not prefix-valid"),
+    ("csl", lambda doc: doc["witness"].update(word=_word_doc(K, 0, 0, 0, 0, 2, 3)), "image of 0 leaves the domain"),
+    ("cdrt", lambda doc: doc["witness"].update(word=_word_doc(K, 0, 1, 2, 3, 0)), "pullback mismatch"),
+    ("cdrt", lambda doc: doc["witness"].update(w_hat=_word_doc(0, 0, 1, 3, 2), word=_word_doc(K, 0, 1, 3, 2)),
+     "pullback is not prefix-valid"),
+    ("prehomog", lambda doc: doc["instance"].update(w=_word_doc(K, 3, 2)), "w is not prefix-valid"),
+    ("prehomog", lambda doc: doc["witness"].update(z_word=_word_doc(K, 3, 2, 4)), "z is not prefix-valid"),
+    ("prehomog", lambda doc: doc["witness"].update(z_word=_word_doc(K, 0, 2, 3)),
+     "z does not start with a pure variable prefix"),
+    ("prehomog", lambda doc: doc["witness"].update(w_hat=_word_doc(K, 2, 3)), "w_hat is not compose(w, z)"),
+    ("prehomog", lambda doc: doc["instance"].update(coloring=certs.coloring_to_json(Coloring.constant(K, 8, 0, 2))),
+     "prehomogeneity needs a coloring of dimension >= 1"),
+    ("embedding", lambda doc: doc["witness"]["words"].pop(), "image count mismatch"),
+    ("embedding", lambda doc: doc["witness"]["words"].__setitem__(0, _word_doc(K, 2)), "image not over the alphabet {0}"),
+    ("embedding", _words_update((1,), (1,), (0, 0, 1)), "images are not distinct"),
+    ("embedding", lambda doc: doc["instance"].update(graph=_graph_doc("011", "101", "110")),
+     "instance graph has a triangle"),
+    ("embedding", lambda doc: doc["instance"].update(graph=_graph_doc("010", "100", "000")), "edge mismatch at (1,2)"),
+    ("embedding", _words_update((), (1,), (0, 1)), "greedy image outside the vertex set"),
+    ("embedding", _words_update((0, 0, 1), (0, 1), (1,)), "image lengths not increasing"),
+    ("envelope", lambda doc: doc["witness"].update(word=_word_doc(1, 2, 1)), "envelope is not a valid variable word"),
+    ("envelope", lambda doc: doc["witness"].update(word=_word_doc(1, *range(1, 7)), variable_count=6),
+     "variable count above the bound"),
+    ("envelope", lambda doc: doc["witness"]["assignments"].pop(), "no assignment for 00"),
+    ("split", lambda doc: doc["instance"].update(c=doc["instance"]["b"]), "B, C do not partition P"),
+    ("brown", lambda doc: doc["instance"].update(parts=doc["instance"]["parts"][:1] * 2), "parts overlap"),
+    ("brown", lambda doc: doc["instance"].update(parts=doc["instance"]["parts"][:1]), "parts do not cover P"),
+    ("builder-trace", _break_claim(1), "claim 1 fails at -"),
+    ("builder-trace", _break_claim(2), re.compile("claim 2 fails at [01]+")),
+]
+
+
+def _site_pattern(node):
+    """A check's message as a regex: an f-string's fields, and the ``{}`` a
+    word fills, match any text."""
+    if isinstance(node, ast.Constant):
+        return re.escape(node.value).replace(re.escape("{}"), ".*")
+    return "".join(re.escape(v.value) if isinstance(v, ast.Constant) else ".*" for v in node.values)
+
+
+def _check_sites():
+    """(function, message regex) of each ``_need`` and ``raise CheckFailed``
+    in ``certificates``, and each ``raise NotAPartition`` of the partition
+    tests the verifier shares with the searches."""
+    from varword import largeness
+
+    sites = set()
+    for module, names in ((certs, None), (largeness, {"split_sides", "check_partition"})):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "_need" or (names and fn.name not in names):
+                continue
+            for node in ast.walk(fn):
+                name = getattr(getattr(node, "func", None), "id", None)
+                if name in ("_need", "CheckFailed", "NotAPartition"):
+                    sites.add((fn.name, _site_pattern(node.args[1] if name == "_need" else node.args[0])))
+    return sites
+
+
+def test_hostile_corpus_trips_every_check(docs, small_mutation_sites, monkeypatch):
+    # a check no certificate trips could be replaced by True and no test
+    # would notice; sites are named by function and message, and a site
+    # trips where its condition is false (a ``_need``) or it raises
+    tripped = set()
+    need = certs._need
+
+    def recording_need(cond, msg, *words):
+        if not cond:
+            tripped.add((sys._getframe(1).f_code.co_name, msg))
+        need(cond, msg, *words)
+
+    def recording(verifier):
+        def run(instance, witness):
+            try:
+                return verifier(instance, witness)
+            except CheckFailed as exc:
+                tb = exc.__traceback__
+                while tb.tb_next:
+                    tb = tb.tb_next
+                if tb.tb_frame.f_code.co_name != "_need":  # recorded by recording_need
+                    tripped.add((tb.tb_frame.f_code.co_name, str(exc)))
+                raise
+
+        return run
+
+    monkeypatch.setattr(certs, "_need", recording_need)
+    for kind, verifier in list(certs._VERIFIERS.items()):
+        monkeypatch.setitem(certs._VERIFIERS, kind, recording(verifier))
+    for kind in ALL_KINDS:  # the deterministic (field, mutation) walk
+        blob, groups = small_mutation_sites[kind]
+        ends = {}
+        for group in groups:
+            for path, options in group:
+                for option in options:
+                    ends[_field(path), option] = ends.get((_field(path), option), (path,))[0], path
+        for (_, (op, arg)), paths in ends.items():
+            for path in dict.fromkeys(paths):
+                certs.verify_certificate(_mutated(blob, path, op, arg))
+    for kind, tamper, detail in CORPUS_TAMPERS:
+        res = certs.verify_certificate(_tampered(docs, kind, tamper))
+        assert not res.ok and (res.detail == detail if isinstance(detail, str) else detail.fullmatch(res.detail))
+    sites = _check_sites()
+    assert len(sites) > 60
+    missed = {(fn, pat) for fn, pat in sites if not any(f == fn and re.fullmatch(pat, m) for f, m in tripped)}
+    unknown = {(f, m) for f, m in tripped if not any(f == fn and re.fullmatch(pat, m) for fn, pat in sites)}
+    assert (missed, unknown) == (set(), set())

@@ -587,12 +587,17 @@ class TestBoundedWalks:
 
     @pytest.mark.parametrize(
         "graph, horizon",
-        [("3\n011\n101\n110\n", "4"), ("3\n000\n000\n000\n", "0"), ("2\n01\n10\n", "8"), ("1\n0\n", "13")],
-        ids=["3-vertices", "3-vertices-h0", "2-vertices-h8", "1-vertex-h13"],
+        [
+            ("3\n011\n101\n110\n", "4"), ("3\n000\n000\n000\n", "0"), ("2\n01\n10\n", "8"), ("1\n0\n", "13"),
+            ("0\n", "100000"),
+        ],
+        ids=["3-vertices", "3-vertices-h0", "2-vertices-h8", "1-vertex-h13", "0-vertices-h100000"],
     )
     def test_henson_profile_too_large_is_refused(self, run, tmp_path, monkeypatch, graph, horizon):
         # 3 vertices give C(2047, 3) * 3! slots: a MemoryError at any horizon;
-        # 2 vertices at horizon 8 have 2,934 patterns of 3,906 slots
+        # 2 vertices at horizon 8 have 2,934 patterns of 3,906 slots; with no
+        # vertex, 100,001 patterns of up to 100,000 symbols took memory
+        # quadratic in the horizon
         from varword import henson
 
         def never(*args):
@@ -629,8 +634,24 @@ WORD_FLAGS = {"w", "u", "gen", "v", "s", "what"}
 # the file each file flag reads; any file may be drawn in its place
 FILE_FLAGS = {
     "coloring": "coloring", "syndetic": "family", "thick": "family2", "part": "family", "parts": "family2",
-    "family": "family", "graph": "graph", "chi": "chi", "certificate": "coloring",
+    "family": "family", "graph": "graph", "chi": "chi", "certificate": "tree.json",
 }
+
+
+def _honest_certificates():
+    """Two small certificates that verify, so that ``verify`` reaches its checks."""
+    from varword.henson import minimal_envelope
+    from varword.trees import tree_from_generator
+    from varword.words import Word, parse_word
+
+    members = [Word(1, (0, 0)), Word(1, (1,))]
+    return {
+        "tree.json": certs.canonical_json(certs.tree_certificate_doc(tree_from_generator(parse_word("0x0", 2)))),
+        "envelope.json": certs.canonical_json(certs.envelope_certificate_doc(members, minimal_envelope(members))),
+    }
+
+
+HONEST_CERTIFICATES = _honest_certificates()
 
 
 def _command_table():
@@ -660,7 +681,7 @@ def _argvs(draw):
 
     command, actions = draw(st.sampled_from(COMMAND_TABLE))
     word = st.lists(st.sampled_from(SYMBOLS), max_size=6).map(lambda s: "".join(s) or "-")
-    names = st.sampled_from(["coloring", "family", "family2", "graph", "chi"])
+    names = st.sampled_from(["coloring", "family", "family2", "graph", "chi", *HONEST_CERTIFICATES])
     argv = list(command)
     for a in actions:
         if a.option_strings and not a.required and not draw(st.booleans()):
@@ -691,7 +712,8 @@ INPUTS = st.tuples(*map(st.integers, (0, 0, 0, 1, 0, 0), (3, 4, 4, 3, 4, 2**32 -
 
 def _write_inputs(k, n_horizon, dim, ell, vertices, seed):
     """A coloring, two families, a graph and a chi file in the working
-    directory, each with N <= 4 (the coloring's n is at most N)."""
+    directory, each with N <= 4 (the coloring's n is at most N), and the
+    honest certificates."""
     from varword.words import letter_words, var_words
 
     rng = random.Random(seed)
@@ -709,6 +731,8 @@ def _write_inputs(k, n_horizon, dim, ell, vertices, seed):
     words = ("0", "x0", "0x0", "x00")
     lines = [" ".join(rng.choice(words) for _ in range(vertices)) + f" {rng.randrange(3)}" for _ in range(3)]
     Path("chi").write_text("\n".join(lines) + "\n")
+    for name, text in HONEST_CERTIFICATES.items():
+        Path(name).write_text(text)
 
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -722,6 +746,9 @@ def _write_inputs(k, n_horizon, dim, ell, vertices, seed):
 @example(argv=["henson", "profile", "--graph", "graph", "--horizon", "99"], inputs=(0, 0, 0, 1, 1, 0))
 @example(argv=["tree", "build", "--k", "99", "--gen", "x0x1x2x3x4x5"], inputs=(0, 0, 0, 1, 0, 0))
 @example(argv=["word", "validate", "--w", "x0", "--dim", "99", "--ordered"], inputs=(0, 0, 0, 1, 0, 0))
+# a certificate that verifies, of each kind written
+@example(argv=["verify", "tree.json"], inputs=(0, 0, 0, 1, 0, 0))
+@example(argv=["verify", "envelope.json"], inputs=(0, 0, 0, 1, 0, 0))
 def test_cli_property_exit_code_and_stderr_prefix(argv, inputs):
     import contextlib
     import io

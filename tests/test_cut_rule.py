@@ -18,7 +18,7 @@ from varword import words
 from varword.certificates import stem_extension_words
 from varword.colorings import Coloring
 from varword.errors import CutPointMissing, InvalidWord, NotFoundWithinHorizon, VarwordError
-from varword.prehomog import CslCertificate, PrehomogReport, csl_search, prehomog_check, verify_csl
+from varword.prehomog import CslCertificate, PrehomogReport, csl_search, prehomog_check
 from varword.words import (
     Word,
     compose,
@@ -66,9 +66,8 @@ def csl_search_ref(coloring, depth, max_len=None):
             elif c != color:
                 return None
             checked.append((u, img))
-        cert = CslCertificate(w, color, depth, tuple(checked))
-        verify_csl(cert, coloring)
-        return cert
+        assert certs.check_csl(coloring, w, color, depth) == checked
+        return CslCertificate(w, color, depth, tuple(checked))
 
     hit = next((r for r in map(attempt, cands) if r is not None), None)
     if hit is None:

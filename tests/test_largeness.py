@@ -565,3 +565,133 @@ def test_family_header_with_empty_domain_is_refused(k, n, lines):
     with pytest.raises(InputError) as info:
         FiniteFamily.parse(_family_text([str(k), str(n)], lines), "f.txt")
     assert (info.value.line, info.value.column) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the split and brown searches before their partition tests and side sets
+# moved into ``split_sides``, ``check_partition`` and ``brown_side``, kept
+# as references
+
+
+def pw_split_ref(dec, b, c):
+    from varword.largeness import PwSplitResult
+
+    p = dec.part
+    if (b | c).mask != p.mask or (b & c).mask:
+        raise NotAPartition("B, C do not partition P")
+    s, t = dec.syndetic, dec.thick
+    s_tilde = b | (s - p)
+    t_tilde = s_tilde.complement()
+    id_b = (s_tilde & t).mask == b.mask
+    id_c = (t_tilde & s).mask == c.mask
+    if not (id_b and id_c):
+        raise AssertionError("split identities failed; inputs corrupt")
+    check = is_syndetic(s_tilde, dec.ell)
+    if check.ok:
+        return PwSplitResult("B", b, PwSyndeticDecomposition(s_tilde, t, dec.ell), id_b, id_c, check)
+    evidence = is_thick(t_tilde, dec.ell)
+    return PwSplitResult("C", c, PwSyndeticDecomposition(s, t_tilde, dec.ell), id_b, id_c, check, evidence)
+
+
+def brown_select_ref(dec, parts):
+    from itertools import combinations
+
+    from varword.largeness import BrownSelection
+
+    p = dec.part
+    kparts = len(parts)
+    if kparts == 0:
+        raise NotAPartition("no parts supplied")
+    if kparts > 8:
+        raise NotAPartition("subset search capped at 8 parts")
+    union = FiniteFamily.empty(dec.k, dec.N)
+    for q in parts:
+        if (union & q).mask:
+            raise NotAPartition("parts overlap")
+        union = union | q
+    if union.mask != p.mask:
+        raise NotAPartition("parts do not cover P")
+    base = dec.thick.complement()
+
+    def syndetic_of(indices):
+        fam = base
+        for j in indices:
+            fam = fam | parts[j]
+        return fam, is_syndetic(fam, dec.ell)
+
+    chosen = None
+    for size_ in range(1, kparts + 1):
+        for combo in combinations(range(kparts), size_):
+            fam, check = syndetic_of(combo)
+            if check.ok:
+                chosen = (combo, fam, check)
+                break
+        if chosen:
+            break
+    if chosen is None:
+        _, full_check = syndetic_of(range(kparts))
+        raise NoPartSelected(
+            f"no subset of parts is syndetic at ell={dec.ell}; "
+            f"counterexample {format_word(full_check.counterexample)}"
+        )
+    combo, s_prime, check = chosen
+    for i in combo:
+        rest = tuple(j for j in combo if j != i)
+        _, removal = syndetic_of(rest)
+        if not removal.ok:
+            t_prime = dec.thick
+            for j in rest:
+                t_prime = t_prime - parts[j]
+            new_dec = PwSyndeticDecomposition(s_prime, t_prime, dec.ell)
+            if new_dec.part.mask != parts[i].mask:
+                raise AssertionError("selected part identity failed")
+            return BrownSelection(i, combo, new_dec, check, removal, is_thick(t_prime, dec.ell))
+    raise NoPartSelected(f"complement of T is already syndetic at ell={dec.ell}: no part is critical")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotAPartition, NoPartSelected) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _split_and_brown_inputs(rng):
+    """The inputs of ``TestPwSplit`` and ``TestBrown``, with the partition
+    faults each refuses: (dec, b, c) splits and (dec, parts) selections."""
+    splits, selections = [], []
+    for i in range(60):
+        lo = 0.3 if i % 2 else 0.5
+        dec = random_piecewise_syndetic(rng, K, N, 1, 2, rng.uniform(lo, 0.95), rng.uniform(lo, 0.95))
+        p = dec.part
+        a = random_subfamily(rng, p)
+        b = random_subfamily(rng, p - a)
+        splits += [(dec, a, p - a), (dec, p, FiniteFamily.empty(K, N)), (dec, FiniteFamily.empty(K, N), p)]
+        splits += [(dec, p, p), (dec, a, b)]  # overlap (when P is not empty), no cover
+        selections += [(dec, [a, b, p - a - b]), (dec, [p]), (dec, [a, p - a]), (dec, [])]
+        selections += [(dec, [a, p]), (dec, [a, b]), (dec, [a] + [FiniteFamily.empty(K, N)] * 8)]
+    full = PwSyndeticDecomposition(FiniteFamily.full(K, N), FiniteFamily.full(K, N), 1)
+    p0 = family(lambda w: len(w) == 0 or w[0] == 0)
+    selections.append((full, [p0, full.part - p0]))
+    thick = FiniteFamily.from_words(K, 3, [Word(K, (0, 0, 0))])
+    selections.append((PwSyndeticDecomposition(FiniteFamily.full(K, 3), thick, 1), [thick]))
+    return splits, selections
+
+
+def test_split_and_brown_match_their_references(rng):
+    # equal results, or the same refusal, before and after the move
+    splits, selections = _split_and_brown_inputs(rng)
+    seen = set()
+    for dec, b, c in splits:
+        got = _outcome(pw_split, dec, b, c)
+        assert got == _outcome(pw_split_ref, dec, b, c)
+        seen.add(got if type(got) is tuple else got.side)
+    for dec, parts in selections:
+        got = _outcome(brown_select, dec, parts)
+        assert got == _outcome(brown_select_ref, dec, parts)
+        seen.add(got[0] if type(got) is not tuple or got[0] == "NoPartSelected" else got)
+    assert seen >= {
+        "B", "C", 0, "NoPartSelected", ("NotAPartition", "B, C do not partition P"),
+        ("NotAPartition", "parts overlap"), ("NotAPartition", "parts do not cover P"),
+        ("NotAPartition", "no parts supplied"), ("NotAPartition", "subset search capped at 8 parts"),
+    }

@@ -1,6 +1,7 @@
 import pytest
 
 from varword import prehomog
+from varword.certificates import check_csl
 from varword.cli import main
 from varword.colorings import Coloring
 from varword.errors import CutPointMissing, InvalidWord, NotFoundWithinHorizon
@@ -9,7 +10,6 @@ from varword.prehomog import (
     leq_m_check,
     one_step_prehomog,
     prehomog_check,
-    verify_csl,
 )
 from varword.words import Word, compose, dimension, format_word, parse_word, prefix_valid_words, substitute
 
@@ -22,13 +22,13 @@ class TestCsl:
         c = Coloring.constant(K, 4, 0, 2)
         cert = csl_search(c, 1)
         assert format_word(cert.word) == "x0x1"
-        verify_csl(cert, c)
+        assert check_csl(c, cert.word, cert.color, cert.depth) == list(cert.checked)
 
     def test_first_letter_coloring(self):
         c = Coloring.from_function(K, 5, 0, 2, lambda w: w[0] if len(w) else 0)
         cert = csl_search(c, 1)
         assert cert.word.symbols[0] == 0  # starts with a fixed letter
-        verify_csl(cert, c)
+        assert check_csl(c, cert.word, cert.color, cert.depth) == list(cert.checked)
 
     def test_unary_parity_pigeonhole(self):
         # with one letter and two colors some pair of cut positions agrees
@@ -36,7 +36,7 @@ class TestCsl:
             f = [(bits >> i) & 1 for i in range(5)]
             c = Coloring.from_function(1, 4, 0, 2, lambda w: f[len(w)])
             cert = csl_search(c, 1)
-            verify_csl(cert, c)
+            assert check_csl(c, cert.word, cert.color, cert.depth) == list(cert.checked)
 
     def test_not_found(self):
         # three lengths, all distinctly colored, depth 2 demands three equal cuts
@@ -47,8 +47,35 @@ class TestCsl:
     def test_dimension_one_patterns(self):
         c = Coloring.constant(K, 6, 1, 2)
         cert = csl_search(c, 2)
-        verify_csl(cert, c)
+        assert check_csl(c, cert.word, cert.color, cert.depth) == list(cert.checked)
         assert all(u.has_variables() for u, _ in cert.checked)
+
+
+    @pytest.mark.parametrize(
+        "coloring, depth",
+        [
+            (Coloring.from_function(K, 5, 0, 2, lambda w: w[0] if len(w) else 0), 1),
+            (Coloring.from_function(K, 6, 1, 2, lambda w: len(w) % 2), 2),
+        ],
+        ids=["first-letter", "dimension-1"],
+    )
+    def test_one_substitution_per_candidate_pattern(self, monkeypatch, coloring, depth):
+        # a count guard: check_csl decides each candidate, and the hit is not
+        # walked a second time, which would substitute each of its patterns again
+        from varword import certificates
+
+        calls = []
+
+        def counted(w, u, omega=False):
+            calls.append((w, u))
+            return substitute(w, u, omega=omega)
+
+        monkeypatch.setattr(certificates, "substitute", counted)
+        monkeypatch.setattr(prehomog, "substitute", counted)
+        cert = csl_search(coloring, depth)
+        hit = [(cert.word, u) for u, _ in cert.checked]
+        assert len(calls) == len(set(calls)) > len(hit)
+        assert calls[-len(hit):] == hit
 
 
 class TestPrehomogCheck:

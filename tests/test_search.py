@@ -4,6 +4,7 @@ import pytest
 
 from varword.colorings import Coloring
 from varword.errors import (
+    CheckFailed,
     HorizonExceeded,
     InvalidWord,
     NotFoundWithinHorizon,
@@ -18,7 +19,10 @@ from varword.largeness import (
     random_piecewise_syndetic,
 )
 from varword.search import (
+    BuilderStage,
+    BuilderTrace,
     LineLetterCertificate,
+    _stage,
     d_super_s,
     h_embed,
     iterate_builder,
@@ -501,3 +505,96 @@ class TestStepSearchReference:
                 assert got == want
                 outcomes.add("builder found")
         assert outcomes == {"step found", "step not found", "builder found", "builder not found"}
+
+
+# ---------------------------------------------------------------------------
+# the staged builder before its stages were checked by
+# ``certificates.check_builder_stage``, kept as a reference
+
+
+def stage_ref(tree, step, p):
+    c1 = glued_inclusion(tree.elements, FiniteFamily(p.k, 0, 1), p)
+    insts = [substitute(step.block, (a,)) for a in range(step.block.k)]
+    heads = [t.concat(wa) for t in level(tree, tree.dimension) for wa in insts]
+    c2 = glued_inclusion(heads, step.residue.decomposition.part, p)
+    return BuilderStage(tree, step.block, step.residue, *c1[:3], *c2[:3])
+
+
+def iterate_builder_ref(dec, s_max, m_bound=2):
+    p, k = dec.part, dec.k
+    try:
+        step = step_lemma_search(dec, m_bound)
+    except NotFoundWithinHorizon as exc:
+        raise NotFoundWithinHorizon(f"stage 0: {exc}") from exc
+    stages = [stage_ref(tree_from_generator(substitute(step.line.generator, ())), step, p)]
+    if not (stages[0].claim1_ok and stages[0].claim2_ok):
+        raise AssertionError("stage 0 claims failed")
+    for s in range(s_max):
+        prev = stages[-1]
+        try:
+            step = step_lemma_search(prev.residue.decomposition, m_bound)
+        except NotFoundWithinHorizon as exc:
+            raise NotFoundWithinHorizon(f"stage {s + 1}: {exc}") from exc
+        renamed = tuple(k + s if sym == k else sym for sym in prev.block.symbols)
+        gen = Word(k, prev.tree.generator.symbols + renamed + substitute(step.line.generator, ()).symbols)
+        stages.append(stage_ref(tree_from_generator(gen), step, p))
+        if not (stages[-1].claim1_ok and stages[-1].claim2_ok):
+            raise AssertionError(f"stage {s + 1} claims failed")
+    return BuilderTrace(p, tuple(stages))
+
+
+def _builder_outcome(build, dec):
+    try:
+        return build(dec, 2)
+    except NotFoundWithinHorizon as exc:
+        return str(exc)
+
+
+def _seeded_decompositions():
+    """The builder inputs of the tests and criteria: ``TestStepSearchReference``'s
+    twelve, the certificate fixtures' two and criterion 7's hundred."""
+    rng = random.Random(1201)
+    for i in range(12):
+        lo, hi = (0.2, 0.6) if i % 4 == 0 else (0.9, 0.99)
+        yield random_piecewise_syndetic(rng, K, 8 + i % 5, 1, 2, rng.uniform(lo, hi), rng.uniform(lo, hi))
+    for n in (12, 9):
+        yield random_piecewise_syndetic(random.Random(21), K, n, 1, 2, 0.95, 0.95)
+    rng = random.Random(7_000)
+    for _ in range(100):
+        yield random_piecewise_syndetic(rng, K, 12, 1, 2, rng.uniform(0.75, 0.98), rng.uniform(0.75, 0.98))
+
+
+class TestBuilderReference:
+    def test_traces_match_reference(self):
+        found = 0
+        for dec in _seeded_decompositions():
+            got = _builder_outcome(iterate_builder, dec)
+            assert got == _builder_outcome(iterate_builder_ref, dec)
+            found += isinstance(got, BuilderTrace)
+        assert found >= 10
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_stages_against_a_cut_part_match_reference(self, n):
+        # P cut to horizon n: levels, a top level and glued words past it are skipped
+        dec = random_piecewise_syndetic(random.Random(21), K, 12, 1, 2, 0.95, 0.95)
+        small = dec.part.restrict(n)
+        for st in iterate_builder(dec, 2).stages:
+            assert _stage(st.tree, st, small) == stage_ref(st.tree, st, small)
+
+    def test_failed_claim_raises_check_failed(self, monkeypatch, tmp_path, capsys):
+        # a claim that fails raises CheckFailed, and the CLI reports it as an error, exit 1
+        from varword import cli, search
+
+        dec = random_piecewise_syndetic(random.Random(21), K, 12, 1, 2, 0.95, 0.95)
+        st = iterate_builder(dec, 2).stages[1]
+        root = st.tree.elements[0]
+        cut = dec.part - FiniteFamily.from_words(K, 12, [root])
+        with pytest.raises(CheckFailed, match=f"^claim 1 fails at {format_word(root)}$"):
+            _stage(st.tree, st, cut)
+        real = search.check_builder_stage
+        monkeypatch.setattr(search, "check_builder_stage", lambda p, *args: real(p - FiniteFamily.from_words(K, p.N, [root]), *args))
+        for name, fam in (("s.txt", dec.syndetic), ("t.txt", dec.thick)):
+            (tmp_path / name).write_text(f"{K} 12\n" + "\n".join(fam.texts()) + "\n")
+        argv = ["search", "builder", "--syndetic", str(tmp_path / "s.txt"), "--thick", str(tmp_path / "t.txt"), "--ell", "1"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: CheckFailed: claim 1 fails at {format_word(root)}\n"
