@@ -16,10 +16,10 @@ Provided here:
 * ``h_embed``: the block embedding h(a_0...a_m) = w_0[a_0]...w_m[a_m].
 * ``d_super_s``: the residue family {sigma : S(1).sigma inside D}.
 * ``step_lemma_search`` / ``iterate_builder``: the one-step lemma for
-  piecewise syndetic families and the staged tree construction whose
-  invariants (claims 1 and 2) are re-checked exactly at the horizon
-  after every stage with ``certificates.check_builder_stage``, the check
-  ``varword verify`` runs on each stage of a builder-trace certificate.
+  piecewise syndetic families and the staged tree construction, one
+  loop over the stages.  ``certificates.check_builder_stage``, the check
+  ``varword verify`` runs on each builder stage, decides claims 1 and 2
+  of the step's tree {S(0)} and of every stage, exactly at the horizon.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from ._frozen import Frozen
 from .certificates import check_builder_stage, check_line_letter
 from .colorings import Coloring
 from .errors import (
+    IndexOutOfRange,
     NoConnector,
     NotFoundWithinHorizon,
     InvalidWord,
@@ -218,26 +219,29 @@ def step_lemma_search(dec: PwSyndeticDecomposition, m_bound: int = 2) -> StepRes
     """Smallest line S with S(0) inside P and S(1).Q inside P, Q certified.
 
     Q is the full residue of P past S, re-certified as piecewise
-    syndetic at the reduced horizon; both inclusions are re-verified
-    on the hit's own words (S(1).Q in rank space) before the result is
-    returned.  Candidate lines are enumerated only up to the first hit,
-    in (length, lex) order.  S(0) is the generator up to its variable,
-    so the walk decides S(0) in P where it places the variable, once per
-    distinct S(0), and never builds a generator of a refused S(0).  A
-    raw residue that ``pws_certify`` refused is not certified again;
-    both memos die with the search.
+    syndetic at the reduced horizon.  The hit's S(0) and S(1).Q, claims
+    1 and 2 of the tree {S(0)} with block w and residue Q, are checked by
+    ``certificates.check_builder_stage``.  Candidate lines are enumerated
+    only up to the first hit, in (length, lex) order.  S(0) is the
+    generator up to its variable, so the walk decides S(0) in P where it
+    places the variable, once per distinct S(0), and never builds a
+    generator of a refused S(0).  A raw residue that ``pws_certify``
+    refused is not certified again; both memos die with the search.
 
-    The residue of g lies at horizon N - |g|, its reach at N - |g| - ell,
-    and ``is_thick`` finds no anchor for ``m_bound`` below horizon
-    ``m_bound``, so no generator longer than N - ell - m_bound can
-    certify: the walk stops there.
+    The residue of g lies at horizon N - |g|, its reach at N - |g| - ell.
+    ``is_thick`` finds no anchor for ``m_bound`` below horizon ``m_bound``,
+    nor has ``pws_certify`` a syndetic range below horizon ell, so no
+    generator longer than N - ell - max(m_bound, ell) can certify: the
+    walk stops there.  A negative ell raises ``IndexOutOfRange``.
     """
-    from .largeness import glued_inclusion, pws_certify
+    from .largeness import pws_certify
 
+    if dec.ell < 0:
+        raise IndexOutOfRange(f"ell must be >= 0, got {dec.ell}")
     p = dec.part
     k = dec.k
     cap = min(_MAX_GEN_LEN, dec.N - 1)
-    longest = min(cap, dec.N - dec.ell - max(m_bound, 0))  # the longest generator that can certify
+    longest = min(cap, dec.N - dec.ell - max(m_bound, dec.ell))  # the longest generator that can certify
     roots: dict[tuple[int, ...], bool] = {}  # S(0) in P, by the symbols of S(0)
     refused: set[tuple[int, int]] = set()  # (N, mask) of the residues pws_certify refused
 
@@ -259,15 +263,9 @@ def step_lemma_search(dec: PwSyndeticDecomposition, m_bound: int = 2) -> StepRes
         if cert is None:
             refused.add(key)
             return None
-        # re-verification of both inclusions
-        if substitute(g, ()) not in p:
-            raise AssertionError("root left the part after certification")
-        s1 = [substitute(g, (a,)) for a in range(k)]  # level 1, in lex order
-        ok, checked, _, bad = glued_inclusion(s1, cert.decomposition.part, p)
-        if not ok:
-            raise AssertionError(f"residue inclusion fails at {format_word(bad)}")
-        sigma_head, blocks = decompose(g)
-        return StepResult(tree_from_generator(g), blocks[0], cert, True, checked + 1)
+        root, (block,) = decompose(g)
+        _, c1, c2, _ = check_builder_stage(p, root, block, cert.decomposition.part)
+        return StepResult(tree_from_generator(g), block, cert, True, c1 + c2)
 
     cands = var_words(k, longest, dim=1, ordered=True, min_len=1, keep=root_inside)
     hit = next((r for r in map(attempt, cands) if r is not None), None)
@@ -385,33 +383,25 @@ def _stage(tree: OVWTree, step: StepResult, p: FiniteFamily) -> BuilderStage:
 def iterate_builder(dec: PwSyndeticDecomposition, s_max: int, m_bound: int = 2) -> BuilderTrace:
     """Grow a tree of dimension s_max inside P by iterating the one-step lemma.
 
-    After every stage both invariants are re-verified exactly at the
-    horizon: the tree stays inside P, and top-level words extended by
-    the current block and the certified residue stay inside P; a failed
-    claim raises ``CheckFailed``.  A stage whose step finds no line
-    propagates NotFoundWithinHorizon tagged with the stage index.
+    Stage s steps from the previous stage's residue (the instance at
+    s = 0) and extends the generator by the previous block, renamed to
+    x_{s-1}, then the step's S(0).  Both invariants are then re-verified
+    exactly at the horizon: the tree stays inside P, and top-level words
+    extended by the current block and the certified residue stay inside
+    P; a failed claim raises ``CheckFailed``.  A stage whose step finds
+    no line propagates NotFoundWithinHorizon tagged with the stage index.
     """
-    p = dec.part
-    k = dec.k
-    try:
-        step = step_lemma_search(dec, m_bound)
-    except NotFoundWithinHorizon as exc:
-        raise NotFoundWithinHorizon(f"stage 0: {exc}") from exc
-    sigma0 = substitute(step.line.generator, ())
-    stages = [_stage(tree_from_generator(sigma0), step, p)]  # dimension 0
-
-    for s in range(s_max):
-        prev = stages[-1]
+    p, k = dec.part, dec.k
+    gen: tuple[int, ...] = ()
+    stages: list[BuilderStage] = []
+    for s in range(max(s_max, 0) + 1):  # stage 0 even when s_max < 0
         try:
-            step = step_lemma_search(prev.residue.decomposition, m_bound)
+            step = step_lemma_search(dec, m_bound)
         except NotFoundWithinHorizon as exc:
-            raise NotFoundWithinHorizon(f"stage {s + 1}: {exc}") from exc
-        sigma0 = substitute(step.line.generator, ())
-        # new generator: old one, then w_s renamed to x_s, then sigma0
-        old = prev.tree.generator
-        renamed = tuple(
-            k + s if sym == k else sym for sym in prev.block.symbols
-        )
-        gen = Word(k, old.symbols + renamed + sigma0.symbols)
-        stages.append(_stage(tree_from_generator(gen), step, p))
+            raise NotFoundWithinHorizon(f"stage {s}: {exc}") from exc
+        if stages:  # the previous block, its variable renamed to x_{s-1}
+            gen += tuple(k + s - 1 if sym == k else sym for sym in stages[-1].block.symbols)
+        gen += substitute(step.line.generator, ()).symbols
+        stages.append(_stage(tree_from_generator(Word(k, gen)), step, p))
+        dec = step.residue.decomposition
     return BuilderTrace(p, tuple(stages))

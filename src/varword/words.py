@@ -256,8 +256,10 @@ def validate(w: Word, n: int, ordered: bool = False) -> ValidityReport:
     Conditions: variable indices stay below n, every x_j with j < n
     occurs, first occurrences appear in index order, and (if requested)
     the last occurrence of x_j precedes the first occurrence of x_{j+1}.
-    Total: failures become report entries, never exceptions.
+    Total: failures become report entries; only a negative n raises.
     """
+    if n < 0:
+        raise IndexOutOfRange(f"variable count must be >= 0, got {n}")
     conditions: list[Condition] = []
 
     pos_range = None

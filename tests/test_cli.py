@@ -65,6 +65,11 @@ class TestWordCommands:
         assert code == 0
         assert json.loads(out)["passed"] is False
 
+    def test_validate_negative_dim_is_an_error(self, run):
+        # this reported the letter 1 as "variable x-1 with only -1 allowed", exit 0
+        code, out, err = run("word", "validate", "--k", "2", "--w", "1", "--dim", "-1")
+        assert (code, out, err) == (1, "", "error: IndexOutOfRange: variable count must be >= 0, got -1\n")
+
     def test_decompose(self, run):
         code, out, _ = run("word", "decompose", "--w", "10x0 01x0 10")
         doc = json.loads(out)
@@ -193,6 +198,35 @@ class TestSearchAndVerify:
             code, out, err = run("search", "builder", *argv, "--steps", steps)
             assert code in (0, 2) and "HorizonExceeded" not in out + err
         assert (code, json.loads(out)["message"]) == (2, "stage 1: no one-step line with generator length <= 2")
+
+    def test_builder_m_bound_below_ell_is_not_found(self, run, tmp_path):
+        # the walk stops where the residue's syndetic side, at horizon
+        # N - |g| - ell, still holds words of length ell; this exited 1
+        # with HorizonExceeded: ell 2 beyond horizon 1
+        (tmp_path / "f.txt").write_text("2 4\n" + "\n".join(FiniteFamily.full(2, 4).texts()) + "\n")
+        f = str(tmp_path / "f.txt")
+        argv = ["search", "builder", "--syndetic", f, "--thick", f, "--ell", "2", "--m-bound", "0", "--steps", "1"]
+        code, out, err = run(*argv)
+        assert code == 2
+        assert json.loads(out)["message"] == "stage 0: no one-step line with generator length <= 3"
+        assert err == "not found: stage 0: no one-step line with generator length <= 3\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["large", "shrink", "--family", "F"],
+        ["large", "syndetic", "--family", "F"],
+        ["large", "split", "--syndetic", "F", "--thick", "F", "--part", "F"],
+        ["large", "brown", "--syndetic", "F", "--thick", "F", "--parts", "F"],
+        ["search", "builder", "--syndetic", "F", "--thick", "F"],
+    ])
+    def test_negative_ell_is_an_error(self, run, tmp_path, argv):
+        # these returned a result, a failed check, a certificate that
+        # ``verify`` rejects, or not-found
+        (tmp_path / "f.txt").write_text("2 2\n-\n0\n1\n00\n01\n10\n11\n")
+        out_file = tmp_path / "out.json"
+        argv = [str(tmp_path / "f.txt") if a == "F" else a for a in argv]
+        code, out, err = run(*argv, "--ell", "-1", "--json-out", str(out_file))
+        assert (code, out, err) == (1, "", "error: IndexOutOfRange: ell must be >= 0, got -1\n")
+        assert not out_file.exists()
 
     def test_missing_file_exit_code(self, run):
         code, _, _ = run("search", "line", "--coloring", "/nonexistent/x.txt")

@@ -695,3 +695,113 @@ def test_split_and_brown_match_their_references(rng):
         ("NotAPartition", "parts overlap"), ("NotAPartition", "parts do not cover P"),
         ("NotAPartition", "no parts supplied"), ("NotAPartition", "subset search capped at 8 parts"),
     }
+
+
+# ---------------------------------------------------------------------------
+# ``pws_certify`` and ``density_split`` before their self-checks gave way to
+# the set-algebra proofs in their docstrings, kept as references
+
+
+def pws_certify_ref(family, ell, m_bound):
+    from varword.largeness import PwCertification
+
+    reach = prepend_reach(family, ell)
+    thick_check = is_thick(reach, m_bound)
+    if not thick_check.ok:
+        return None
+    trimmed = family.restrict(family.N - ell)
+    s_fam = trimmed | reach.complement()
+    dec = PwSyndeticDecomposition(s_fam, reach, ell)
+    if dec.part.mask != trimmed.mask:
+        raise AssertionError("canonical decomposition identity failed")
+    syn = is_syndetic(s_fam, ell)
+    if not syn.ok:
+        raise AssertionError("canonical syndetic part failed its own check")
+    return PwCertification(dec, syn, thick_check)
+
+
+def density_split_ref(d, e, f, epsilon):
+    from varword.largeness import DensitySplitReport
+
+    if (e | f).mask != d.mask or (e & f).mask:
+        raise NotAPartition("E, F do not partition D")
+    epsilon = Fraction(epsilon)
+    b = tuple(r for r in range(d.N + 1) if density(d, r) > epsilon)
+    c = tuple(r for r in range(d.N + 1) if density(e, r) > epsilon / 2)
+    cset = set(c)
+    for r in b:
+        if r not in cset:
+            de, df = density(e, r), density(f, r)
+            if de + df != density(d, r):
+                raise AssertionError(f"densities do not add up at length {r}")
+            if not df > epsilon / 2:
+                raise AssertionError(f"split inequality fails at length {r}: dens(F)={df}")
+    e_wit = tuple(r for r in b if r in cset)
+    f_wit = tuple(r for r in b if r not in cset)
+    side = "E" if len(e_wit) >= len(f_wit) else "F"
+    return DensitySplitReport(epsilon, b, c, e_wit, f_wit, side)
+
+
+def _any_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _certify_inputs():
+    """Every family with k = 2 and N <= 2, then seeded random ones up to N = 8."""
+    for n in range(3):
+        size = FiniteFamily.full(K, n).universe_size
+        for mask in range(1 << size):
+            yield FiniteFamily(K, n, mask)
+    rng = random.Random(2807)
+    for i in range(120):
+        yield random_family(rng, K, i % 9, i % 5 - 1)
+
+
+def test_pws_certify_matches_its_reference():
+    # equal certifications, or the same exception text, for ell 0..3 and m_bound 0..2
+    seen = set()
+    for fam in _certify_inputs():
+        for ell in range(4):
+            for m_bound in range(3):
+                got = _any_outcome(pws_certify, fam, ell, m_bound)
+                assert got == _any_outcome(pws_certify_ref, fam, ell, m_bound), (fam, ell, m_bound)
+                seen.add(got[0] if type(got) is tuple else got is None)
+    assert seen == {True, False, "HorizonExceeded"}
+
+
+def _density_split_inputs(rng):
+    for i in range(150):
+        d = random_family(rng, K + i % 2, 3 + i % 5, i % 4 - 1)
+        e = random_subfamily(rng, d)
+        eps = Fraction(rng.randrange(-2, 12), rng.randrange(1, 10))
+        yield d, e, d - e, eps
+        yield d, d, FiniteFamily.empty(d.k, d.N), eps
+        yield d, FiniteFamily.empty(d.k, d.N), d, eps
+
+
+def test_density_split_matches_its_reference(rng):
+    sides = set()
+    for d, e, f, eps in _density_split_inputs(rng):
+        got = density_split(d, e, f, eps)
+        assert got == density_split_ref(d, e, f, eps)
+        sides.add((got.side, bool(got.f_witness)))
+    assert sides == {("E", False), ("E", True), ("F", True)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.randoms(use_true_random=False), st.fractions(-1, 2))
+def test_density_split_identities(k, n, rnd, eps):
+    # once E, F partition D: dens(E) + dens(F) = dens(D) at every length,
+    # and dens(F) > eps/2 on B \ C, the F witnesses
+    d = random_family(rnd, k, n, rnd.randrange(-1, 3))
+    e = random_subfamily(rnd, d)
+    f = d - e
+    rep = density_split(d, e, f, eps)
+    for r in range(n + 1):
+        assert density(e, r) + density(f, r) == density(d, r)
+    assert rep.f_witness == tuple(r for r in rep.b_lengths if r not in rep.c_lengths)
+    for r in rep.f_witness:
+        assert density(f, r) > eps / 2

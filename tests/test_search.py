@@ -402,6 +402,31 @@ class TestHorizonCap:
                 outcomes.add("found")
         assert crashed >= 3 and outcomes == {"found", "not found"}
 
+    def test_m_bound_below_ell_matches_reference(self):
+        # m_bound 0 < ell 2: a residue at horizon N - |g| certifies only when
+        # its reach, at N - |g| - ell, leaves the syndetic check the range
+        # A^{<= N - |g| - 2 ell}, so the walk stops at N - 2 ell
+        rng = random.Random(2808)
+        crashed = 0
+        outcomes = set()
+        for i in range(16):
+            dec = random_piecewise_syndetic(rng, K, 4 + i % 4, 2, 2, rng.uniform(0.5, 1), rng.uniform(0.5, 1))
+            try:
+                step_ref(dec, m_bound=0)
+            except HorizonExceeded:
+                crashed += 1  # as step_lemma_search did when it stopped at N - ell
+            want = step_ref(dec, m_bound=0, max_gen_len=min(6, dec.N - 2 * dec.ell))
+            try:
+                res = step_lemma_search(dec, m_bound=0)
+            except NotFoundWithinHorizon as exc:
+                assert isinstance(want, str)
+                assert str(exc) == f"no one-step line with generator length <= {min(6, dec.N - 1)}"
+                outcomes.add("not found")
+            else:
+                assert (res.line.generator, res.block, res.residue, res.inclusion_checked) == want
+                outcomes.add("found")
+        assert crashed >= 3 and outcomes == {"found", "not found"}
+
     def test_line_residue_calls_on_reference_inputs(self, monkeypatch):
         # a count, not a clock: 1,824 residues on TestStepSearchReference's
         # inputs (2,008 before the cap)
@@ -598,3 +623,44 @@ class TestBuilderReference:
         argv = ["search", "builder", "--syndetic", str(tmp_path / "s.txt"), "--thick", str(tmp_path / "t.txt"), "--ell", "1"]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: CheckFailed: claim 1 fails at {format_word(root)}\n"
+
+
+class TestOneCheckPerClaim:
+    """The step search and the builder decide their claims only through
+    ``certificates.check_builder_stage``."""
+
+    def test_glued_inclusion_is_entered_only_from_the_stage_check(self, monkeypatch):
+        import sys
+
+        from varword import largeness
+
+        callers = []
+        real = largeness.glued_inclusion
+
+        def traced(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(largeness, "glued_inclusion", traced)
+        found = 0
+        for dec in _seeded_decompositions():
+            found += isinstance(_builder_outcome(iterate_builder, dec), BuilderTrace)
+        assert found >= 10 and callers and set(callers) == {"check_builder_stage"}
+
+    def test_one_stage_check_per_step_hit(self, monkeypatch):
+        from varword import search
+
+        calls = []
+        real = search.check_builder_stage
+        monkeypatch.setattr(search, "check_builder_stage", lambda *args: calls.append(1) or real(*args))
+        hits = 0
+        for dec in _seeded_decompositions():
+            before = len(calls)
+            try:
+                step_lemma_search(dec)
+            except NotFoundWithinHorizon:
+                assert len(calls) == before
+                continue
+            hits += 1
+            assert len(calls) == before + 1
+        assert hits >= 10

@@ -162,6 +162,10 @@ class TestValidity:
                     for ordered in (False, True):
                         assert validate(w, n, ordered) == _validate_ref(w, n, ordered), (syms, n, ordered)
 
+    def test_validate_refuses_a_negative_variable_count(self):
+        with pytest.raises(IndexOutOfRange, match="^variable count must be >= 0, got -1$"):
+            validate(Word(K, (1,)), -1)
+
     def test_validate_cost_does_not_grow_with_n(self, monkeypatch):
         # `word validate --w x0 --dim 100000000` ran past 15 s: one
         # first_occurrence call per index below n
