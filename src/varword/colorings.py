@@ -8,16 +8,14 @@ and re-read by the verifier.
 
 Colors are held in rank order: the domain's words in (length, lex)
 order, the order ``var_words`` yields them in, are ranked 0, 1, ...,
-and a word's rank is computed by arithmetic.  For dimension 0 this is
-the rank of ``FiniteFamily``, so a 2-coloring of A^{<=N} has the bit
+by ``words.rank`` and ``words.unrank``.  For dimension 0 this is the
+rank of ``FiniteFamily``, so a 2-coloring of A^{<=N} has the bit
 layout of a family's mask and of ``coloring_sweep``'s colorings.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import lru_cache
-from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
@@ -25,9 +23,12 @@ from .errors import IndexOutOfRange, InputError, InvalidWord, VarwordError
 from .words import (
     Word,
     check_universe,
+    _line_values,
     _offsets,
     format_word,
     parse_word,
+    rank,
+    unrank,
     var_words,
 )
 
@@ -61,35 +62,6 @@ def _domain_size(k: int, n_horizon: int, dim: int, cap: int) -> int:
             break
         counts = grown
     return total
-
-
-@lru_cache(maxsize=32)
-def _codec(k: int, n_horizon: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Rank tables of the domain ``var_words(k, n_horizon, dim=dim)``, dim >= 1.
-
-    ways[t][i] counts the ends of a word whose prefix has introduced i
-    variables, with dim - i + t symbols to go (t to spare): a letter or
-    an introduced variable (k + i ways) spends one spare symbol and the
-    next variable raises i, the recurrence of ``_domain_size``.  Only
-    t <= N - dim occurs, so the table holds (N - dim + 1)(dim + 1)
-    counts; offs[L] counts the words shorter than L.  ``Coloring.rank``
-    builds it only for a word of dim symbols or more, and a reader ranks
-    only in a domain as large as its table, which holds x0^j x1 ...
-    x_{dim-1} for j = 1 .. N - dim + 1: the counts are at most (table
-    size) x (word length + 1), none above the table size.
-    """
-    ways = []
-    prev = (0,) * (dim + 1)
-    for t in range(n_horizon - dim + 1):
-        row = [0] * (dim + 2)
-        row[dim + 1] = int(t == 0)  # the word is complete: one way with no spare symbol left
-        for i in range(dim, -1, -1):
-            row[i] = (k + i) * prev[i] + row[i + 1]
-        ways.append(prev := tuple(row[: dim + 1]))
-    offs = [0] * (dim + 1)
-    for t in range(n_horizon - dim + 1):
-        offs.append(offs[-1] + ways[t][0])
-    return tuple(ways), tuple(offs)
 
 
 def _pack(colors: Sequence[int]):
@@ -127,9 +99,9 @@ class Coloring(Frozen):
         if colors and not (min(colors) >= 0 and max(colors) < ell):
             r = next(r for r, c in enumerate(colors) if not 0 <= c < ell)
             if r < size:
-                raise InvalidWord(f"color {colors[r]} out of range for {format_word(self._unrank(r))}")
+                raise InvalidWord(f"color {colors[r]} out of range for {format_word(unrank(k, N, n, r))}")
         if size > len(colors):
-            raise InvalidWord(f"coloring not total: missing {format_word(self._unrank(len(colors)))}")
+            raise InvalidWord(f"coloring not total: missing {format_word(unrank(k, N, n, len(colors)))}")
         if size < len(colors):
             raise InvalidWord(f"{len(colors)} colors for a domain of {size} words")
         object.__setattr__(self, "colors", colors)
@@ -182,42 +154,8 @@ class Coloring(Frozen):
     # -- ranks -------------------------------------------------------
 
     def rank(self, w: Word) -> Optional[int]:
-        """The rank of w in the domain, or None for a word outside it.
-
-        Plain words rank as in ``FiniteFamily``: ``_offsets`` plus the lex
-        value.  An n-variable word ranks offs[len] plus, at each position,
-        the symbol times the ways left after it in ``_codec``'s table,
-        since the symbols below it (letters, then variables in index
-        order) each start that many words.
-        """
-        k, dim = self.k, self.n
-        syms = w.symbols
-        rest = len(syms)
-        if w.k != k or not 0 <= dim <= rest <= self.N:  # _codec only for a word of dim symbols
-            return None
-        if not dim:
-            v = 0
-            for s in syms:
-                if s >= k:
-                    return None
-                v = v * k + s
-            return _offsets(k, self.N)[rest] + v
-        ways, offs = _codec(k, self.N, dim)
-        r = offs[rest]
-        i, t = 0, rest - dim  # variables introduced, and symbols to spare
-        for s in syms:
-            t -= 1  # spare after s, if s keeps i: so for each symbol below s
-            if s < k + i:
-                if t < 0:
-                    return None  # no room left for the variables to come
-                r += s * ways[t][i]
-            elif s == k + i and i < dim:
-                if t >= 0:
-                    r += s * ways[t][i]
-                i, t = i + 1, t + 1
-            else:
-                return None
-        return r
+        """The rank of w in the domain, or None for a word outside it (``words.rank``)."""
+        return rank(self.k, self.N, self.n, w.symbols) if w.k == self.k else None
 
     def get(self, w: Word) -> Optional[int]:
         """The color of w, or None for a word outside the domain."""
@@ -255,21 +193,15 @@ class Coloring(Frozen):
         g of a 1-variable word with |g| < N, which spans the line S.
 
         Read by rank: S(0) is g's letters before its variable, and
-        g[b].a has the lex value (base + b * ones) * k + a, where base
-        reads the variable as 0 and ones has a 1 at each of its places.
+        g[b].a has the lex value (base + b * ones) * k + a, with (base,
+        ones) from ``words._line_values``.
         """
         k, colors = self.k, self.colors
         if not k:  # no letter a
             return None
         offs = _offsets(k, self.N)
         length, cut = len(g), g.index(k)
-        base = ones = 0
-        for s in g:
-            base, ones = base * k, ones * k
-            if s == k:
-                ones += 1
-            else:
-                base += s
+        base, ones = _line_values(k, g)
         color = colors[offs[cut] + base // k ** (length - cut)]
         top = offs[length + 1]  # rank of the first word of length |g| + 1
         for a in range(k):
@@ -314,9 +246,6 @@ class Coloring(Frozen):
         if not 0 <= dim <= n_horizon:
             raise IndexOutOfRange(f"{what} has an empty domain: 0 <= n <= N fails")
         check_universe(k, n_horizon - dim, what)
-
-    def _unrank(self, r: int) -> Word:
-        return next(islice(self.domain(), r, None))
 
     # -- file form: header "k N n ell", then one "word color" per line ----
 

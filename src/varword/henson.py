@@ -200,14 +200,6 @@ class GraphSpec(NamedTuple):
                     raise InputError("asymmetric adjacency matrix", filename, i + 2, j + 1)
         return cls(n, frozenset(pairs))
 
-    @classmethod
-    def all_graphs(cls, n: int):
-        pairs = list(combinations(range(n), 2))
-        for bits in range(1 << len(pairs)):
-            yield cls.from_pairs(
-                n, [p for i, p in enumerate(pairs) if bits >> i & 1]
-            )
-
 
 def parse_chi(text: str, n: int, filename: str = "<chi>") -> Callable[[tuple[Word, ...]], int]:
     """A coloring of n-vertex embeddings read from ``w1 .. wn color`` lines.

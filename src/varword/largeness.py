@@ -46,7 +46,8 @@ from .errors import (
     NotAPartition,
     VarwordError,
 )
-from .words import MAX_UNIVERSE, Word, _offsets, check_universe, format_word, letter_words, parse_word
+from .words import MAX_UNIVERSE, Word, _line_values, _offsets, check_universe, format_word, letter_words, parse_word
+from .words import rank, unrank
 
 __all__ = [
     "MAX_UNIVERSE",
@@ -115,18 +116,25 @@ class FiniteFamily(Frozen):
 
     @classmethod
     def from_words(cls, k: int, n: int, words: Iterable[Word]) -> "FiniteFamily":
-        mask = 0
+        fam, mask = cls(k, n), 0
         for w in words:
-            mask |= 1 << _rank(k, n, w)
+            mask |= 1 << fam.rank(w)
         return cls(k, n, mask)
 
     # -- ranks -------------------------------------------------------
 
     def rank(self, w: Word) -> int:
-        return _rank(self.k, self.N, w)
+        """w's rank (``words.rank`` at dimension 0); a word longer than N, or
+        one with a variable, raises ``HorizonExceeded``."""
+        r = rank(self.k, self.N, 0, w.symbols)
+        if r is None:
+            if len(w) > self.N:
+                raise HorizonExceeded(f"|{format_word(w)}| > horizon {self.N}")
+            raise HorizonExceeded(f"{format_word(w)} contains a variable")
+        return r
 
     def unrank(self, r: int) -> Word:
-        return _unrank(self.k, self.N, r)
+        return unrank(self.k, self.N, 0, r)
 
     @property
     def universe_size(self) -> int:
@@ -143,8 +151,11 @@ class FiniteFamily(Frozen):
         return self.mask.bit_count()
 
     def words(self) -> Iterator[Word]:
-        for length, v in _members(self.k, self.N, self.mask):
-            yield _word_of(self.k, length, v)
+        bits = bin(self.mask)[:1:-1]  # bits[r] is bit r
+        r = bits.find("1")
+        while r >= 0:
+            yield self.unrank(r)
+            r = bits.find("1", r + 1)
 
     # -- text codec ----------------------------------------------------
 
@@ -196,12 +207,12 @@ class FiniteFamily(Frozen):
             check_family_size(k, n)
         except VarwordError as exc:
             raise InputError(str(exc), filename, 1, 1) from None
-        mask = 0
+        fam, mask = cls(k, n), 0
         for i, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             try:
-                mask |= 1 << _rank(k, n, parse_word(line.strip(), k))
+                mask |= 1 << fam.rank(parse_word(line.strip(), k))
             except VarwordError as exc:
                 raise InputError(str(exc), filename, i, 1) from None
         return cls(k, n, mask)
@@ -249,35 +260,29 @@ class FiniteFamily(Frozen):
             return 0
         offs = _offsets(self.k, self.N)
         width = self.k**m
-        base = offs[lp + m] + _value(self.k, prefix) * width
+        base = offs[lp + m] + (self.rank(prefix) - offs[lp]) * width
         return (self.mask >> base) & ((1 << width) - 1)
 
     def line_residue(self, generator: Word) -> "FiniteFamily":
         """{sigma : g[a].sigma in family for every letter a}, at horizon N - |g|.
 
-        g is a 1-variable word; g[a] has lex value ``base + a * ones``,
-        where base is g's with the variable read as 0 and ones has a 1
-        at each place of the variable.
+        g is a 1-variable word; g[a] has lex value ``base + a * ones``
+        (``words._line_values``).
         """
         k = self.k
         n2 = self.N - len(generator)
         if n2 < 0:
             return FiniteFamily.empty(k, 0)
-        base = ones = 0
-        for s in generator.symbols:
-            base, ones = base * k, ones * k
-            if s == k:
-                ones += 1
-            else:
-                base += s
+        base, ones = _line_values(k, generator.symbols)
         heads = [(len(generator), [base + a * ones for a in range(k)])]
         return _stack(k, n2, _head_blocks(self, heads, n2, every=True))
 
     def append(self, sigma: Word) -> tuple["FiniteFamily", int]:
         """Family . sigma = {tau sigma}, and the count of members pushed past N,
         which are dropped."""
-        ks = self.k ** len(sigma)
-        vs = _value(self.k, sigma)
+        n = len(sigma)
+        ks = self.k**n
+        vs = FiniteFamily(self.k, n).rank(sigma) - _offsets(self.k, n)[n]  # lex value, for any |sigma|
         offs = _offsets(self.k, self.N)
         mask = 0
         dropped = 0
@@ -285,10 +290,10 @@ class FiniteFamily(Frozen):
             band = self.band(length)
             if not band:
                 continue
-            if length + len(sigma) > self.N:
+            if length + n > self.N:
                 dropped += band.bit_count()
                 continue
-            base = offs[length + len(sigma)]
+            base = offs[length + n]
             v = 0
             while band:
                 if band & 1:
@@ -302,49 +307,6 @@ class FiniteFamily(Frozen):
 _set_k = FiniteFamily.k.__set__
 _set_n = FiniteFamily.N.__set__
 _set_mask = FiniteFamily.mask.__set__
-
-
-def _value(k: int, w: Word) -> int:
-    v = 0
-    for s in w.symbols:
-        if s >= k:
-            raise HorizonExceeded(f"{format_word(w)} contains a variable")
-        v = v * k + s
-    return v
-
-
-def _rank(k: int, n: int, w: Word) -> int:
-    if len(w) > n:
-        raise HorizonExceeded(f"|{format_word(w)}| > horizon {n}")
-    return _offsets(k, n)[len(w)] + _value(k, w)
-
-
-def _unrank(k: int, n: int, r: int) -> Word:
-    offs = _offsets(k, n)
-    length = 0
-    while offs[length + 1] <= r:
-        length += 1
-    return _word_of(k, length, r - offs[length])
-
-
-def _members(k: int, n: int, mask: int) -> Iterator[tuple[int, int]]:
-    """(length, lex value) of each set bit of mask, in rank order."""
-    offs = _offsets(k, n)
-    bits = bin(mask)[:1:-1]  # bits[r] is bit r
-    length = 0
-    r = bits.find("1")
-    while r >= 0:
-        while offs[length + 1] <= r:
-            length += 1
-        yield length, r - offs[length]
-        r = bits.find("1", r + 1)
-
-
-def _word_of(k: int, length: int, v: int) -> Word:
-    syms = [0] * length
-    for i in range(length - 1, -1, -1):
-        v, syms[i] = divmod(v, k)
-    return Word(k, tuple(syms))
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +485,12 @@ def is_thick(family: FiniteFamily, ell_max: int) -> ThickCheck:
     the bands are built one length at a time, up to the first nonempty.
     """
     k = family.k
+    offs = _offsets(k, family.N)
     anchors = []
     for ell in range(ell_max + 1):
         for m, acc in enumerate(_head_blocks(family, _prefixes(k, ell), family.N - ell, every=True)):
             if acc:
-                anchors.append((ell, _word_of(k, m, (acc & -acc).bit_length() - 1)))
+                anchors.append((ell, family.unrank(offs[m] + (acc & -acc).bit_length() - 1)))
                 break
         else:
             return ThickCheck(False, ell_max, failing_ell=ell)
@@ -564,7 +527,7 @@ def glued_inclusion(
                 missing = band & ~p.extract_after_prefix(head, m)
                 if missing:
                     low = (missing & -missing).bit_length() - 1
-                    first = head.concat(_word_of(p.k, m, low))
+                    first = head.concat(residue.unrank(_offsets(p.k, residue.N)[m] + low))
     return first is None, checked, skipped, first
 
 
@@ -797,7 +760,7 @@ def random_piecewise_syndetic(
     t_fam = FiniteFamily.empty(k, n)
     for m in range(m_bound + 1):
         # the r-th letter word of length <= n - m is the one of rank r
-        sigma = _unrank(k, n - m, rng.randrange(_offsets(k, n - m)[n - m + 1]))
+        sigma = unrank(k, n - m, 0, rng.randrange(_offsets(k, n - m)[n - m + 1]))
         block = [
             tau.concat(sigma)
             for tau in letter_words(k, m)

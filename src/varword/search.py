@@ -177,13 +177,6 @@ class HEmbedding(Frozen):
             syms.extend(substitute(self.blocks[i], (a,)).symbols)
         return Word(self.k, tuple(syms))
 
-    def image_of_tree(self, tree: OVWTree) -> OVWTree:
-        from .trees import generator_from_tree
-
-        imgs = [self(e) for e in tree.elements]
-        gen = generator_from_tree(imgs)
-        return tree_from_generator(gen)
-
 
 def h_embed(blocks: Sequence[Word]) -> HEmbedding:
     return HEmbedding(tuple(blocks))
@@ -232,12 +225,14 @@ def step_lemma_search(dec: PwSyndeticDecomposition, m_bound: int = 2) -> StepRes
     ``is_thick`` finds no anchor for ``m_bound`` below horizon ``m_bound``,
     nor has ``pws_certify`` a syndetic range below horizon ell, so no
     generator longer than N - ell - max(m_bound, ell) can certify: the
-    walk stops there.  A negative ell raises ``IndexOutOfRange``.
+    walk stops there.  A negative ell or m_bound raises ``IndexOutOfRange``.
     """
     from .largeness import pws_certify
 
     if dec.ell < 0:
         raise IndexOutOfRange(f"ell must be >= 0, got {dec.ell}")
+    if m_bound < 0:
+        raise IndexOutOfRange(f"m_bound must be >= 0, got {m_bound}")
     p = dec.part
     k = dec.k
     cap = min(_MAX_GEN_LEN, dec.N - 1)
@@ -390,11 +385,14 @@ def iterate_builder(dec: PwSyndeticDecomposition, s_max: int, m_bound: int = 2) 
     extended by the current block and the certified residue stay inside
     P; a failed claim raises ``CheckFailed``.  A stage whose step finds
     no line propagates NotFoundWithinHorizon tagged with the stage index.
+    A negative s_max raises ``IndexOutOfRange``.
     """
+    if s_max < 0:
+        raise IndexOutOfRange(f"steps must be >= 0, got {s_max}")
     p, k = dec.part, dec.k
     gen: tuple[int, ...] = ()
     stages: list[BuilderStage] = []
-    for s in range(max(s_max, 0) + 1):  # stage 0 even when s_max < 0
+    for s in range(s_max + 1):
         try:
             step = step_lemma_search(dec, m_bound)
         except NotFoundWithinHorizon as exc:

@@ -30,8 +30,9 @@ alphabets), ``x_j`` prints as ``x{j}`` and the empty word prints as
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ._frozen import Frozen
@@ -65,6 +66,8 @@ __all__ = [
     "check_universe",
     "var_words",
     "prefix_valid_words",
+    "rank",
+    "unrank",
 ]
 
 
@@ -126,7 +129,7 @@ def _trusted(k: int, symbols: tuple[int, ...]) -> Word:
     """``Word(k, symbols)`` without its checks.
 
     Only for symbols copied or renamed from ``Word``s over the same k,
-    which passed those checks when they were built.
+    which passed those checks when they were built, or read off a rank.
     """
     w = _new(Word)
     _set_k(w, k)
@@ -585,13 +588,103 @@ def letter_words(k: int, max_len: int, min_len: int = 0) -> Iterator[Word]:
     return _enumerate(k, max_len, min_len, False, 0, 0)
 
 
+# ---------------------------------------------------------------------------
+# ranks: every domain ``var_words(k, N, dim=n)``, A^{<=N} for n = 0, is
+# ranked 0, 1, ... in the walk's (length, lex) order
+
+
+@lru_cache(maxsize=32)
+def _codec(k: int, n_horizon: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Rank tables of the domain ``var_words(k, n_horizon, dim=dim)``, 0 <= dim <= N.
+
+    ways[i][t] counts the ends of a word whose prefix has introduced i
+    variables, with dim - i + t symbols to go (t to spare): a letter or
+    an introduced variable (k + i ways) spends one spare symbol and the
+    next variable raises i, the recurrence of ``colorings._domain_size``.
+    Only t <= N - dim occurs, so the table holds (N - dim + 1)(dim + 1)
+    counts; offs[L] counts the words shorter than L.  For dim = 0,
+    ways[0][t] = k^t and offs is ``_offsets(k, N)``.  ``rank`` builds it
+    only for a word of dim symbols or more, and a coloring reader ranks
+    only in a domain as large as its table, which holds x0^j x1 ...
+    x_{dim-1} for j = 1 .. N - dim + 1: the counts are at most (table
+    size) x (word length + 1), none above the table size.
+    """
+    col = tuple(int(t == 0) for t in range(n_horizon - dim + 1))  # i = dim + 1: complete, no symbol to spare
+    ways = []
+    for i in range(dim, -1, -1):
+        ways.append(col := tuple(accumulate(col, lambda prev, after: (k + i) * prev + after)))
+    ways.reverse()
+    return tuple(ways), (0,) * dim + tuple(accumulate(col, initial=0))
+
+
 @lru_cache(maxsize=None)
 def _offsets(k: int, n: int) -> tuple[int, ...]:
     """offsets[L] = rank of the first word of length L in A^{<=n}; offsets[n+1] = total."""
-    out = [0]
-    for length in range(n + 1):
-        out.append(out[-1] + k**length)
-    return tuple(out)
+    return _codec(k, n, 0)[1]
+
+
+def rank(k: int, n_horizon: int, dim: int, symbols: Sequence[int]) -> Optional[int]:
+    """The rank of the word of these symbols in ``var_words(k, n_horizon, dim=dim)``,
+    or None for a word outside it.
+
+    A word ranks offs[len] plus, at each position, the symbol times the
+    ways left after it in ``_codec``'s table, since the symbols below it
+    (letters, then variables in index order) each start that many words;
+    for dim = 0 that is offs[len] plus the word's lex value in base k.
+    """
+    rest = len(symbols)
+    if not 0 <= dim <= rest <= n_horizon:  # _codec only for a word of dim symbols
+        return None
+    ways, offs = _codec(k, n_horizon, dim)
+    r = offs[rest]
+    i, t = 0, rest - dim  # variables introduced, and symbols to spare
+    col, top = ways[0], k  # top = k + i, the next variable
+    for s in symbols:
+        t -= 1  # spare after s, if s keeps i: so for each symbol below s
+        if s < top and t >= 0:  # t < 0: no room left for the variables to come
+            r += s * col[t]
+        elif s == top and i < dim:
+            if t >= 0:
+                r += s * col[t]
+            i, t = i + 1, t + 1
+            col, top = ways[i], top + 1
+        else:
+            return None
+    return r
+
+
+def unrank(k: int, n_horizon: int, dim: int, r: int) -> Word:
+    """The word of rank r in ``var_words(k, n_horizon, dim=dim)``: ``rank`` read
+    backwards, a step per symbol, for 0 <= r < the domain's size."""
+    ways, offs = _codec(k, n_horizon, dim)
+    length = bisect_right(offs, r) - 1
+    r -= offs[length]
+    syms = []
+    i, t = 0, length - dim
+    for _ in range(length):
+        t -= 1
+        below = (k + i) * ways[i][t] if t >= 0 else 0  # the words whose symbol here keeps i
+        if r < below:
+            s, r = divmod(r, ways[i][t])
+        else:
+            s, r = k + i, r - below
+            i, t = i + 1, t + 1
+        syms.append(s)
+    return _trusted(k, tuple(syms))
+
+
+def _line_values(k: int, symbols: Sequence[int]) -> tuple[int, int]:
+    """(base, ones) of a 1-variable word g: g[a] has the lex value
+    base + a * ones, where base reads the variable as 0 and ones has a 1
+    at each of its places."""
+    base = ones = 0
+    for s in symbols:
+        base, ones = base * k, ones * k
+        if s == k:
+            ones += 1
+        else:
+            base += s
+    return base, ones
 
 
 MAX_UNIVERSE = 1 << 22  # words a family or coloring read from a file or a certificate may span

@@ -26,6 +26,17 @@ def random_letters(rng: random.Random, k: int, length: int) -> Word:
     return Word(k, tuple(rng.randrange(k) for _ in range(length)))
 
 
+def all_graphs(n: int):
+    """Every graph on the vertices 0 .. n-1, by the bits of its edge set."""
+    from itertools import combinations
+
+    from varword.henson import GraphSpec
+
+    pairs = list(combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield GraphSpec.from_pairs(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

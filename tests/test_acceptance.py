@@ -11,7 +11,7 @@ import random
 import time
 from itertools import combinations
 
-from conftest import random_letters, random_prefix_valid
+from conftest import all_graphs, random_letters, random_prefix_valid
 from varword import certificates as certs
 from varword.cdrt import decode_word, encode_word, pullback_certificate, translate
 from varword.cli import (
@@ -22,7 +22,6 @@ from varword.cli import (
 from varword.colorings import Coloring
 from varword.errors import CutPointMissing, NotFoundWithinHorizon
 from varword.henson import (
-    GraphSpec,
     edge,
     edge_invariance,
     greedy_embed,
@@ -290,7 +289,7 @@ def test_criterion_08_henson_properties():
 
         embedded = 0
         for n in range(1, 5):
-            for g in GraphSpec.all_graphs(n):
+            for g in all_graphs(n):
                 if not g.is_triangle_free():
                     continue
                 images = greedy_embed(g, 12)

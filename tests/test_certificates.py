@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import all_graphs
 from varword import certificates as certs
 from varword.cli import (
     builder_certificate_doc,
@@ -603,7 +604,7 @@ def test_embedding_mode_and_horizon_are_read(docs, field, value):
 def test_triangle_free_matches_triple_walk():
     from itertools import combinations
 
-    for g in GraphSpec.all_graphs(5):
+    for g in all_graphs(5):
         walk = not any(
             g.adj(a, b) and g.adj(b, c) and g.adj(a, c) for a, b, c in combinations(range(5), 3)
         )

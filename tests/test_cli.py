@@ -228,6 +228,20 @@ class TestSearchAndVerify:
         assert (code, out, err) == (1, "", "error: IndexOutOfRange: ell must be >= 0, got -1\n")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("bounds, message", [
+        (["--steps", "-1"], "steps must be >= 0, got -1"),
+        (["--steps", "0", "--m-bound", "-1"], "m_bound must be >= 0, got -1"),
+    ])
+    def test_negative_builder_bound_is_an_error(self, run, tmp_path, bounds, message):
+        # each built and certified a dimension-0 tree, with exit 0
+        f = tmp_path / "f.txt"
+        f.write_text("2 4\n" + "\n".join(FiniteFamily.full(2, 4).texts()) + "\n")
+        out_file = tmp_path / "out.json"
+        argv = ["search", "builder", "--syndetic", str(f), "--thick", str(f), "--ell", "1"]
+        code, out, err = run(*argv, *bounds, "--json-out", str(out_file))
+        assert (code, out, err) == (1, "", f"error: IndexOutOfRange: {message}\n")
+        assert not out_file.exists()
+
     def test_missing_file_exit_code(self, run):
         code, _, _ = run("search", "line", "--coloring", "/nonexistent/x.txt")
         assert code == 1

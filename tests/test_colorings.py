@@ -4,32 +4,58 @@ route against the word-by-word ``parse_word`` route."""
 import json
 import pickle
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from varword import certificates as certs
-from varword.colorings import Coloring, _codec, _domain_size
+from varword.colorings import Coloring, _domain_size
 from varword.errors import InputError, VarwordError
-from varword.words import Word, _offsets, format_word, prefix_valid_words, var_words
+from varword.largeness import FiniteFamily
+from varword.words import Word, _codec, format_word, letter_words, prefix_valid_words, rank, unrank, var_words
 
 DOMAINS = [(0, 4, 2), (1, 5, 1), (2, 4, 0), (2, 4, 1), (3, 3, 2), (2, 5, 2), (3, 3, 0), (11, 2, 0)]
 
 
-@pytest.mark.parametrize("k, n_horizon, dim", DOMAINS)
+@lru_cache(maxsize=None)
+def _prefix_valid(k, n_horizon):
+    return list(prefix_valid_words(k, n_horizon))
+
+
+@pytest.mark.parametrize(
+    "k, n_horizon, dim", [(k, n, d) for k in range(4) for n in range(7) for d in range(n + 1)] + [(11, 2, 0)]
+)
 def test_rank_is_the_domain_walk_position(k, n_horizon, dim):
-    c = Coloring.from_function(k, n_horizon, dim, 3, lambda w: len(w) % 3)
+    # one codec ranks and unranks every domain, plain words included
     domain = list(var_words(k, n_horizon, dim=dim))
-    assert [c.rank(w) for w in domain] == list(range(len(domain)))
-    offs = _codec(k, n_horizon, dim)[1] if dim else _offsets(k, n_horizon)
-    assert offs[-1] == len(domain) == _domain_size(k, n_horizon, dim, 10**6)
+    assert [rank(k, n_horizon, dim, w.symbols) for w in domain] == list(range(len(domain)))
+    assert [unrank(k, n_horizon, dim, r) for r in range(len(domain))] == domain
+    assert _codec(k, n_horizon, dim)[1][-1] == len(domain) == _domain_size(k, n_horizon, dim, 10**6)
+    c = Coloring.from_function(k, n_horizon, dim, 3, lambda w: len(w) % 3)
     assert [c(w) for w in domain] == [len(w) % 3 for w in domain]
     assert c.entries() == [(format_word(w), len(w) % 3) for w in domain]
     # every other prefix-valid word, a longer one and one over another alphabet rank None
     inside = set(domain)
-    for w in prefix_valid_words(k, n_horizon + 1):
+    for w in _prefix_valid(k, n_horizon + 1):
         assert (c.rank(w) is not None) == (w in inside) == (w in c), w
     assert c.rank(Word(k + 1, ())) is None
+    assert c.rank(Word(k + 1, tuple(s + (s >= k) for s in domain[-1].symbols))) is None  # the same word over k + 1
+    # variables out of order, or past x_{n-1}
+    x = tuple(range(k, k + dim + 1))  # x0 .. x_n
+    outside = [x]
+    if dim:
+        outside.append(x[1:])  # x1 first
+    if dim >= 2:
+        outside.append((x[1], x[0]) + x[2:dim])  # x1 before x0
+    assert all(rank(k, n_horizon, dim, syms) is None for syms in outside), outside
+    if not dim:  # a family ranks as the plain coloring does
+        fam = FiniteFamily.full(k, n_horizon)
+        assert list(fam.words()) == domain == [fam.unrank(r) for r in range(len(domain))]
+        assert [fam.rank(w) for w in domain] == list(range(len(domain)))
+        assert domain == list(letter_words(k, n_horizon))
+        odd = FiniteFamily(k, n_horizon, sum(1 << r for r in range(1, len(domain), 2)))
+        assert list(odd.words()) == domain[1::2]
 
 
 @pytest.mark.parametrize("k, n_horizon, dim", DOMAINS)
@@ -154,6 +180,25 @@ def test_constructor_checks_ranked_colors():
         Coloring.parse("2 2 0 2\n" + "\n".join(f"{t} 0" for t, _ in full.entries()[:6]) + "\n")
 
 
+@pytest.mark.parametrize("k, n_horizon, dim", [(2, 12, 0), (2, 8, 1)])
+def test_constructor_names_a_defect_without_walking_the_domain(monkeypatch, k, n_horizon, dim):
+    # the word a message names is unranked, not found by walking the domain
+    # up to the defect (8,190 words for the plain domain)
+    import varword.colorings as colorings_mod
+
+    last = format_word(list(var_words(k, n_horizon, dim=dim))[-1])
+    size = _domain_size(k, n_horizon, dim, 10**6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked the domain")
+
+    monkeypatch.setattr(colorings_mod, "var_words", refuse)
+    with pytest.raises(VarwordError, match=f"^color 2 out of range for {last}$"):
+        Coloring(k, n_horizon, dim, 2, bytes(size - 1) + b"\x02")
+    with pytest.raises(VarwordError, match=f"^coloring not total: missing {last}$"):
+        Coloring(k, n_horizon, dim, 2, bytes(size - 1))
+
+
 def test_mapping_of_other_words_is_refused():
     # the constructor names the first defect: a word missing, then a word outside
     table = {w: len(w) % 2 for w in var_words(2, 3, dim=0)}
@@ -174,9 +219,7 @@ def _read_small(read, k, n_horizon, dim, text, color):
     """The outcome of reading a one-row table, and the reader's peak traced memory."""
     import tracemalloc
 
-    import varword.colorings as colorings_mod
-
-    colorings_mod._codec.cache_clear()
+    _codec.cache_clear()
     tracemalloc.start()
     if read == "json":
         doc = {"type": "coloring", "k": k, "N": n_horizon, "n": dim, "ell": 2, "table": [[text, color]]}

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_prefix_valid
+from conftest import all_graphs, random_prefix_valid
 from varword.errors import (
     CutPointMissing,
     DomainTooLarge,
@@ -112,7 +112,7 @@ class TestPhi:
 
     def test_preserves_all_graphs(self):
         for n in range(1, 5):
-            for g in GraphSpec.all_graphs(n):
+            for g in all_graphs(n):
                 if not g.is_triangle_free():
                     continue
                 pe = phi_embed(g)
@@ -134,7 +134,7 @@ class TestGreedy:
 
     def test_all_small_graphs(self):
         for n in range(1, 5):
-            for g in GraphSpec.all_graphs(n):
+            for g in all_graphs(n):
                 if not g.is_triangle_free():
                     continue
                 images = greedy_embed(g, 12)

@@ -31,7 +31,7 @@ from varword.search import (
     step_lemma_search,
     verify_line_letter,
 )
-from varword.trees import generator_from_tree, level, tree_from_generator
+from varword.trees import level, tree_from_generator
 from varword.words import (
     Word,
     decompose,
@@ -185,19 +185,6 @@ class TestHEmbed:
                 img = h(u)
                 assert img not in seen
                 seen[img] = u
-
-    def test_image_of_line_is_line(self):
-        h = h_embed([parse_word("x0[0]", K), parse_word("x0x0", K)])
-        tree = tree_from_generator(parse_word("x0", K))
-        img = h.image_of_tree(tree)
-        assert img.dimension == 1
-
-    def test_image_of_tree_is_tree(self):
-        h = h_embed([parse_word("x0[0]", K), parse_word("x0", K)])
-        tree = tree_from_generator(parse_word("x0x1", K))
-        img = h.image_of_tree(tree)
-        assert img.dimension == 2
-        assert generator_from_tree(img.elements) == img.generator
 
     def test_coloring_pullback_monochromatic(self):
         # a set monochromatic for f.h maps to a set monochromatic for f
