@@ -2,7 +2,8 @@
 
 A record's fields are its ``__slots__``, or its ``_fields`` when it keeps
 an instance dict (``OVWTree``, whose ``level_lengths`` caches itself
-there). ``Frozen`` derives the rest from them once:
+there) or inherits its slots (``Word``).  ``Frozen`` derives the rest
+from them once:
 
 - two records are equal when they are of the same class and their field
   tuples are equal;
@@ -13,7 +14,8 @@ there). ``Frozen`` derives the rest from them once:
 - a record pickles and copies as ``cls(*fields)``.
 
 Subclasses set their fields in ``__init__`` through ``object.__setattr__``
-or their slots' own setters; after that, assignment and deletion raise.
+or their slots' own setters (``Word`` is built by ``words._trusted``);
+after that, assignment and deletion raise.
 """
 
 

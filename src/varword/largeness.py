@@ -277,31 +277,6 @@ class FiniteFamily(Frozen):
         heads = [(len(generator), [base + a * ones for a in range(k)])]
         return _stack(k, n2, _head_blocks(self, heads, n2, every=True))
 
-    def append(self, sigma: Word) -> tuple["FiniteFamily", int]:
-        """Family . sigma = {tau sigma}, and the count of members pushed past N,
-        which are dropped."""
-        n = len(sigma)
-        ks = self.k**n
-        vs = FiniteFamily(self.k, n).rank(sigma) - _offsets(self.k, n)[n]  # lex value, for any |sigma|
-        offs = _offsets(self.k, self.N)
-        mask = 0
-        dropped = 0
-        for length in range(self.N + 1):
-            band = self.band(length)
-            if not band:
-                continue
-            if length + n > self.N:
-                dropped += band.bit_count()
-                continue
-            base = offs[length + n]
-            v = 0
-            while band:
-                if band & 1:
-                    mask |= 1 << (base + v * ks + vs)
-                band >>= 1
-                v += 1
-        return FiniteFamily(self.k, self.N, mask), dropped
-
 
 # the slots' own setters: ``FiniteFamily`` refuses ``setattr`` once built
 _set_k = FiniteFamily.k.__set__

@@ -13,7 +13,6 @@ Provided here:
   with S(0) and S(1).a in the same color class.
 * ``line_letter_from_dim2``: extract such a pair from a monochromatic
   dimension-2 tree through a connector word between its levels.
-* ``h_embed``: the block embedding h(a_0...a_m) = w_0[a_0]...w_m[a_m].
 * ``d_super_s``: the residue family {sigma : S(1).sigma inside D}.
 * ``step_lemma_search`` / ``iterate_builder``: the one-step lemma for
   piecewise syndetic families and the staged tree construction, one
@@ -24,9 +23,8 @@ Provided here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
-from ._frozen import Frozen
 from .certificates import check_builder_stage, check_line_letter
 from .colorings import Coloring
 from .errors import (
@@ -39,8 +37,6 @@ from .trees import OVWTree, level, tree_from_generator
 from .words import (
     Word,
     decompose,
-    format_word,
-    is_left_var_word,
     substitute,
     var_words,
 )
@@ -57,8 +53,6 @@ __all__ = [
     "search_line_with_letter",
     "verify_line_letter",
     "line_letter_from_dim2",
-    "HEmbedding",
-    "h_embed",
     "d_super_s",
     "StepResult",
     "step_lemma_search",
@@ -146,40 +140,6 @@ def line_letter_from_dim2(
         raise NoConnector("no nonempty connector from T(1) into T(2)")
     line_gen = Word(k, tree.generator.symbols[:l1] + sigma[:-1])
     return _line_hit(coloring, line_gen, sigma[-1], color), Word(k, sigma)
-
-
-# ---------------------------------------------------------------------------
-# block embedding
-
-
-class HEmbedding(Frozen):
-    """h(a_0 ... a_j) = w_0[a_0] ... w_{j-1}[a_{j-1}] for left 1-variable blocks."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: tuple[Word, ...]):
-        for b in blocks:
-            if not is_left_var_word(b):
-                raise InvalidWord(f"{format_word(b)} is not a left 1-variable word")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def k(self) -> int:
-        return self.blocks[0].k
-
-    def __call__(self, u: Word) -> Word:
-        if len(u) > len(self.blocks):
-            raise InvalidWord("word longer than the block sequence")
-        syms: list[int] = []
-        for i, a in enumerate(u.symbols):
-            if a >= self.k:
-                raise InvalidWord("embedding domain is letter words")
-            syms.extend(substitute(self.blocks[i], (a,)).symbols)
-        return Word(self.k, tuple(syms))
-
-
-def h_embed(blocks: Sequence[Word]) -> HEmbedding:
-    return HEmbedding(tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

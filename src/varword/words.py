@@ -23,6 +23,15 @@ The module provides the substitution calculus:
 * ``decompose``/``recompose`` split an ordered variable word into its
   constant head and its left one-variable blocks, and glue them back.
 
+Construction: every ``Word`` is built by the same three steps, in
+``_trusted`` and inlined in ``decompose`` and ``recompose``: allocate a
+``_Draft``, store its two slots, and set its class to ``Word``.  A
+draft holds ``Word``'s slots (both inherit them from ``_WordSlots`` and
+add none) without ``Frozen``'s ``__setattr__``; CPython allows the class
+switch because the two layouts are the same.  ``Word`` is the only class
+a draft becomes.  ``Word(k, symbols)`` checks its arguments and then
+calls ``_trusted``.
+
 Text form: letters print as decimal digits (``[i]`` for two-digit
 alphabets), ``x_j`` prints as ``x{j}`` and the empty word prints as
 ``-``.
@@ -31,7 +40,7 @@ alphabets), ``x_j`` prints as ``x{j}`` and the empty word prints as
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -71,19 +80,28 @@ __all__ = [
 ]
 
 
-class Word(Frozen):
-    """Immutable word over an alphabet of size ``k`` plus variables."""
+class _WordSlots:
+    """``Word``'s two slots, shared with ``_Draft`` so that a draft can become a Word.
+
+    Neither subclass may add a slot: the class switch needs equal layouts.
+    """
 
     __slots__ = ("k", "symbols")
 
-    def __init__(self, k: int, symbols: tuple[int, ...] = ()):
+
+class Word(_WordSlots, Frozen):
+    """Immutable word over an alphabet of size ``k`` plus variables."""
+
+    __slots__ = ()
+    _fields = ("k", "symbols")
+
+    def __new__(cls, k: int, symbols: tuple[int, ...] = ()):
         if k < 0:
             raise IndexOutOfRange(f"alphabet size must be >= 0, got {k}")
         if symbols and min(symbols) < 0:
             i, s = next((i, s) for i, s in enumerate(symbols) if s < 0)
             raise IndexOutOfRange(f"negative symbol {s} at position {i}")
-        _set_k(self, k)
-        _set_symbols(self, symbols)
+        return _trusted(k, symbols)
 
     # every coloring lookup hashes a Word: these run about 5x faster than Frozen's field loop
     def __eq__(self, other):
@@ -119,21 +137,23 @@ class Word(Frozen):
         return format_word(self)
 
 
-# the slots' own setters: ``Word`` refuses ``setattr`` once built
-_set_k = Word.k.__set__
-_set_symbols = Word.symbols.__set__
-_new = object.__new__
+class _Draft(_WordSlots):
+    """A Word under construction: ``Word``'s layout without its ``__setattr__``."""
+
+    __slots__ = ()
 
 
 def _trusted(k: int, symbols: tuple[int, ...]) -> Word:
-    """``Word(k, symbols)`` without its checks.
+    """``Word(k, symbols)`` without its checks: a draft, its slots stored,
+    switched to ``Word`` (see the module docstring).
 
     Only for symbols copied or renamed from ``Word``s over the same k,
     which passed those checks when they were built, or read off a rank.
     """
-    w = _new(Word)
-    _set_k(w, k)
-    _set_symbols(w, symbols)
+    w = _Draft()
+    w.k = k
+    w.symbols = symbols
+    w.__class__ = Word
     return w
 
 
@@ -484,7 +504,14 @@ def decompose(w: Word) -> tuple[Word, tuple[Word, ...]]:
             blocks.append(block)
         else:
             raise NotOrdered(f"{format_word(w)} is not an ordered variable word")
-    return _trusted(k, tuple(head)), tuple([_trusted(k, tuple(b)) for b in blocks[1:]])
+    out = []
+    for b in blocks:
+        u = _Draft()
+        u.k = k
+        u.symbols = tuple(b)
+        u.__class__ = Word
+        out.append(u)
+    return out[0], tuple(out[1:])
 
 
 def recompose(sigma: Word, blocks: Sequence[Word]) -> Word:
@@ -503,7 +530,11 @@ def recompose(sigma: Word, blocks: Sequence[Word]) -> Word:
             syms.extend([x if s == k else s for s in bs])
         else:
             syms.extend(bs)
-    return _trusted(k, tuple(syms))
+    w = _Draft()
+    w.k = k
+    w.symbols = tuple(syms)
+    w.__class__ = Word
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +610,7 @@ def _enumerate(k, max_len, min_len, ordered, lo, hi, keep=None) -> Iterator[Word
         raise IndexOutOfRange(f"alphabet size must be >= 0, got {k}")
     for length in range(max(min_len, 0), max_len + 1):
         top = length if hi is None else min(hi, length)
-        for syms in _symbol_tuples(k, length, ordered, lo, top, keep):
-            yield _trusted(k, syms)
+        yield from map(partial(_trusted, k), _symbol_tuples(k, length, ordered, lo, top, keep))
 
 
 def letter_words(k: int, max_len: int, min_len: int = 0) -> Iterator[Word]:

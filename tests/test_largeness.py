@@ -116,28 +116,6 @@ class TestDensitySplit:
             density_split(d, e, d - e, Fraction(1, 2))  # raises on violation
 
 
-class TestConcat:
-    def test_epsilon(self):
-        fam = family(lambda w: len(w) < 2)
-        out, dropped = fam.append(Word(K, ()))
-        assert out.mask == fam.mask and dropped == 0
-
-    def test_singleton(self):
-        fam = FiniteFamily.from_words(K, N, [Word(K, ())])
-        out, _ = fam.append(parse_word("10", K))
-        assert [format_word(w) for w in out.words()] == ["10"]
-
-    def test_example(self):
-        fam = FiniteFamily.from_words(K, N, [parse_word("0", K), parse_word("1", K)])
-        out, _ = fam.append(parse_word("10", K))
-        assert sorted(format_word(w) for w in out.words()) == ["010", "110"]
-
-    def test_drops_beyond_horizon(self):
-        fam = FiniteFamily.from_words(K, 3, [parse_word("111", K)])
-        out, dropped = fam.append(parse_word("0", K))
-        assert len(out) == 0 and dropped == 1
-
-
 class TestSyndetic:
     def test_full(self):
         chk = is_syndetic(FiniteFamily.full(K, N), 1, want_witness=True)

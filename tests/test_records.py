@@ -35,13 +35,25 @@ from varword.search import (
     BuilderStage,
     BuilderTrace,
     DensityStepResult,
-    HEmbedding,
     LineLetterCertificate,
     StepResult,
 )
 from varword.sweeps import AssocSweepResult, HensonScanReport, RoundTripResult, WordTable
 from varword.trees import CanonicalIso, OVWTree
-from varword.words import Condition, ValidityReport, Word
+from varword import words
+from varword.words import (
+    Condition,
+    ValidityReport,
+    Word,
+    compose,
+    decompose,
+    letter_words,
+    parse_word,
+    recompose,
+    substitute,
+    unrank,
+    var_words,
+)
 
 W = Word(k=2, symbols=(0, 2))
 V = Word(k=2, symbols=(1,))
@@ -79,7 +91,6 @@ RECORDS = [
                       "removal_check": SYN, "thick_evidence": THICK}, True),
     (PwCertification, {"decomposition": DEC, "syndetic_check": SYN, "thick_check": THICK}, True),
     (LineLetterCertificate, {"line": TREE, "letter": 1, "color": 0, "checked": (W, V)}, True),
-    (HEmbedding, {"blocks": (BLOCK, BLOCK)}, True),
     (StepResult, {"line": TREE, "block": BLOCK, "residue": CERT, "s0_in_part": True,
                   "inclusion_checked": 4}, True),
     (DensityStepResult, {"line": TREE, "lengths": (3,), "threshold": Fraction(1, 8),
@@ -173,6 +184,47 @@ def test_copy_and_pickle_keep_the_record(cls, kwargs, hashable):
         assert type(b) is cls and repr(b) == repr(a)
         if hashable:
             assert b == a and hash(b) == hash(a)
+
+
+# every route that builds a Word, and the symbols it builds over k = 2:
+# x0 0 x0, or 1 0 for the routes that give a plain word
+X0_0_X0, ONE_0 = (2, 0, 2), (1, 0)
+WORD_ROUTES = {
+    "Word": (lambda: Word(2, X0_0_X0), X0_0_X0),
+    "_trusted": (lambda: words._trusted(2, X0_0_X0), X0_0_X0),
+    "var_words": (lambda: list(var_words(2, 3, dim=1, ordered=True))[18], X0_0_X0),
+    "letter_words": (lambda: list(letter_words(2, 2))[-2], ONE_0),
+    "unrank": (lambda: unrank(2, 3, 1, 18), X0_0_X0),
+    "parse_word": (lambda: parse_word("x0[0]x0", 2), X0_0_X0),
+    "concat": (lambda: Word(2, (2,)).concat(Word(2, (0, 2))), X0_0_X0),
+    "substitute": (lambda: substitute(Word(2, (2, 0, 2, 3)), Word(2, (2,))), X0_0_X0),
+    "substitute-tuple": (lambda: substitute(Word(2, (2, 0, 2, 3)), (2,)), X0_0_X0),
+    "compose": (lambda: compose(Word(2, (2, 0, 2, 3)), Word(2, (2,))), X0_0_X0),
+    "decompose-head": (lambda: decompose(Word(2, (1, 0, 2)))[0], ONE_0),
+    "decompose-block": (lambda: decompose(Word(2, (1, 2, 0, 2)))[1][0], X0_0_X0),
+    "recompose": (lambda: recompose(Word(2, ()), [Word(2, X0_0_X0)]), X0_0_X0),
+}
+
+
+@pytest.mark.parametrize("route", list(WORD_ROUTES))
+def test_every_route_builds_the_same_word_record(route):
+    build, symbols = WORD_ROUTES[route]
+    w = build()
+    assert type(w) is Word and (w.k, w.symbols) == (2, symbols)
+    fresh = Word(2, symbols)
+    assert w == fresh and hash(w) == hash(fresh) == hash((2, symbols))
+    assert repr(w) == f"Word(k=2, symbols={symbols!r})"
+    for b in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert type(b) is Word and b == w and hash(b) == hash(w)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'k'$"):
+        w.k = 3
+    with pytest.raises(AttributeError, match="^cannot assign to field 'symbols'$"):
+        w.symbols = ()
+    with pytest.raises(AttributeError, match="^cannot delete field 'symbols'$"):
+        del w.symbols
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+        w.extra = 0
+    assert (w.k, w.symbols) == (2, symbols)
 
 
 HASHABLE = [r[:2] for r in RECORDS if r[2]]

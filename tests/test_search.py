@@ -24,7 +24,6 @@ from varword.search import (
     LineLetterCertificate,
     _stage,
     d_super_s,
-    h_embed,
     iterate_builder,
     line_letter_from_dim2,
     search_line_with_letter,
@@ -164,39 +163,6 @@ class TestFromDim2:
         c = Coloring.from_function(K, 4, 0, 2, lambda w: len(w) % 2)
         with pytest.raises(InvalidWord):
             line_letter_from_dim2(tree, c)
-
-
-class TestHEmbed:
-    def test_single_identity_block(self):
-        h = h_embed([parse_word("x0", K)])
-        for a in range(K):
-            assert h(Word(K, (a,))) == Word(K, (a,))
-        assert h(Word(K, ())) == Word(K, ())
-
-    def test_example(self):
-        h = h_embed([parse_word("x0[0]", K), parse_word("x0", K)])
-        assert format_word(h(parse_word("10", K))) == "100"
-
-    def test_injective(self):
-        h = h_embed([parse_word("x0[0]", K), parse_word("x0x0", K), parse_word("x0", K)])
-        seen = {}
-        for m in range(4):
-            for u in letter_words(K, m, min_len=m):
-                img = h(u)
-                assert img not in seen
-                seen[img] = u
-
-    def test_coloring_pullback_monochromatic(self):
-        # a set monochromatic for f.h maps to a set monochromatic for f
-        h = h_embed([parse_word("x0[0]", K), parse_word("x0", K)])
-        f = Coloring.from_function(K, 8, 0, 2, lambda w: w.symbols.count(1) % 2)
-        y = {u: f(h(u)) for m in range(3) for u in letter_words(K, m, min_len=m)}
-        mono = [u for u in y if y[u] == 0]
-        assert all(f(h(u)) == 0 for u in mono)
-
-    def test_rejects_non_left_blocks(self):
-        with pytest.raises(InvalidWord):
-            h_embed([parse_word("0x0", K)])
 
 
 class TestResidue:

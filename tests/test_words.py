@@ -18,7 +18,6 @@ from varword.words import (
     parse_word,
     prefix_valid_words,
     recompose,
-    rename_variable,
     substitute,
     validate,
     var_words,
@@ -268,30 +267,41 @@ class TestDecompose:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_definition(self, k):
-        # block i is the slice from the first x_i to the first x_{i+1},
-        # x_i renamed to x_0; a block holding any other variable means
-        # the word is not ordered.  Prefix-valid words include unordered ones.
-        def by_definition(w):
-            n = dimension(w)
-            cuts = [first_occurrence(w, i) for i in range(n)] + [len(w)]
+        # every prefix-valid word of length <= 6 against the definition,
+        # written here with no code of varword's: block i is the slice
+        # from the first x_i to the first x_{i+1}, x_i renamed to x_0; a
+        # block holding any other variable means the word is not ordered
+        def by_definition(t):
+            firsts = [t.index(s) for s in sorted({s for s in t if s >= k})]
+            cuts = firsts + [len(t)]
             blocks = []
-            for i in range(n):
-                piece = w.symbols[cuts[i] : cuts[i + 1]]
+            for i in range(len(firsts)):
+                piece = t[cuts[i] : cuts[i + 1]]
                 if {s for s in piece if s >= k} != {k + i}:
-                    return "not ordered"
-                blocks.append(rename_variable(Word(k, piece), i, 0))
-            return Word(k, w.symbols[: cuts[0]]), tuple(blocks)
+                    return None
+                blocks.append(tuple(k if s == k + i else s for s in piece))
+            return t[: cuts[0]], blocks
 
+        def text(t):  # letters are single digits for k <= 3
+            return "".join(f"x{s - k}" if s >= k else f"[{s}]" if i and t[i - 1] >= k else str(s)
+                           for i, s in enumerate(t)) or "-"
+
+        # a prefix-valid word extends by a letter, an introduced variable or the next one
+        level = [((), 0)]
         unordered = 0
-        for w in prefix_valid_words(k, 6):
-            want = by_definition(w)
-            try:
-                got = decompose(w)
-            except NotOrdered as exc:
-                assert str(exc) == f"{format_word(w)} is not an ordered variable word"
-                got = "not ordered"
-                unordered += 1
-            assert got == want, format_word(w)
+        for _ in range(7):
+            for t, _n in level:
+                want = by_definition(t)
+                if want is None:
+                    with pytest.raises(NotOrdered) as info:
+                        decompose(Word(k, t))
+                    assert str(info.value) == f"{text(t)} is not an ordered variable word"
+                    unordered += 1
+                    continue
+                sigma, blocks = decompose(Word(k, t))
+                assert (sigma.symbols, [b.symbols for b in blocks]) == want, text(t)
+                assert recompose(sigma, blocks) == Word(k, t)
+            level = [(t + (s,), n + (s == k + n)) for t, n in level for s in range(k + n + 1)]
         assert unordered > 100
 
     @pytest.mark.parametrize(
@@ -300,8 +310,12 @@ class TestDecompose:
             ("0", ["-"], "block 0 (-) is not a left 1-variable word"),
             ("0", ["x0", "0x0"], "block 1 (0x0) is not a left 1-variable word"),
             ("-", ["x0x1"], "block 0 (x0x1) is not a left 1-variable word"),
+            ("1", ["x0", "x0x0", "-"], "block 2 (-) is not a left 1-variable word"),
+            ("-", ["0x0", "x0x1"], "block 0 (0x0) is not a left 1-variable word"),
+            ("-", ["x0[1]", "1x0x1"], "block 1 (1x0x1) is not a left 1-variable word"),
         ],
-        ids=["empty-block", "no-leading-x0", "holds-x1"],
+        ids=["empty-block", "no-leading-x0", "holds-x1", "empty-third-block", "first-bad-block-named",
+             "holds-x1-later"],
     )
     def test_recompose_refusals(self, sigma, blocks, message):
         with pytest.raises(InvalidWord) as info:
@@ -312,8 +326,34 @@ class TestDecompose:
         # a block over k=3 used to be read as x1[0] over k=2
         with pytest.raises(IndexOutOfRange, match="^alphabet mismatch in recomposition: block 0 is over k=3$"):
             recompose(Word(2, ()), [Word(3, (3, 0))])
-        with pytest.raises(IndexOutOfRange, match="alphabet mismatch"):
+        with pytest.raises(IndexOutOfRange, match="^alphabet mismatch in recomposition: block 1 is over k=1$"):
             recompose(Word(2, (1,)), [Word(2, (2,)), Word(1, (1,))])
+        with pytest.raises(IndexOutOfRange, match="^alphabet mismatch in recomposition: block 2 is over k=3$"):
+            recompose(Word(2, ()), [Word(2, (2,)), Word(2, (2, 0)), Word(3, (3,))])
+
+    def test_builds_one_word_per_result(self, monkeypatch):
+        # the work, not the time: every Word is allocated as a words._Draft
+        from varword import words
+
+        built = []
+        draft = words._Draft
+
+        def counting():
+            built.append(1)
+            return draft()
+
+        monkeypatch.setattr(words, "_Draft", counting)
+        assert Word(2, (0, 2)) == parse_word("0x0", 2) and len(built) == 2
+        for k in (1, 2, 3):
+            built.clear()
+            ordered = list(var_words(k, 5, ordered=True))
+            assert len(built) == len(ordered) > 0
+            for w in ordered:
+                built.clear()
+                sigma, blocks = decompose(w)
+                assert len(built) == len({s for s in w.symbols if s >= k}) + 1 == len(blocks) + 1
+                built.clear()
+                assert recompose(sigma, blocks) == w and len(built) == 1
 
 
 class TestCompose:
