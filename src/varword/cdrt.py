@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 from .certificates import check_cdrt
 from .colorings import Coloring
-from .errors import InvalidWord
+from .errors import IndexOutOfRange, InvalidWord
 from .prehomog import CslCertificate
-from .words import Word, dimension, format_word, is_prefix_valid, is_var_word
+from .words import Word, dimension, format_word, is_prefix_valid, is_var_word, reread
 
 __all__ = [
     "encode_word",
@@ -40,11 +40,12 @@ def encode_word(u: Word, n: int) -> Word:
     """Reinterpret letters as the first k variable slots (empty alphabet)."""
     if not is_var_word(u, n):
         raise InvalidWord(f"{format_word(u)} is not an {n}-variable word")
-    return Word(0, u.symbols)
+    return reread(u, 0)
 
 
 def decode_word(u_hat: Word, k: int, n: int) -> Word:
-    """Substitute the first k variables by the letters a_0..a_{k-1}."""
+    """Substitute the first k variables by the letters a_0..a_{k-1}; k is
+    the caller's, so ``Word(...)`` checks it."""
     w = Word(k, u_hat.symbols)
     if dimension(w) > n or not is_var_word(w, dimension(w)):
         raise InvalidWord(
@@ -62,15 +63,22 @@ def translate(coloring: Coloring) -> Coloring:
     """
     k = coloring.k
     return Coloring.from_function(
-        0, coloring.N, k + coloring.n, coloring.ell, lambda u: coloring(Word(k, u.symbols))
+        0, coloring.N, k + coloring.n, coloring.ell, lambda u: coloring(reread(u, k))
     )
 
 
 def pullback_word(w_hat: Word, k: int) -> Word:
-    """Substitute (a_0..a_{k-1}, x_0, x_1, ...) into a variable-only prefix."""
+    """Substitute (a_0..a_{k-1}, x_0, x_1, ...) into a variable-only prefix.
+
+    k is the caller's, so it is checked here, as ``Word(...)`` would;
+    ``pullback_certificate`` passes the k of a coloring, checked when the
+    coloring was built, so the cdrt search builds no checked word.
+    """
     if not is_prefix_valid(w_hat):
         raise InvalidWord("pullback needs a prefix-valid variable word")
-    w = Word(k, w_hat.symbols)
+    if k < 0:
+        raise IndexOutOfRange(f"alphabet size must be >= 0, got {k}")
+    w = reread(w_hat, k)
     if not is_prefix_valid(w):
         raise InvalidWord("pullback broke prefix validity")
     return w

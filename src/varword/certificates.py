@@ -42,6 +42,7 @@ from .words import (
     Word,
     compose,
     dimension,
+    extend,
     first_occurrence,
     format_word,
     is_prefix_valid,
@@ -276,7 +277,7 @@ def check_line_letter(coloring: Coloring, g: Word, letter: int, color: int, chec
     _need(len(g) + 1 <= coloring.N, "line does not fit the horizon")
     _need(0 <= letter < coloring.k, "letter outside alphabet")
     expected = set(next(levels))  # S(0); then S(1).letter, by k more substitutions
-    expected.update(Word(w.k, w.symbols + (letter,)) for w in next(levels))
+    expected.update(extend(w, (letter,)) for w in next(levels))
     _need(set(checked) == expected, "checked set mismatch")
     for w in expected:
         _need(coloring(w) == color, "{} has the wrong color", w)
@@ -469,7 +470,7 @@ def check_builder_stage(p: FiniteFamily, g: Word, block: Word, residue: FiniteFa
         c1 += checked
     c2 = s2 = 0
     if len(g) <= p.N:  # the top level is within the horizon
-        insts = [substitute(block, (a,)) for a in range(p.k)]
+        insts = [substitute(block, a) for a in letter_words(p.k, 1, min_len=1)]
         heads = [t.concat(wa) for t in top for wa in insts]
         ok, c2, s2, bad = glued_inclusion(heads, residue, p)
         if not ok:
@@ -511,9 +512,9 @@ def _verify_builder(instance: dict, witness: dict) -> int:
     return count
 
 
-def stem_extension_words(stem: Word, k: int, n: int, tail_max: int, w_hat: Word, horizon: int):
+def stem_extension_words(stem: Word, n: int, tail_max: int, w_hat: Word, horizon: int):
     """Each t = stem . x_n . tail, |tail| <= tail_max, whose image w_hat[t] can be colored,
-    by (length, lex); tails run over A | {x_0..x_n}.
+    by (length, lex); tails run over A | {x_0..x_n}, A the stem's alphabet.
 
     For a prefix-valid w_hat: w_hat[t] is w_hat cut before its first
     x_|t|, so the lengths walked are those below w_hat's dimension whose
@@ -521,13 +522,14 @@ def stem_extension_words(stem: Word, k: int, n: int, tail_max: int, w_hat: Word,
     the cut rule (CHANGES.md), for an n-variable stem each image walked
     is an (n+1)-variable word of length at most the horizon.
     """
-    base = stem.symbols + (k + n,)
+    k = stem.k
+    base = extend(stem, (k + n,))
     symbols = list(range(k)) + [k + j for j in range(n + 1)]
     for tail_len in range(min(tail_max, dimension(w_hat) - 1 - len(base)) + 1):
         if first_occurrence(w_hat, len(base) + tail_len) > horizon:
             break
         for tail in product(symbols, repeat=tail_len):
-            yield Word(k, base + tail)
+            yield extend(base, tail)
 
 
 def prehomog_certificate_doc(coloring: Coloring, w: Word, out, verify_tail: int) -> dict:
@@ -568,7 +570,7 @@ def check_prehomog(
     _need(n >= 0, "prehomogeneity needs a coloring of dimension >= 1")
     _need(stem.k == coloring.k and is_var_word(stem, n), f"stem is not a {n}-variable word")
     pairs = []
-    for t in stem_extension_words(stem, coloring.k, n, tail_max, w_hat, coloring.N):
+    for t in stem_extension_words(stem, n, tail_max, w_hat, coloring.N):
         img = substitute(w_hat, t, omega=True)
         _need(coloring.get(img) == color, "color breaks at t={}", t)
         pairs.append((t, img))

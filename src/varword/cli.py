@@ -41,7 +41,9 @@ TOOL_VERSION = f"varword {__version__}"
 
 
 def __getattr__(name: str):
-    # the certificate builders load with ``certificates`` only when one is asked for
+    # the certificate builders load with ``certificates`` only when one is asked for;
+    # the only caller is perfbench/wl_objects.py (six calls), whose edit goes with
+    # the next benchmark change, which deletes this shim
     if name.endswith("_certificate_doc"):
         from . import certificates
 

@@ -15,7 +15,7 @@ and the strict greedy embedding is the companion that stays inside it.
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
@@ -29,10 +29,14 @@ from .errors import (
 from .words import (
     MAX_UNIVERSE,
     Word,
+    cut,
     dimension,
+    extend,
     first_occurrence,
     format_word,
+    letter_words,
     parse_word,
+    reread,
     substitute,
     var_words,
 )
@@ -40,7 +44,6 @@ from .words import (
 __all__ = [
     "VAR",
     "MAX_VERTEX_HORIZON",
-    "hvertex",
     "enum_vertices",
     "edge",
     "TriangleFreeReport",
@@ -58,17 +61,13 @@ __all__ = [
 ]
 
 VAR = 1  # symbol code of x0 over the unary alphabet
+_EMPTY = next(letter_words(1, 0))  # the empty word over {0}, which phi_embed's images extend
 
 # Largest --horizon whose whole vertex set `henson enum` and `henson
 # triangles` build: 2**14 - 15 = 16,369 vertices.  The vertex count
 # doubles and the edge count triples per step; the triangle scan at 13
 # takes about 3.6 s and 100 MB, at 14 it would take four times that.
 MAX_VERTEX_HORIZON = 13
-
-
-def hvertex(bits: str) -> Word:
-    """Vertex from a 0/1 string, 1 marking the variable."""
-    return Word(1, tuple(int(c) for c in bits))
 
 
 def enum_vertices(n_horizon: int) -> list[Word]:
@@ -253,7 +252,7 @@ def phi_embed(g: GraphSpec) -> PhiEmbedding:
 
     if not g.is_triangle_free():
         raise NotTriangleFree("input graph contains a triangle")
-    words = tuple(Word(1, tuple(VAR if g.adj(i, j) else 0 for j in range(i))) for i in range(g.n))
+    words = tuple(extend(_EMPTY, [VAR if g.adj(i, j) else 0 for j in range(i)]) for i in range(g.n))
     check_embedding(g, words, None)
     return PhiEmbedding(words, tuple(w.has_variables() for w in words))
 
@@ -272,16 +271,9 @@ def greedy_embed(g: GraphSpec, n_horizon: int) -> tuple[Word, ...]:
     images: list[Word] = []
     min_len = 1
     for i in range(g.n):
-        found = None
-        for length in range(min_len, n_horizon + 1):
-            for v in range(1, 1 << length):
-                bits = tuple((v >> (length - 1 - b)) & 1 for b in range(length))
-                cand = Word(1, bits)
-                if all(edge(cand, images[j]) == g.adj(i, j) for j in range(i)):
-                    found = cand
-                    break
-            if found:
-                break
+        # the vertex words of lengths min_len .. n_horizon, by (length, lex)
+        cands = var_words(1, n_horizon, dim=1, min_len=min_len)
+        found = next((v for v in cands if all(edge(v, images[j]) == g.adj(i, j) for j in range(i))), None)
         if found is None:
             raise NotFoundWithinHorizon(
                 f"no image for vertex {i} within length {n_horizon}"
@@ -320,10 +312,10 @@ def _cover(env: Word, member: Word) -> Optional[Word]:
     """
     firsts = [first_occurrence(env, j) for j in range(dimension(env))]
     m = sum(f < len(member) for f in firsts)
-    cut = firsts[m] if m < len(firsts) else len(env)
-    if cut != len(member):
+    end = firsts[m] if m < len(firsts) else len(env)
+    if end != len(member):
         return None
-    t = Word(env.k, tuple(member.symbols[f] for f in firsts[:m]))
+    t = extend(cut(env, 0), [member.symbols[f] for f in firsts[:m]])
     return t if substitute(env, t) == member else None
 
 
@@ -437,7 +429,7 @@ def profile_coloring(
         chi_fn = chi.__getitem__
     else:
         chi_fn = chi
-    pool = [Word(1, syms) for length in range(d + 1) for syms in product((0, VAR), repeat=length)]
+    pool = [reread(w, 1) for w in letter_words(2, d)]  # every word over {0, x0}: 1 is read as x0
     slots = []
     for combo in combinations(pool, g.n):
         for perm in permutations(range(g.n)):

@@ -28,7 +28,9 @@ from .errors import CheckFailed, CutPointMissing, InvalidWord, NotFoundWithinHor
 from .words import (
     Word,
     compose,
+    cut,
     dimension,
+    extend,
     first_occurrence,
     format_word,
     is_prefix_valid,
@@ -82,7 +84,7 @@ def csl_search(
     if depth < n:  # no pattern of the coloring's dimension is that short
         raise InvalidWord(f"no dimension-{n} patterns up to depth {depth}")
     for w in prefix_valid_words(k, min(cap, coloring.N + 1), min_vars=depth + 1):
-        color = coloring.get(Word(k, w.symbols[: first_occurrence(w, n)]))
+        color = coloring.get(cut(w, first_occurrence(w, n)))
         try:
             return CslCertificate(w, color, depth, tuple(check_csl(coloring, w, color, depth)))
         except CheckFailed:
@@ -124,7 +126,7 @@ def prehomog_check(
     for s in var_words(k, min(stem_max, coloring.N - 1), dim=n):
         first_t = None
         first_color = None
-        for t in stem_extension_words(s, k, n, tail_max, w, coloring.N):
+        for t in stem_extension_words(s, n, tail_max, w, coloring.N):
             c = coloring.get(substitute(w, t, omega=True))
             checked += 1
             if first_t is None:
@@ -168,27 +170,26 @@ def one_step_prehomog(
         raise InvalidWord("need a coloring of dimension >= 1")
     n = coloring.n - 1
     k = coloring.k
-    if dimension(stem) != n or not is_var_word(stem, n):
+    if stem.k != k or dimension(stem) != n or not is_var_word(stem, n):
         raise InvalidWord(f"stem must be an {n}-variable word")
     if not is_prefix_valid(w):
         raise InvalidWord("W must be prefix-valid")
 
     ke = k + n + 1  # letters of A plus x_0..x_n as extra letters
-    base = stem.symbols + (k + n,)
+    base = extend(stem, (k + n,))
 
     # largest tail length whose images stay defined and in-domain
     tail_horizon = depth
     while tail_horizon < depth + 3:
-        cut = first_occurrence(w, len(stem) + 1 + tail_horizon + 1)
-        if cut is None or cut > coloring.N:
+        at = first_occurrence(w, len(stem) + 1 + tail_horizon + 1)
+        if at is None or at > coloring.N:
             break
         tail_horizon += 1
 
     def derived(u_ext: Word) -> Word:
         # u_ext is a letter word over the enlarged alphabet; the same
         # integer codes read as A-letters and variables x_0..x_n.
-        t = Word(k, base + u_ext.symbols)
-        return substitute(w, t, omega=True)
+        return substitute(w, extend(base, u_ext.symbols), omega=True)
 
     colors = []  # in rank order: letter_words walks the domain of f_s in it
     for u_ext in letter_words(ke, tail_horizon):
@@ -209,7 +210,7 @@ def one_step_prehomog(
     for m in range(n):
         first_slot[m] = first_occurrence(stem, m)
     first_slot[n] = len(stem)
-    mapped = []
+    mapped = [k + j for j in range(len(stem) + 1)]  # the pure prefix z_0 .. z_{|stem|}
     for sym in inner.word.symbols:
         if sym < k:
             mapped.append(sym)
@@ -217,7 +218,7 @@ def one_step_prehomog(
             mapped.append(k + first_slot[sym - k])
         else:
             mapped.append(k + len(stem) + 1 + (sym - ke))
-    z_word = Word(k, tuple(k + j for j in range(len(stem) + 1)) + tuple(mapped))
+    z_word = extend(cut(stem, 0), mapped)
     w_hat = compose(w, z_word)
     checked = check_prehomog(coloring, w, stem, verify_tail, w_hat, z_word, inner.color)
     if not checked:

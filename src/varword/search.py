@@ -36,16 +36,16 @@ from .errors import (
 from .trees import OVWTree, level, tree_from_generator
 from .words import (
     Word,
+    cut,
     decompose,
-    substitute,
+    extend,
+    rank,
     var_words,
 )
 
-# ``largeness`` and ``fractions`` are imported by the functions that use
-# them, so a line search does not compile them
+# ``largeness`` is imported by the functions that use it, so a line
+# search does not compile it
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .largeness import FiniteFamily, PwCertification, PwSyndeticDecomposition
 
 __all__ = [
@@ -56,8 +56,6 @@ __all__ = [
     "d_super_s",
     "StepResult",
     "step_lemma_search",
-    "DensityStepResult",
-    "density_step_search",
     "BuilderStage",
     "BuilderTrace",
     "iterate_builder",
@@ -101,7 +99,7 @@ def search_line_with_letter(coloring: Coloring, workers: int = 1) -> LineLetterC
 def _line_hit(coloring: Coloring, g: Word, a: int, color: int) -> LineLetterCertificate:
     line = tree_from_generator(g)
     root, *level1 = line.elements  # S(0), then S(1) in lex order
-    checked = (root, *(Word(g.k, w.symbols + (a,)) for w in level1))
+    checked = (root, *(extend(w, (a,)) for w in level1))
     cert = LineLetterCertificate(line, a, color, checked)
     verify_line_letter(cert, coloring)
     return cert
@@ -130,16 +128,15 @@ def line_letter_from_dim2(
     if len(colors) != 1:
         raise InvalidWord("tree is not monochromatic")
     (color,) = colors
-    k = tree.k
     l1 = tree.level_lengths[1]
     lvl1, lvl2 = level(tree, 1), set(level(tree, 2))
     for sigma in sorted({w.symbols[l1:] for w in lvl2}):
-        if all(Word(k, w.symbols + sigma) in lvl2 for w in lvl1):
+        if all(extend(w, sigma) in lvl2 for w in lvl1):
             break
     else:
         raise NoConnector("no nonempty connector from T(1) into T(2)")
-    line_gen = Word(k, tree.generator.symbols[:l1] + sigma[:-1])
-    return _line_hit(coloring, line_gen, sigma[-1], color), Word(k, sigma)
+    line_gen = extend(cut(tree.generator, l1), sigma[:-1])
+    return _line_hit(coloring, line_gen, sigma[-1], color), extend(cut(tree.generator, 0), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +202,8 @@ def step_lemma_search(dec: PwSyndeticDecomposition, m_bound: int = 2) -> StepRes
             return True  # a letter, or the variable again
         root = tuple(syms[:i])
         inside = roots.get(root)
-        if inside is None:
-            inside = roots[root] = Word(k, root) in p
+        if inside is None:  # root holds letters only, and fewer than N of them
+            inside = roots[root] = bool(p.mask >> rank(k, p.N, 0, root) & 1)
         return inside
 
     def attempt(g):
@@ -229,74 +226,6 @@ def step_lemma_search(dec: PwSyndeticDecomposition, m_bound: int = 2) -> StepRes
             f"no one-step line with generator length <= {cap}"
         )
     return hit
-
-
-# ---------------------------------------------------------------------------
-# density-route plumbing
-
-
-class DensityStepResult(NamedTuple):
-    line: OVWTree
-    lengths: tuple[int, ...]  # L': densities of the residue exceed the threshold
-    threshold: Fraction
-    line_pool_size: int
-    per_length: tuple[tuple[int, Word], ...]  # (r, generator of S_r)
-
-
-def density_step_search(family: FiniteFamily, delta, level_cap: int) -> DensityStepResult:
-    """Pigeonhole skeleton of the density one-step argument.
-
-    For each length r where the family's density exceeds delta, take
-    the lex-least line S_r inside the family with levels below the cap
-    whose residue keeps density above delta^2 / (8 |lines(cap)|) at
-    length r - |S_r|; the line repeating most often wins, together with
-    its length set.  Purely bookkeeping around d_super_s; the uniform
-    bounds behind the infinite statement are not computed.
-    """
-    from fractions import Fraction
-
-    delta = Fraction(delta)
-    pool = [
-        g
-        for g in var_words(family.k, level_cap, dim=1, ordered=True, min_len=1)
-    ]
-    threshold = delta * delta / (8 * len(pool))
-    witness_lengths = [
-        r
-        for r in range(family.N + 1)
-        if Fraction(family.band(r).bit_count(), family.k**r) > delta
-    ]
-    per_length = []
-    for r in witness_lengths:
-        for g in pool:
-            if r - len(g) < 0:
-                continue
-            line = tree_from_generator(g)
-            if any(e not in family for e in line.elements):
-                continue
-            residue = d_super_s(family, line)
-            band = residue.band(r - len(g))
-            dens = Fraction(band.bit_count(), family.k ** (r - len(g)))
-            if dens > threshold:
-                per_length.append((r, g))
-                break
-    if not per_length:
-        raise NotFoundWithinHorizon(
-            f"no line with levels <= {level_cap} keeps residue density above {threshold}"
-        )
-    counts: dict[Word, list[int]] = {}
-    for r, g in per_length:
-        counts.setdefault(g, []).append(r)
-    # deterministic tie-break: most lengths, then lex-least generator
-    top = max(len(v) for v in counts.values())
-    best = sorted((g for g in counts if len(counts[g]) == top), key=Word.key)[0]
-    return DensityStepResult(
-        tree_from_generator(best),
-        tuple(counts[best]),
-        threshold,
-        len(pool),
-        tuple(per_length),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +279,17 @@ def iterate_builder(dec: PwSyndeticDecomposition, s_max: int, m_bound: int = 2) 
     if s_max < 0:
         raise IndexOutOfRange(f"steps must be >= 0, got {s_max}")
     p, k = dec.part, dec.k
-    gen: tuple[int, ...] = ()
     stages: list[BuilderStage] = []
     for s in range(s_max + 1):
         try:
             step = step_lemma_search(dec, m_bound)
         except NotFoundWithinHorizon as exc:
             raise NotFoundWithinHorizon(f"stage {s}: {exc}") from exc
-        if stages:  # the previous block, its variable renamed to x_{s-1}
-            gen += tuple(k + s - 1 if sym == k else sym for sym in stages[-1].block.symbols)
-        gen += substitute(step.line.generator, ()).symbols
-        stages.append(_stage(tree_from_generator(Word(k, gen)), step, p))
+        gen = step.line.elements[0]  # S(0)
+        if stages:  # after the previous generator and block, the block's x_0 renamed to x_{s-1}
+            last = stages[-1]
+            renamed = tuple(k + s - 1 if sym == k else sym for sym in last.block.symbols)
+            gen = extend(last.tree.generator, renamed + gen.symbols)
+        stages.append(_stage(tree_from_generator(gen), step, p))
         dec = step.residue.decomposition
     return BuilderTrace(p, tuple(stages))

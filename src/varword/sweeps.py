@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from ._frozen import Frozen
-from .words import Word, _symbol_tuples, var_words
+from .words import _symbol_tuples, var_words
 from .henson import enum_vertices
 from .errors import TriangleFound
 from .words import format_word
@@ -133,17 +133,17 @@ def line_letter_certs(k: int, n_horizon: int) -> tuple[np.ndarray, list]:
     horizon, matching the bit layout of coloring masks.
     """
     from .largeness import FiniteFamily
-    from .words import substitute
+    from .words import extend, letter_words, substitute
 
     fam = FiniteFamily.empty(k, n_horizon)
+    empty, *letters = letter_words(k, 1)  # the patterns of S(0), then of S(1)
     rows = []
     meta = []
     for g in var_words(k, n_horizon - 1, dim=1, ordered=True, min_len=1):
+        root = substitute(g, empty)
+        level1 = [substitute(g, b) for b in letters]
         for a in range(k):
-            checked = [substitute(g, ())]
-            for b in range(k):
-                w = substitute(g, (b,))
-                checked.append(Word(k, w.symbols + (a,)))
+            checked = [root, *(extend(w, (a,)) for w in level1)]
             rows.append([fam.rank(w) for w in checked])
             meta.append((g, a))
     return np.asarray(rows, np.int64), meta

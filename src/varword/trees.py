@@ -29,6 +29,7 @@ from .errors import (
 from .words import (
     Word,
     dimension,
+    extend,
     first_occurrence,
     format_word,
     is_var_word,
@@ -46,7 +47,6 @@ __all__ = [
     "size",
     "CanonicalIso",
     "canonical_iso",
-    "is_subtree",
 ]
 
 
@@ -158,14 +158,14 @@ def generator_from_tree(elements: Iterable[Word]) -> Word:
 
     cuts = {c: k + j for j, c in enumerate(lens[:-1])}
     top = by_len[lens[-1]]
-    gen = list(elems[0].symbols)  # the root holds the letters before the first cut
+    tail = []  # the root, elems[0], holds the letters before the first cut
     for c in range(lens[0], lens[-1]):
         if c in cuts:
             x = cuts[c]  # the variable of the zone that starts here
         values = {e.symbols[c] for e in top}
-        gen.append(values.pop() if len(values) == 1 and c not in cuts else x)
+        tail.append(values.pop() if len(values) == 1 and c not in cuts else x)
 
-    g = Word(k, tuple(gen))
+    g = extend(elems[0], tail)
     extra = tree_from_generator(g).element_set() ^ frozenset(elems)
     if extra:
         some = min(extra, key=Word.key)
@@ -205,6 +205,3 @@ def canonical_iso(tree: OVWTree) -> CanonicalIso:
             from_pattern[u] = e
     return CanonicalIso(tree, to_pattern, from_pattern)
 
-
-def is_subtree(s: OVWTree, t: OVWTree) -> bool:
-    return s.element_set() <= t.element_set()

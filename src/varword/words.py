@@ -30,7 +30,15 @@ draft holds ``Word``'s slots (both inherit them from ``_WordSlots`` and
 add none) without ``Frozen``'s ``__setattr__``; CPython allows the class
 switch because the two layouts are the same.  ``Word`` is the only class
 a draft becomes.  ``Word(k, symbols)`` checks its arguments and then
-calls ``_trusted``.
+calls ``_trusted``.  It is called only on input from outside the
+package: ``parse_word``, ``certificates.word_from_json``, a tuple handed
+to ``substitute``, and a k taken from a caller's argument
+(``cdrt.decode_word``).  A word derived from checked words is built
+through ``_trusted``, by the walks, the calculus and three derived-word
+operations: ``extend`` (a word followed by symbols), ``cut`` (a word's
+first i symbols; ``cut(w, 0)`` is the empty word over w's alphabet) and
+``reread`` (the same symbol codes over another alphabet size, the
+letter/variable translation of ``cdrt``).
 
 Text form: letters print as decimal digits (``[i]`` for two-digit
 alphabets), ``x_j`` prints as ``x{j}`` and the empty word prints as
@@ -42,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache, partial
 from itertools import accumulate, product
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import (
@@ -69,7 +77,9 @@ __all__ = [
     "compose",
     "decompose",
     "recompose",
-    "rename_variable",
+    "extend",
+    "cut",
+    "reread",
     "letter_words",
     "MAX_UNIVERSE",
     "check_universe",
@@ -147,8 +157,9 @@ def _trusted(k: int, symbols: tuple[int, ...]) -> Word:
     """``Word(k, symbols)`` without its checks: a draft, its slots stored,
     switched to ``Word`` (see the module docstring).
 
-    Only for symbols copied or renamed from ``Word``s over the same k,
-    which passed those checks when they were built, or read off a rank.
+    Only for a k >= 0 and symbols copied, renamed or computed from
+    ``Word``s, which passed those checks when they were built, or read
+    off a rank.
     """
     w = _Draft()
     w.k = k
@@ -472,12 +483,21 @@ def compose(w: Word, v: Word) -> Word:
     return _trusted(w.k, tuple(out))
 
 
-def rename_variable(w: Word, old: int, new: int) -> Word:
-    """Rename x_old to x_new throughout (no validity re-check)."""
-    return Word(
-        w.k,
-        tuple(w.k + new if s == w.k + old else s for s in w.symbols),
-    )
+def extend(w: Word, symbols: Iterable[int]) -> Word:
+    """w followed by ``symbols``: codes over w's alphabet, taken from
+    checked words or computed from them, so never negative."""
+    return _trusted(w.k, w.symbols + tuple(symbols))
+
+
+def cut(w: Word, i: Optional[int]) -> Word:
+    """w's first i symbols (all of them for i = None)."""
+    return _trusted(w.k, w.symbols[:i])
+
+
+def reread(w: Word, k: int) -> Word:
+    """The same symbol codes read over k >= 0 letters: a code below k is
+    a letter, and code k + j is x_j."""
+    return _trusted(k, w.symbols)
 
 
 def decompose(w: Word) -> tuple[Word, tuple[Word, ...]]:

@@ -1,8 +1,28 @@
 import random
+import signal
 
 import pytest
 
 from varword.words import Word
+
+# Above every runtime budget of test_acceptance.py (the largest is 600 s),
+# so that only a test that would otherwise never end reaches it.
+CEILING_S = 900
+
+
+@pytest.fixture(autouse=True)
+def ceiling():
+    """Fail, never skip, a test that runs past ``CEILING_S``: a fault that
+    turns a loop endless then reads as a failure, not as a stalled run."""
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past the {CEILING_S} s ceiling", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, CEILING_S)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def random_prefix_valid(rng: random.Random, k: int, length: int) -> Word:
@@ -24,6 +44,11 @@ def random_prefix_valid(rng: random.Random, k: int, length: int) -> Word:
 
 def random_letters(rng: random.Random, k: int, length: int) -> Word:
     return Word(k, tuple(rng.randrange(k) for _ in range(length)))
+
+
+def hvertex(bits: str) -> Word:
+    """Vertex of the coded graph from a 0/1 string, 1 marking the variable."""
+    return Word(1, tuple(int(c) for c in bits))
 
 
 def all_graphs(n: int):

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import all_graphs
 from varword import certificates as certs
-from varword.cli import (
+from varword.certificates import (
     builder_certificate_doc,
     cdrt_certificate_doc,
     csl_certificate_doc,
@@ -22,8 +22,8 @@ from varword.cli import (
 )
 from varword.cdrt import pullback_certificate, translate
 from varword.colorings import Coloring
-from varword.henson import GraphSpec, greedy_embed, minimal_envelope
-from varword.errors import CheckFailed, DomainTooLarge, IndexOutOfRange, InvalidWord
+from varword.henson import GraphSpec, greedy_embed, minimal_envelope, phi_embed
+from varword.errors import CheckFailed, DomainTooLarge, IndexOutOfRange, InvalidWord, NotFoundWithinHorizon
 from varword.largeness import (
     MAX_UNIVERSE,
     FiniteFamily,
@@ -36,8 +36,8 @@ from varword.largeness import (
     random_piecewise_syndetic,
     split_sides,
 )
-from varword.prehomog import csl_search, one_step_prehomog
-from varword.search import iterate_builder, search_line_with_letter
+from varword.prehomog import csl_search, one_step_prehomog, prehomog_check
+from varword.search import iterate_builder, line_letter_from_dim2, search_line_with_letter
 from varword.trees import level, tree_from_generator
 from varword.words import Word, format_word, letter_words, parse_word, substitute, var_words
 
@@ -627,6 +627,21 @@ def test_brown_subset_must_name_distinct_parts(docs):
     assert certs.verify_certificate(doc) == (False, "brown", "selected index outside subset")
 
 
+def test_brown_at_ell_equal_to_the_horizon_verifies():
+    # ell = N is in range: the one subset sigma of A^{<=0} is the empty word,
+    # and T' = A^{<=N} is thick up to N
+    n = 3
+    s = FiniteFamily.from_words(K, n, [parse_word(t, K) for t in ("0", "01", "110")])
+    dec = PwSyndeticDecomposition(s, FiniteFamily.full(K, n), n)
+    p0 = FiniteFamily.from_words(K, n, [parse_word("01", K)])
+    parts = [p0, dec.part - p0]
+    sel = brown_select(dec, parts)
+    wit = is_syndetic(sel.decomposition.syndetic, dec.ell, want_witness=True).witness
+    doc = certs.brown_certificate_doc(dec, parts, sel, wit.translators)
+    assert doc["instance"]["decomposition"]["ell"] == n
+    assert certs.verify_certificate(doc) == (True, "brown", "42 checks")
+
+
 def test_split_tau_walk_bounded_by_horizon(docs):
     # with ell past the horizon, a length-N counterexample sends the walk
     # over every tau with |tau| <= ell: 2^41 words for ell = 40
@@ -1159,3 +1174,76 @@ def test_hostile_corpus_trips_every_check(docs, small_mutation_sites, monkeypatc
     missed = {(fn, pat) for fn, pat in sites if not any(f == fn and re.fullmatch(pat, m) for f, m in tripped)}
     unknown = {(f, m) for f, m in tripped if not any(f == fn and re.fullmatch(pat, m) for fn, pat in sites)}
     assert (missed, unknown) == (set(), set())
+
+
+# ---------------------------------------------------------------------------
+# the work, not the time: ``Word(...)`` checks only words read from outside
+
+
+@pytest.fixture
+def checked_words(monkeypatch):
+    """The name of the function that called the checking ``Word(...)``, once per call."""
+    callers = []
+    new = Word.__new__
+
+    def counting(cls, k, symbols=()):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return new(cls, k, symbols)
+
+    monkeypatch.setattr(Word, "__new__", staticmethod(counting))
+    return callers
+
+
+def _object_searches():
+    """Each search of the object-search mix, on inputs built here, with the
+    builder of its certificate, or None."""
+    parity = Coloring.from_function(K, 5, 0, 2, lambda w: len(w) % 2)
+    defeating = Coloring.from_function(K, 2, 0, 2, lambda w: len(w) // 2)
+    cc = Coloring.constant(K, 4, 0, 2)
+    dec = random_piecewise_syndetic(random.Random(21), K, 12, 1, 2, 0.95, 0.95)
+    f1 = Coloring.constant(K, 8, 1, 2)
+    w = parse_word("x0x1x2x3x4x5x6x7", K)
+    stem = parse_word("-", K)
+    c5 = Coloring.constant(K, 5, 0, 2, 1)
+    dim2 = tree_from_generator(parse_word("x0 0x1", K))
+    g = GraphSpec.from_pairs(3, [(0, 1), (1, 2)])
+    members = [parse_word("00", 1), parse_word("x0", 1)]
+
+    def exhausted():
+        with pytest.raises(NotFoundWithinHorizon):
+            search_line_with_letter(defeating)
+
+    def cdrt():
+        inner = csl_search(translate(c5), K + 1, max_len=5)
+        return inner.word, pullback_certificate(inner, c5, depth=1)
+
+    return {
+        "line": (lambda: search_line_with_letter(parity), lambda cert: line_letter_certificate_doc(parity, cert)),
+        "line, exhausted": (exhausted, None),
+        "dimension-2 extraction": (lambda: line_letter_from_dim2(dim2, cc), None),
+        "csl": (lambda: csl_search(cc, 1), lambda cert: csl_certificate_doc(cc, cert)),
+        "builder": (lambda: iterate_builder(dec, 2), lambda trace: builder_certificate_doc(dec, trace)),
+        "prehomog check": (lambda: prehomog_check(w, f1, 2, 2), None),
+        "prehomog": (lambda: one_step_prehomog(w, stem, f1), lambda out: prehomog_certificate_doc(f1, w, out, 1)),
+        "cdrt": (cdrt, lambda out: cdrt_certificate_doc(c5, out[1], 1, out[0])),
+        "envelope": (lambda: minimal_envelope(members), lambda env: envelope_certificate_doc(members, env)),
+        "greedy embed": (lambda: greedy_embed(g, 10), lambda images: embedding_certificate_doc(g, images, "greedy", 10)),
+        "phi embed": (lambda: phi_embed(g).words, lambda images: embedding_certificate_doc(g, images, "phi", 3)),
+    }
+
+
+def test_searches_and_emits_check_no_word(checked_words):
+    for name, (search, emit) in _object_searches().items():
+        checked_words.clear()
+        out = search()
+        if emit is not None:
+            emit(out)
+        assert checked_words == [], name
+
+
+def test_verify_checks_only_the_words_it_reads(docs, checked_words):
+    for kind in ALL_KINDS:
+        doc = json.loads(certs.canonical_json(docs[kind]))
+        checked_words.clear()
+        assert certs.verify_certificate(doc).ok
+        assert set(checked_words) <= {"parse_word", "word_from_json"}, kind

@@ -268,5 +268,5 @@ def test_stem_extension_words_match_reference():
     for w_hat in prefix_valid_words(K, 5):
         for stem in var_words(K, 2, dim=1):
             for horizon in (3, 5):
-                args = (stem, K, 1, 2, w_hat, horizon)
-                assert list(stem_extension_words(*args)) == list(stem_extension_words_ref(*args))
+                args = (1, 2, w_hat, horizon)
+                assert list(stem_extension_words(stem, *args)) == list(stem_extension_words_ref(stem, K, *args))

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_graphs, random_prefix_valid
+from conftest import all_graphs, hvertex, random_prefix_valid
 from varword.errors import (
     CutPointMissing,
     DomainTooLarge,
@@ -19,7 +19,6 @@ from varword.henson import (
     edge_invariance,
     enum_vertices,
     greedy_embed,
-    hvertex,
     minimal_envelope,
     parse_chi,
     phi_embed,

@@ -34,7 +34,6 @@ from varword.prehomog import CslCertificate, LeqResult, OneStepCertificate, Preh
 from varword.search import (
     BuilderStage,
     BuilderTrace,
-    DensityStepResult,
     LineLetterCertificate,
     StepResult,
 )
@@ -93,8 +92,6 @@ RECORDS = [
     (LineLetterCertificate, {"line": TREE, "letter": 1, "color": 0, "checked": (W, V)}, True),
     (StepResult, {"line": TREE, "block": BLOCK, "residue": CERT, "s0_in_part": True,
                   "inclusion_checked": 4}, True),
-    (DensityStepResult, {"line": TREE, "lengths": (3,), "threshold": Fraction(1, 8),
-                         "line_pool_size": 5, "per_length": ((3, W),)}, True),
     (BuilderStage, {"tree": TREE, "block": BLOCK, "residue": CERT, "claim1_ok": True,
                     "claim1_checked": 3, "claim1_skipped": 0, "claim2_ok": True,
                     "claim2_checked": 5, "claim2_skipped": 1}, True),

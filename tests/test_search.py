@@ -199,44 +199,6 @@ class TestResidue:
             assert out == FiniteFamily.from_words(k, max(n - len(g), 0), want)
 
 
-class TestDensityStep:
-    def test_full_family(self):
-        from fractions import Fraction
-
-        from varword.search import density_step_search
-
-        full = FiniteFamily.full(K, 8)
-        res = density_step_search(full, Fraction(1, 2), 2)
-        assert format_word(res.line.generator) == "x0"
-        assert res.line_pool_size == 6
-        assert res.threshold == Fraction(1, 192)
-
-    def test_residue_densities_reverify(self):
-        from fractions import Fraction
-
-        from varword.search import density_step_search
-
-        even = FiniteFamily.from_words(
-            K, 8, [w for w in letter_words(K, 8) if len(w) % 2 == 0]
-        )
-        res = density_step_search(even, Fraction(1, 2), 3)
-        for e in res.line.elements:
-            assert e in even
-        residue = d_super_s(even, res.line)
-        for r in res.lengths:
-            m = r - len(res.line.generator)
-            dens = Fraction(residue.band(m).bit_count(), K**m)
-            assert dens > res.threshold
-
-    def test_not_found(self):
-        from fractions import Fraction
-
-        from varword.search import density_step_search
-
-        with pytest.raises(NotFoundWithinHorizon):
-            density_step_search(FiniteFamily.empty(K, 6), Fraction(1, 2), 2)
-
-
 class TestStepLemma:
     def test_full(self):
         res = step_lemma_search(full_dec(K, 8))

@@ -9,7 +9,6 @@ from varword.errors import (
 from varword.trees import (
     canonical_iso,
     generator_from_tree,
-    is_subtree,
     level,
     levels,
     size,
@@ -191,21 +190,10 @@ class TestIso:
 
 
 class TestSubtree:
-    def test_reflexive(self):
-        t = tree_from_generator(GEN)
-        assert is_subtree(t, t)
-
     def test_root_singleton(self):
         t = tree_from_generator(GEN)
         root = tree_from_generator(level(t, 0)[0])
-        assert is_subtree(root, t)
-
-    def test_matches_set_inclusion(self, rng):
-        pool = [w for w in var_words(2, 4, ordered=True) if dimension(w) <= 2]
-        for _ in range(300):
-            s = tree_from_generator(pool[rng.randrange(len(pool))])
-            t = tree_from_generator(pool[rng.randrange(len(pool))])
-            assert is_subtree(s, t) == (s.element_set() <= t.element_set())
+        assert root.element_set() <= t.element_set()
 
     def test_substitution_gives_subtrees(self, rng):
         # instantiating some variables of the generator yields a subtree
@@ -224,4 +212,4 @@ class TestSubtree:
                 if len(v) != n:
                     continue
                 s = tree_from_generator(sub_gen)
-                assert is_subtree(s, t), (format_word(w), format_word(v))
+                assert s.element_set() <= t.element_set(), (format_word(w), format_word(v))

@@ -454,6 +454,12 @@ def test_parse_rejects_non_ascii_digits(text):
         parse_word(text, 100)
 
 
+@pytest.mark.parametrize("text, position", [("0x", 1), ("x1 x", 3), ("x[0]", 0)])
+def test_parse_names_a_bare_x(text, position):
+    with pytest.raises(IndexOutOfRange, match=f"^bare 'x' at position {position} in "):
+        parse_word(text, 2)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.text(alphabet="0123456789x[]-_ +\u00b2\u0663"), st.integers(0, 11))
 def test_parse_raises_or_roundtrips(text, k):
