@@ -1,8 +1,9 @@
 """Digit texts of a family's members, for 2 <= k <= 10.
 
-The codec behind ``FiniteFamily.texts`` and ``FiniteFamily.from_texts``,
-which load it on first use, so a process that writes or reads no
-family texts does not compile it.  Every pass runs over a whole list
+The codec behind ``FiniteFamily.texts`` and ``FiniteFamily.from_texts``
+(and ``certificates.family_from_json``, which reads only the texts
+``digit_texts`` writes), which load it on first use, so a process that
+writes or reads no family texts does not compile it.  Every pass runs over a whole list
 or bit string at C speed; the only tables kept are the low-digit texts
 of at most ``_LOW_WIDTH`` words per (k, length), whatever the horizon.
 """
@@ -72,13 +73,16 @@ def digit_texts(k: int, offs: Sequence[int], mask: int) -> list[str]:
 
 
 def digit_mask(k: int, n: int, texts) -> Optional[int]:
-    """The mask of a list of canonical digit texts, or None for any other input.
+    """The mask of a family's own texts (``digit_texts``' form), or None for any other input.
 
-    Canonical means a list of strings, each ``-`` or 1..n ASCII digits
-    below k.  That is checked over the whole list first, so ``int`` later
-    sees no sign, space, underscore or non-ASCII digit.  Then each length
-    group's values are set as bytes of that length's ``0``/``1`` band,
-    and the bands are read by one ``int(..., 2)``.
+    That form is a list of strings, each ``-`` or 1..n ASCII digits below
+    k, in rank order (``-`` first, then by length, each length's texts
+    ascending) with none repeated.  The characters are checked over the
+    whole list first, so ``int`` later sees no sign, space, underscore or
+    non-ASCII digit.  Then each length group's values are set as bytes of
+    that length's ``0``/``1`` band, and the bands are read by one
+    ``int(..., 2)``; a repeat sets a bit twice, so the bits fall short of
+    the texts.
     """
     if type(texts) is not list or not set(map(type, texts)) <= {str}:
         return None
@@ -86,25 +90,23 @@ def digit_mask(k: int, n: int, texts) -> Optional[int]:
     if not joined.isascii() or joined.encode().translate(None, _DIGITS[:k].encode() + b"-"):
         return None
     dashes = texts.count("-")
-    if joined.count("-") != dashes:  # a '-' only as a whole text
+    if joined.count("-") != dashes or dashes > 1 or dashes and texts[0] != "-":  # '-' only as the first text
         return None
     lengths = list(map(len, texts))
-    if lengths != sorted(lengths):
-        texts = sorted(texts, key=len)
-        lengths.sort()
-    if lengths and (lengths[0] == 0 or lengths[-1] > n):
+    if lengths != sorted(lengths) or lengths and (lengths[0] == 0 or lengths[-1] > n):
         return None
     bits = bytearray(b"1" if dashes else b"0")  # the empty word
-    start = 0
+    start = dashes
     for length in range(1, lengths[-1] + 1 if lengths else 1):
         band = bytearray(b"0") * k**length
         end = bisect_right(lengths, length, start)
         group = texts[start:end]
-        if length == 1 and dashes:
-            group = filter("-".__ne__, group)
+        if group != sorted(group):
+            return None
         values = map(int, group, repeat(k))
         deque(map(setitem, repeat(band), values, repeat(49)), 0)  # 49: ord("1")
         bits += band
         start = end
     bits.reverse()
-    return int(bits, 2)
+    mask = int(bits, 2)
+    return mask if mask.bit_count() == len(texts) else None

@@ -1,4 +1,4 @@
-"""Certificate JSON schema (version 1): the builders, the checkers and the search-free verifier.
+"""Certificate JSON schema (version 1): the writers, the checkers and the search-free verifier.
 
 A certificate embeds its instance, a sha256 digest of the instance's
 canonical JSON, and a kind-specific witness.  ``verify_certificate``
@@ -8,11 +8,25 @@ here stands on its own.  Serialization is canonical (sorted keys, no
 whitespace), which is what makes byte-identical reruns a meaningful
 contract.
 
-This is the only module that knows the format.  Each kind has one
-builder, ``<kind>_certificate_doc``, which only serializes the objects
-its search already computed, and one check, which takes objects: the
-search runs it, and ``_verify_<kind>`` parses the document and runs the
-same function.  A failed check raises ``CheckFailed``.  Per kind:
+This is the only module that knows the format, and each certificate
+has one accepted byte form.  Each kind has one witness writer,
+``_<kind>_witness``, which returns the witness and its ``checked_count``
+from objects.  ``<kind>_certificate_doc`` calls it on the objects its
+search computed; ``_verify_<kind>`` parses the document, runs the kind's
+one check on objects (the same function the search runs; a failed
+check raises ``CheckFailed``) and calls the same writer on what it
+checked.  ``verify_certificate`` then compares the canonical JSON of
+that rebuild (``schema``, ``tool``, ``kind``, ``digest``, ``witness`` and
+``checked_count``, and the key sets) with the document's, last, so a
+derived field (a count, a bound, a list of checked words) is never read,
+and a document that differs anywhere fails as ``non-canonical
+certificate: <JSON pointer>``.  ``tool`` is compared too: a certificate
+verifies under the version that wrote it.  The instance is not written
+again, since the digest pins its bytes: each value reader accepts only
+what its ``*_to_json`` writes (exact keys and ``type``, word dicts of
+``k``, ``symbols`` and ``text``, family words and coloring tables in
+rank order), and refuses any other form the same way.  Per kind, the
+check:
 
 - line-letter: ``check_line_letter``, on the hit of ``search_line_with_letter``;
 - tree: the element set against ``tree_from_generator`` (``tree build`` runs no search);
@@ -49,6 +63,7 @@ from .words import (
     is_var_word,
     letter_words,
     parse_word,
+    reread,
     substitute,
     var_words,
 )
@@ -78,6 +93,7 @@ __all__ = [
     "decomposition_from_json",
     "graph_to_json",
     "graph_from_json",
+    "tree_to_json",
     "line_letter_certificate_doc",
     "tree_certificate_doc",
     "split_certificate_doc",
@@ -130,11 +146,31 @@ def wrap(kind: str, instance: dict, witness: dict, checked_count: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# value serializers
+# value writers and readers
 
 
 def word_to_json(w: Word) -> dict:
     return {"k": w.k, "symbols": list(w.symbols), "text": format_word(w)}
+
+
+def _json(value):
+    """A witness value as JSON: a Word by ``word_to_json``, a tuple or list
+    item by item, and an int, str or bool as itself."""
+    if isinstance(value, Word):
+        return word_to_json(value)
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    return value
+
+
+class _NonCanonical(CheckFailed):
+    """The value at ``key`` of ``node``, a dict or list of the document, is
+    not what its writer writes there (or should be absent, or is missing);
+    ``verify_certificate`` names it by its JSON pointer."""
+
+    def __init__(self, node, key):
+        super().__init__(f"non-canonical certificate: .../{key}")
+        self.node, self.key = node, key
 
 
 def _int(x) -> int:
@@ -145,11 +181,30 @@ def _int(x) -> int:
     return x
 
 
+def _only(doc: dict, type_: str | None, *keys: str) -> None:
+    """Refuse a value whose keys are not ``keys``, each read already, and
+    ``type`` = type_ when one is given: the form its writer writes."""
+    if type_ is not None:
+        keys += ("type",)
+        if doc.get("type") != type_:
+            raise _NonCanonical(doc, "type")
+    if len(doc) != len(keys):
+        raise _NonCanonical(doc, min(doc.keys() - set(keys), key=str))
+
+
 def word_from_json(doc: dict) -> Word:
-    w = Word(_int(doc["k"]), tuple(_int(s) for s in doc["symbols"]))
+    symbols = doc["symbols"]
+    w = Word(_int(doc["k"]), tuple(_int(s) for s in symbols))
     if format_word(w) != doc["text"]:
         raise InvalidWord("word text and symbols disagree")
+    if type(symbols) is not list:  # "" or {} reads as no symbols
+        raise _NonCanonical(doc, "symbols")
+    _only(doc, None, "k", "symbols", "text")
     return w
+
+
+def _word_pairs(docs) -> list[tuple[Word, Word]]:
+    return [(word_from_json(a), word_from_json(b)) for a, b in docs]
 
 
 def coloring_to_json(c: Coloring) -> dict:
@@ -164,12 +219,16 @@ def coloring_to_json(c: Coloring) -> dict:
 
 
 def coloring_from_json(doc: dict) -> Coloring:
+    """The coloring of a table of rows [text, color] in rank order, which are
+    compared with the domain's, not parsed.  Any other table is parsed word
+    by word only to name its defect (not total, a color out of range); one
+    that parses is not in rank order, and is refused as non-canonical."""
     from .colorings import Coloring
 
     k, n_horizon, dim = _int(doc["k"]), _int(doc["N"]), _int(doc["n"])
     Coloring.check_header(k, n_horizon, dim)
     rows = doc["table"]
-    coloring = None  # rows [text, color] in rank order are compared with the domain's, not parsed
+    coloring = None
     try:
         texts, colors = [t for t, _ in rows], [c for _, c in rows]
     except (TypeError, ValueError):  # rows of another form
@@ -178,7 +237,9 @@ def coloring_from_json(doc: dict) -> Coloring:
         coloring = Coloring.from_entries(k, n_horizon, dim, doc.get("ell"), texts, colors)
     if coloring is None:
         table = {parse_word(t, k): _int(c) for t, c in rows}
-        coloring = Coloring(k, n_horizon, dim, _int(doc["ell"]), table)
+        Coloring(k, n_horizon, dim, _int(doc["ell"]), table)
+        raise _NonCanonical(doc, "table")
+    _only(doc, "coloring", "k", "N", "n", "ell", "table")
     return coloring
 
 
@@ -187,6 +248,15 @@ def family_to_json(f: FiniteFamily) -> dict:
 
 
 def family_from_json(doc: dict) -> FiniteFamily:
+    """The family of a word list that is the family's own ``texts()``.
+
+    For 2 <= k <= 10 that list is read by ``digit_mask``, which takes no
+    other.  Any other list is read by ``from_texts`` only to name its
+    defect; one it reads (out of rank order, a repeat, a text
+    ``parse_word`` reads loosely) is refused as non-canonical unless, over
+    other alphabets, it is the family's texts.
+    """
+    from ._family_text import digit_mask
     from .largeness import FiniteFamily, check_family_size
 
     k = _int(doc["k"])
@@ -195,7 +265,12 @@ def family_from_json(doc: dict) -> FiniteFamily:
     texts = doc["words"]
     if not isinstance(texts, list):
         raise InvalidWord("family words are not a list")
-    return FiniteFamily.from_texts(k, n, texts)
+    mask = digit_mask(k, n, texts) if 2 <= k <= 10 else None
+    fam = FiniteFamily(k, n, mask) if mask is not None else FiniteFamily.from_texts(k, n, texts)
+    if mask is None and fam.texts() != texts:
+        raise _NonCanonical(doc, "words")
+    _only(doc, "family", "k", "N", "words")
+    return fam
 
 
 def decomposition_to_json(dec: PwSyndeticDecomposition) -> dict:
@@ -210,11 +285,13 @@ def decomposition_to_json(dec: PwSyndeticDecomposition) -> dict:
 def decomposition_from_json(doc: dict) -> PwSyndeticDecomposition:
     from .largeness import PwSyndeticDecomposition
 
-    return PwSyndeticDecomposition(
+    dec = PwSyndeticDecomposition(
         family_from_json(doc["syndetic"]),
         family_from_json(doc["thick"]),
         _int(doc["ell"]),
     )
+    _only(doc, "pw-decomposition", "syndetic", "thick", "ell")
+    return dec
 
 
 def graph_to_json(g: GraphSpec) -> dict:
@@ -222,13 +299,16 @@ def graph_to_json(g: GraphSpec) -> dict:
 
 
 def graph_from_json(doc: dict) -> GraphSpec:
-    """The graph under the rules of the file form (``GraphSpec.from_rows``)."""
+    """The graph under the rules of the file form (``GraphSpec.from_rows``),
+    which admit only the graph's own rows."""
     from .henson import GraphSpec
 
     rows = doc["rows"]
     if not isinstance(rows, list):
         raise InvalidWord("graph rows are not a list")
-    return GraphSpec.from_rows(_int(doc["n"]), rows, "<certificate graph>")
+    g = GraphSpec.from_rows(_int(doc["n"]), rows, "<certificate graph>")
+    _only(doc, "graph", "n", "rows")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -254,59 +334,72 @@ def _geometric(k: int, lo: int, hi: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the ten kinds, each builder beside its verifier
+# the ten kinds: each writer beside its certificate builder and its verifier,
+# which returns its own check count, the rebuilt witness and checked_count
+
+
+def _line_letter_witness(g: Word, letter: int, color: int, checked) -> tuple[dict, int]:
+    witness = {"generator": _json(g), "letter": letter, "color": color, "checked": _json(checked)}
+    return witness, len(checked)
 
 
 def line_letter_certificate_doc(coloring: Coloring, cert) -> dict:
-    witness = {
-        "generator": word_to_json(cert.line.generator),
-        "letter": cert.letter,
-        "color": cert.color,
-        "checked": [word_to_json(w) for w in cert.checked],
-    }
-    return wrap("line-letter", coloring_to_json(coloring), witness, len(cert.checked))
+    witness = _line_letter_witness(cert.line.generator, cert.letter, cert.color, cert.checked)
+    return wrap("line-letter", coloring_to_json(coloring), *witness)
 
 
-def check_line_letter(coloring: Coloring, g: Word, letter: int, color: int, checked) -> set[Word]:
+def check_line_letter(coloring: Coloring, g: Word, letter: int, color: int) -> tuple[Word, ...]:
     """The words S(0) and S(1).letter of the line S generated by ``g`` all
-    have ``color``, and ``checked`` holds exactly these words; returns them."""
+    have ``color``; returns them in that order, S(1) in lex order."""
     from .trees import tree_levels
 
     levels = tree_levels(g, len(g))  # NotOrdered for a bad generator; builds no level yet
     _need(dimension(g) == 1, "generator is not one-dimensional")
     _need(len(g) + 1 <= coloring.N, "line does not fit the horizon")
     _need(0 <= letter < coloring.k, "letter outside alphabet")
-    expected = set(next(levels))  # S(0); then S(1).letter, by k more substitutions
-    expected.update(extend(w, (letter,)) for w in next(levels))
-    _need(set(checked) == expected, "checked set mismatch")
-    for w in expected:
+    checked = (*next(levels), *(extend(w, (letter,)) for w in next(levels)))
+    for w in checked:
         _need(coloring(w) == color, "{} has the wrong color", w)
-    return expected
+    return checked
 
 
-def _verify_line_letter(instance: dict, witness: dict) -> int:
+def _verify_line_letter(instance: dict, witness: dict):
     coloring = coloring_from_json(instance)
     g = word_from_json(witness["generator"])
     letter, color = _int(witness["letter"]), _int(witness["color"])
-    checked = [word_from_json(d) for d in witness["checked"]]
-    return len(check_line_letter(coloring, g, letter, color, checked))
+    checked = check_line_letter(coloring, g, letter, color)
+    return len(checked), *_line_letter_witness(g, letter, color, checked)
+
+
+def tree_to_json(tree) -> dict:
+    """The tree as ``tree build`` and ``tree iso`` report it; ``tree build``
+    writes it beside its certificate, under the top-level key ``tree``."""
+    from .trees import levels, size
+
+    return {
+        "generator": word_to_json(tree.generator),
+        "dimension": tree.dimension,
+        "elements": [word_to_json(e) for e in tree.elements],
+        "levels": list(levels(tree)),
+        "size": size(tree),
+    }
+
+
+def _tree_witness(tree) -> tuple[dict, int]:
+    witness = {"generator": _json(tree.generator), "dimension": tree.dimension, "elements": _json(tree.elements)}
+    return witness, len(tree.elements)
 
 
 def tree_certificate_doc(tree) -> dict:
     """The tree's element set, with its generator as the witness."""
-    instance = {"type": "elements", "elements": [word_to_json(e) for e in tree.elements]}
-    witness = {
-        "generator": word_to_json(tree.generator),
-        "dimension": tree.dimension,
-        "elements": [word_to_json(e) for e in tree.elements],
-    }
-    return wrap("tree", instance, witness, len(tree.elements))
+    return wrap("tree", {"type": "elements", "elements": _json(tree.elements)}, *_tree_witness(tree))
 
 
-def _verify_tree(instance: dict, witness: dict) -> int:
+def _verify_tree(instance: dict, witness: dict):
     from .trees import tree_from_generator
 
-    elems = {word_from_json(d) for d in instance["elements"]}
+    elems = [word_from_json(d) for d in instance["elements"]]
+    _only(instance, "elements", "elements")
     g = word_from_json(witness["generator"])
     d = dimension(g)
     # the tree has k^0 + ... + k^d elements: compare before building it; the
@@ -315,35 +408,47 @@ def _verify_tree(instance: dict, witness: dict) -> int:
     _need(_geometric(g.k, 0, d) == len(elems), "element set mismatch")
     tree = tree_from_generator(g)
     _need(tree.element_set() == frozenset(elems), "element set mismatch")
-    _need(_int(witness["dimension"]) == tree.dimension, "dimension mismatch")
-    _need(
-        canonical_json(witness["elements"]) == canonical_json(instance["elements"]),
-        "witness elements differ from the instance's",
-    )
-    return len(elems)
+    if tuple(elems) != tree.elements:  # the same words in another order
+        raise _NonCanonical(instance, "elements")
+    return len(elems), *_tree_witness(tree), {"tree": tree_to_json(tree)}  # ``tree build``'s report
 
 
-def _check_syndetic_witness(fam: FiniteFamily, ell: int, translators) -> int:
-    seen = set()
-    for sig_doc, tau_doc in translators:
-        sigma = word_from_json(sig_doc)
-        tau = word_from_json(tau_doc)
+def _check_syndetic_witness(fam: FiniteFamily, ell: int, translators) -> list[tuple[Word, Word]]:
+    """Returns the (sigma, tau) pairs one per sigma, in sigma order, as
+    ``is_syndetic`` writes them."""
+    taus = {}
+    for sigma, tau in translators:
         _need(len(tau) <= ell, "translator too long")
         _need(tau.concat(sigma) in fam, "translator misses the family")
-        seen.add(sigma.symbols)
-    want = {w.symbols for w in letter_words(fam.k, fam.N - ell)}
-    _need(seen == want, "translator map does not cover the quantifier range")
-    return len(seen)
+        taus[sigma.symbols] = tau
+    sigmas = list(letter_words(fam.k, fam.N - ell))
+    _need(taus.keys() == {w.symbols for w in sigmas}, "translator map does not cover the quantifier range")
+    return [(sigma, taus[sigma.symbols]) for sigma in sigmas]
 
 
 def _check_thick_witness(fam: FiniteFamily, anchors) -> int:
     count = 0
-    for ell, sig_doc in anchors:
-        sigma = word_from_json(sig_doc)
-        for tau in letter_words(fam.k, _int(ell)):
+    for ell, sigma in anchors:
+        for tau in letter_words(fam.k, ell):
             _need(tau.concat(sigma) in fam, "anchor block leaks out of the family")
             count += 1
     return count
+
+
+def _anchors(docs, ell: int) -> list[tuple[int, Word]]:
+    """The thick anchors (j, sigma) for j = 0..ell, as ``is_thick`` finds
+    them; each j is its place in the list, and is not read."""
+    anchors = [(j, word_from_json(sigma)) for j, (_, sigma) in enumerate(docs)]
+    _need(len(anchors) == ell + 1, "thick anchors do not run over 0..ell")
+    return anchors
+
+
+def _split_witness(translators, counterexample=None, anchors=()) -> tuple[dict, int]:
+    """Side B with its translators, or side C with its counterexample and thick anchors."""
+    if counterexample is None:
+        return {"side": "B", "translators": _json(translators)}, 2 + len(translators)
+    witness = {"side": "C", "counterexample": _json(counterexample), "thick_anchors": _json(anchors)}
+    return witness, 2 + len(anchors)
 
 
 def split_certificate_doc(dec: PwSyndeticDecomposition, b, c, res, translators=()) -> dict:
@@ -356,36 +461,42 @@ def split_certificate_doc(dec: PwSyndeticDecomposition, b, c, res, translators=(
         "c": family_to_json(c),
     }
     if res.side == "B":
-        pairs = [[word_to_json(s), word_to_json(t)] for s, t in translators]
-        return wrap("split", instance, {"side": "B", "translators": pairs}, 2 + len(pairs))
-    anchors = res.thick_evidence.witness.anchors
-    witness = {
-        "side": "C",
-        "counterexample": word_to_json(res.syndetic_check.counterexample),
-        "thick_anchors": [[ell, word_to_json(s)] for ell, s in anchors],
-    }
-    return wrap("split", instance, witness, 2 + len(anchors))
+        return wrap("split", instance, *_split_witness(translators))
+    witness = _split_witness((), res.syndetic_check.counterexample, res.thick_evidence.witness.anchors)
+    return wrap("split", instance, *witness)
 
 
-def _verify_split(instance: dict, witness: dict) -> int:
+def _verify_split(instance: dict, witness: dict):
     from .largeness import split_sides
 
     dec = decomposition_from_json(instance["decomposition"])
     _need(0 <= dec.ell <= dec.N, "ell outside the horizon")  # it bounds the tau walks
     b = family_from_json(instance["b"])
     c = family_from_json(instance["c"])
+    _only(instance, "split-instance", "decomposition", "b", "c")
     s_tilde, t_tilde = split_sides(dec, b, c)  # NotAPartition unless B, C partition P
-    side = witness["side"]
-    count = 2
-    if side == "B":
-        count += _check_syndetic_witness(s_tilde, dec.ell, witness["translators"])
-    else:
-        sigma = word_from_json(witness["counterexample"])
-        for tau in letter_words(dec.k, dec.ell):
-            _need(tau.concat(sigma) not in s_tilde, "counterexample refuted")
-            count += 1
-        count += _check_thick_witness(t_tilde, witness["thick_anchors"])
-    return count
+    count = 1
+    if witness["side"] == "B":
+        translators = _check_syndetic_witness(s_tilde, dec.ell, _word_pairs(witness["translators"]))
+        return count + len(translators), *_split_witness(translators)
+    sigma = word_from_json(witness["counterexample"])
+    for tau in letter_words(dec.k, dec.ell):
+        _need(tau.concat(sigma) not in s_tilde, "counterexample refuted")
+        count += 1
+    anchors = _anchors(witness["thick_anchors"], dec.ell)
+    count += _check_thick_witness(t_tilde, anchors)
+    return count, *_split_witness((), sigma, anchors)
+
+
+def _brown_witness(index: int, subset, translators, removal_counterexample: Word, anchors) -> tuple[dict, int]:
+    witness = {
+        "index": index,
+        "subset": _json(subset),
+        "translators": _json(translators),
+        "removal_counterexample": _json(removal_counterexample),
+        "thick_anchors": _json(anchors),
+    }
+    return witness, len(translators) + 1
 
 
 def brown_certificate_doc(dec: PwSyndeticDecomposition, parts, sel, translators) -> dict:
@@ -396,22 +507,19 @@ def brown_certificate_doc(dec: PwSyndeticDecomposition, parts, sel, translators)
         "decomposition": decomposition_to_json(dec),
         "parts": [family_to_json(p) for p in parts],
     }
-    witness = {
-        "index": sel.index,
-        "subset": list(sel.subset),
-        "translators": [[word_to_json(s), word_to_json(t)] for s, t in translators],
-        "removal_counterexample": word_to_json(sel.removal_check.counterexample),
-        "thick_anchors": [[ell, word_to_json(s)] for ell, s in sel.thick_evidence.witness.anchors],
-    }
-    return wrap("brown", instance, witness, len(translators) + 1)
+    witness = _brown_witness(
+        sel.index, sel.subset, translators, sel.removal_check.counterexample, sel.thick_evidence.witness.anchors
+    )
+    return wrap("brown", instance, *witness)
 
 
-def _verify_brown(instance: dict, witness: dict) -> int:
+def _verify_brown(instance: dict, witness: dict):
     from .largeness import brown_side, check_partition
 
     dec = decomposition_from_json(instance["decomposition"])
     _need(0 <= dec.ell <= dec.N, "ell outside the horizon")  # it bounds the tau walks
     parts = [family_from_json(d) for d in instance["parts"]]
+    _only(instance, "brown-instance", "decomposition", "parts")
     check_partition(dec.part, parts)
     idx = _int(witness["index"])
     subset = [_int(i) for i in witness["subset"]]
@@ -419,31 +527,53 @@ def _verify_brown(instance: dict, witness: dict) -> int:
     _need(len(set(subset)) == len(subset), "subset repeats a part")
     _need(idx in subset, "selected index outside subset")
     s_prime = brown_side(dec, parts, subset)
-    count = _check_syndetic_witness(s_prime, dec.ell, witness["translators"])
+    translators = _check_syndetic_witness(s_prime, dec.ell, _word_pairs(witness["translators"]))
+    count = len(translators)
     rest = brown_side(dec, parts, [j for j in subset if j != idx])
     sigma = word_from_json(witness["removal_counterexample"])
     for tau in letter_words(dec.k, dec.ell):
         _need(tau.concat(sigma) not in rest, "removal counterexample refuted")
         count += 1
     # T' = complement(rest), and S' & T' is parts[idx]
-    count += _check_thick_witness(rest.complement(), witness["thick_anchors"])
-    return count
+    anchors = _anchors(witness["thick_anchors"], dec.ell)
+    count += _check_thick_witness(rest.complement(), anchors)
+    return count, *_brown_witness(idx, sorted(subset), translators, sigma, anchors)  # a set, ascending
+
+
+def _builder_witness(stages) -> tuple[dict, int]:
+    """``stages`` holds (generator, block, residue, claim 1, claim 2) per
+    stage: the residue is its decomposition's JSON, which its reader takes
+    in this one form only, so the verifier passes the document's own; each
+    claim is an (ok, checked, skipped) record."""
+    claim = ("ok", "checked", "skipped")
+    witness = {
+        "stages": [
+            {
+                "generator": _json(g),
+                "block": _json(block),
+                "residue": residue,
+                "claim1": dict(zip(claim, claim1)),
+                "claim2": dict(zip(claim, claim2)),
+            }
+            for g, block, residue, claim1, claim2 in stages
+        ]
+    }
+    return witness, sum(claim1[1] + claim2[1] for *_, claim1, claim2 in stages)
 
 
 def builder_certificate_doc(dec: PwSyndeticDecomposition, trace) -> dict:
     instance = {"type": "builder-instance", "decomposition": decomposition_to_json(dec)}
     stages = [
-        {
-            "generator": word_to_json(st.tree.generator),
-            "block": word_to_json(st.block),
-            "residue": decomposition_to_json(st.residue.decomposition),
-            "claim1": {"ok": st.claim1_ok, "checked": st.claim1_checked, "skipped": st.claim1_skipped},
-            "claim2": {"ok": st.claim2_ok, "checked": st.claim2_checked, "skipped": st.claim2_skipped},
-        }
+        (
+            st.tree.generator,
+            st.block,
+            decomposition_to_json(st.residue.decomposition),
+            (st.claim1_ok, st.claim1_checked, st.claim1_skipped),
+            (st.claim2_ok, st.claim2_checked, st.claim2_skipped),
+        )
         for st in trace.stages
     ]
-    checked = sum(s.claim1_checked + s.claim2_checked for s in trace.stages)
-    return wrap("builder-trace", instance, {"stages": stages}, checked)
+    return wrap("builder-trace", instance, *_builder_witness(stages))
 
 
 def check_builder_stage(p: FiniteFamily, g: Word, block: Word, residue: FiniteFamily) -> tuple[int, int, int, int]:
@@ -478,38 +608,41 @@ def check_builder_stage(p: FiniteFamily, g: Word, block: Word, residue: FiniteFa
     return built, c1, c2, s2
 
 
-def _verify_builder(instance: dict, witness: dict) -> int:
+def _verify_builder(instance: dict, witness: dict):
     """Every stage's claims by ``check_builder_stage``, against the instance's P.
 
-    Each stage's claim records must be what the check finds; the words
-    past the horizon are counted from the sizes alone (level j has k^j
-    words), and a count with more bits than its record is refused before
-    it is built.
+    The words past the horizon are counted from the sizes alone (level j
+    has k^j words).  When a level is left unbuilt, claim 1 skips at least
+    the k^dim words of the top level, which have more than
+    dim * (bit_length(k) - 1) bits; a claim 1 record of no more bits is
+    refused before that count is built, so a hostile dimension costs no
+    more than the record it comes with.
     """
     dec = decomposition_from_json(instance["decomposition"])
+    _only(instance, "builder-instance", "decomposition")
     p = dec.part
-    count = 0
+    count, stages = 0, []
     for i, stage in enumerate(witness["stages"]):
         g = word_from_json(stage["generator"])
         _need(g.k == p.k, "generator alphabet differs from the instance's")
         block = word_from_json(stage["block"])
+        _need(block.k == p.k, "block alphabet differs from the instance's")
         res_dec = decomposition_from_json(stage["residue"])
+        _need(res_dec.k == p.k, "residue alphabet differs from the instance's")
         _need(res_dec.ell == dec.ell, f"stage {i}: residue ell differs from the instance's")
         residue = res_dec.part
         built, c1, c2, s2 = check_builder_stage(p, g, block, residue)
         dim = dimension(g)
-        for n, c in ((1, c1), (2, c2)):
-            record = stage[f"claim{n}"]
-            got = (record["ok"] is True, _int(record["checked"]), _int(record["skipped"]))
-            if n == 2:  # past the horizon, k^(dim + 1) glued words per residue word
-                s = s2 if len(g) <= p.N else p.k ** (dim + 1) * residue.mask.bit_count()
-            elif built > dim or dim * (p.k.bit_length() - 1) < got[2].bit_length():
-                s = _geometric(p.k, built, dim)  # the levels not built
-            else:  # they hold k^dim or more words, more than the record holds
-                s = None
-            _need(got == (True, c, s) and len(record) == 3, f"stage {i}: claim {n} record mismatch")
+        recorded = _int(stage["claim1"]["skipped"])
+        _need(
+            built > dim or dim * (p.k.bit_length() - 1) < recorded.bit_length(),
+            f"stage {i}: claim 1 record mismatch",
+        )
+        if len(g) > p.N:  # past the horizon, k^(dim + 1) glued words per residue word
+            s2 = p.k ** (dim + 1) * residue.mask.bit_count()
+        stages.append((g, block, stage["residue"], (True, c1, _geometric(p.k, built, dim)), (True, c2, s2)))
         count += c1 + c2
-    return count
+    return count, *_builder_witness(stages)
 
 
 def stem_extension_words(stem: Word, n: int, tail_max: int, w_hat: Word, horizon: int):
@@ -532,6 +665,10 @@ def stem_extension_words(stem: Word, n: int, tail_max: int, w_hat: Word, horizon
             yield extend(base, tail)
 
 
+def _prehomog_witness(w_hat: Word, color: int, z: Word, pairs) -> tuple[dict, int]:
+    return {"w_hat": _json(w_hat), "color": color, "z_word": _json(z)}, len(pairs)
+
+
 def prehomog_certificate_doc(coloring: Coloring, w: Word, out, verify_tail: int) -> dict:
     instance = {
         "type": "prehomog-instance",
@@ -540,8 +677,7 @@ def prehomog_certificate_doc(coloring: Coloring, w: Word, out, verify_tail: int)
         "stem": word_to_json(out.stem),
         "verify_tail": verify_tail,
     }
-    witness = {"w_hat": word_to_json(out.w_hat), "color": out.color, "z_word": word_to_json(out.z_word)}
-    return wrap("prehomog", instance, witness, len(out.checked))
+    return wrap("prehomog", instance, *_prehomog_witness(out.w_hat, out.color, out.z_word, out.checked))
 
 
 def check_prehomog(
@@ -577,28 +713,24 @@ def check_prehomog(
     return pairs
 
 
-def _verify_prehomog(instance: dict, witness: dict) -> int:
-    pairs = check_prehomog(
-        coloring_from_json(instance["coloring"]),
-        word_from_json(instance["w"]),
-        word_from_json(instance["stem"]),
-        _int(instance["verify_tail"]),
-        word_from_json(witness["w_hat"]),
-        word_from_json(witness["z_word"]),
-        _int(witness["color"]),
-    )
+def _verify_prehomog(instance: dict, witness: dict):
+    coloring = coloring_from_json(instance["coloring"])
+    w, stem = word_from_json(instance["w"]), word_from_json(instance["stem"])
+    tail = _int(instance["verify_tail"])
+    _only(instance, "prehomog-instance", "coloring", "w", "stem", "verify_tail")
+    w_hat, z = word_from_json(witness["w_hat"]), word_from_json(witness["z_word"])
+    color = _int(witness["color"])
+    pairs = check_prehomog(coloring, w, stem, tail, w_hat, z, color)
     _need(pairs, "nothing verifiable within the horizon")
-    return len(pairs)
+    return len(pairs), *_prehomog_witness(w_hat, color, z, pairs)
+
+
+def _csl_witness(w: Word, color: int, depth: int, pairs) -> tuple[dict, int]:
+    return {"word": _json(w), "color": color, "depth": depth, "checked": _json(pairs)}, len(pairs)
 
 
 def csl_certificate_doc(coloring: Coloring, cert) -> dict:
-    witness = {
-        "word": word_to_json(cert.word),
-        "color": cert.color,
-        "depth": cert.depth,
-        "checked": [[word_to_json(u), word_to_json(img)] for u, img in cert.checked],
-    }
-    return wrap("csl", coloring_to_json(coloring), witness, len(cert.checked))
+    return wrap("csl", coloring_to_json(coloring), *_csl_witness(cert.word, cert.color, cert.depth, cert.checked))
 
 
 def check_csl(coloring: Coloring, w: Word, color: int, depth: int) -> list[tuple[Word, Word]]:
@@ -619,20 +751,24 @@ def check_csl(coloring: Coloring, w: Word, color: int, depth: int) -> list[tuple
     return pairs
 
 
-def _verify_csl(instance: dict, witness: dict) -> int:
+def _verify_csl(instance: dict, witness: dict):
     coloring = coloring_from_json(instance)
     w = word_from_json(witness["word"])
     color, depth = _int(witness["color"]), _int(witness["depth"])
-    checked = [(word_from_json(u), word_from_json(img)) for u, img in witness["checked"]]
     pairs = check_csl(coloring, w, color, depth)
-    _need(checked == pairs, "checked pairs are not the pattern walk")
-    return len(pairs)
+    return len(pairs), *_csl_witness(w, color, depth, pairs)
+
+
+def _cdrt_witness(w_hat: Word, k: int, color: int, pairs) -> tuple[dict, int]:
+    """w_hat over the empty alphabet, as the translated coloring's words
+    are, and its pullback over the coloring's k letters."""
+    witness = {"w_hat": _json(reread(w_hat, 0)), "word": _json(reread(w_hat, k)), "color": color}
+    return witness, len(pairs)
 
 
 def cdrt_certificate_doc(coloring: Coloring, pb, depth: int, w_hat: Word) -> dict:
     instance = {"type": "cdrt-instance", "coloring": coloring_to_json(coloring), "depth": depth}
-    witness = {"w_hat": word_to_json(w_hat), "word": word_to_json(pb.word), "color": pb.color}
-    return wrap("cdrt", instance, witness, len(pb.checked))
+    return wrap("cdrt", instance, *_cdrt_witness(w_hat, coloring.k, pb.color, pb.checked))
 
 
 def check_cdrt(coloring: Coloring, w: Word, color: int, depth: int) -> list[tuple[Word, Word]]:
@@ -658,31 +794,34 @@ def check_cdrt(coloring: Coloring, w: Word, color: int, depth: int) -> list[tupl
     return pairs
 
 
-def _verify_cdrt(instance: dict, witness: dict) -> int:
+def _verify_cdrt(instance: dict, witness: dict):
     coloring = coloring_from_json(instance["coloring"])
     depth = _int(instance["depth"])
+    _only(instance, "cdrt-instance", "coloring", "depth")
     w_hat = word_from_json(witness["w_hat"])
-    w = word_from_json(witness["word"])
     color = _int(witness["color"])
-    _need(w.symbols == w_hat.symbols and w.k == coloring.k, "pullback mismatch")
-    pairs = check_cdrt(coloring, w, color, depth)
+    pairs = check_cdrt(coloring, reread(w_hat, coloring.k), color, depth)
     _need(pairs, "nothing verifiable within the horizon")
-    return len(pairs)
+    return len(pairs), *_cdrt_witness(w_hat, coloring.k, color, pairs)
+
+
+def _embedding_witness(images) -> tuple[dict, int]:
+    """The images, and the vertex pairs checked, or 1, the image count
+    check, when there is none: the verifier's count as well."""
+    n = len(images)
+    return {"words": _json(images)}, n * (n - 1) // 2 or 1
 
 
 def embedding_certificate_doc(g: GraphSpec, images, mode: str, horizon) -> dict:
     instance = {"type": "embedding-instance", "graph": graph_to_json(g), "mode": mode, "horizon": horizon}
-    witness = {"words": [word_to_json(w) for w in images]}
-    return wrap("embedding", instance, witness, g.n * (g.n - 1) // 2 or 1)
+    return wrap("embedding", instance, *_embedding_witness(images))
 
 
-def check_embedding(g: GraphSpec, images, horizon) -> int:
+def check_embedding(g: GraphSpec, images, horizon) -> None:
     """``images`` are distinct words over {0, x0}, one per vertex of the
     triangle-free graph ``g``, adjacent exactly where g is; with a
     ``horizon`` (greedy mode, None for phi) each is a vertex, no longer
-    than the horizon and longer than the one before.  Returns the number
-    of vertex pairs checked, or 1, the image count, when there is none:
-    the builder's ``checked_count``."""
+    than the horizon and longer than the one before."""
     from .henson import edge
 
     _need(len(images) == g.n, "image count mismatch")
@@ -698,28 +837,39 @@ def check_embedding(g: GraphSpec, images, horizon) -> int:
             _need(len(w) <= horizon, "greedy image past the horizon")
             if i:
                 _need(len(w) > len(images[i - 1]), "image lengths not increasing")
-    return g.n * (g.n - 1) // 2 or 1
 
 
-def _verify_embedding(instance: dict, witness: dict) -> int:
+def _verify_embedding(instance: dict, witness: dict):
     g = graph_from_json(instance["graph"])
     mode = instance["mode"]
     _need(mode in ("greedy", "phi"), f"unknown embedding mode {mode!r}")
     horizon = _int(instance["horizon"])
+    _only(instance, "embedding-instance", "graph", "mode", "horizon")
     images = [word_from_json(d) for d in witness["words"]]
-    return check_embedding(g, images, horizon if mode == "greedy" else None)
+    check_embedding(g, images, horizon if mode == "greedy" else None)
+    witness, pairs = _embedding_witness(images)
+    # ``henson embed --phi`` writes which images are vertices beside its certificate
+    report = {"in_vertex_set": [w.has_variables() for w in images]} if mode == "phi" else {}
+    return pairs, witness, pairs, report
+
+
+def _envelope_witness(word: Word, var_count: int, assignments) -> tuple[dict, int]:
+    """``assignments`` holds one (member, t) pair per distinct member, in
+    ``Word.key`` order; their number m gives the bound 2^m + m - 1."""
+    m = len(assignments)
+    witness = {
+        "word": _json(word),
+        "variable_count": var_count,
+        "bound": 2**m + m - 1,
+        "minimal_by_search_order": True,
+        "assignments": _json(assignments),
+    }
+    return witness, m
 
 
 def envelope_certificate_doc(members, env) -> dict:
     instance = {"type": "envelope-instance", "members": [word_to_json(s) for s in members]}
-    witness = {
-        "word": word_to_json(env.word),
-        "variable_count": env.variable_count,
-        "bound": env.bound,
-        "minimal_by_search_order": True,
-        "assignments": [[word_to_json(s), word_to_json(t)] for s, t in env.assignments],
-    }
-    return wrap("envelope", instance, witness, len(env.assignments))
+    return wrap("envelope", instance, *_envelope_witness(env.word, env.variable_count, env.assignments))
 
 
 def check_envelope(members, word: Word, var_count: int, assignments) -> int:
@@ -738,15 +888,16 @@ def check_envelope(members, word: Word, var_count: int, assignments) -> int:
     return len(members)
 
 
-def _verify_envelope(instance: dict, witness: dict) -> int:
+def _verify_envelope(instance: dict, witness: dict):
     members = [word_from_json(d) for d in instance["members"]]
+    _only(instance, "envelope-instance", "members")
     env = word_from_json(witness["word"])
     var_count = _int(witness["variable_count"])
-    m = len(set(members))  # ``minimal_envelope`` bounds by the distinct members
-    _need(_int(witness["bound"]) == 2**m + m - 1, "bound mismatch")
-    _need(witness["minimal_by_search_order"] is True, "envelope not marked minimal by search order")
-    assignments = [(word_from_json(s), word_from_json(t)) for s, t in witness["assignments"]]
-    return check_envelope(members, env, var_count, assignments)
+    assignments = _word_pairs(witness["assignments"])
+    count = check_envelope(members, env, var_count, assignments)
+    assigns = {s.symbols: t for s, t in assignments}
+    distinct = sorted(set(members), key=Word.key)  # ``minimal_envelope``'s order
+    return count, *_envelope_witness(env, var_count, [(s, assigns[s.symbols]) for s in distinct])
 
 
 _VERIFIERS = {
@@ -762,6 +913,40 @@ _VERIFIERS = {
     "envelope": _verify_envelope,
 }
 
+_ABSENT = object()
+
+
+def _check_canonical(got, want) -> None:
+    """Raise ``_NonCanonical`` at the first value, in canonical order, whose
+    canonical JSON differs between ``got`` and ``want``, two dicts or two
+    lists of one length.  A value that is ``want``'s own is not encoded."""
+    if isinstance(got, dict):
+        pairs = [(key, got.get(key, _ABSENT), want.get(key, _ABSENT)) for key in sorted(got.keys() | want.keys())]
+    else:
+        pairs = zip(range(len(got)), got, want)
+    for key, a, b in pairs:
+        if a is not b and (a is _ABSENT or b is _ABSENT or canonical_json(a) != canonical_json(b)):
+            if type(a) is type(b) is dict or type(a) is type(b) is list and len(a) == len(b):
+                _check_canonical(a, b)
+            raise _NonCanonical(got, key)
+
+
+def _step(key) -> str:
+    """One step of a JSON pointer (RFC 6901)."""
+    return "/" + str(key).replace("~", "~0").replace("/", "~1")
+
+
+def _pointer(doc: dict, node) -> str:
+    """The JSON pointer of ``node``, a dict or list of ``doc``, found by identity."""
+    stack = [("", doc)]
+    while True:
+        path, value = stack.pop()
+        if value is node:
+            return path
+        if isinstance(value, (dict, list)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            stack += ((path + _step(key), child) for key, child in items)
+
 
 def verify_certificate(doc: dict) -> VerifyResult:
     if not isinstance(doc, dict):
@@ -775,10 +960,16 @@ def verify_certificate(doc: dict) -> VerifyResult:
             digest(doc["instance"]) == doc["digest"],
             "instance digest mismatch",
         )
-        count = _VERIFIERS[kind](doc["instance"], doc["witness"])
-        declared = _int(doc.get("checked_count", count))
-        _need(count >= 1 and declared >= 1, "empty verification")
+        count, witness, checked_count, *report = _VERIFIERS[kind](doc["instance"], doc["witness"])
+        _need(count >= 1, "empty verification")
+        rebuilt = wrap(kind, {}, witness, checked_count)
+        rebuilt.update(instance=doc["instance"], digest=doc["digest"])  # pinned above, not written again
+        # a report a command writes beside the certificate is rebuilt too, and compared when present
+        rebuilt.update({key: value for part in report for key, value in part.items() if key in doc})
+        _check_canonical(doc, rebuilt)
         return VerifyResult(True, kind, f"{count} checks")
+    except _NonCanonical as exc:
+        return VerifyResult(False, kind, f"non-canonical certificate: {_pointer(doc, exc.node)}{_step(exc.key)}")
     except CheckFailed as exc:
         return VerifyResult(False, kind, str(exc))
     except (KeyError, ValueError, TypeError, OverflowError, VarwordError) as exc:

@@ -2,20 +2,10 @@
 
 from __future__ import annotations
 
-from ..certificates import tree_certificate_doc, word_to_json as W2J
+from ..certificates import tree_certificate_doc, tree_to_json, word_to_json as W2J
 from ..cli import _command, _emit
-from ..trees import canonical_iso, generator_from_tree, levels, size, tree_from_generator
+from ..trees import canonical_iso, generator_from_tree, tree_from_generator
 from ..words import check_universe, dimension, format_word, parse_word
-
-
-def _tree_doc(tree):
-    return {
-        "generator": W2J(tree.generator),
-        "dimension": tree.dimension,
-        "elements": [W2J(e) for e in tree.elements],
-        "levels": list(levels(tree)),
-        "size": size(tree),
-    }
 
 
 def _tree(args):
@@ -29,7 +19,7 @@ def _tree(args):
 def cmd_tree_build(args):
     tree = _tree(args)
     doc = tree_certificate_doc(tree)
-    doc["tree"] = _tree_doc(tree)
+    doc["tree"] = tree_to_json(tree)
     _emit(doc, args, f"{len(tree.elements)} elements, dimension {tree.dimension}")
     return 0
 
@@ -47,7 +37,7 @@ def cmd_tree_iso(args):
     iso = canonical_iso(tree)
     doc = {
         "kind": "canonical-iso",
-        "tree": _tree_doc(tree),
+        "tree": tree_to_json(tree),
         "map": [
             {"element": W2J(e), "pattern": W2J(u)} for e, u in sorted(
                 iso.to_pattern.items(), key=lambda kv: kv[0].key()

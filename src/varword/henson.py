@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 from .errors import (
     DomainTooLarge,
     InputError,
+    InvalidWord,
     NotFoundWithinHorizon,
     NotTriangleFree,
     TriangleFound,
@@ -350,8 +351,10 @@ def _envelope_prefixes(mem: list[Word], longest: int):
 def minimal_envelope(members: Iterable[Word]) -> Envelope:
     """Fewest-variable word from which every member arises by substitution.
 
-    Exhaustive over candidates ordered by variable count, then length,
-    then lex; the first hit is minimal by construction.  Candidate
+    The members must be words over the one letter 0 (``InvalidWord``
+    otherwise, before any candidate is walked).  Exhaustive over
+    candidates ordered by variable count, then length, then lex; the
+    first hit is minimal by construction.  Candidate
     lengths run from the longest member's length, since a shorter word
     has no cut there, to one more, which suffices because a cut past
     the longest member never helps and appending beyond it only
@@ -365,6 +368,9 @@ def minimal_envelope(members: Iterable[Word]) -> Envelope:
     mem = sorted(set(members), key=Word.key)
     if not mem:
         raise InputError("empty member set")
+    bad = next((s for s in mem if s.k != 1), None)
+    if bad is not None:  # no candidate, all over {0}, yields it
+        raise InvalidWord(f"member {format_word(bad)} is not a word over one letter")
     bound = 2 ** len(mem) + len(mem) - 1
     longest = max(len(s) for s in mem)
     keep = _envelope_prefixes(mem, longest)

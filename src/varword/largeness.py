@@ -177,9 +177,9 @@ class FiniteFamily(Frozen):
     def from_texts(cls, k: int, n: int, texts: Sequence) -> "FiniteFamily":
         """``from_words(k, n, [parse_word(t, k) for t in texts])``, errors included.
 
-        For 2 <= k <= 10, when the list holds only strings that are ``-``
-        or 1..n ASCII digits below k, each rank is
-        ``offsets[len(t)] + int(t, k)``; any other input goes through
+        For 2 <= k <= 10, when the list is a family's own ``texts()``,
+        each rank is ``offsets[len(t)] + int(t, k)``
+        (``_family_text.digit_mask``); any other input goes through
         ``parse_word`` whole.
         """
         if 2 <= k <= 10 and n >= 1:

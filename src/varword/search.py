@@ -97,18 +97,15 @@ def search_line_with_letter(coloring: Coloring, workers: int = 1) -> LineLetterC
 
 
 def _line_hit(coloring: Coloring, g: Word, a: int, color: int) -> LineLetterCertificate:
-    line = tree_from_generator(g)
-    root, *level1 = line.elements  # S(0), then S(1) in lex order
-    checked = (root, *(extend(w, (a,)) for w in level1))
-    cert = LineLetterCertificate(line, a, color, checked)
-    verify_line_letter(cert, coloring)
-    return cert
+    checked = check_line_letter(coloring, g, a, color)  # S(0), then S(1).a in lex order
+    return LineLetterCertificate(tree_from_generator(g), a, color, checked)
 
 
 def verify_line_letter(cert: LineLetterCertificate, coloring: Coloring) -> None:
-    """Re-check a certificate with ``certificates.check_line_letter``;
-    raises ``CheckFailed``, an ``InvalidWord``, when it does not hold."""
-    check_line_letter(coloring, cert.line.generator, cert.letter, cert.color, cert.checked)
+    """Re-check a certificate with ``certificates.check_line_letter``, which
+    also gave ``_line_hit`` its ``checked`` words; raises ``CheckFailed``,
+    an ``InvalidWord``, when it does not hold."""
+    check_line_letter(coloring, cert.line.generator, cert.letter, cert.color)
 
 
 def line_letter_from_dim2(

@@ -47,6 +47,7 @@ from varword.words import (
     format_word,
     is_var_word,
     parse_word,
+    prefix_valid_words,
     recompose,
     substitute,
     var_words,
@@ -93,11 +94,43 @@ def test_criterion_01_paper_example_fidelity():
         ]
 
 
+def _composition_mismatches(words, compose_fn):
+    """(pairs, pairs whose rows differ): ``compose_fn(w, v)`` for every pair
+    of ``words`` against composition rows tabulated with arrays.
+
+    Row (v, w) is w with each letter kept and each x_m read as v's m-th
+    symbol, cut before the first x_m past v's end: a gather of v's symbols
+    by w's variable indices, not a walk of w, so it shares no code with
+    ``compose``.
+    """
+    import numpy as np
+
+    k, width, n = words[0].k, max(map(len, words)), len(words)
+    sym = np.full((n, width), -1, dtype=np.int8)  # -1 pads a word
+    for i, w in enumerate(words):
+        sym[i, : len(w)] = w.symbols
+    var = sym.astype(np.int16) - k  # x_m at m >= 0
+    of_v = np.where(sym >= 0, sym, -2)  # -2: v has no m-th symbol
+    rows = np.where(var >= 0, of_v[:, np.clip(var, 0, width - 1)], sym)  # rows[v, w, position]
+    rows[np.maximum.accumulate(rows == -2, axis=2)] = -1  # the cut, and what follows it
+    pads = [(-1,) * (width - j) for j in range(width + 1)]
+    got = np.fromiter(
+        (s for v in words for w in words for z in (compose_fn(w, v).symbols,) for s in z + pads[len(z)]),
+        dtype=np.int8,
+        count=n * n * width,
+    ).reshape(n, n, width)
+    return n * n, int((got != rows).any(axis=2).sum())
+
+
 def test_criterion_02_substitution_algebra():
     with _Budget("2 substitution algebra", 30):
         rng = random.Random(2024)
-        checked = 0
+        # seed 2024 takes 160,973 draws; the cap turns a fault in the
+        # rejection test below into a failure, not an endless loop
+        checked = draws = 0
         while checked < 10_000:
+            draws += 1
+            assert draws <= 500_000, "rejection loop reached its draw cap"
             w = random_prefix_valid(rng, K, rng.randrange(13))
             v = random_prefix_valid(rng, K, rng.randrange(13))
             u = random_letters(rng, K, rng.randrange(7))
@@ -109,6 +142,10 @@ def test_criterion_02_substitution_algebra():
             assert lhs == rhs
             checked += 1
 
+        # the calculus itself: the flat sweep below reads one table on both
+        # sides, so it checks cut points, not ``compose``
+        assert _composition_mismatches(list(prefix_valid_words(K, 5)), compose) == (767_376, 0)
+
         res = assoc_exhaustive(K, 6, workers=4)
         assert res.failures == 0 and res.checked > 10**7
 
@@ -116,6 +153,16 @@ def test_criterion_02_substitution_algebra():
             for w in var_words(k, 8, ordered=True):
                 sigma, blocks = decompose(w)
                 assert recompose(sigma, blocks) == w
+
+
+def test_criterion_02_composition_rows_catch_a_swapped_compose():
+    # a compose that swaps the first two symbols of its result
+    def swapped(w, v):
+        z = compose(w, v).symbols
+        return Word(w.k, z[1::-1] + z[2:])
+
+    pairs, bad = _composition_mismatches(list(prefix_valid_words(K, 4)), swapped)
+    assert pairs == 202 * 202 and bad > 0
 
 
 def test_criterion_03_tree_correspondence():

@@ -102,10 +102,28 @@ ALL_KINDS = [
 ]
 
 
+# each verifier's own count on the fixture, beside the builder's checked_count:
+# they differ where the verifier counts each word it walks (split adds its
+# one partition check, brown its removal and anchor walks)
+VERIFY_COUNTS = {
+    "line-letter": (3, 3),
+    "csl": (3, 3),
+    "builder-trace": (5099, 5099),
+    "prehomog": (4, 4),
+    "cdrt": (3, 3),
+    "embedding": (3, 3),
+    "envelope": (2, 2),
+    "tree": (3, 3),
+    "split": (8, 4),
+    "brown": (262, 256),
+}
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_every_emitted_certificate_verifies(docs, kind):
     res = certs.verify_certificate(docs[kind])
     assert res.ok, res.detail
+    assert (res.detail, docs[kind]["checked_count"]) == (f"{VERIFY_COUNTS[kind][0]} checks", VERIFY_COUNTS[kind][1])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -278,6 +296,31 @@ def test_builder_skipped_counts_derived_from_sizes(docs, n):
     assert not certs.verify_certificate(doc).ok
 
 
+@pytest.mark.parametrize("n, built", [(1, 2), (0, 1)])
+def test_builder_record_guard_boundaries(docs, n, built):
+    # the fixture's last stage (dimension 2) restaged at horizon n builds
+    # levels 0..built-1: k^built + ... + k^2 words are skipped, at least
+    # k^2 = 4, which has 3 bits; a record of dim * (bit_length(k) - 1) = 2
+    # bits is refused before the count is built, and one of 3 bits is
+    # counted and compared (built = dim is the guard's boundary)
+    from varword.search import BuilderTrace, _stage
+
+    dec = certs.decomposition_from_json(docs["builder-trace"]["instance"]["decomposition"])
+    small = PwSyndeticDecomposition(dec.syndetic.restrict(n), dec.thick.restrict(n), dec.ell)
+    stages = tuple(_stage(st.tree, st, small.part) for st in iterate_builder(dec, 2).stages)
+    doc = builder_certificate_doc(small, BuilderTrace(small.part, stages))
+    record = doc["witness"]["stages"][2]["claim1"]
+    assert (stages[2].tree.dimension, record["skipped"]) == (2, sum(K**j for j in range(built, 3)))
+    assert certs.verify_certificate(doc).ok
+    for skipped, detail in [
+        (3, "stage 2: claim 1 record mismatch"),
+        (record["skipped"] + 1, "non-canonical certificate: /witness/stages/2/claim1/skipped"),
+    ]:
+        bad = json.loads(certs.canonical_json(doc))
+        bad["witness"]["stages"][2]["claim1"]["skipped"] = skipped
+        assert certs.verify_certificate(bad) == (False, "builder-trace", detail)
+
+
 def test_builder_records_of_a_huge_tree_refused_quickly(docs):
     # no level of x0...x19999 behind N + 1 letters is within the horizon:
     # claim 1 skips 2^20001 - 1 words, counted in closed form and never
@@ -299,8 +342,9 @@ def test_builder_records_of_a_huge_alphabet_refused_quickly(docs):
     doc["instance"]["decomposition"] = {"type": "pw-decomposition", "ell": 0, "syndetic": fam, "thick": fam}
     doc["digest"] = certs.digest(doc["instance"])
     stage = doc["witness"]["stages"][0]
-    stage["residue"]["ell"] = 0
+    stage["residue"] = doc["instance"]["decomposition"]  # block and residue alphabets are checked first
     stage["generator"] = certs.word_to_json(Word(k, tuple(range(k, k + 10**5))))
+    stage["block"] = certs.word_to_json(Word(k, (k,)))
     doc["witness"]["stages"] = [stage]
     t0 = time.perf_counter()
     res = certs.verify_certificate(doc)
@@ -383,7 +427,7 @@ def test_envelope_bound_counts_distinct_members():
     doc = json.loads(certs.canonical_json(envelope_certificate_doc(members, env)))
     assert certs.verify_certificate(doc) == (True, "envelope", "2 checks")
     doc["witness"]["bound"] = 2**2 + 2 - 1  # the bound over both listed members
-    assert certs.verify_certificate(doc) == (False, "envelope", "bound mismatch")
+    assert certs.verify_certificate(doc) == (False, "envelope", "non-canonical certificate: /witness/bound")
 
 
 def test_prehomog_verifier_bounded_by_instance(docs):
@@ -452,12 +496,14 @@ def test_family_codec_matches_word_route(k):
         except Exception as exc:
             return type(exc), str(exc)
 
+    # a defect is named as the word route names it; a list the word route
+    # reads (here each repeats its first words) is not the writer's form
     good = doc["words"][:3]
     for bad in ["12", " 01", "1_0", "+1", "\u00b2", "x0", "0" * (n + 1), "", "-", "[1]0", 7]:
         texts = good + [bad] + good
         want = outcome(lambda: FiniteFamily.from_words(k, n, [parse_word(t, k) for t in texts]))
-        got = outcome(lambda: certs.family_from_json({"k": k, "N": n, "words": texts}))
-        assert got == want, bad
+        got = outcome(lambda: certs.family_from_json({"type": "family", "k": k, "N": n, "words": texts}))
+        assert got == (want if isinstance(want, tuple) else (certs._NonCanonical, "non-canonical certificate: .../words")), bad
 
 
 def test_coloring_serialization_roundtrip():
@@ -690,7 +736,7 @@ def _word_doc(k, *symbols):
     [
         ("csl", "word", _word_doc(K, 3, 2), "word is not prefix-valid"),
         ("csl", "word", _word_doc(K, 0, 0, 0, 0, 2, 3), "image of 0 leaves the domain"),
-        ("cdrt", "word", _word_doc(K, 0, 1, 2, 3, 0), "pullback mismatch"),
+        ("cdrt", "word", _word_doc(K, 0, 1, 2, 3, 0), "non-canonical certificate: /witness/word/symbols"),
         ("cdrt", "both", (_word_doc(0, 0, 1, 3, 2), _word_doc(K, 0, 1, 3, 2)), "pullback is not prefix-valid"),
         ("prehomog", "z_word", _word_doc(K, 3, 2, 4), "z is not prefix-valid"),
         ("prehomog", "z_word", _word_doc(K, 0, 2, 3), "z does not start with a pure variable prefix"),
@@ -771,7 +817,7 @@ def test_embedding_and_envelope_tamper_names_its_check(docs, kind, tamper, detai
          "line does not fit the horizon"),
         # a fourth element: the bound over min(k, 2) letters (3 <= 4) holds, the exact count fails
         ("tree", lambda doc: doc["instance"]["elements"].append(_word_doc(K, 0)), "element set mismatch"),
-        ("line-letter", lambda doc: doc.update(checked_count=0), "empty verification"),
+        ("builder-trace", lambda doc: doc["witness"].update(stages=[]), "empty verification"),
     ],
     ids=["one-dimensional", "horizon", "tree-count", "empty"],
 )
@@ -923,9 +969,10 @@ def test_integer_fields_take_only_integers(small_docs, kind):
     for path in _int_paths(blob):
         for value in ("1", True, 1.0):
             res = certs.verify_certificate(_mutated(blob, path, "set", value))
-            assert not res.ok, (path, value)
-            if path[:2] != ("witness", "elements"):  # compared with the instance's, not read
-                assert res.detail.startswith("malformed certificate:"), (path, value, res.detail)
+            # a field the verifier reads is malformed; a derived one, which it
+            # writes again and does not read, differs from that rebuild
+            rebuilt = "non-canonical certificate: " + "".join(f"/{key}" for key in path)
+            assert res.detail.startswith("malformed certificate:") or res.detail == rebuilt, (path, value, res.detail)
 
 
 @pytest.mark.parametrize("schema", ["1", True, 1.0])
@@ -960,8 +1007,148 @@ def test_every_field_mutation_never_raises(small_mutation_sites, kind):
                 ends[_field(path), option] = first, path
     for (_, (op, arg)), paths in ends.items():
         for path in dict.fromkeys(paths):
-            res = certs.verify_certificate(_mutated(blob, path, op, arg))
+            doc = _mutated(blob, path, op, arg)
+            res = certs.verify_certificate(doc)
             assert isinstance(res, certs.VerifyResult), (path, op, arg)
+            # one accepted byte form: a mutation that verifies sets a number
+            # of the instance (a larger ell or horizon, another color), so
+            # it is another instance, which the honest witness and top
+            # level, byte for byte, also certify
+            assert not res.ok or path[0] == "instance" and op == "set", (path, op, arg)
+
+
+# ---------------------------------------------------------------------------
+# one accepted byte form: edits that verified while the verifier read
+# neither the derived fields nor the exact form of what it parsed
+
+
+def _first(node, pred, path=()):
+    """The path of the first value under ``node``, depth first in canonical
+    key order, for which ``pred`` holds, or None."""
+    if pred(node):
+        return path
+    items = sorted(node.items()) if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        found = _first(child, pred, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
+def _typed(name, size_key):
+    return lambda v: isinstance(v, dict) and v.get("type") == name and len(v[size_key]) >= 2
+
+
+def _is_word(v):
+    return isinstance(v, dict) and set(v) == {"k", "symbols", "text"}
+
+
+def _is_dict(v):
+    return isinstance(v, dict)
+
+
+def _edit(part, pred, change):
+    """An edit of the first value under ``doc[part]`` (the whole document
+    for None) that ``pred`` picks: ``change(value)`` edits it and returns
+    the key it changed, and the edit returns that key's JSON pointer, or
+    None when ``pred`` picks no value."""
+
+    def edit(doc):
+        top = doc if part is None else doc[part]
+        path = _first(top, pred)
+        if path is None:
+            return None
+        node = top
+        for key in path:
+            node = node[key]
+        return "".join(f"/{key}" for key in (*(part,) * (part is not None), *path, change(node)))
+
+    return edit
+
+
+def _set(key, value):
+    """A change that sets ``key`` to value(node), or drops it for value None."""
+
+    def change(node):
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value(node)
+        return key
+
+    return change
+
+
+def _words(change):
+    def run(family):
+        change(family["words"])
+        return "words"
+
+    return run
+
+
+def _swap_rows(coloring):
+    table = coloring["table"]
+    table[0], table[1] = table[1], table[0]
+    return "table"
+
+
+def _reversed(key, first_difference):
+    def change(witness):
+        witness[key].reverse()
+        return key + first_difference
+
+    return change
+
+
+# the first two words differ first in their symbols
+_reverse_checked = _reversed("checked", "/0/symbols")
+
+
+_note = _set("note", lambda node: 0)
+
+# each edit applies to every kind, unless it names a value (a word, a family,
+# a coloring, a checked list) that the kind's certificate does not hold
+MOTIVATION_EDITS = {
+    "top-level key": _edit(None, _is_dict, _note),
+    "witness key": _edit("witness", _is_dict, _note),
+    "instance key": _edit("instance", _is_dict, _note),
+    "instance word key": _edit("instance", _is_word, _note),
+    "witness word key": _edit("witness", _is_word, _note),
+    "checked_count set": _edit(None, _is_dict, _set("checked_count", lambda doc: doc["checked_count"] % 2 + 1)),
+    "checked_count dropped": _edit(None, _is_dict, _set("checked_count", None)),
+    "tool": _edit(None, _is_dict, _set("tool", lambda doc: "varword 0")),
+    "instance type": _edit("instance", _is_dict, _set("type", lambda inst: "x")),
+    "family reversed": _edit("instance", _typed("family", "words"), _words(list.reverse)),
+    "family repeat": _edit("instance", _typed("family", "words"), _words(lambda ws: ws.append(ws[-1]))),
+    "family leading space": _edit("instance", _typed("family", "words"), _words(lambda ws: ws.append(" " + ws.pop()))),
+    "coloring rows swapped": _edit("instance", _typed("coloring", "table"), _swap_rows),
+    "checked reversed": _edit("witness", lambda v: isinstance(v, dict) and "letter" in v, _reverse_checked),
+    # sets written as lists: translators one per sigma in sigma order, and brown's subset ascending
+    "translators reversed": _edit("witness", lambda v: isinstance(v, dict) and len(v.get("translators", ())) >= 2,
+                                  _reversed("translators", "/0/0/symbols")),
+    "translator repeated": _edit("witness", lambda v: isinstance(v, dict) and v.get("translators"),
+                                 _set("translators", lambda wit: wit["translators"] + wit["translators"][-1:])),
+    "subset reversed": _edit("witness", lambda v: isinstance(v, dict) and len(v.get("subset", ())) >= 2,
+                             _reversed("subset", "/0")),
+}
+UNIVERSAL_EDITS = ["top-level key", "witness key", "instance key", "witness word key", "checked_count set",
+                   "checked_count dropped", "tool", "instance type"]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_accepted_byte_form(docs, kind):
+    # every one of these verified OK while the verifier read neither the
+    # derived fields nor the exact form of the values it parsed
+    applied = []
+    for name, edit in MOTIVATION_EDITS.items():
+        doc = json.loads(certs.canonical_json(docs[kind]))
+        pointer = edit(doc)
+        if pointer is not None:
+            doc["digest"] = certs.digest(doc["instance"])
+            assert certs.verify_certificate(doc) == (False, kind, f"non-canonical certificate: {pointer}"), name
+            applied.append(name)
+    assert set(UNIVERSAL_EDITS) <= set(applied)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,6 +1205,7 @@ LARGENESS_TAMPERS = [
     ("split", _refuted_counterexample, "counterexample refuted"),
     ("brown", _refuted_removal_counterexample, "removal counterexample refuted"),
     ("split", _leaking_anchor, "anchor block leaks out of the family"),
+    ("split", lambda doc: doc["witness"]["thick_anchors"].pop(), "thick anchors do not run over 0..ell"),
 ]
 
 
@@ -1031,7 +1219,9 @@ def _tampered(docs, kind, tamper):
 
 
 @pytest.mark.parametrize(
-    "kind, tamper, detail", LARGENESS_TAMPERS, ids=["translator", "cover", "counterexample", "removal", "anchor"]
+    "kind, tamper, detail",
+    LARGENESS_TAMPERS,
+    ids=["translator", "cover", "counterexample", "removal", "anchor", "anchor-count"],
 )
 def test_largeness_tamper_names_its_check(docs, kind, tamper, detail):
     # each tamper trips its check with every earlier check holding, so no
@@ -1057,21 +1247,34 @@ def _break_claim(n):
     return tamper
 
 
+def _stage0(field, value):
+    return lambda doc: doc["witness"]["stages"][0].update({field: value})
+
+
 def _words_update(*words):
     return lambda doc: doc["witness"].update(words=[_word_doc(1, *w) for w in words])
 
+
+# a refusal of a form its writer does not write, at each place one is made
+NON_CANONICAL_TAMPERS = [
+    ("csl", MOTIVATION_EDITS["tool"], "/tool"),
+    ("csl", MOTIVATION_EDITS["instance type"], "/instance/type"),
+    ("embedding", MOTIVATION_EDITS["witness word key"], "/witness/words/0/note"),
+    ("line-letter", MOTIVATION_EDITS["coloring rows swapped"], "/instance/table"),
+    ("split", MOTIVATION_EDITS["family reversed"], "/instance/b/words"),
+    ("tree", lambda doc: doc["instance"]["elements"].reverse(), "/instance/elements"),
+]
 
 CORPUS_TAMPERS = LARGENESS_TAMPERS + [
     ("csl", lambda doc: doc.update(schema=2), "unsupported schema 2"),
     ("csl", lambda doc: doc.update(kind="x"), "unknown kind 'x'"),
     ("csl", lambda doc: doc.update(digest="sha256:0"), "instance digest mismatch"),
-    ("line-letter", lambda doc: doc.update(checked_count=0), "empty verification"),
+    ("builder-trace", lambda doc: doc["witness"].update(stages=[]), "empty verification"),
     ("line-letter", lambda doc: doc["witness"].update(generator=_word_doc(K, 2, 3)), "generator is not one-dimensional"),
     ("line-letter", lambda doc: doc["witness"].update(generator=_word_doc(K, 2, 0, 0, 0, 0)),
      "line does not fit the horizon"),
     ("csl", lambda doc: doc["witness"].update(word=_word_doc(K, 3, 2)), "word is not prefix-valid"),
     ("csl", lambda doc: doc["witness"].update(word=_word_doc(K, 0, 0, 0, 0, 2, 3)), "image of 0 leaves the domain"),
-    ("cdrt", lambda doc: doc["witness"].update(word=_word_doc(K, 0, 1, 2, 3, 0)), "pullback mismatch"),
     ("cdrt", lambda doc: doc["witness"].update(w_hat=_word_doc(0, 0, 1, 3, 2), word=_word_doc(K, 0, 1, 3, 2)),
      "pullback is not prefix-valid"),
     ("prehomog", lambda doc: doc["instance"].update(w=_word_doc(K, 3, 2)), "w is not prefix-valid"),
@@ -1098,7 +1301,13 @@ CORPUS_TAMPERS = LARGENESS_TAMPERS + [
     ("brown", lambda doc: doc["instance"].update(parts=doc["instance"]["parts"][:1]), "parts do not cover P"),
     ("builder-trace", _break_claim(1), "claim 1 fails at -"),
     ("builder-trace", _break_claim(2), re.compile("claim 2 fails at [01]+")),
-]
+    ("builder-trace", _stage0("block", _word_doc(3, 3)), "block alphabet differs from the instance's"),
+    ("builder-trace", _stage0("residue", certs.decomposition_to_json(PwSyndeticDecomposition(
+        FiniteFamily.full(3, 2), FiniteFamily.full(3, 2), 1))), "residue alphabet differs from the instance's"),
+    # no level within the horizon: claim 1 skips 2^21 - 1 words, more bits than the record's 0
+    ("builder-trace", _stage0("generator", _word_doc(K, *[0] * 13, *range(K, K + 20))),
+     "stage 0: claim 1 record mismatch"),
+] + [(kind, tamper, f"non-canonical certificate: {pointer}") for kind, tamper, pointer in NON_CANONICAL_TAMPERS]
 
 
 def _site_pattern(node):
@@ -1122,7 +1331,9 @@ def _check_sites():
                 continue
             for node in ast.walk(fn):
                 name = getattr(getattr(node, "func", None), "id", None)
-                if name in ("_need", "CheckFailed", "NotAPartition"):
+                if name == "_NonCanonical":  # named by its JSON pointer
+                    sites.add((fn.name, re.escape("non-canonical certificate: ") + ".*"))
+                elif name in ("_need", "CheckFailed", "NotAPartition"):
                     sites.add((fn.name, _site_pattern(node.args[1] if name == "_need" else node.args[0])))
     return sites
 
@@ -1140,9 +1351,9 @@ def test_hostile_corpus_trips_every_check(docs, small_mutation_sites, monkeypatc
         need(cond, msg, *words)
 
     def recording(verifier):
-        def run(instance, witness):
+        def run(*args):
             try:
-                return verifier(instance, witness)
+                return verifier(*args)
             except CheckFailed as exc:
                 tb = exc.__traceback__
                 while tb.tb_next:
@@ -1154,6 +1365,7 @@ def test_hostile_corpus_trips_every_check(docs, small_mutation_sites, monkeypatc
         return run
 
     monkeypatch.setattr(certs, "_need", recording_need)
+    monkeypatch.setattr(certs, "_check_canonical", recording(certs._check_canonical))
     for kind, verifier in list(certs._VERIFIERS.items()):
         monkeypatch.setitem(certs._VERIFIERS, kind, recording(verifier))
     for kind in ALL_KINDS:  # the deterministic (field, mutation) walk

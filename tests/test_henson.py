@@ -8,6 +8,7 @@ from varword.errors import (
     CutPointMissing,
     DomainTooLarge,
     InputError,
+    InvalidWord,
     NotFoundWithinHorizon,
     NotTriangleFree,
     TriangleFound,
@@ -174,8 +175,12 @@ class TestInvariance:
         assert edge_invariance(w, hvertex("1"), hvertex("01"))
 
     def test_random_battery(self, rng):
-        checked = 0
+        # the fixture's seed takes 7,944 draws; the cap turns a fault in the
+        # rejection test below into a failure, not an endless loop
+        checked = draws = 0
         while checked < 2000:
+            draws += 1
+            assert draws <= 25_000, "rejection loop reached its draw cap"
             w = random_prefix_valid(rng, 1, rng.randrange(6, 21))
             u = Word(1, tuple(rng.randrange(2) for _ in range(rng.randrange(1, 5))))
             v = Word(1, tuple(rng.randrange(2) for _ in range(rng.randrange(1, 5))))
@@ -208,6 +213,16 @@ class TestInvariance:
 
 
 class TestEnvelope:
+    def test_member_over_two_letters_is_refused_before_the_walk(self, monkeypatch):
+        import varword.henson as henson_mod
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a candidate was walked")
+
+        monkeypatch.setattr(henson_mod, "var_words", no_walk)
+        with pytest.raises(InvalidWord, match="member 01 is not a word over one letter"):
+            minimal_envelope([Word(1, (0,)), Word(2, (0, 1))])
+
     def test_singleton_constant(self):
         env = minimal_envelope([Word(1, (0, 0, 0))])
         assert env.word == Word(1, (0, 0, 0))
